@@ -8,6 +8,7 @@
 //! deleted and marked as not built").
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use flowtune_common::{FileId, IndexId, SimDuration, SimTime};
 
@@ -155,11 +156,39 @@ impl IndexState {
     }
 }
 
+/// Costs of one registered index that depend only on its spec and
+/// calibration. The tuner reads them for every catalog index on every
+/// decision, so they are computed once instead of re-deriving build
+/// times (two logarithms per partition) each time. They are computed
+/// on first use rather than in [`IndexCatalog::add`], which keeps
+/// building a catalog as cheap as before.
+#[derive(Debug, Clone)]
+struct SpecCosts {
+    /// `spec.partition_build_time(p)` for every partition `p`.
+    build_times: Vec<SimDuration>,
+    /// `spec.total_bytes()`.
+    total_bytes: u64,
+}
+
+impl SpecCosts {
+    fn of(spec: &IndexSpec) -> Self {
+        SpecCosts {
+            build_times: (0..spec.partition_count())
+                .map(|p| spec.partition_build_time(p))
+                .collect(),
+            total_bytes: spec.total_bytes(),
+        }
+    }
+}
+
 /// The catalog of all indexes known to the service.
 #[derive(Debug, Default)]
 pub struct IndexCatalog {
     specs: Vec<IndexSpec>,
     states: Vec<IndexState>,
+    /// `SpecCosts::of(&specs[i])`, filled in on first use; reset when
+    /// calibration changes the build times.
+    costs: Vec<OnceLock<SpecCosts>>,
     by_file: HashMap<FileId, Vec<IndexId>>,
 }
 
@@ -176,6 +205,7 @@ impl IndexCatalog {
         spec.id = id;
         self.by_file.entry(spec.file).or_default().push(id);
         self.states.push(IndexState::new(spec.partition_count()));
+        self.costs.push(OnceLock::new());
         self.specs.push(spec);
         id
     }
@@ -207,6 +237,9 @@ impl IndexCatalog {
     pub fn calibrate_io(&mut self, io: crate::model::MeasuredIo) {
         for spec in &mut self.specs {
             spec.model.measured_io = Some(io);
+        }
+        for costs in &mut self.costs {
+            costs.take();
         }
     }
 
@@ -320,10 +353,22 @@ impl IndexCatalog {
 
     /// Remaining total build time `ti` for the unbuilt partitions of `id`.
     pub fn remaining_build_time(&self, id: IndexId) -> SimDuration {
-        self.remaining_build_ops(id)
+        self.states[id.index()]
+            .parts
             .iter()
-            .map(|(_, t, _)| *t)
+            .zip(&self.costs(id).build_times)
+            .filter(|(p, _)| p.is_none())
+            .map(|(_, t)| *t)
             .sum()
+    }
+
+    /// Size in bytes of `id` when fully built (`spec(id).total_bytes()`).
+    pub fn total_bytes(&self, id: IndexId) -> u64 {
+        self.costs(id).total_bytes
+    }
+
+    fn costs(&self, id: IndexId) -> &SpecCosts {
+        self.costs[id.index()].get_or_init(|| SpecCosts::of(&self.specs[id.index()]))
     }
 }
 
@@ -457,6 +502,35 @@ mod tests {
         assert!(!cat.is_partition_built(a, 1));
         assert!(cat.is_partition_built(b, 1));
         assert!(cat.is_partition_built(a, 2));
+    }
+
+    #[test]
+    fn cached_costs_track_specs_and_calibration() {
+        let mut cat = IndexCatalog::new();
+        let ids: Vec<IndexId> = (0..3).map(|f| cat.add(spec(f, 4))).collect();
+        let recomputed = |cat: &IndexCatalog, id: IndexId| -> SimDuration {
+            let spec = cat.spec(id);
+            (0..spec.partition_count())
+                .filter(|&p| !cat.is_partition_built(id, p))
+                .map(|p| spec.partition_build_time(p))
+                .sum()
+        };
+        cat.mark_built(ids[1], 2, SimTime::ZERO, 0);
+        for &id in &ids {
+            assert_eq!(cat.total_bytes(id), cat.spec(id).total_bytes());
+            assert_eq!(cat.remaining_build_time(id), recomputed(&cat, id));
+        }
+        // Measured I/O changes every build time; the cache must follow.
+        let before = cat.remaining_build_time(ids[0]);
+        cat.calibrate_io(crate::model::MeasuredIo {
+            write_bytes_per_row: 4096.0,
+            read_bytes_per_probe: 8192.0,
+            probe_hit_rate: 0.5,
+        });
+        assert_ne!(cat.remaining_build_time(ids[0]), before);
+        for &id in &ids {
+            assert_eq!(cat.remaining_build_time(id), recomputed(&cat, id));
+        }
     }
 
     #[test]

@@ -2,32 +2,35 @@
 //!
 //! The execution simulator decides *that* a build finished; this store
 //! is where the finished partition materially lands: a run of
-//! checksummed, epoch-stamped pages in a [`BufferPool`] over a
+//! checksummed, epoch-stamped pages written straight to a
 //! [`MemPageStore`]. Because the pages physically exist, the failure
 //! modes the fault layer injects become physically detectable instead
 //! of being bookkeeping flags:
 //!
 //! * a **torn write** ([`IndexPageStore::write_partition_torn`])
 //!   persists the full image and then flips a byte mid-way through the
-//!   last page — exactly what a partial sector write leaves behind —
-//!   and drops the clean buffered frame, as a crash would;
+//!   last page — exactly what a partial sector write leaves behind;
 //! * a **crash during build**
 //!   ([`IndexPageStore::write_partition_crashed`]) allocates the whole
 //!   page run but persists only the prefix that had been flushed when
 //!   the container died, so the tail pages are simply missing.
 //!
 //! Recovery ([`IndexPageStore::verify_partition`]) re-reads every page
-//! of the image *from the store* (the pool's [`BufferPool::check`]
-//! deliberately bypasses cached frames) and reports how many pages
-//! were scanned and which defects were found. The epoch stamp is
-//! bumped on every (re)write of a partition, so a stale page from a
-//! previous incarnation spliced into a new image is caught even when
-//! its checksum is internally consistent.
+//! of the image from the store and checks it in one pass: one checksum
+//! per page plus the epoch comparison. Images are written once and read
+//! back only by that scan, so no buffer pool sits in front of the
+//! store: a cached frame would never be hit, and the scan has to judge
+//! the persistent bytes anyway. The epoch stamp is bumped on every
+//! (re)write of a partition, so a stale page from a previous
+//! incarnation spliced into a new image is caught even when its
+//! checksum is internally consistent.
+//!
+//! Raw store traffic is counted through `flowtune-obs` as
+//! `storage.page_writes` (pages persisted) and `storage.page_reads`
+//! (pages the scan read back, missing ones included).
 
 use flowtune_common::{IndexId, PageId};
-use flowtune_storage::{
-    BufferPool, MemPageStore, Page, PageCheck, PoolStats, PAGE_PAYLOAD, PAGE_SIZE,
-};
+use flowtune_storage::{MemPageStore, Page, PageCheck, PageStore, PAGE_PAYLOAD, PAGE_SIZE};
 use std::collections::BTreeMap;
 
 /// Page-kind tag for index partition image pages.
@@ -38,11 +41,6 @@ pub const IMAGE_KIND: u8 = 3;
 /// simulator pages. The image is a *witness* of the partition — large
 /// partitions scale duty per page, not page count.
 pub const MAX_IMAGE_PAGES: usize = 64;
-
-/// Cached frames held by the store's buffer pool. Deliberately smaller
-/// than a busy run's total image pages so eviction traffic shows up in
-/// the measured `storage.pool_evictions` counter.
-const POOL_PAGES: usize = 256;
 
 /// One committed partition image: its page run and the epoch all pages
 /// must carry.
@@ -72,7 +70,7 @@ impl PartitionVerdict {
 /// docs.
 #[derive(Debug)]
 pub struct IndexPageStore {
-    pool: BufferPool<MemPageStore>,
+    pages: MemPageStore,
     parts: BTreeMap<(IndexId, u32), PartitionImage>,
     next_epoch: u32,
 }
@@ -84,10 +82,10 @@ impl Default for IndexPageStore {
 }
 
 impl IndexPageStore {
-    /// An empty store with the default pool capacity.
+    /// An empty store.
     pub fn new() -> Self {
         IndexPageStore {
-            pool: BufferPool::new(MemPageStore::new(), POOL_PAGES),
+            pages: MemPageStore::new(),
             parts: BTreeMap::new(),
             next_epoch: 0,
         }
@@ -108,16 +106,14 @@ impl IndexPageStore {
     }
 
     /// Persist the image, then tear its last page: one payload byte is
-    /// flipped *behind the checksum* and the clean buffered frame is
-    /// dropped, modelling a partial page write surviving a crash.
-    /// Returns the torn page id.
+    /// flipped *behind the checksum*, modelling a partial page write
+    /// surviving a crash. Returns the torn page id.
     pub fn write_partition_torn(&mut self, index: IndexId, part: u32, bytes: u64) -> PageId {
         let (_, pages) = self.write_image(index, part, bytes);
         #[allow(clippy::expect_used)]
         // flowtune-allow(panic-hygiene): write_image always lays down at least one page
         let victim = *pages.last().expect("image has at least one page");
-        self.pool.store_mut().corrupt(victim, PAGE_SIZE / 2);
-        self.pool.evict(victim);
+        self.pages.corrupt(victim, PAGE_SIZE / 2);
         victim
     }
 
@@ -139,45 +135,38 @@ impl IndexPageStore {
         // At least one page is always missing — a crash that flushed
         // everything would just be a completed build.
         let written = ((n as f64 * fraction.clamp(0.0, 1.0)) as usize).min(n - 1);
-        let ids: Vec<PageId> = (0..n).map(|_| self.pool.allocate()).collect();
-        for (i, id) in ids.iter().take(written).enumerate() {
-            let page = Self::image_page(index, part, epoch, i);
-            self.pool.write(*id, &page);
-        }
-        // The frames of a dead container do not survive into recovery.
-        for id in &ids {
-            self.pool.evict(*id);
-        }
+        let ids: Vec<PageId> = (0..n).map(|_| self.pages.allocate()).collect();
+        self.persist(index, part, epoch, &ids[..written]);
         self.parts
             .insert((index, part), PartitionImage { pages: ids, epoch });
         (written, n - written)
     }
 
     /// Recovery scan: re-read every page of the image from the
-    /// persistent store and verify checksum + epoch. `None` when no
-    /// image exists for `(index, part)`.
-    pub fn verify_partition(&mut self, index: IndexId, part: u32) -> Option<PartitionVerdict> {
-        let image = self.parts.get(&(index, part))?.clone();
-        let mut bad_pages = Vec::new();
-        for id in &image.pages {
-            let verdict = self.pool.check(*id, image.epoch);
-            if !verdict.is_clean() {
-                bad_pages.push((*id, verdict));
-            }
-        }
+    /// persistent store and verify checksum + epoch, one pass per page.
+    /// `None` when no image exists for `(index, part)`.
+    pub fn verify_partition(&self, index: IndexId, part: u32) -> Option<PartitionVerdict> {
+        let image = self.parts.get(&(index, part))?;
+        flowtune_obs::count("storage.page_reads", image.pages.len() as u64);
+        let bad_pages = image
+            .pages
+            .iter()
+            .map(|&id| (id, Page::check(self.pages.read(id), image.epoch)))
+            .filter(|(_, verdict)| !verdict.is_clean())
+            .collect();
         Some(PartitionVerdict {
             pages_scanned: image.pages.len() as u64,
             bad_pages,
         })
     }
 
-    /// Drop the image for `(index, part)` — pages freed, frames
-    /// evicted. Idempotent: deleting an absent image is a no-op, which
-    /// is what makes double-invalidation safe.
+    /// Drop the image for `(index, part)` and free its pages.
+    /// Idempotent: deleting an absent image is a no-op, which is what
+    /// makes double-invalidation safe.
     pub fn delete_partition(&mut self, index: IndexId, part: u32) {
         if let Some(image) = self.parts.remove(&(index, part)) {
             for id in image.pages {
-                self.pool.free(id);
+                self.pages.free(id);
             }
         }
     }
@@ -192,11 +181,6 @@ impl IndexPageStore {
         self.parts.values().map(|img| img.pages.len()).sum()
     }
 
-    /// Pool traffic accumulated by this store.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
     fn bump_epoch(&mut self) -> u32 {
         self.next_epoch += 1;
         self.next_epoch
@@ -207,11 +191,8 @@ impl IndexPageStore {
         self.delete_partition(index, part);
         let epoch = self.bump_epoch();
         let n = Self::image_pages(bytes);
-        let ids: Vec<PageId> = (0..n).map(|_| self.pool.allocate()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            let page = Self::image_page(index, part, epoch, i);
-            self.pool.write(*id, &page);
-        }
+        let ids: Vec<PageId> = (0..n).map(|_| self.pages.allocate()).collect();
+        self.persist(index, part, epoch, &ids);
         self.parts.insert(
             (index, part),
             PartitionImage {
@@ -220,6 +201,15 @@ impl IndexPageStore {
             },
         );
         (n, ids)
+    }
+
+    /// Encode and store image pages `0..ids.len()` under `ids`.
+    fn persist(&mut self, index: IndexId, part: u32, epoch: u32, ids: &[PageId]) {
+        for (i, &id) in ids.iter().enumerate() {
+            let page = Self::image_page(index, part, epoch, i);
+            self.pages.write(id, page.encode());
+        }
+        flowtune_obs::count("storage.page_writes", ids.len() as u64);
     }
 
     /// Deterministic page payload derived from the image coordinates —
@@ -319,13 +309,26 @@ mod tests {
         // Splice an internally-consistent page from the *old* epoch
         // into the new image: checksum passes, epoch must not.
         let spliced = IndexPageStore::image_page(IndexId(6), 0, old_epoch, 0);
-        store.pool.write(image.pages[0], &spliced);
-        store.pool.evict(image.pages[0]);
+        store.pages.write(image.pages[0], spliced.encode());
         let verdict = store.verify_partition(IndexId(6), 0).unwrap();
         assert_eq!(
             verdict.bad_pages,
             vec![(image.pages[0], PageCheck::EpochMismatch)]
         );
+    }
+
+    #[test]
+    fn rewrites_and_deletes_free_their_pages() {
+        let mut store = IndexPageStore::new();
+        let n = store.write_partition(IndexId(7), 0, 40 * MB);
+        let (written, _) = store.write_partition_crashed(IndexId(7), 1, 40 * MB, 0.5);
+        assert_eq!(store.pages.page_count(), n + written);
+        // Rewriting partition 0 frees its first image; deleting
+        // partition 1 frees the crash debris.
+        store.write_partition(IndexId(7), 0, 40 * MB);
+        store.delete_partition(IndexId(7), 1);
+        assert_eq!(store.page_count(), n);
+        assert_eq!(store.pages.page_count(), n);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! header:
 //!
 //! ```text
-//! bytes  0..8   FNV-1a 64 checksum over bytes 8..PAGE_SIZE
+//! bytes  0..8   checksum64 over bytes 8..PAGE_SIZE
 //! bytes  8..12  epoch (u32 LE) — stamp of the build that wrote the page
 //! byte   12     kind tag (node type / image payload)
 //! byte   13     reserved (zero)
@@ -33,16 +33,63 @@ pub const PAGE_HEADER: usize = 16;
 /// Maximum payload bytes a single page can carry.
 pub const PAGE_PAYLOAD: usize = PAGE_SIZE - PAGE_HEADER;
 
-/// FNV-1a 64-bit checksum (in-repo: the workspace has a strict
-/// zero-external-dependency policy, and FNV is strong enough to catch
-/// the byte flips and truncations the fault injector produces).
+/// Seeds and multipliers of the page checksum (the 64-bit primes of
+/// the xxHash family; any odd multipliers keep the bijection argument
+/// on [`checksum64`] intact).
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+
+/// One multiply-rotate-multiply step. For a fixed `word` it is a
+/// bijection of `acc`, and for a fixed `acc` a bijection of `word`.
+#[inline(always)]
+fn mix(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Little-endian word from up to 8 bytes, zero-padded.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(word)
+}
+
+/// Word-at-a-time 64-bit checksum (in-repo: the workspace has a strict
+/// zero-external-dependency policy).
+///
+/// Four independent lanes each fold every fourth little-endian 64-bit
+/// word through [`mix`], so the CPU overlaps their multiply chains; the
+/// lanes, the byte length and any tail words are then folded into one
+/// value and finished with an avalanche. Every step is a bijection of
+/// the running state for a fixed input and of the input for a fixed
+/// state, so a change confined to one aligned 8-byte word (any single
+/// byte flip, and the fault injector's mid-page flip in particular)
+/// always changes the checksum; wider damage escapes only by a 64-bit
+/// collision. Truncation is caught before hashing by the page-size
+/// check.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, le_word(word));
+        }
     }
-    hash
+    let mut hash = (bytes.len() as u64).wrapping_mul(P3);
+    for lane in lanes {
+        hash = mix(hash, lane);
+    }
+    for word in blocks.remainder().chunks(8) {
+        hash = mix(hash, le_word(word));
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
 }
 
 /// A decoded page: epoch stamp, kind tag, and payload.
@@ -124,13 +171,22 @@ impl Page {
                 )))
             }
         }
-        let epoch = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+        Ok(Self::parse(bytes))
+    }
+
+    /// Split raw bytes that already passed [`Page::check`] into a page,
+    /// without hashing them again.
+    pub(crate) fn parse(bytes: &[u8]) -> Page {
         let len = usize::from(u16::from_le_bytes([bytes[14], bytes[15]]));
-        Ok(Page {
-            epoch,
+        Page {
+            epoch: Self::raw_epoch(bytes),
             kind: bytes[12],
             payload: bytes[PAGE_HEADER..PAGE_HEADER + len].to_vec(),
-        })
+        }
+    }
+
+    fn raw_epoch(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]])
     }
 
     /// Verify raw bytes without an epoch expectation.
@@ -160,8 +216,7 @@ impl Page {
         if !verdict.is_clean() {
             return verdict;
         }
-        let epoch = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        if epoch != expected_epoch {
+        if Self::raw_epoch(bytes) != expected_epoch {
             return PageCheck::EpochMismatch;
         }
         PageCheck::Clean
@@ -283,6 +338,88 @@ mod tests {
                 Page::decode(&torn).is_err(),
                 "flip at byte {i} went undetected"
             );
+        }
+    }
+
+    #[test]
+    fn checksum_catches_any_change_within_one_word() {
+        // The bijection argument on `checksum64`: damage confined to one
+        // aligned 8-byte word of the checksummed range is always caught,
+        // whatever the XOR pattern.
+        let clean = Page::new(3, 9, (0..=255).collect()).unwrap().encode();
+        let mut rng = flowtune_common::SimRng::seed_from_u64(11);
+        for word in (8..PAGE_SIZE).step_by(8) {
+            for pattern in [1u64, 1 << 63, u64::MAX, rng.uniform_u64(1, u64::MAX)] {
+                let mut torn = clean.clone();
+                let bytes = &mut torn[word..word + 8];
+                let damaged = u64::from_le_bytes(bytes.try_into().unwrap()) ^ pattern;
+                bytes.copy_from_slice(&damaged.to_le_bytes());
+                assert_eq!(
+                    Page::check(Some(&torn), 9),
+                    PageCheck::ChecksumMismatch,
+                    "pattern {pattern:#x} at word {word} went undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_catches_scattered_damage_and_reordering() {
+        let clean = Page::new(4, 2, vec![0x5A; 700]).unwrap().encode();
+        let mut rng = flowtune_common::SimRng::seed_from_u64(7);
+        let pos = |rng: &mut flowtune_common::SimRng| rng.uniform_u64(8, PAGE_SIZE as u64) as usize;
+        for word in (8..PAGE_SIZE - 32).step_by(8) {
+            // The top bit of two words 32 bytes apart (same lane): a plain
+            // xor-multiply fold carries such a flip unchanged to the end,
+            // so the pair would cancel. The rotation prevents that.
+            let mut torn = clean.clone();
+            torn[word + 7] ^= 0x80;
+            torn[word + 32 + 7] ^= 0x80;
+            assert!(Page::decode(&torn).is_err(), "top-bit pair at {word}");
+        }
+        for trial in 0..2000 {
+            let mut torn = clean.clone();
+            // Two to sixteen byte flips anywhere in the checksummed range.
+            for _ in 0..2 + trial % 15 {
+                let at = pos(&mut rng);
+                torn[at] ^= rng.uniform_u64(1, 256) as u8;
+            }
+            if torn != clean {
+                assert!(
+                    Page::decode(&torn).is_err(),
+                    "trial {trial} went undetected"
+                );
+            }
+        }
+        for _ in 0..500 {
+            // Swapping two distinct 8-byte words must change the checksum.
+            let (a, b) = (pos(&mut rng) & !7, pos(&mut rng) & !7);
+            let mut swapped = clean.clone();
+            for i in 0..8 {
+                swapped.swap(a + i, b + i);
+            }
+            if swapped != clean {
+                assert!(
+                    Page::decode(&swapped).is_err(),
+                    "swap {a}<->{b} went undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_covers_length_and_unaligned_tails() {
+        // Zero-padded tail words must not make `[0; n]` collide with
+        // `[0; n + 1]`: the byte length is folded in.
+        let sums: std::collections::BTreeSet<u64> =
+            (0..200).map(|n| checksum64(&vec![0u8; n])).collect();
+        assert_eq!(sums.len(), 200);
+        // Every byte of an odd-length input counts.
+        let base: Vec<u8> = (0..77).collect();
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x80;
+            assert_ne!(checksum64(&flipped), checksum64(&base), "byte {i}");
         }
     }
 

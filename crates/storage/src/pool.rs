@@ -105,17 +105,19 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Verify one page against `expected_epoch`, reading the backing
     /// store directly (never trusting buffered frames — see module
-    /// docs). A clean page refreshes the cache.
+    /// docs). A clean page refreshes the cache from the bytes just
+    /// verified, so each page is hashed once.
     pub fn check(&mut self, id: PageId, expected_epoch: u32) -> PageCheck {
         self.stats.page_reads += 1;
         flowtune_obs::count("storage.page_reads", 1);
-        let verdict = Page::check(self.store.read(id), expected_epoch);
-        if verdict.is_clean() {
-            if let Some(page) = self.store.read(id).and_then(|b| Page::decode(b).ok()) {
+        let bytes = self.store.read(id);
+        let verdict = Page::check(bytes, expected_epoch);
+        match bytes {
+            Some(bytes) if verdict.is_clean() => {
+                let page = Page::parse(bytes);
                 self.cache_frame(id, page);
             }
-        } else {
-            self.evict(id);
+            _ => self.evict(id),
         }
         verdict
     }
@@ -151,6 +153,7 @@ impl<S: PageStore> BufferPool<S> {
         for victim in evicted {
             self.frames.remove(&victim);
             self.stats.evictions += 1;
+            // flowtune-allow(obs-discipline): fires on the B+Tree probe path (flowtune-query measurements, --calibrate-io); the smoke service run writes/verifies page images without a pool
             flowtune_obs::count("storage.pool_evictions", 1);
         }
         if self.cache.contains(&id) {

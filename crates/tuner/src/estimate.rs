@@ -36,7 +36,7 @@ pub fn dataflow_index_gains(
         }
         let gtd = saved_secs / quantum_secs;
         // Cost of reading the index from storage, in quanta.
-        let read_secs = catalog.spec(u.index).total_bytes() as f64 / cloud.network_bandwidth;
+        let read_secs = catalog.total_bytes(u.index) as f64 / cloud.network_bandwidth;
         let gmd = gtd - read_secs / quantum_secs;
         gains.insert(u.index, (gtd, gmd));
     }

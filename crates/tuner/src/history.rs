@@ -17,6 +17,21 @@ pub struct HistoryEntry {
     pub index_gains: BTreeMap<IndexId, (f64, f64)>,
 }
 
+/// `entry`'s gain-model input at `now`.
+fn contribution(
+    entry: &HistoryEntry,
+    now: SimTime,
+    quantum: SimDuration,
+    gtd: f64,
+    gmd: f64,
+) -> GainContribution {
+    GainContribution {
+        quanta_ago: now.saturating_since(entry.finished_at).quanta(quantum),
+        gtd,
+        gmd,
+    }
+}
+
 /// The list of historical dataflows.
 #[derive(Debug, Clone, Default)]
 pub struct History {
@@ -55,7 +70,7 @@ impl History {
     }
 
     /// Contributions of `idx` from dataflows inside the window
-    /// `[t − W, t]` (δ of Eq. 4/5), as gain-model inputs.
+    /// `[t − W, t]` (δ of Eq. 4/5), as gain-model inputs, newest first.
     pub fn contributions(
         &self,
         idx: IndexId,
@@ -63,6 +78,40 @@ impl History {
         window: SimDuration,
         quantum: SimDuration,
     ) -> Vec<GainContribution> {
+        self.window(now, window)
+            .filter_map(|e| {
+                e.index_gains
+                    .get(&idx)
+                    .map(|&(gtd, gmd)| contribution(e, now, quantum, gtd, gmd))
+            })
+            .collect()
+    }
+
+    /// [`History::contributions`] for every index at once, from one walk
+    /// over the window: `buckets[i]` holds the contributions of
+    /// `IndexId(i)`, in the same newest-first order, so gain sums over
+    /// a bucket are bit-identical to sums over the per-index call.
+    /// Indexes no windowed dataflow used may lie past the end.
+    pub fn window_contributions(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+        quantum: SimDuration,
+    ) -> Vec<Vec<GainContribution>> {
+        let mut buckets: Vec<Vec<GainContribution>> = Vec::new();
+        for e in self.window(now, window) {
+            for (&idx, &(gtd, gmd)) in &e.index_gains {
+                if buckets.len() <= idx.index() {
+                    buckets.resize_with(idx.index() + 1, Vec::new);
+                }
+                buckets[idx.index()].push(contribution(e, now, quantum, gtd, gmd));
+            }
+        }
+        buckets
+    }
+
+    /// Entries inside `[now − window, now]`, newest first.
+    fn window(&self, now: SimTime, window: SimDuration) -> impl Iterator<Item = &HistoryEntry> {
         let cutoff = if window.as_millis() >= now.as_millis() {
             SimTime::ZERO
         } else {
@@ -71,16 +120,8 @@ impl History {
         self.entries
             .iter()
             .rev()
-            .take_while(|e| e.finished_at >= cutoff)
-            .filter(|e| e.finished_at <= now)
-            .filter_map(|e| {
-                e.index_gains.get(&idx).map(|&(gtd, gmd)| GainContribution {
-                    quanta_ago: now.saturating_since(e.finished_at).quanta(quantum),
-                    gtd,
-                    gmd,
-                })
-            })
-            .collect()
+            .take_while(move |e| e.finished_at >= cutoff)
+            .filter(move |e| e.finished_at <= now)
     }
 
     /// Drop entries older than `t − keep` (memory bound for long runs).
@@ -140,6 +181,25 @@ mod tests {
         h.record(entry(1, 20, &[(1, 2.0, 2.0)]));
         let c = h.contributions(IndexId(1), SimTime::from_secs(30), Q * 1000, Q);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn bucketed_window_matches_per_index_contributions() {
+        let mut h = History::new();
+        h.record(entry(0, 60, &[(1, 1.0, 2.0), (4, 0.5, 0.25)]));
+        h.record(entry(1, 300, &[(1, 3.0, 4.0)]));
+        h.record(entry(2, 450, &[(2, 9.0, 9.0), (4, 7.0, 1.0)]));
+        h.record(entry(3, 500, &[(1, 5.0, 6.0), (4, 2.0, 3.0)]));
+        h.record(entry(4, 900, &[(3, 8.0, 8.0)]));
+        for (now, window) in [(540, Q * 5), (540, Q * 1000), (0, Q * 5), (2000, Q)] {
+            let now = SimTime::from_secs(now);
+            let buckets = h.window_contributions(now, window, Q);
+            for i in 0..6u32 {
+                let expected = h.contributions(IndexId(i), now, window, Q);
+                let got = buckets.get(i as usize).cloned().unwrap_or_default();
+                assert_eq!(got, expected, "index {i} at {now}");
+            }
+        }
     }
 
     #[test]

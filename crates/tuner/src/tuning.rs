@@ -8,11 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use flowtune_common::{IndexId, SimTime};
+use flowtune_common::{IndexId, Quanta, SimDuration, SimTime};
 use flowtune_index::IndexCatalog;
 
 use crate::adaptive::AdaptiveFading;
-use crate::gain::{GainModel, IndexGains};
+use crate::gain::{GainContribution, GainModel, IndexGains};
 use crate::history::History;
 use crate::rank::rank_indexes;
 
@@ -79,46 +79,43 @@ impl OnlineTuner {
         catalog: &IndexCatalog,
         extras: &[(f64, f64)],
     ) -> IndexGains {
-        let window = self.model.quantum.mul_f64(self.model.tuner.window_w);
-        let mut contributions = self
-            .history
-            .contributions(idx, now, window, self.model.quantum);
-        for &(gtd, gmd) in extras {
-            contributions.push(crate::gain::GainContribution {
-                quanta_ago: flowtune_common::Quanta::ZERO,
-                gtd,
-                gmd,
-            });
-        }
-        let remaining_build = catalog.remaining_build_time(idx).quanta(self.model.quantum);
-        let d = self
-            .adaptive
-            .as_ref()
-            .map_or(self.model.tuner.fading_d, |a| a.d_for(idx));
-        self.model.evaluate_with_d(
-            &contributions,
-            remaining_build,
-            catalog.spec(idx).total_bytes(),
-            d,
-        )
+        let mut contributions =
+            self.history
+                .contributions(idx, now, self.window(), self.model.quantum);
+        contributions.extend(extras.iter().map(|&(gtd, gmd)| running(gtd, gmd)));
+        self.evaluate(idx, catalog, &contributions)
     }
 
     /// Run one tuning step (Alg. 1): `active` carries the per-index gain
     /// estimates of the queued dataflow *and* every currently running
     /// dataflow — all contribute at `δT = 0` (empty when triggered
     /// periodically with nothing queued or running).
+    ///
+    /// Every index gets exactly the contributions [`Self::gains_of`]
+    /// would give it, in the same order, but the history window is
+    /// walked once per decision rather than once per index.
     pub fn decide(
         &self,
         now: SimTime,
         catalog: &IndexCatalog,
         active: &[&BTreeMap<IndexId, (f64, f64)>],
     ) -> TuningDecision {
+        let mut windowed =
+            self.history
+                .window_contributions(now, self.window(), self.model.quantum);
         let mut all: Vec<(IndexId, IndexGains)> = Vec::with_capacity(catalog.len());
-        let mut extras: Vec<(f64, f64)> = Vec::new();
         for idx in catalog.ids() {
-            extras.clear();
-            extras.extend(active.iter().filter_map(|m| m.get(&idx).copied()));
-            let gains = self.gains_of(idx, now, catalog, &extras);
+            let mut contributions = windowed
+                .get_mut(idx.index())
+                .map(std::mem::take)
+                .unwrap_or_default();
+            contributions.extend(
+                active
+                    .iter()
+                    .filter_map(|m| m.get(&idx))
+                    .map(|&(gtd, gmd)| running(gtd, gmd)),
+            );
+            let gains = self.evaluate(idx, catalog, &contributions);
             // Eq. 5 (time gain), Eq. 4 (money gain), Eq. 3 (combined).
             flowtune_obs::obs_event!(
                 "tuner.gain",
@@ -148,6 +145,36 @@ impl OnlineTuner {
             beneficial,
             deletions,
         }
+    }
+
+    /// The history window `W` as a duration.
+    fn window(&self) -> SimDuration {
+        self.model.quantum.mul_f64(self.model.tuner.window_w)
+    }
+
+    /// Eq. 3–5 for `idx` over the given contributions.
+    fn evaluate(
+        &self,
+        idx: IndexId,
+        catalog: &IndexCatalog,
+        contributions: &[GainContribution],
+    ) -> IndexGains {
+        let remaining_build = catalog.remaining_build_time(idx).quanta(self.model.quantum);
+        let d = self
+            .adaptive
+            .as_ref()
+            .map_or(self.model.tuner.fading_d, |a| a.d_for(idx));
+        self.model
+            .evaluate_with_d(contributions, remaining_build, catalog.total_bytes(idx), d)
+    }
+}
+
+/// A queued or running dataflow's contribution, at `δT = 0`.
+fn running(gtd: f64, gmd: f64) -> GainContribution {
+    GainContribution {
+        quanta_ago: Quanta::ZERO,
+        gtd,
+        gmd,
     }
 }
 
@@ -270,6 +297,72 @@ mod tests {
             g_global.g
         );
         assert!(g_adaptive.is_beneficial());
+    }
+
+    #[test]
+    fn decide_matches_per_index_gains_bit_for_bit() {
+        // `decide` walks the window once and buckets; `gains_of` walks it
+        // per index. Same contributions in the same order, so every gain
+        // must agree to the bit, and so must ranking and deletions.
+        let mut t = tuner();
+        let mut cat = small_catalog(12);
+        cat.mark_built(IndexId(3), 0, SimTime::ZERO, 0);
+        cat.mark_built(IndexId(5), 1, SimTime::ZERO, 0);
+        cat.mark_built(IndexId(9), 0, SimTime::ZERO, 0);
+        let mut rng = flowtune_common::SimRng::seed_from_u64(5);
+        for k in 0..60u32 {
+            // Ids up to 13 also exercise history entries for indexes the
+            // catalog does not hold.
+            let index_gains = (0..4)
+                .map(|_| {
+                    let idx = IndexId(rng.uniform_u64(0, 14) as u32);
+                    (
+                        idx,
+                        (rng.uniform_range(-1.0, 6.0), rng.uniform_range(-1.0, 6.0)),
+                    )
+                })
+                .collect();
+            t.history.record(HistoryEntry {
+                dataflow: DataflowId(k),
+                finished_at: SimTime::from_secs(rng.uniform_u64(0, 1200)),
+                index_gains,
+            });
+        }
+        let queued = BTreeMap::from([(IndexId(1), (2.0, 3.0)), (IndexId(7), (0.5, 0.25))]);
+        let on_lane = BTreeMap::from([(IndexId(7), (1.5, 1.0)), (IndexId(3), (0.1, 0.2))]);
+        let active = [&queued, &on_lane];
+        let bits = |gains: &[(IndexId, IndexGains)]| -> Vec<(IndexId, [u64; 3])> {
+            gains
+                .iter()
+                .map(|(i, g)| (*i, [g.gt.to_bits(), g.gm.to_bits(), g.g.to_bits()]))
+                .collect()
+        };
+        let mut beneficial_seen = 0;
+        for secs in [0, 300, 700, 1200, 2000] {
+            let now = SimTime::from_secs(secs);
+            let decision = t.decide(now, &cat, &active);
+            let per_index: Vec<(IndexId, IndexGains)> = cat
+                .ids()
+                .map(|idx| {
+                    let extras: Vec<(f64, f64)> =
+                        active.iter().filter_map(|m| m.get(&idx).copied()).collect();
+                    (idx, t.gains_of(idx, now, &cat, &extras))
+                })
+                .collect();
+            assert_eq!(
+                bits(&decision.beneficial),
+                bits(&rank_indexes(&per_index)),
+                "beneficial at {secs} s"
+            );
+            let deletions: Vec<IndexId> = per_index
+                .iter()
+                .filter(|(i, g)| g.is_deletable() && !cat.state(*i).empty())
+                .map(|(i, _)| *i)
+                .collect();
+            assert_eq!(decision.deletions, deletions, "deletions at {secs} s");
+            beneficial_seen += decision.beneficial.len();
+        }
+        assert!(beneficial_seen > 5, "the fixture must rank something");
     }
 
     #[test]
