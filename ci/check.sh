@@ -77,6 +77,20 @@ cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
 diff -u tests/golden/trace_smoke.jsonl "$scratch/trace.jsonl"
 diff -u tests/golden/metrics_smoke.json "$scratch/metrics.json"
 
+echo "==> flowtune rejects a bad config before announcing the run"
+# The online interleaver has no load-balance form; ServiceConfig::validate
+# must refuse the pair in parse_args: exit 1, an error line, no banner.
+status=0
+cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
+  --scheduler online-lb --interleaver online --quanta 4 \
+  > /dev/null 2> "$scratch/bad_config.err" || status=$?
+test "$status" -eq 1
+grep -q '^error:' "$scratch/bad_config.err"
+if grep -q '^running' "$scratch/bad_config.err"; then
+  echo "bad config was announced before it was rejected" >&2
+  exit 1
+fi
+
 echo "==> flowtune-analyze (workspace invariants, JSON report vs baseline)"
 # The machine-readable report gates the tree against the committed
 # baseline: only findings absent from ANALYZE_baseline.json fail the

@@ -104,7 +104,9 @@ fn waiver_budget_is_pinned() {
         // golden when the page-image store dropped its buffer pool; only
         // the B+Tree probe path still evicts.
         ("obs-discipline", 16),
-        ("panic-hygiene", 27),
+        // -1 panic-hygiene: the service's lane pick returns `None` on an
+        // empty lane set instead of asserting one exists.
+        ("panic-hygiene", 26),
     ]
     .into_iter()
     .map(|(r, n)| (r.to_owned(), n))

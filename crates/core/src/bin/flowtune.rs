@@ -6,11 +6,9 @@
 //! flowtune --policy no-index --workload random --quanta 120 --csv
 //! ```
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
-
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use flowtune_core::{
     IndexPolicy, InterleaverKind, QaasService, RecoveryPolicyKind, SchedulerKind, ServiceConfig,
@@ -78,6 +76,15 @@ impl ObsOutputs {
     }
 }
 
+/// The value following flag `name` on the command line, parsed.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, name: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let raw = args.next().ok_or(format!("missing value for {name}"))?;
+    raw.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
     let mut config = ServiceConfig {
         workload: WorkloadKind::paper_phases(),
@@ -88,13 +95,10 @@ fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
     // flowtune-allow(determinism): CLI argument parsing is this binary's input boundary
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
+        let (args, name) = (&mut args, arg.as_str());
+        match name {
             "--policy" => {
-                config.policy = match value("--policy")?.as_str() {
+                config.policy = match value::<String>(args, name)?.as_str() {
                     "no-index" => IndexPolicy::NoIndex,
                     "random" => IndexPolicy::Random,
                     "gain-no-delete" => IndexPolicy::Gain { delete: false },
@@ -103,91 +107,49 @@ fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
                 }
             }
             "--workload" => {
-                config.workload = match value("--workload")?.as_str() {
+                config.workload = match value::<String>(args, name)?.as_str() {
                     "random" => WorkloadKind::Random,
                     "phases" => WorkloadKind::paper_phases(),
                     other => return Err(format!("unknown workload {other:?}")),
                 }
             }
             "--scheduler" => {
-                config.scheduler = match value("--scheduler")?.as_str() {
+                config.scheduler = match value::<String>(args, name)?.as_str() {
                     "skyline" => SchedulerKind::Skyline,
                     "online-lb" => SchedulerKind::OnlineLoadBalance,
                     other => return Err(format!("unknown scheduler {other:?}")),
                 }
             }
             "--interleaver" => {
-                config.interleaver = match value("--interleaver")?.as_str() {
+                config.interleaver = match value::<String>(args, name)?.as_str() {
                     "lp" => InterleaverKind::Lp,
                     "online" => InterleaverKind::Online,
                     other => return Err(format!("unknown interleaver {other:?}")),
                 }
             }
-            "--quanta" => {
-                config.params.total_quanta = value("--quanta")?
-                    .parse()
-                    .map_err(|e| format!("--quanta: {e}"))?
-            }
-            "--seed" => {
-                config.params.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--alpha" => {
-                config.params.tuner.alpha = value("--alpha")?
-                    .parse()
-                    .map_err(|e| format!("--alpha: {e}"))?
-            }
-            "--fading-d" => {
-                config.params.tuner.fading_d = value("--fading-d")?
-                    .parse()
-                    .map_err(|e| format!("--fading-d: {e}"))?
-            }
-            "--window-w" => {
-                config.params.tuner.window_w = value("--window-w")?
-                    .parse()
-                    .map_err(|e| format!("--window-w: {e}"))?
-            }
-            "--concurrency" => {
-                config.concurrency = value("--concurrency")?
-                    .parse()
-                    .map_err(|e| format!("--concurrency: {e}"))?
-            }
+            "--quanta" => config.params.total_quanta = value(args, name)?,
+            "--seed" => config.params.seed = value(args, name)?,
+            "--alpha" => config.params.tuner.alpha = value(args, name)?,
+            "--fading-d" => config.params.tuner.fading_d = value(args, name)?,
+            "--window-w" => config.params.tuner.window_w = value(args, name)?,
+            "--concurrency" => config.concurrency = value(args, name)?,
             "--error" => {
-                let e: f64 = value("--error")?
-                    .parse()
-                    .map_err(|e| format!("--error: {e}"))?;
+                let e = value(args, name)?;
                 config.estimation_error = (e, e);
             }
             "--adaptive" => config.adaptive_fading = true,
             "--deferred" => config.deferred_builds = true,
-            "--fault-rate" => {
-                config.faults.rate = value("--fault-rate")?
-                    .parse()
-                    .map_err(|e| format!("--fault-rate: {e}"))?
-            }
-            "--fault-seed" => {
-                config.faults.seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?
-            }
-            "--crash-share" => {
-                config.faults.crash_build_share = value("--crash-share")?
-                    .parse()
-                    .map_err(|e| format!("--crash-share: {e}"))?
-            }
-            "--torn-share" => {
-                config.faults.torn_write_share = value("--torn-share")?
-                    .parse()
-                    .map_err(|e| format!("--torn-share: {e}"))?
-            }
+            "--fault-rate" => config.faults.rate = value(args, name)?,
+            "--fault-seed" => config.faults.seed = value(args, name)?,
+            "--crash-share" => config.faults.crash_build_share = value(args, name)?,
+            "--torn-share" => config.faults.torn_write_share = value(args, name)?,
             "--calibrate-io" => config.calibrate_index_io = true,
             "--recovery-policy" => {
-                config.recovery.policy = RecoveryPolicyKind::parse(&value("--recovery-policy")?)
+                config.recovery.policy = RecoveryPolicyKind::parse(&value::<String>(args, name)?)
                     .map_err(|e| e.to_string())?
             }
-            "--trace-out" => obs.trace = Some(value("--trace-out")?),
-            "--metrics-out" => obs.metrics = Some(value("--metrics-out")?),
+            "--trace-out" => obs.trace = Some(value(args, name)?),
+            "--metrics-out" => obs.metrics = Some(value(args, name)?),
             "--csv" => csv = true,
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -196,37 +158,32 @@ fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
     }
-    config.params.tuner.validate().map_err(|e| e.to_string())?;
+    config.validate().map_err(|e| e.to_string())?;
     Ok((config, csv, obs))
 }
 
 fn main() -> ExitCode {
-    let (config, csv, obs) = match parse_args() {
-        Ok(v) => v,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    let policy = config.policy;
-    let quanta = config.params.total_quanta;
-    let faulted = config.faults.is_active();
+    }
+}
+
+/// Parse the flags, run the service and print its report.
+fn run() -> Result<(), String> {
+    let (config, csv, obs) = parse_args()?;
+    let (policy, faulted) = (config.policy, config.faults.is_active());
     if obs.active() {
         flowtune_obs::install();
     }
+    let quanta = config.params.total_quanta;
     eprintln!("running {} for {} quanta...", policy.label(), quanta);
-    let report = match QaasService::new(config).run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = QaasService::new(config).run().map_err(|e| e.to_string())?;
     if obs.active() {
-        if let Err(e) = obs.write() {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        obs.write()?;
     }
 
     println!("policy:              {}", policy.label());
@@ -288,5 +245,5 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -38,14 +38,7 @@ impl ExperimentSetup {
 
     /// A scheduler configuration derived from the cloud parameters.
     pub fn scheduler_config(&self, max_skyline: usize) -> SchedulerConfig {
-        SchedulerConfig {
-            max_containers: self.params.cloud.max_containers,
-            max_skyline,
-            quantum: self.params.cloud.quantum,
-            vm_price: self.params.cloud.vm_price_per_quantum,
-            network_bandwidth: self.params.cloud.network_bandwidth,
-            ..SchedulerConfig::default()
-        }
+        SchedulerConfig::for_cloud(&self.params.cloud, max_skyline)
     }
 
     /// One dataflow DAG of each application (for per-app experiments).

@@ -23,12 +23,14 @@
 //! ```
 
 pub mod experiment;
+pub mod lifecycle;
 pub mod policy;
 pub mod recovery;
 pub mod report;
 pub mod service;
 pub mod tablefmt;
 
+pub use lifecycle::{BuildImage, IndexLifecycle};
 pub use policy::{IndexPolicy, InterleaverKind, SchedulerKind};
 pub use recovery::{remnant_dag, RebuildThrottle, RecoveryConfig, RecoveryPolicyKind};
 pub use report::{paired_objective, DataflowRecord, RunReport, TimelinePoint};

@@ -202,14 +202,6 @@ impl RebuildThrottle {
             .get(&(index, part))
             .is_none_or(|e| now >= e.eligible_at)
     }
-
-    /// Partitions currently under backoff at `now`.
-    pub fn throttled_count(&self, now: SimTime) -> usize {
-        self.entries
-            .values()
-            .filter(|e| now < e.eligible_at)
-            .count()
-    }
 }
 
 /// The remnant of a killed dataflow: the killed operators as a fresh
@@ -326,7 +318,6 @@ mod tests {
         t.record_failure(idx, part, SimTime::ZERO, &config);
         assert!(!t.is_eligible(idx, part, SimTime::from_secs(4)));
         assert!(t.is_eligible(idx, part, SimTime::from_secs(5)));
-        assert_eq!(t.throttled_count(SimTime::ZERO), 1);
 
         // Second consecutive failure doubles the backoff.
         t.record_failure(idx, part, SimTime::from_secs(5), &config);

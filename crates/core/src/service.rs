@@ -5,30 +5,28 @@
 //! triggers one round of Algorithm 1: tune → schedule → interleave →
 //! execute → record history.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use flowtune_cloud::{
-    perturb_dag, ExecutionReport, FaultConfig, FaultPlan, IndexAvailability, Simulator,
-};
+use flowtune_cloud::{perturb_dag, ExecutionReport, FaultConfig, FaultPlan, Simulator};
 use flowtune_common::{
-    BuildOpId, DataflowId, ExperimentParams, Quanta, Result, SimDuration, SimRng, SimTime,
+    BuildOpId, DataflowId, ExperimentParams, FlowtuneError, IndexId, Quanta, Result, SimDuration,
+    SimRng, SimTime,
 };
 use flowtune_dataflow::{
     filedb::ROW_BYTES, ArrivalClient, Dag, Dataflow, DataflowFactory, FileDatabase, WorkloadKind,
 };
-use flowtune_index::{
-    measure_io, IndexCatalog, IndexCostModel, IndexKind, IndexPageStore, IndexSpec,
-};
+use flowtune_index::{measure_io, IndexCatalog, IndexCostModel, IndexKind, IndexSpec};
 use flowtune_interleave::{BuildOp, DeferredBuildQueue, LpInterleaver, OnlineInterleaver};
 use flowtune_sched::{
     BuildRef, OnlineLoadBalanceScheduler, Schedule, SchedulerConfig, SkylineScheduler,
 };
-use flowtune_storage::{ObjectKey, StorageService};
+use flowtune_storage::StorageService;
 use flowtune_tuner::{dataflow_index_gains, GainModel, HistoryEntry, OnlineTuner};
 
+use crate::lifecycle::{BuildImage, IndexLifecycle};
 use crate::policy::{IndexPolicy, InterleaverKind, SchedulerKind};
 use crate::recovery::{remnant_dag, RebuildThrottle, RecoveryConfig};
-use crate::report::{RunReport, TimelinePoint};
+use crate::report::{DataflowRecord, RunReport, TimelinePoint};
 
 /// Full service configuration.
 #[derive(Debug, Clone)]
@@ -96,22 +94,63 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// The one configuration gate, called by [`QaasService::run`] first
+    /// and by the CLI before it announces a run.
+    pub fn validate(&self) -> Result<()> {
+        self.params.tuner.validate()?;
+        self.faults.validate()?;
+        self.recovery.validate()?;
+        if self.concurrency == 0 {
+            return Err(FlowtuneError::config("concurrency must be at least 1"));
+        }
+        // Online interleaving is the skyline search with optional build
+        // operators (§5.3.2); it has no load-balance form.
+        if (self.scheduler, self.interleaver)
+            == (SchedulerKind::OnlineLoadBalance, InterleaverKind::Online)
+        {
+            return Err(FlowtuneError::config(
+                "online interleaving needs the skyline scheduler",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Per-index `(time, money)` gains of one dataflow.
+type Gains = BTreeMap<IndexId, (f64, f64)>;
+
+/// One concurrently executing dataflow slot: when it frees up, and the gains
+/// of the dataflow running on it (Eq. 4's "currently running" δT = 0 terms).
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    free_at: SimTime,
+    gains: Gains,
+}
+
+/// What the cloud did with one dataflow, retries included.
+#[derive(Debug)]
+struct Executed {
+    /// The first attempt, which ran the schedule's builds.
+    exec: ExecutionReport,
+    completed: bool,
+    /// Issue instant plus the first attempt's makespan and every retry's
+    /// backoff and makespan.
+    finish: SimTime,
+}
+
 /// The Query-as-a-Service platform.
 #[derive(Debug)]
 pub struct QaasService {
     config: ServiceConfig,
-    filedb: FileDatabase,
+    /// Parameters of every skyline run: plans and retries.
+    sched_config: SchedulerConfig,
     factory: DataflowFactory,
-    catalog: IndexCatalog,
     tuner: OnlineTuner,
-    storage: StorageService,
     rng: SimRng,
-    last_settle: SimTime,
     deferred: DeferredBuildQueue,
-    /// Paged on-"disk" images of committed index partitions — the
-    /// thing torn writes and build crashes physically corrupt and the
-    /// post-commit verification scan reads back.
-    index_store: IndexPageStore,
+    /// Catalog, storage meter and page images of the index partitions.
+    lifecycle: IndexLifecycle,
     /// Backoff gate for partitions the verification scan invalidated.
     throttle: RebuildThrottle,
 }
@@ -129,8 +168,7 @@ impl QaasService {
             // every registered cost model.
             catalog.calibrate_io(measure_io(5_000, 200, config.params.seed));
         }
-        let factory =
-            DataflowFactory::new(filedb.clone(), config.params.ops_per_dataflow, rng.fork());
+        let factory = DataflowFactory::new(filedb, config.params.ops_per_dataflow, rng.fork());
         let cloud = &config.params.cloud;
         let model = GainModel::new(
             config.params.tuner.clone(),
@@ -144,624 +182,484 @@ impl QaasService {
             OnlineTuner::new(model)
         };
         let storage = StorageService::new(cloud.storage_price_per_mb_quantum, cloud.quantum);
-        let deferred = DeferredBuildQueue::new(cloud.quantum, cloud.vm_price_per_quantum);
+        let horizon = SimTime::ZERO + config.params.horizon();
         QaasService {
-            config,
-            filedb,
-            factory,
-            catalog,
-            tuner,
-            storage,
-            rng,
-            last_settle: SimTime::ZERO,
-            deferred,
-            index_store: IndexPageStore::new(),
+            sched_config: SchedulerConfig::for_cloud(cloud, config.max_skyline),
+            deferred: DeferredBuildQueue::new(cloud.quantum, cloud.vm_price_per_quantum),
+            lifecycle: IndexLifecycle::new(catalog, storage, horizon),
             throttle: RebuildThrottle::new(),
+            config,
+            factory,
+            tuner,
+            rng,
         }
     }
 
     /// The file database the service operates on.
     pub fn filedb(&self) -> &FileDatabase {
-        &self.filedb
+        self.factory.filedb()
     }
 
-    /// The current index catalog.
-    pub fn catalog(&self) -> &IndexCatalog {
-        &self.catalog
+    /// The index partitions: catalog, storage meter and page images.
+    pub fn lifecycle(&self) -> &IndexLifecycle {
+        &self.lifecycle
     }
 
-    /// Run the service until the horizon (Table 3: 720 quanta).
-    ///
-    /// Errors when the fault/recovery configuration is invalid or a
-    /// planned schedule turns out inconsistent — both non-recoverable
-    /// configuration/logic faults, as opposed to the *injected* cloud
-    /// faults, which are handled by the recovery policy.
+    /// Run the service until the horizon (Table 3: 720 quanta), one round
+    /// of Algorithm 1 per issued dataflow. Errors when the configuration
+    /// is invalid or a planned schedule turns out inconsistent — both
+    /// non-recoverable, unlike the *injected* cloud faults, which the
+    /// recovery policy handles.
     pub fn run(&mut self) -> Result<RunReport> {
-        self.config.faults.validate()?;
-        self.config.recovery.validate()?;
-        let fault_plan = FaultPlan::new(self.config.faults.clone());
-        let params = self.config.params.clone();
-        let cloud = params.cloud.clone();
-        let horizon = SimTime::ZERO + params.horizon();
-        let mean_gap = cloud.quantum.mul_f64(params.poisson_lambda_quanta);
+        self.config.validate()?;
+        let faults = FaultPlan::new(self.config.faults.clone());
+        let params = &self.config.params;
+        let mean_gap = params.cloud.quantum.mul_f64(params.poisson_lambda_quanta);
         let mut client =
             ArrivalClient::new(self.config.workload.clone(), mean_gap, self.rng.fork());
+        let mut lanes = vec![Lane::default(); self.config.concurrency];
         let mut report = RunReport::default();
-        // Each lane is one concurrently executing dataflow; a new
-        // dataflow starts on the earliest-free lane.
-        let mut lanes = vec![SimTime::ZERO; self.config.concurrency.max(1)];
-        // Gains of the dataflow currently running on each lane (Eq. 4's
-        // "currently running" δT = 0 contributions).
-        let mut lane_gains: Vec<BTreeMap<flowtune_common::IndexId, (f64, f64)>> =
-            vec![BTreeMap::new(); self.config.concurrency.max(1)];
-        let mut next_id = 0u32;
-
-        loop {
-            let (arrival, app) = client.next_arrival();
-            if arrival > horizon {
-                break;
-            }
-            #[allow(clippy::expect_used)]
-            let lane = (0..lanes.len())
-                .min_by_key(|&l| lanes[l])
-                // flowtune-allow(panic-hygiene): lanes has params.arrival_lanes entries, validated >= 1
-                .expect("at least one lane");
-            let issued = arrival.max(lanes[lane]);
-            if issued >= horizon {
-                break;
-            }
-            report.dataflows_issued += 1;
-            let df_seq = next_id;
-            let df = self.factory.make(DataflowId(next_id), app, issued);
-            next_id += 1;
-            // Stamp everything this round records (tuner, scheduler,
-            // interleaver, simulator) with the issue instant.
-            flowtune_obs::set_now(issued);
-            flowtune_obs::obs_event!(
-                "service.issue",
-                dataflow = df_seq,
-                app = df.app.name(),
-                lane = lane,
-                ops = df.dag.len(),
-            );
-            flowtune_obs::count("service.dataflows_issued", 1);
-
-            // --- Tune (Alg. 1 lines 2-9 and 13-19). ---
-            let gains = dataflow_index_gains(&df, &self.catalog, &cloud);
-            let used: Vec<flowtune_common::IndexId> =
-                df.index_uses.iter().map(|u| u.index).collect();
-            self.tuner.observe_uses(&used, issued);
-            let pending = match self.config.policy {
-                IndexPolicy::NoIndex => Vec::new(),
-                IndexPolicy::Random => self.random_pending(issued),
-                IndexPolicy::Gain { delete } => {
-                    // The queued dataflow plus every dataflow still
-                    // running on another lane contribute at δT = 0.
-                    let mut active: Vec<&BTreeMap<_, _>> = vec![&gains];
-                    for (l, free) in lanes.iter().enumerate() {
-                        if l != lane && *free > issued {
-                            active.push(&lane_gains[l]);
-                        }
-                    }
-                    let decision = self.tuner.decide(issued, &self.catalog, &active);
-                    if delete {
-                        for idx in &decision.deletions {
-                            self.delete_index(*idx, issued, &mut report);
-                        }
-                    }
-                    let mut ops = Vec::new();
-                    'outer: for (idx, g) in &decision.beneficial {
-                        for (part, duration, _) in self.catalog.remaining_build_ops(*idx) {
-                            if ops.len() >= self.config.max_pending_build_ops {
-                                break 'outer;
-                            }
-                            // Partitions the recovery scan invalidated
-                            // sit out their backoff before being
-                            // offered for rebuild.
-                            if !self.throttle.is_eligible(*idx, part as u32, issued) {
-                                continue;
-                            }
-                            ops.push(BuildOp {
-                                id: BuildOpId(ops.len() as u32),
-                                build: BuildRef {
-                                    index: *idx,
-                                    part: part as u32,
-                                },
-                                duration,
-                                gain: g.g.max(1e-6),
-                            });
-                        }
-                    }
-                    ops
-                }
-            };
-
-            // --- Schedule + interleave (Alg. 1 lines 10-11). ---
+        while let Some((df, lane)) = self.issue(&mut client, &lanes, &mut report) {
+            let (gains, pending) = self.tune(&df, &lanes, &mut report);
             let schedule = self.plan(&df, &pending);
-            flowtune_obs::obs_event!(
-                "service.plan",
-                dataflow = df_seq,
-                builds_offered = pending.len(),
-                builds_placed = schedule.build_assignments().count(),
-                planned_makespan_ms = schedule.makespan().as_millis(),
-            );
-            if self.config.deferred_builds {
-                let placed: std::collections::BTreeSet<BuildRef> = schedule
-                    .build_assignments()
-                    .filter_map(|a| a.build)
-                    .collect();
-                self.deferred.defer(
-                    pending
-                        .iter()
-                        .filter(|b| !placed.contains(&b.build))
-                        .copied(),
-                );
-                for b in &placed {
-                    self.deferred.remove(b);
-                }
-            }
-
-            // --- Execute on the simulated cloud. ---
-            let (time_err, data_err) = self.config.estimation_error;
-            let actual = if time_err > 0.0 || data_err > 0.0 {
-                perturb_dag(&df.dag, time_err, data_err, &mut self.rng)
-            } else {
-                df.dag.clone()
+            let run = self.execute(&df, &schedule, &faults, &mut report)?;
+            self.settle_builds(&df, &run, &mut report);
+            self.learn(&df, &run, &gains);
+            self.account(&df, &run, &mut report);
+            lanes[lane] = Lane {
+                free_at: run.finish,
+                gains,
             };
-            // Causality: only index partitions built before this
-            // dataflow was issued are visible to it (lanes execute
-            // logically in parallel but are processed in issue order).
-            let availability = self.availability_at(issued);
-            let sim = Simulator::new(cloud.clone(), &self.filedb);
-            let exec = {
-                let mut injector = fault_plan.injector(df_seq, 0);
-                sim.execute_with_faults(
-                    &actual,
-                    &schedule,
-                    &df.index_uses,
-                    &availability,
-                    &BTreeMap::new(),
-                    &mut injector,
-                )?
-            };
-            absorb_fault_stats(&mut report, &exec, cloud.quantum);
-
-            // --- Recovery: re-schedule killed operators onto fresh
-            // containers with capped exponential backoff (sim time). ---
-            let mut df_completed = exec.completed();
-            let mut recovery_delay = SimDuration::ZERO;
-            let mut attempt = 0u32;
-            let mut remnant_src = actual.clone();
-            let mut killed_ops = exec.killed_ops.clone();
-            while !df_completed {
-                if !self.config.recovery.policy.retries()
-                    || attempt >= self.config.recovery.max_retries
-                {
-                    report.dataflows_failed += 1;
-                    break;
-                }
-                attempt += 1;
-                report.retries += 1;
-                let (remnant, _original) = remnant_dag(&remnant_src, &killed_ops)?;
-                let retry_schedule = self.schedule_remnant(&remnant);
-                let mut injector = fault_plan.injector(df_seq, attempt);
-                let retry = sim.execute_with_faults(
-                    &remnant,
-                    &retry_schedule,
-                    &df.index_uses,
-                    &availability,
-                    &BTreeMap::new(),
-                    &mut injector,
-                )?;
-                absorb_fault_stats(&mut report, &retry, cloud.quantum);
-                report.compute_cost += retry.compute_cost;
-                report.dataflow_ops += retry.dataflow_ops;
-                recovery_delay += self.config.recovery.backoff_delay(attempt) + retry.makespan;
-                df_completed = retry.completed();
-                killed_ops = retry.killed_ops.clone();
-                remnant_src = remnant;
-            }
-            if df_completed && attempt > 0 {
-                report
-                    .recovery_latency_quanta
-                    .push(recovery_delay.quanta(cloud.quantum).get());
-            }
-            let total_makespan = exec.makespan + recovery_delay;
-            let finish = issued + total_makespan;
-            flowtune_obs::set_now(finish);
-            flowtune_obs::obs_event!(
-                "service.complete",
-                dataflow = df_seq,
-                completed = df_completed,
-                makespan_ms = exec.makespan.as_millis(),
-                recovery_delay_ms = recovery_delay.as_millis(),
-                attempts = attempt,
-            );
-            if df_completed {
-                flowtune_obs::count("service.dataflows_completed", 1);
-            }
-            flowtune_obs::count("service.recovery_attempts", attempt as u64);
-
-            // --- Commit completed builds; killed ones stay pending via
-            // the catalog (they are re-derived next round). ---
-            let mut completed = exec.completed_builds.clone();
-            completed.sort_by_key(|cb| cb.finished_at);
-            // Builds may finish in the tail idle slot after the last
-            // dataflow operator, i.e. later than `finish`.
-            // Lanes finish out of order; storage is settled monotonically.
-            let mut settled_to = finish.max(self.last_settle);
-            // Every page image touched this round, queued for the
-            // post-commit verification scan.
-            let mut to_verify: Vec<BuildRef> = Vec::new();
-            for cb in &completed {
-                let at = (issued + (cb.finished_at - SimTime::ZERO)).max(self.last_settle);
-                settled_to = settled_to.max(at);
-                let part = cb.build.part as usize;
-                if !self.catalog.is_partition_built(cb.build.index, part) {
-                    self.catalog.mark_built(cb.build.index, part, at, 0);
-                    let bytes = self.catalog.spec(cb.build.index).partition_bytes(part);
-                    flowtune_obs::obs_event!(
-                        "service.index_commit",
-                        index = cb.build.index.0,
-                        part = cb.build.part,
-                        at_ms = at.as_millis(),
-                        bytes = bytes,
-                    );
-                    flowtune_obs::count("service.index_commits", 1);
-                    self.storage.put(
-                        ObjectKey::IndexPart(cb.build.index, cb.build.part),
-                        bytes,
-                        at.min(horizon),
-                    );
-                    // The partition materially lands as a run of
-                    // checksummed pages; a torn final write persists
-                    // the defect the scan below must find.
-                    if exec.torn_builds.contains(&cb.build) {
-                        self.index_store
-                            .write_partition_torn(cb.build.index, cb.build.part, bytes);
-                    } else {
-                        self.index_store
-                            .write_partition(cb.build.index, cb.build.part, bytes);
-                    }
-                    to_verify.push(cb.build);
-                }
-            }
-
-            // --- Crashed builds: the dead container flushed only a
-            // prefix of its page image. Nothing was marked built, but
-            // the debris occupies the page store until the scan
-            // clears it. ---
-            for crash in &exec.crashed_builds {
-                let part = crash.build.part as usize;
-                if !self.catalog.is_partition_built(crash.build.index, part) {
-                    let bytes = self.catalog.spec(crash.build.index).partition_bytes(part);
-                    self.index_store.write_partition_crashed(
-                        crash.build.index,
-                        crash.build.part,
-                        bytes,
-                        crash.fraction,
-                    );
-                    to_verify.push(crash.build);
-                }
-            }
-
-            // --- Failed builds: invalidate the corrupt partition so it
-            // is never marked available and can be re-attempted. ---
-            for b in &exec.failed_builds {
-                let part = b.part as usize;
-                if self.catalog.unmark_built(b.index, part) {
-                    // `settled_to`, not `finish`: a tail-slot commit may
-                    // already have settled storage past the dataflow's
-                    // finish, and settlement must move forward.
-                    let at = settled_to.min(horizon);
-                    self.storage
-                        .delete(&ObjectKey::IndexPart(b.index, b.part), at);
-                }
-            }
-
-            // --- Post-crash verification scan: read every page image
-            // touched this round back from the *persistent* store
-            // (buffered frames are not trusted) and verify checksum +
-            // epoch. Defective partitions are invalidated in the same
-            // round they committed, before any later dataflow's
-            // availability snapshot — a failing page is never probed.
-            to_verify.sort();
-            to_verify.dedup();
-            for b in &to_verify {
-                let Some(verdict) = self.index_store.verify_partition(b.index, b.part) else {
-                    continue;
-                };
-                report.verify_pages_scanned += verdict.pages_scanned;
-                flowtune_obs::count("storage.verify_pages", verdict.pages_scanned);
-                if verdict.is_clean() {
-                    if self.throttle.record_success(b.index, b.part) {
-                        report.rebuilds_completed += 1;
-                        // flowtune-allow(obs-discipline): only fires after an injected corruption; the smoke run is fault-free
-                        flowtune_obs::count("service.rebuilds_completed", 1);
-                    }
-                    continue;
-                }
-                report.bad_pages_detected += verdict.bad_pages.len() as u64;
-                report.partitions_invalidated += 1;
-                flowtune_obs::obs_event!(
-                    "service.partition_invalidated",
-                    index = b.index.0,
-                    part = b.part,
-                    bad_pages = verdict.bad_pages.len(),
-                    pages_scanned = verdict.pages_scanned,
-                );
-                // flowtune-allow(obs-discipline): only fires after an injected corruption; the smoke run is fault-free
-                flowtune_obs::count("service.partitions_invalidated", 1);
-                let part = b.part as usize;
-                if self.catalog.unmark_built(b.index, part) {
-                    // `settled_to`, not `finish`: the commit that wrote
-                    // this partition may have settled storage past the
-                    // dataflow's finish (tail-slot builds), and
-                    // settlement must move forward.
-                    let at = settled_to.min(horizon);
-                    self.storage
-                        .delete(&ObjectKey::IndexPart(b.index, b.part), at);
-                    // The build ran to commit and its output is now
-                    // discarded: the whole build time was compute spent
-                    // on work that must be redone.
-                    let burnt = self.catalog.spec(b.index).partition_build_time(part);
-                    report.wasted_compute_quanta += burnt.quanta(cloud.quantum);
-                    report.wasted_cost += cloud
-                        .vm_price_per_quantum
-                        .mul_f64(burnt.as_quanta(cloud.quantum));
-                }
-                self.index_store.delete_partition(b.index, b.part);
-                self.throttle
-                    .record_failure(b.index, b.part, finish, &self.config.recovery);
-            }
-
-            // --- History (Hd). ---
-            if df_completed {
-                self.tuner.history.record(HistoryEntry {
-                    dataflow: df.id,
-                    finished_at: finish,
-                    index_gains: gains.clone(),
-                });
-            }
-            // Graceful tuner degradation: builds the cloud destroyed or
-            // corrupted feed *negative* evidence into the gain history,
-            // so the same index is not immediately re-attempted.
-            if self.config.recovery.policy.penalises_gain() {
-                let penalty = self.config.recovery.gain_penalty;
-                let mut negative: BTreeMap<flowtune_common::IndexId, (f64, f64)> = BTreeMap::new();
-                for b in exec.failed_builds.iter().chain(&exec.fault_killed_builds) {
-                    let e = negative.entry(b.index).or_insert((0.0, 0.0));
-                    e.0 -= penalty;
-                    e.1 -= penalty;
-                }
-                if !negative.is_empty() {
-                    self.tuner.history.record(HistoryEntry {
-                        dataflow: df.id,
-                        finished_at: finish,
-                        index_gains: negative,
-                    });
-                }
-            }
-            self.tuner.history.prune(
-                finish,
-                cloud
-                    .quantum
-                    .mul_f64(4.0 * self.config.params.tuner.window_w),
-            );
-
-            // --- Metrics. ---
-            report.compute_cost += exec.compute_cost;
-            report.dataflow_ops += exec.dataflow_ops;
-            report.builds_completed += exec.completed_builds.len();
-            report.builds_killed += exec.killed_builds.len();
-            if df_completed && finish <= horizon {
-                report.dataflows_finished += 1;
-                report.total_makespan_quanta += total_makespan.quanta(cloud.quantum);
-            }
-            self.last_settle = settled_to.min(horizon);
-            self.storage.settle(self.last_settle);
-            let total_reads = exec.accelerated_reads + exec.plain_reads;
-            let indexed = if total_reads == 0 {
-                0.0
-            } else {
-                exec.accelerated_reads as f64 / total_reads as f64
-            };
-            flowtune_obs::observe(
-                "service.makespan_quanta",
-                total_makespan.quanta(cloud.quantum).get(),
-            );
-            flowtune_obs::observe("service.indexed_fraction", indexed);
-            // flowtune-allow(cast-discipline): leased-quanta counts stay far below 2^53, exact in f64
-            let cost_quanta = Quanta::new(exec.leased_quanta as f64);
-            flowtune_obs::observe("service.cost_quanta", cost_quanta.get());
-            report.per_dataflow.push(crate::report::DataflowRecord {
-                app: df.app.name(),
-                issued_quanta: issued.quanta(cloud.quantum),
-                makespan_quanta: total_makespan.quanta(cloud.quantum),
-                cost_quanta,
-                indexed_fraction: indexed,
-            });
-            report.timeline.push(TimelinePoint {
-                time_quanta: finish.quanta(cloud.quantum),
-                indexes_built: self
-                    .catalog
-                    .ids()
-                    .filter(|i| !self.catalog.state(*i).empty())
-                    .count(),
-                index_partitions: self
-                    .catalog
-                    .ids()
-                    .map(|i| self.catalog.state(i).built_count())
-                    .sum(),
-                stored_bytes: self.catalog.total_built_bytes(),
-                storage_cost: self.storage.accrued_cost(),
-            });
-            lanes[lane] = finish;
-            lane_gains[lane] = gains;
-
-            // --- Deferred batch building (paid, gain-justified). ---
-            if self.config.deferred_builds {
-                while let Some(batch) = self.deferred.try_flush() {
-                    let mut at = issued;
-                    for op in &batch.ops {
-                        at += op.duration;
-                        let part = op.build.part as usize;
-                        if !self.catalog.is_partition_built(op.build.index, part) {
-                            let commit = at.max(self.last_settle).min(horizon);
-                            self.catalog.mark_built(op.build.index, part, commit, 0);
-                            let bytes = self.catalog.spec(op.build.index).partition_bytes(part);
-                            self.storage.put(
-                                ObjectKey::IndexPart(op.build.index, op.build.part),
-                                bytes,
-                                commit,
-                            );
-                            // Deferred batches run on dedicated paid
-                            // leases outside the fault layer, so their
-                            // images land clean.
-                            self.index_store
-                                .write_partition(op.build.index, op.build.part, bytes);
-                            self.last_settle = commit;
-                        }
-                    }
-                    report.compute_cost += batch.cost;
-                    report.builds_completed += batch.ops.len();
-                }
-            }
+            self.flush_deferred(df.issued_at, &mut report);
         }
-        self.storage.settle(horizon);
-        report.index_storage_cost = self.storage.accrued_cost();
+        self.lifecycle.settle(self.lifecycle.horizon());
+        report.index_storage_cost = self.lifecycle.storage().accrued_cost();
         Ok(report)
     }
 
-    /// Re-schedule the remnant of a killed dataflow onto fresh
-    /// containers via the skyline scheduler (no builds are interleaved
-    /// into retries: recovery capacity is not donated to the tuner).
-    fn schedule_remnant(&self, remnant: &Dag) -> Schedule {
-        let cloud = &self.config.params.cloud;
-        let scheduler = SkylineScheduler::new(SchedulerConfig {
-            max_containers: cloud.max_containers,
-            max_skyline: self.config.max_skyline,
-            quantum: cloud.quantum,
-            vm_price: cloud.vm_price_per_quantum,
-            network_bandwidth: cloud.network_bandwidth,
-            ..SchedulerConfig::default()
-        });
-        scheduler.schedule(remnant).remove(0)
+    /// Issue the next arrival on the earliest-free lane, as the
+    /// dataflow and its lane; `None` once the horizon is reached.
+    fn issue(
+        &mut self,
+        client: &mut ArrivalClient,
+        lanes: &[Lane],
+        report: &mut RunReport,
+    ) -> Option<(Dataflow, usize)> {
+        let horizon = self.lifecycle.horizon();
+        let (arrival, app) = client.next_arrival();
+        let lane = (0..lanes.len()).min_by_key(|&l| lanes[l].free_at)?;
+        let issued = arrival.max(lanes[lane].free_at);
+        if arrival > horizon || issued >= horizon {
+            return None;
+        }
+        let id = DataflowId(report.dataflows_issued as u32);
+        let df = self.factory.make(id, app, issued);
+        report.dataflows_issued += 1;
+        // Stamp everything this round records (tuner, scheduler,
+        // interleaver, simulator) with the issue instant.
+        flowtune_obs::set_now(issued);
+        flowtune_obs::obs_event!(
+            "service.issue",
+            dataflow = df.id.0,
+            app = df.app.name(),
+            lane = lane,
+            ops = df.dag.len(),
+        );
+        flowtune_obs::count("service.dataflows_issued", 1);
+        Some((df, lane))
     }
 
-    /// Plan one dataflow: schedule, pick the fastest, interleave.
+    /// Alg. 1 lines 2-9 and 13-19: the dataflow's index gains, the
+    /// policy's index drops, and the build operators offered this round.
+    fn tune(
+        &mut self,
+        df: &Dataflow,
+        lanes: &[Lane],
+        report: &mut RunReport,
+    ) -> (Gains, Vec<BuildOp>) {
+        let now = df.issued_at;
+        let gains = dataflow_index_gains(df, self.lifecycle.catalog(), &self.config.params.cloud);
+        let used: Vec<IndexId> = df.index_uses.iter().map(|u| u.index).collect();
+        self.tuner.observe_uses(&used, now);
+        let cap = self.config.max_pending_build_ops;
+        let pending = match self.config.policy {
+            IndexPolicy::NoIndex => Vec::new(),
+            IndexPolicy::Random => {
+                // The baseline: a few random potential indexes, offered
+                // with uninformative gains.
+                let catalog = self.lifecycle.catalog();
+                let (n, rng) = (catalog.len() as u64, &mut self.rng);
+                let picks = (0..3).map(|_| (IndexId(rng.uniform_u64(0, n) as u32), 1.0));
+                pending_builds(catalog, &self.throttle, cap, now, picks)
+            }
+            IndexPolicy::Gain { delete } => {
+                // The queued dataflow plus every dataflow still running
+                // on another lane (its own lane is free by `now`)
+                // contribute at δT = 0.
+                let running = lanes.iter().filter(|l| l.free_at > now).map(|l| &l.gains);
+                let active: Vec<&Gains> = std::iter::once(&gains).chain(running).collect();
+                let decision = self.tuner.decide(now, self.lifecycle.catalog(), &active);
+                for &idx in decision.deletions.iter().filter(|_| delete) {
+                    let freed = self.lifecycle.drop_index(idx, now);
+                    if freed > 0 {
+                        report.indexes_deleted += 1;
+                        flowtune_obs::obs_event!(
+                            "service.index_drop",
+                            index = idx.0,
+                            freed_bytes = freed,
+                            at_ms = now.as_millis(),
+                        );
+                        // flowtune-allow(obs-discipline): drops need a long horizon with phase shifts; the smoke run never drops
+                        flowtune_obs::count("service.index_drops", 1);
+                    }
+                }
+                let picks = decision
+                    .beneficial
+                    .iter()
+                    .map(|(idx, g)| (*idx, g.g.max(1e-6)));
+                pending_builds(self.lifecycle.catalog(), &self.throttle, cap, now, picks)
+            }
+        };
+        (gains, pending)
+    }
+
+    /// Alg. 1 lines 10-11: interleave the pending builds into the fastest
+    /// schedule (§5.2); with deferral on, builds left out wait for a batch.
     fn plan(&mut self, df: &Dataflow, pending: &[BuildOp]) -> Schedule {
         let cloud = &self.config.params.cloud;
-        let sched_config = SchedulerConfig {
-            max_containers: cloud.max_containers,
-            max_skyline: self.config.max_skyline,
-            quantum: cloud.quantum,
-            vm_price: cloud.vm_price_per_quantum,
-            network_bandwidth: cloud.network_bandwidth,
-            ..SchedulerConfig::default()
-        };
-        match (self.config.scheduler, self.config.interleaver) {
-            (SchedulerKind::OnlineLoadBalance, _) => {
-                let mut schedule =
+        let skyline = SkylineScheduler::new(self.sched_config.clone());
+        let schedule = match (self.config.interleaver, self.config.scheduler) {
+            // `validate` pairs online interleaving with the skyline only.
+            (InterleaverKind::Online, _) => OnlineInterleaver::new(skyline)
+                .schedule(&df.dag, pending)
+                .remove(0),
+            (InterleaverKind::Lp, scheduler) => {
+                let mut schedule = if scheduler == SchedulerKind::Skyline {
+                    skyline.schedule(&df.dag).remove(0)
+                } else {
                     OnlineLoadBalanceScheduler::new(cloud.max_containers, cloud.network_bandwidth)
-                        .schedule(&df.dag);
+                        .schedule(&df.dag)
+                };
                 if !pending.is_empty() {
                     LpInterleaver::new(cloud.quantum).interleave(&mut schedule, pending);
                 }
                 schedule
             }
-            (SchedulerKind::Skyline, InterleaverKind::Lp) => {
-                let scheduler = SkylineScheduler::new(sched_config);
-                // The service executes the fastest schedule (§5.2).
-                let mut schedule = scheduler.schedule(&df.dag).remove(0);
-                if !pending.is_empty() {
-                    LpInterleaver::new(cloud.quantum).interleave(&mut schedule, pending);
+        };
+        flowtune_obs::obs_event!(
+            "service.plan",
+            dataflow = df.id.0,
+            builds_offered = pending.len(),
+            builds_placed = schedule.build_assignments().count(),
+            planned_makespan_ms = schedule.makespan().as_millis(),
+        );
+        if self.config.deferred_builds {
+            let placed: BTreeSet<_> = schedule
+                .build_assignments()
+                .filter_map(|a| a.build)
+                .collect();
+            let unplaced = pending.iter().filter(|b| !placed.contains(&b.build));
+            self.deferred.defer(unplaced.copied());
+            for b in &placed {
+                self.deferred.remove(b);
+            }
+        }
+        schedule
+    }
+
+    /// Run the dataflow on the simulated cloud; re-schedule killed operators
+    /// with capped exponential backoff until the recovery policy gives up.
+    fn execute(
+        &mut self,
+        df: &Dataflow,
+        schedule: &Schedule,
+        faults: &FaultPlan,
+        report: &mut RunReport,
+    ) -> Result<Executed> {
+        let (time_err, data_err) = self.config.estimation_error;
+        let actual = if time_err > 0.0 || data_err > 0.0 {
+            perturb_dag(&df.dag, time_err, data_err, &mut self.rng)
+        } else {
+            df.dag.clone()
+        };
+        // Causality: only index partitions built before this dataflow
+        // was issued are visible to it (lanes execute logically in
+        // parallel but are processed in issue order).
+        let avail = self.lifecycle.available_at(df.issued_at);
+        let (cloud, recovery) = (&self.config.params.cloud, &self.config.recovery);
+        let sim = Simulator::new(cloud.clone(), self.factory.filedb());
+        let attempt_run = |dag: &Dag, schedule: &Schedule, attempt: u32| {
+            let (uses, mut inj) = (&df.index_uses, faults.injector(df.id.0, attempt));
+            sim.execute_with_faults(dag, schedule, uses, &avail, &BTreeMap::new(), &mut inj)
+        };
+        let exec = attempt_run(&actual, schedule, 0)?;
+        absorb_fault_stats(report, &exec, cloud.quantum);
+        let mut completed = exec.completed();
+        let (mut delay, mut attempt) = (SimDuration::ZERO, 0u32);
+        let (mut remnant_src, mut killed_ops) = (actual, exec.killed_ops.clone());
+        while !completed {
+            if !recovery.policy.retries() || attempt >= recovery.max_retries {
+                report.dataflows_failed += 1;
+                break;
+            }
+            attempt += 1;
+            report.retries += 1;
+            // No builds are interleaved into retries: recovery capacity
+            // is not donated to the tuner.
+            let (remnant, _original) = remnant_dag(&remnant_src, &killed_ops)?;
+            let retry_schedule = SkylineScheduler::new(self.sched_config.clone())
+                .schedule(&remnant)
+                .remove(0);
+            let retry = attempt_run(&remnant, &retry_schedule, attempt)?;
+            absorb_fault_stats(report, &retry, cloud.quantum);
+            report.compute_cost += retry.compute_cost;
+            report.dataflow_ops += retry.dataflow_ops;
+            delay += recovery.backoff_delay(attempt) + retry.makespan;
+            completed = retry.completed();
+            (remnant_src, killed_ops) = (remnant, retry.killed_ops);
+        }
+        if completed && attempt > 0 {
+            let latency = delay.quanta(cloud.quantum).get();
+            report.recovery_latency_quanta.push(latency);
+        }
+        let finish = df.issued_at + exec.makespan + delay;
+        flowtune_obs::set_now(finish);
+        flowtune_obs::obs_event!(
+            "service.complete",
+            dataflow = df.id.0,
+            completed = completed,
+            makespan_ms = exec.makespan.as_millis(),
+            recovery_delay_ms = delay.as_millis(),
+            attempts = attempt,
+        );
+        if completed {
+            flowtune_obs::count("service.dataflows_completed", 1);
+        }
+        flowtune_obs::count("service.recovery_attempts", attempt as u64);
+        Ok(Executed {
+            exec,
+            completed,
+            finish,
+        })
+    }
+
+    /// Land what the dataflow's builds left behind, discard the failed
+    /// ones, then verify every page image touched this round.
+    fn settle_builds(&mut self, df: &Dataflow, run: &Executed, report: &mut RunReport) {
+        let exec = &run.exec;
+        // Commit completed builds in finish order; killed ones stay
+        // pending via the catalog (they are re-derived next round).
+        let mut completed: Vec<_> = exec.completed_builds.iter().collect();
+        completed.sort_by_key(|cb| cb.finished_at);
+        let mut to_verify: Vec<BuildRef> = Vec::new();
+        // Builds may finish in the tail idle slot after the last
+        // dataflow operator, i.e. later than `finish`.
+        let mut round_end = run.finish;
+        for cb in completed {
+            let at = df.issued_at + (cb.finished_at - SimTime::ZERO);
+            round_end = round_end.max(at);
+            // A torn final write persists the defect the scan must find.
+            let image = if exec.torn_builds.contains(&cb.build) {
+                BuildImage::Torn(at)
+            } else {
+                BuildImage::Clean(at)
+            };
+            if let Some((at, bytes)) = self.lifecycle.commit(cb.build, image) {
+                flowtune_obs::obs_event!(
+                    "service.index_commit",
+                    index = cb.build.index.0,
+                    part = cb.build.part,
+                    at_ms = at.as_millis(),
+                    bytes = bytes,
+                );
+                flowtune_obs::count("service.index_commits", 1);
+                to_verify.push(cb.build);
+            }
+        }
+        // Crashed builds: the dead container flushed only a prefix of
+        // its page image; the debris stays until the scan clears it.
+        for crash in &exec.crashed_builds {
+            let image = BuildImage::Crashed(crash.fraction);
+            if self.lifecycle.commit(crash.build, image).is_some() {
+                to_verify.push(crash.build);
+            }
+        }
+        self.lifecycle.settle(round_end);
+        // Failed builds: invalidate the corrupt partition so it is never
+        // marked available and can be re-attempted.
+        for b in &exec.failed_builds {
+            self.lifecycle.invalidate(b.index, b.part);
+        }
+
+        // Post-crash verification scan: read every touched image back
+        // from the persistent store and verify checksum + epoch.
+        // Defective partitions are invalidated in the same round they
+        // committed, before any later dataflow's availability snapshot —
+        // a failing page is never probed.
+        to_verify.sort();
+        to_verify.dedup();
+        let cloud = &self.config.params.cloud;
+        for b in &to_verify {
+            let Some(verdict) = self.lifecycle.pages().verify_partition(b.index, b.part) else {
+                continue;
+            };
+            report.verify_pages_scanned += verdict.pages_scanned;
+            flowtune_obs::count("storage.verify_pages", verdict.pages_scanned);
+            if verdict.is_clean() {
+                if self.throttle.record_success(b.index, b.part) {
+                    report.rebuilds_completed += 1;
+                    // flowtune-allow(obs-discipline): only fires after an injected corruption; the smoke run is fault-free
+                    flowtune_obs::count("service.rebuilds_completed", 1);
                 }
-                schedule
+                continue;
             }
-            (SchedulerKind::Skyline, InterleaverKind::Online) => {
-                let interleaver = OnlineInterleaver::new(SkylineScheduler::new(sched_config));
-                interleaver.schedule(&df.dag, pending).remove(0)
+            report.bad_pages_detected += verdict.bad_pages.len() as u64;
+            report.partitions_invalidated += 1;
+            flowtune_obs::obs_event!(
+                "service.partition_invalidated",
+                index = b.index.0,
+                part = b.part,
+                bad_pages = verdict.bad_pages.len(),
+                pages_scanned = verdict.pages_scanned,
+            );
+            // flowtune-allow(obs-discipline): only fires after an injected corruption; the smoke run is fault-free
+            flowtune_obs::count("service.partitions_invalidated", 1);
+            if self.lifecycle.invalidate(b.index, b.part) {
+                // The build ran to commit and its output is now
+                // discarded: the whole build time was compute spent on
+                // work that must be redone.
+                let spec = self.lifecycle.catalog().spec(b.index);
+                let burnt = spec.partition_build_time(b.part as usize);
+                report.wasted_compute_quanta += burnt.quanta(cloud.quantum);
+                let burnt_quanta = burnt.as_quanta(cloud.quantum);
+                report.wasted_cost += cloud.vm_price_per_quantum.mul_f64(burnt_quanta);
             }
+            self.throttle
+                .record_failure(b.index, b.part, run.finish, &self.config.recovery);
         }
     }
 
-    /// The "Random" baseline: pick a few random potential indexes and
-    /// offer their remaining build ops with uninformative gains.
-    fn random_pending(&mut self, now: SimTime) -> Vec<BuildOp> {
-        let mut ops = Vec::new();
-        for _ in 0..3 {
-            let idx =
-                flowtune_common::IndexId(self.rng.uniform_u64(0, self.catalog.len() as u64) as u32);
-            for (part, duration, _) in self.catalog.remaining_build_ops(idx) {
-                if ops.len() >= self.config.max_pending_build_ops {
-                    return ops;
-                }
-                if !self.throttle.is_eligible(idx, part as u32, now) {
-                    continue;
-                }
+    /// Record the dataflow in the tuner's gain history (Hd).
+    fn learn(&mut self, df: &Dataflow, run: &Executed, gains: &Gains) {
+        let (history, exec) = (&mut self.tuner.history, &run.exec);
+        let entry = |index_gains| HistoryEntry {
+            dataflow: df.id,
+            finished_at: run.finish,
+            index_gains,
+        };
+        if run.completed {
+            history.record(entry(gains.clone()));
+        }
+        // Graceful tuner degradation: builds the cloud destroyed or
+        // corrupted feed *negative* evidence into the gain history, so
+        // the same index is not immediately re-attempted.
+        if self.config.recovery.policy.penalises_gain() {
+            let penalty = self.config.recovery.gain_penalty;
+            let mut negative = Gains::new();
+            for b in exec.failed_builds.iter().chain(&exec.fault_killed_builds) {
+                let e = negative.entry(b.index).or_insert((0.0, 0.0));
+                e.0 -= penalty;
+                e.1 -= penalty;
+            }
+            if !negative.is_empty() {
+                history.record(entry(negative));
+            }
+        }
+        let params = &self.config.params;
+        let window = params.cloud.quantum.mul_f64(4.0 * params.tuner.window_w);
+        history.prune(run.finish, window);
+    }
+
+    /// Add the dataflow to the report: costs, its per-dataflow record
+    /// and a timeline point.
+    fn account(&self, df: &Dataflow, run: &Executed, report: &mut RunReport) {
+        let (quantum, exec) = (self.config.params.cloud.quantum, &run.exec);
+        let makespan = (run.finish - df.issued_at).quanta(quantum);
+        report.compute_cost += exec.compute_cost;
+        report.dataflow_ops += exec.dataflow_ops;
+        report.builds_completed += exec.completed_builds.len();
+        report.builds_killed += exec.killed_builds.len();
+        if run.completed && run.finish <= self.lifecycle.horizon() {
+            report.dataflows_finished += 1;
+            report.total_makespan_quanta += makespan;
+        }
+        let total_reads = exec.accelerated_reads + exec.plain_reads;
+        let indexed = if total_reads == 0 {
+            0.0
+        } else {
+            exec.accelerated_reads as f64 / total_reads as f64
+        };
+        flowtune_obs::observe("service.makespan_quanta", makespan.get());
+        flowtune_obs::observe("service.indexed_fraction", indexed);
+        // flowtune-allow(cast-discipline): leased-quanta counts stay far below 2^53, exact in f64
+        let cost_quanta = Quanta::new(exec.leased_quanta as f64);
+        flowtune_obs::observe("service.cost_quanta", cost_quanta.get());
+        report.per_dataflow.push(DataflowRecord {
+            app: df.app.name(),
+            issued_quanta: df.issued_at.quanta(quantum),
+            makespan_quanta: makespan,
+            cost_quanta,
+            indexed_fraction: indexed,
+        });
+        let catalog = self.lifecycle.catalog();
+        report.timeline.push(TimelinePoint {
+            time_quanta: run.finish.quanta(quantum),
+            indexes_built: catalog.ids().filter(|i| !catalog.state(*i).empty()).count(),
+            index_partitions: catalog.ids().map(|i| catalog.state(i).built_count()).sum(),
+            stored_bytes: catalog.total_built_bytes(),
+            storage_cost: self.lifecycle.storage().accrued_cost(),
+        });
+    }
+
+    /// Deferred batch building (paid, gain-justified): run every batch
+    /// whose accumulated gain now covers its dedicated lease.
+    fn flush_deferred(&mut self, issued: SimTime, report: &mut RunReport) {
+        let horizon = self.lifecycle.horizon();
+        while let Some(batch) = self.deferred.try_flush() {
+            let mut at = issued;
+            for op in &batch.ops {
+                at += op.duration;
+                // Deferred batches run on dedicated paid leases outside
+                // the fault layer, so their images land clean.
+                self.lifecycle
+                    .commit(op.build, BuildImage::Clean(at.min(horizon)));
+            }
+            report.compute_cost += batch.cost;
+            report.builds_completed += batch.ops.len();
+        }
+    }
+}
+
+/// Offer the remaining build operators of each picked index, with its gain,
+/// skipping partitions in rebuild backoff; stops at `cap`, drawing no more.
+fn pending_builds(
+    catalog: &IndexCatalog,
+    throttle: &RebuildThrottle,
+    cap: usize,
+    now: SimTime,
+    picks: impl IntoIterator<Item = (IndexId, f64)>,
+) -> Vec<BuildOp> {
+    let mut ops = Vec::new();
+    for (index, gain) in picks {
+        for (part, duration, _) in catalog.remaining_build_ops(index) {
+            let part = part as u32;
+            if ops.len() >= cap {
+                return ops;
+            }
+            // Partitions the recovery scan invalidated sit out their
+            // backoff before being offered for rebuild.
+            if throttle.is_eligible(index, part, now) {
+                let build = BuildRef { index, part };
                 ops.push(BuildOp {
                     id: BuildOpId(ops.len() as u32),
-                    build: BuildRef {
-                        index: idx,
-                        part: part as u32,
-                    },
+                    build,
                     duration,
-                    gain: 1.0,
+                    gain,
                 });
             }
         }
-        ops
     }
-
-    fn delete_index(
-        &mut self,
-        idx: flowtune_common::IndexId,
-        now: SimTime,
-        report: &mut RunReport,
-    ) {
-        let parts = self.catalog.state(idx).parts.len();
-        let freed = self.catalog.delete_index(idx);
-        if freed > 0 {
-            report.indexes_deleted += 1;
-            flowtune_obs::obs_event!(
-                "service.index_drop",
-                index = idx.0,
-                freed_bytes = freed,
-                at_ms = now.as_millis(),
-            );
-            // flowtune-allow(obs-discipline): drops need a long horizon with phase shifts; the smoke run never drops
-            flowtune_obs::count("service.index_drops", 1);
-            for part in 0..parts {
-                // Never bill backwards: a build committed in the previous
-                // dataflow's tail slot may have settled past `now`.
-                let at = now.max(self.last_settle);
-                self.storage
-                    .delete(&ObjectKey::IndexPart(idx, part as u32), at);
-                self.index_store.delete_partition(idx, part as u32);
-            }
-        }
-    }
-
-    fn availability_at(&self, now: SimTime) -> IndexAvailability {
-        let mut avail = IndexAvailability::new();
-        for idx in self.catalog.ids() {
-            let state = self.catalog.state(idx);
-            if state.empty() {
-                continue;
-            }
-            for (part, built) in state.parts.iter().enumerate() {
-                if built.is_some_and(|b| b.built_at <= now) {
-                    avail.add(
-                        idx,
-                        part as u32,
-                        self.catalog.spec(idx).partition_bytes(part),
-                    );
-                }
-            }
-        }
-        avail
-    }
+    ops
 }
 
 /// Fold one execution attempt's fault counters into the run report.
@@ -865,8 +763,43 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_online_interleaving_under_load_balance() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.scheduler = SchedulerKind::OnlineLoadBalance;
+        c.interleaver = InterleaverKind::Online;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c.clone()).run().is_err());
+        c.interleaver = InterleaverKind::Lp;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_zero_concurrency() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.concurrency = 0;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_bad_fault_recovery_and_tuner_settings() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.faults.rate = 1.5;
+        assert!(c.validate().is_err());
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.recovery.backoff_factor = 0.5;
+        assert!(c.validate().is_err());
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.tuner.alpha = 2.0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
     fn catalog_ids_align_with_filedb() {
         let svc = QaasService::new(short_config(IndexPolicy::NoIndex));
-        assert_eq!(svc.catalog().len(), svc.filedb().potential_indexes().len());
+        assert_eq!(
+            svc.lifecycle().catalog().len(),
+            svc.filedb().potential_indexes().len()
+        );
     }
 }

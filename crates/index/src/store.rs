@@ -176,6 +176,11 @@ impl IndexPageStore {
         self.parts.contains_key(&(index, part))
     }
 
+    /// Every `(index, part)` with an image, in order.
+    pub fn partitions(&self) -> impl Iterator<Item = (IndexId, u32)> + '_ {
+        self.parts.keys().copied()
+    }
+
     /// Total pages across all live images.
     pub fn page_count(&self) -> usize {
         self.parts.values().map(|img| img.pages.len()).sum()

@@ -66,7 +66,7 @@
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use flowtune_common::{ContainerId, Money, OpId, SimDuration, SimTime};
+use flowtune_common::{CloudConfig, ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
 
 use crate::schedule::{Assignment, BuildRef, Schedule};
@@ -105,6 +105,21 @@ impl Default for SchedulerConfig {
             network_bandwidth: 1e9 / 8.0,
             expand_threads: 0,
             expand_threshold: 512,
+        }
+    }
+}
+
+impl SchedulerConfig {
+    /// The configuration for `cloud`'s containers, quantum, VM price
+    /// and bandwidth, with skyline width `max_skyline`.
+    pub fn for_cloud(cloud: &CloudConfig, max_skyline: usize) -> Self {
+        SchedulerConfig {
+            max_containers: cloud.max_containers,
+            max_skyline,
+            quantum: cloud.quantum,
+            vm_price: cloud.vm_price_per_quantum,
+            network_bandwidth: cloud.network_bandwidth,
+            ..SchedulerConfig::default()
         }
     }
 }

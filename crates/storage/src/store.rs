@@ -118,6 +118,11 @@ impl StorageService {
         self.objects.len()
     }
 
+    /// Time up to which occupancy has been billed.
+    pub fn settled_to(&self) -> SimTime {
+        self.settled_to
+    }
+
     /// Occupancy cost accrued up to the last settlement.
     pub fn accrued_cost(&self) -> Money {
         self.accrued

@@ -26,14 +26,16 @@ use std::fmt::Write as _;
 use flowtune_cloud::FaultConfig;
 use flowtune_common::{FileId, IndexId, Money, SimDuration, SimTime};
 use flowtune_core::{
-    IndexPolicy, QaasService, RecoveryConfig, RecoveryPolicyKind, RunReport, ServiceConfig,
+    BuildImage, IndexLifecycle, IndexPolicy, QaasService, RecoveryConfig, RecoveryPolicyKind,
+    RunReport, ServiceConfig,
 };
 use flowtune_dataflow::WorkloadKind;
-use flowtune_index::{IndexCatalog, IndexCostModel, IndexKind, IndexPageStore, IndexSpec};
+use flowtune_index::{IndexCatalog, IndexCostModel, IndexKind, IndexSpec};
 use flowtune_query::{
     build_composite, composite_select, ColPredicate, IndexDef, MultiTable, Predicate, QuerySpec,
 };
-use flowtune_storage::{ObjectKey, StorageService};
+use flowtune_sched::BuildRef;
+use flowtune_storage::StorageService;
 
 fn config(seed: u64, quanta: u64) -> ServiceConfig {
     // Mirror the `flowtune` CLI defaults so these runs line up with
@@ -46,6 +48,12 @@ fn config(seed: u64, quanta: u64) -> ServiceConfig {
     c.params.total_quanta = quanta;
     c.params.seed = seed;
     c
+}
+
+/// A lifecycle over `catalog` with the default storage pricing.
+fn lifecycle(catalog: IndexCatalog) -> IndexLifecycle {
+    let storage = StorageService::new(Money::from_dollars(1e-4), SimDuration::from_secs(60));
+    IndexLifecycle::new(catalog, storage, SimTime::from_secs(3600))
 }
 
 /// Fault config where *only* the two page-level kinds can fire, so the
@@ -165,8 +173,8 @@ fn unmark_built_double_invalidate_is_idempotent_against_storage() {
     // Regression for the recovery path: a partition that fails
     // verification twice in a row (or races a delete) must not panic
     // and must not double-delete storage. The catalog's `unmark_built`
-    // return value is the gate — only the first invalidation may
-    // release the billed object and the page image.
+    // return value gates `IndexLifecycle::invalidate` — only the first
+    // invalidation may release the billed object.
     let mut cat = IndexCatalog::new();
     let id = cat.add(IndexSpec::single_column(
         IndexId(0),
@@ -176,53 +184,41 @@ fn unmark_built_double_invalidate_is_idempotent_against_storage() {
         IndexCostModel::new(12.0, 117.0),
         vec![100_000; 2],
     ));
-    let mut storage = StorageService::new(Money::from_dollars(1e-4), SimDuration::from_secs(60));
-    let mut pages = IndexPageStore::new();
+    let mut lc = lifecycle(cat);
+    let build = BuildRef { index: id, part: 1 };
 
     // Build partition 1: catalog state, billed object, page image.
-    let bytes = cat.spec(id).partition_bytes(1);
     let now = SimTime::from_secs(600);
-    cat.mark_built(id, 1, now, 0);
-    storage.put(ObjectKey::IndexPart(id, 1), bytes, now);
-    pages.write_partition(id, 1, bytes);
-    assert!(cat.is_partition_built(id, 1));
-    assert!(pages.has_partition(id, 1));
+    let (_, bytes) = lc.commit(build, BuildImage::Clean(now)).expect("commits");
+    assert!(lc.catalog().is_partition_built(id, 1));
+    assert!(lc.pages().has_partition(id, 1));
+    assert_eq!(lc.storage().stored_bytes(), bytes);
 
-    // First invalidation wins the gate and releases both stores.
-    assert!(cat.unmark_built(id, 1));
-    assert_eq!(
-        storage.delete(&ObjectKey::IndexPart(id, 1), now),
-        Some(bytes)
-    );
-    pages.delete_partition(id, 1);
-    assert!(!cat.is_partition_built(id, 1));
-    assert!(!pages.has_partition(id, 1));
+    // First invalidation wins the gate and releases every store.
+    assert!(lc.invalidate(id, 1));
+    assert!(!lc.catalog().is_partition_built(id, 1));
+    assert!(!lc.pages().has_partition(id, 1));
+    assert_eq!(lc.storage().object_count(), 0);
 
     // Second invalidation loses the gate: no panic, no double delete.
-    assert!(
-        !cat.unmark_built(id, 1),
-        "double invalidate must be a no-op"
-    );
-    assert_eq!(storage.delete(&ObjectKey::IndexPart(id, 1), now), None);
-    pages.delete_partition(id, 1);
-    assert_eq!(cat.built_bytes(id), 0);
-    assert_eq!(storage.object_count(), 0);
+    assert!(!lc.invalidate(id, 1), "double invalidate must be a no-op");
+    assert_eq!(lc.catalog().built_bytes(id), 0);
+    assert_eq!(lc.storage().object_count(), 0);
 
     // The partition is rebuildable afterwards.
-    cat.mark_built(id, 1, SimTime::from_secs(1200), 1);
-    storage.put(ObjectKey::IndexPart(id, 1), bytes, SimTime::from_secs(1200));
-    pages.write_partition(id, 1, bytes);
-    assert!(cat.is_partition_built(id, 1));
-    assert_eq!(storage.object_count(), 1);
-    assert!(pages.has_partition(id, 1));
+    lc.commit(build, BuildImage::Clean(SimTime::from_secs(1200)))
+        .expect("rebuild commits");
+    assert!(lc.catalog().is_partition_built(id, 1));
+    assert_eq!(lc.storage().object_count(), 1);
+    assert!(lc.pages().has_partition(id, 1));
 }
 
 #[test]
 fn composite_partition_recovers_like_any_other() {
     // A composite index partition is, at the page layer, just another
     // partition image: torn writes are detected by the same
-    // verification scan, invalidated through the same `unmark_built`
-    // gate, and the rebuilt image verifies clean.
+    // verification scan, invalidated through the same lifecycle, and
+    // the rebuilt image verifies clean.
     let mut cat = IndexCatalog::new();
     let id = cat.add(IndexSpec {
         id: IndexId(0),
@@ -237,37 +233,29 @@ fn composite_partition_recovers_like_any_other() {
     assert!(cat.spec(id).is_composite());
     assert_eq!(cat.spec(id).display_columns(), "quantity+shipdate");
 
-    let mut storage = StorageService::new(Money::from_dollars(1e-4), SimDuration::from_secs(60));
-    let mut pages = IndexPageStore::new();
-    let bytes = cat.spec(id).partition_bytes(0);
-    let now = SimTime::from_secs(60);
-    cat.mark_built(id, 0, now, 0);
-    storage.put(ObjectKey::IndexPart(id, 0), bytes, now);
+    let mut lc = lifecycle(cat);
+    let build = BuildRef { index: id, part: 0 };
 
     // The build lands torn; the verification scan must catch it.
-    pages.write_partition_torn(id, 0, bytes);
-    let verdict = pages.verify_partition(id, 0).expect("image exists");
+    let (_, bytes) = lc
+        .commit(build, BuildImage::Torn(SimTime::from_secs(60)))
+        .expect("commits");
+    let verdict = lc.pages().verify_partition(id, 0).expect("image exists");
     assert!(!verdict.is_clean(), "torn composite image must not verify");
 
     // Invalidate exactly as the service's recovery path does.
-    assert!(cat.unmark_built(id, 0));
-    assert_eq!(
-        storage.delete(&ObjectKey::IndexPart(id, 0), now),
-        Some(bytes)
-    );
-    pages.delete_partition(id, 0);
-    assert!(!cat.is_partition_built(id, 0));
+    assert!(lc.invalidate(id, 0));
+    assert!(!lc.catalog().is_partition_built(id, 0));
 
     // Rebuild: clean image, clean verdict, catalog current again.
-    let later = SimTime::from_secs(120);
-    cat.mark_built(id, 0, later, 0);
-    storage.put(ObjectKey::IndexPart(id, 0), bytes, later);
-    pages.write_partition(id, 0, bytes);
-    assert!(pages
+    lc.commit(build, BuildImage::Clean(SimTime::from_secs(120)))
+        .expect("rebuild commits");
+    assert!(lc
+        .pages()
         .verify_partition(id, 0)
         .expect("image exists")
         .is_clean());
-    assert_eq!(cat.built_bytes(id), bytes);
+    assert_eq!(lc.catalog().built_bytes(id), bytes);
 
     // And the rebuilt composite actually serves prefix probes: the
     // in-memory tree equivalent of the partition answers a
