@@ -22,6 +22,12 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> scheduler suite with optimizations on"
+# The equivalence suites force the threaded expand path
+# (expand_threshold: 1); run them optimized too, where the pool's
+# timing differs most from the debug build.
+cargo test -q --offline --release -p flowtune-sched
+
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism
 cargo test -q --offline -p flowtune-core --test fault_recovery

@@ -104,6 +104,10 @@ impl ServiceConfig {
         if self.concurrency == 0 {
             return Err(FlowtuneError::config("concurrency must be at least 1"));
         }
+        // A zero-width skyline keeps no schedule to run.
+        if self.max_skyline == 0 {
+            return Err(FlowtuneError::config("max_skyline must be at least 1"));
+        }
         // Online interleaving is the skyline search with optional build
         // operators (§5.3.2); it has no load-balance form.
         if (self.scheduler, self.interleaver)
@@ -777,6 +781,14 @@ mod tests {
     fn validate_rejects_zero_concurrency() {
         let mut c = short_config(IndexPolicy::NoIndex);
         c.concurrency = 0;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_skyline() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.max_skyline = 0;
         assert!(c.validate().is_err());
         assert!(QaasService::new(c).run().is_err());
     }

@@ -27,7 +27,8 @@
 //!   [`Partial::gap_internal`] keeps, per container, the longest idle
 //!   gap strictly before the billing tail; the idle tie-break becomes
 //!   an O(containers) fold instead of re-collecting and re-sorting all
-//!   assignments, and is memoized per candidate within one reduction.
+//!   assignments, and is computed only inside non-dominated
+//!   (time, money) groups.
 //! * **Delta expansion.** A candidate expansion is a [`Cand`]: parent
 //!   index plus a [`Delta`] and the already-computed objective values.
 //!   The reduction (sort, tie-collapse, dominance, width cap) runs
@@ -61,8 +62,23 @@
 //!   [`ExpandPool`] shards the flattened candidate index space across
 //!   workers in fixed contiguous ranges and concatenates the results
 //!   in shard order — the candidate vector is byte-identical to the
-//!   sequential enumeration for every thread count.
+//!   sequential enumeration for every thread count. The pool is
+//!   spawned on the first step that reaches the threshold, so a call
+//!   that never does starts no thread.
+//!
+//! # Lean steps (DESIGN §5i)
+//!
+//! * **Dominance-first reduce.** A (time, money) group whose money is
+//!   not below every faster group's is dropped before its idle
+//!   tie-break runs: the group winner never decides whether the group
+//!   survives.
+//! * **Recycled partials.** The partials of a retired skyline are kept
+//!   as spares; [`Partial`]'s `clone_from` refills one in place instead
+//!   of allocating a fresh clone for every survivor.
+//! * **Reused buffers.** Candidates, sort keys, the idle memo and the
+//!   reduced front live in one [`StepBuffers`] per call.
 
+use std::cell::OnceCell;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -91,7 +107,10 @@ pub struct SchedulerConfig {
     pub expand_threads: usize,
     /// Minimum candidates in one step before the worker pool engages;
     /// below it the per-step channel round-trip costs more than the
-    /// expansion itself.
+    /// expansion itself. The pool is spawned on the first step of a
+    /// `schedule()` call that reaches this count and joined when the
+    /// call returns; a call whose steps all stay below it spawns no
+    /// thread.
     pub expand_threshold: usize,
 }
 
@@ -176,9 +195,22 @@ const OP_CHUNK: usize = 64;
 /// shrink the clone to a pointer table (`n_ops / 64` words) — an
 /// assignment touches exactly one chunk, so `Arc::make_mut` copies at
 /// most 1 KiB no matter how large the DAG is.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct OpState {
     chunks: Vec<Arc<[OpSlot; OP_CHUNK]>>,
+}
+
+impl Clone for OpState {
+    fn clone(&self) -> Self {
+        OpState {
+            chunks: self.chunks.clone(),
+        }
+    }
+
+    /// Refill in place, reusing the chunk table's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.chunks.clone_from(&source.chunks);
+    }
 }
 
 impl OpState {
@@ -214,10 +246,25 @@ const ASG_CHUNK: usize = 32;
 /// only appended to — so full chunks are frozen behind `Arc` and shared
 /// by every descendant; a clone copies the pointer table plus the small
 /// mutable tail instead of the whole history.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct AsgList {
     frozen: Vec<Arc<[Assignment; ASG_CHUNK]>>,
     tail: Vec<Assignment>,
+}
+
+impl Clone for AsgList {
+    fn clone(&self) -> Self {
+        AsgList {
+            frozen: self.frozen.clone(),
+            tail: self.tail.clone(),
+        }
+    }
+
+    /// Refill in place, reusing the pointer table and tail allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.frozen.clone_from(&source.frozen);
+        self.tail.clone_from(&source.tail);
+    }
 }
 
 impl AsgList {
@@ -247,7 +294,7 @@ impl AsgList {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Partial {
     /// Dataflow assignments, in assignment (topological-step) order.
     /// Append-only: preemption never touches this list.
@@ -281,6 +328,52 @@ pub(crate) struct Partial {
     /// Order-sensitive hash of the dataflow assignments; equal hashes =>
     /// identical dataflow skeletons (optional ops excluded).
     skeleton: u64,
+}
+
+impl Clone for Partial {
+    fn clone(&self) -> Self {
+        Partial {
+            dataflow: self.dataflow.clone(),
+            optional: self.optional.clone(),
+            container_free: self.container_free.clone(),
+            container_span: self.container_span.clone(),
+            opt_free: self.opt_free.clone(),
+            gap_internal: self.gap_internal.clone(),
+            ops: self.ops.clone(),
+            makespan: self.makespan,
+            money: self.money,
+            skeleton: self.skeleton,
+        }
+    }
+
+    /// Refill a spare partial in place: every `Vec` keeps its
+    /// allocation, so recycling a retired partial allocates nothing.
+    /// The source is destructured, so a new field fails to compile
+    /// until it is copied here too.
+    fn clone_from(&mut self, source: &Self) {
+        let Partial {
+            dataflow,
+            optional,
+            container_free,
+            container_span,
+            opt_free,
+            gap_internal,
+            ops,
+            makespan,
+            money,
+            skeleton,
+        } = source;
+        self.dataflow.clone_from(dataflow);
+        self.optional.clone_from(optional);
+        self.container_free.clone_from(container_free);
+        self.container_span.clone_from(container_span);
+        self.opt_free.clone_from(opt_free);
+        self.gap_internal.clone_from(gap_internal);
+        self.ops.clone_from(ops);
+        self.makespan = *makespan;
+        self.money = *money;
+        self.skeleton = *skeleton;
+    }
 }
 
 impl Partial {
@@ -451,8 +544,26 @@ struct Cand {
     money: u64,
     skeleton: u64,
     optional_count: usize,
-    /// Tie-break value, memoized on first use within one reduction.
-    idle: Option<SimDuration>,
+}
+
+/// Scratch for the steps of one `schedule()` call. Every buffer is
+/// cleared, not freed, between steps, so each step reuses the
+/// allocations of the one before.
+#[derive(Default)]
+struct StepBuffers {
+    /// The step's candidates, in enumeration order.
+    cands: Vec<Cand>,
+    /// `(makespan, money, index into cands)`: the index makes every key
+    /// unique, so an unstable sort orders exactly as a stable sort by
+    /// (makespan, money) would.
+    keys: Vec<(SimDuration, u64, usize)>,
+    /// Per-parent idle memo, filled the first time a parent's candidate
+    /// meets a tie.
+    tops: Vec<Option<IdleTops>>,
+    /// The reduced front: the candidates that get materialized.
+    front: Vec<Cand>,
+    /// Partials of retired skylines, refilled by `materialize`.
+    spares: Vec<Partial>,
 }
 
 /// One container's contribution to the idle tie-break: its longest
@@ -553,10 +664,15 @@ impl SkylineScheduler {
             .collect();
         let threads = self.effective_expand_threads();
         let mut skyline = if threads > 1 {
-            // The worker pool lives for the whole schedule() call —
-            // per-step thread spawning would cost more than the steps.
+            // The worker pool lives for the rest of the call once the
+            // first step reaches `expand_threshold` — per-step thread
+            // spawning would cost more than the steps — and is never
+            // spawned for a call that stays below it.
             std::thread::scope(|scope| {
-                let pool = ExpandPool::spawn(scope, threads, self, dag, &pred_xfer);
+                let cell = OnceCell::new();
+                let pool = || {
+                    cell.get_or_init(|| ExpandPool::spawn(scope, threads, self, dag, &pred_xfer))
+                };
                 self.run_steps(dag, optional, &order, &pred_xfer, Some(&pool))
             })
         } else {
@@ -591,53 +707,43 @@ impl SkylineScheduler {
     }
 
     /// The assignment main loop: expand (sequentially or through the
-    /// pool), reduce, materialize, interleave optional offers.
-    fn run_steps(
+    /// pool, which `pool` spawns on first use), reduce, materialize,
+    /// interleave optional offers.
+    fn run_steps<'p>(
         &self,
         dag: &Dag,
         optional: &[OptionalOp],
         order: &[OpId],
         pred_xfer: &[Vec<(OpId, SimDuration)>],
-        pool: Option<&ExpandPool>,
+        pool: Option<&dyn Fn() -> &'p ExpandPool>,
     ) -> Vec<Partial> {
         let n = order.len();
         let mut skyline = Arc::new(vec![Partial::new(dag.len())]);
+        let mut buf = StepBuffers::default();
         // Offer optional ops evenly across the assignment steps.
         let mut next_opt = 0usize;
         for (step, &op) in order.iter().enumerate() {
-            // Candidate-count prefix offsets per parent; the final
-            // entry is the step's total candidate count. Shared with
-            // the workers so a flattened candidate index maps to its
-            // (parent, container) pair.
-            let mut offsets: Vec<usize> = Vec::with_capacity(skyline.len() + 1);
-            let mut total = 0usize;
-            for p in skyline.iter() {
-                offsets.push(total);
-                total += self.candidate_containers(p);
-            }
-            offsets.push(total);
+            let total: usize = skyline.iter().map(|p| self.candidate_containers(p)).sum();
             let xfer = &pred_xfer[op.index()];
             // Expand every partial with every candidate container —
             // as cheap deltas, not clones.
-            let cands: Vec<Cand> = match pool {
+            buf.cands.clear();
+            match pool {
                 Some(pool) if total >= self.config.expand_threshold => {
                     // flowtune-allow(obs-discipline): the pool engages only above the candidate threshold, which the smoke workload never reaches
                     flowtune_obs::count("sched.parallel_steps", 1);
-                    pool.expand(self, dag, xfer, &skyline, op, offsets)
+                    pool().expand(self, dag, xfer, &skyline, op, &mut buf.cands);
                 }
                 _ => {
-                    let mut cands = Vec::with_capacity(total);
                     for (pi, p) in skyline.iter().enumerate() {
                         for c in 0..self.candidate_containers(p) {
-                            cands.push(self.dataflow_cand(p, pi, dag, op, xfer, c));
+                            buf.cands.push(self.dataflow_cand(p, pi, dag, op, xfer, c));
                         }
                     }
-                    cands
                 }
-            };
-            let generated = cands.len();
-            let survivors = self.reduce(&skyline, cands);
-            skyline = Arc::new(self.materialize_all(&skyline, &survivors));
+            }
+            let generated = buf.cands.len();
+            self.advance(&mut skyline, &mut buf);
             flowtune_obs::obs_event!(
                 "sched.step",
                 step = step,
@@ -655,12 +761,12 @@ impl SkylineScheduler {
             // Offer a proportional share of the optional queue.
             let opt_until = optional.len() * (step + 1) / n;
             while next_opt < opt_until {
-                skyline = Arc::new(self.offer_optional(&skyline, &optional[next_opt]));
+                self.offer_optional(&mut skyline, &optional[next_opt], &mut buf);
                 next_opt += 1;
             }
         }
         while next_opt < optional.len() {
-            skyline = Arc::new(self.offer_optional(&skyline, &optional[next_opt]));
+            self.offer_optional(&mut skyline, &optional[next_opt], &mut buf);
             next_opt += 1;
         }
         // The workers dropped their handles when their last job ended,
@@ -739,7 +845,6 @@ impl SkylineScheduler {
             money,
             skeleton,
             optional_count: p.optional.len() - dropped,
-            idle: None,
         }
     }
 
@@ -786,12 +891,19 @@ impl SkylineScheduler {
         touched.max(others)
     }
 
-    /// Materialize a surviving candidate: one clone of its parent plus
-    /// the delta — the only place the search copies a partial.
-    fn materialize(&self, parent: &Partial, cand: &Cand) -> Partial {
+    /// Materialize a surviving candidate: one copy of its parent plus
+    /// the delta — the only place the search copies a partial. The copy
+    /// refills `spare` in place when one is given.
+    fn materialize(&self, parent: &Partial, cand: &Cand, spare: Option<Partial>) -> Partial {
         flowtune_obs::count("sched.partials_expanded", 1);
         flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
-        let mut q = parent.clone();
+        let mut q = match spare {
+            Some(mut q) => {
+                q.clone_from(parent);
+                q
+            }
+            None => parent.clone(),
+        };
         match cand.delta {
             Delta::Dataflow {
                 op,
@@ -866,18 +978,34 @@ impl SkylineScheduler {
         q
     }
 
-    fn materialize_all(&self, skyline: &[Partial], survivors: &[Cand]) -> Vec<Partial> {
-        survivors
+    /// Reduce `buf.cands` against `skyline` and replace the skyline
+    /// with the materialized survivors. The retired skyline's partials
+    /// become spares for the next step — unless a pool worker still
+    /// holds a snapshot of it, in which case they are simply dropped.
+    fn advance(&self, skyline: &mut Arc<Vec<Partial>>, buf: &mut StepBuffers) {
+        self.reduce(skyline, buf);
+        let next = buf
+            .front
             .iter()
-            .map(|cand| self.materialize(&skyline[cand.parent], cand))
-            .collect()
+            .map(|cand| self.materialize(&skyline[cand.parent], cand, buf.spares.pop()))
+            .collect();
+        let retired = std::mem::replace(skyline, Arc::new(next));
+        if let Ok(retired) = Arc::try_unwrap(retired) {
+            buf.spares.extend(retired);
+        }
     }
 
     /// Union each partial with versions that place `opt` on some
     /// container's free tail inside the current leased span.
-    fn offer_optional(&self, skyline: &[Partial], opt: &OptionalOp) -> Vec<Partial> {
+    fn offer_optional(
+        &self,
+        skyline: &mut Arc<Vec<Partial>>,
+        opt: &OptionalOp,
+        buf: &mut StepBuffers,
+    ) {
         let quantum = self.config.quantum;
-        let mut cands: Vec<Cand> = Vec::with_capacity(skyline.len() * 2);
+        let cands = &mut buf.cands;
+        cands.clear();
         for (pi, p) in skyline.iter().enumerate() {
             for c in 0..p.container_free.len() {
                 let (s, e) = p.container_span[c];
@@ -901,7 +1029,6 @@ impl SkylineScheduler {
                         money: p.money,
                         skeleton: p.skeleton,
                         optional_count: p.optional.len() + 1,
-                        idle: None,
                     });
                 }
             }
@@ -914,107 +1041,114 @@ impl SkylineScheduler {
                 money: p.money,
                 skeleton: p.skeleton,
                 optional_count: p.optional.len(),
-                idle: None,
             });
         }
-        let survivors = self.reduce(skyline, cands);
-        self.materialize_all(skyline, &survivors)
+        self.advance(skyline, buf);
     }
 
-    /// Skyline reduction over candidates: collapse equal (time, money)
-    /// groups with the tie-break (most sequential idle, then — between
-    /// identical dataflow skeletons — more optional operators), drop
-    /// dominated candidates, cap the width. Runs entirely on deltas;
-    /// the tie-break value is computed lazily and memoized per
-    /// candidate.
-    fn reduce(&self, skyline: &[Partial], mut cands: Vec<Cand>) -> Vec<Cand> {
+    /// Skyline reduction of `buf.cands` into `buf.front`: sort by
+    /// (time, money); keep a (time, money) group only if its money is
+    /// strictly below every faster group's (drop dominated); collapse
+    /// each kept group to one winner with the tie-break (most sequential
+    /// idle, then — between identical dataflow skeletons — more optional
+    /// operators); cap the width. A dominated group is dropped before
+    /// any tie-break runs, since its winner could not survive anyway.
+    /// Runs entirely on deltas.
+    fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
         let quantum = self.config.quantum;
-        cands.sort_by_key(|c| (c.makespan, c.money));
+        let StepBuffers {
+            cands,
+            keys,
+            tops,
+            front,
+            ..
+        } = buf;
+        keys.clear();
+        keys.extend(
+            cands
+                .iter()
+                .enumerate()
+                .map(|(k, c)| (c.makespan, c.money, k)),
+        );
+        keys.sort_unstable();
         // Lazy per-parent top-2 idle memo: computed once for a parent
         // the first time one of its candidates hits a tie.
-        let mut tops: Vec<Option<IdleTops>> = vec![None; skyline.len()];
-        // Collapse ties.
-        let mut collapsed: Vec<Cand> = Vec::new();
-        for mut p in cands {
-            match collapsed.last_mut() {
-                Some(last) if last.makespan == p.makespan && last.money == p.money => {
-                    // Primary tie-break: most sequential idle over the
-                    // dataflow skeleton (as the plain scheduler). Only
-                    // between skeleton-equivalent candidates does the
-                    // optional-operator count decide (§5.3.2).
-                    let (pp, pd) = (p.parent, p.delta);
-                    let p_idle = *p.idle.get_or_insert_with(|| {
-                        let t =
-                            *tops[pp].get_or_insert_with(|| IdleTops::of(&skyline[pp], quantum));
-                        self.cand_idle(t, &skyline[pp], &pd)
-                    });
-                    let (lp, ld) = (last.parent, last.delta);
-                    let last_idle = *last.idle.get_or_insert_with(|| {
-                        let t =
-                            *tops[lp].get_or_insert_with(|| IdleTops::of(&skyline[lp], quantum));
-                        self.cand_idle(t, &skyline[lp], &ld)
-                    });
-                    let better = match p_idle.cmp(&last_idle) {
-                        std::cmp::Ordering::Greater => {
-                            flowtune_obs::count("sched.tiebreak_idle", 1);
-                            true
-                        }
-                        std::cmp::Ordering::Less => false,
-                        // The operator count only decides between
-                        // *identical* dataflow skeletons; across different
-                        // skeletons we keep the incumbent exactly as the
-                        // plain scheduler would, so offering optional ops
-                        // never changes how the front evolves.
-                        std::cmp::Ordering::Equal => {
-                            let wins = p.skeleton == last.skeleton
-                                && p.optional_count > last.optional_count;
-                            if wins {
-                                // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
-                                flowtune_obs::count("sched.tiebreak_optcount", 1);
-                            }
-                            wins
-                        }
-                    };
-                    if better {
-                        *last = p;
-                    }
-                }
-                _ => collapsed.push(p),
-            }
-        }
-        // Drop dominated: sorted by time asc, keep strictly decreasing money.
-        let mut front: Vec<Cand> = Vec::new();
+        tops.clear();
+        tops.resize(skyline.len(), None);
+        let mut idle_of = |c: &Cand| {
+            let t =
+                *tops[c.parent].get_or_insert_with(|| IdleTops::of(&skyline[c.parent], quantum));
+            self.cand_idle(t, &skyline[c.parent], &c.delta)
+        };
+        front.clear();
         let mut best_money = u64::MAX;
-        for p in collapsed {
-            if p.money < best_money {
-                best_money = p.money;
-                front.push(p);
+        let mut i = 0;
+        while i < keys.len() {
+            let (makespan, money, first) = keys[i];
+            let mut end = i + 1;
+            while end < keys.len() && (keys[end].0, keys[end].1) == (makespan, money) {
+                end += 1;
             }
+            let group = &keys[i + 1..end];
+            i = end;
+            // Sorted by time asc: keep strictly decreasing money.
+            if money >= best_money {
+                continue;
+            }
+            best_money = money;
+            let mut win = &cands[first];
+            let mut win_idle = None;
+            for &(_, _, k) in group {
+                let p = &cands[k];
+                // Primary tie-break: most sequential idle over the
+                // dataflow skeleton (as the plain scheduler). Only
+                // between skeleton-equivalent candidates does the
+                // optional-operator count decide (§5.3.2).
+                let p_idle = idle_of(p);
+                let last_idle = *win_idle.get_or_insert_with(|| idle_of(win));
+                let better = match p_idle.cmp(&last_idle) {
+                    std::cmp::Ordering::Greater => {
+                        flowtune_obs::count("sched.tiebreak_idle", 1);
+                        true
+                    }
+                    std::cmp::Ordering::Less => false,
+                    // The operator count only decides between
+                    // *identical* dataflow skeletons; across different
+                    // skeletons we keep the incumbent exactly as the
+                    // plain scheduler would, so offering optional ops
+                    // never changes how the front evolves.
+                    std::cmp::Ordering::Equal => {
+                        let wins =
+                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
+                        if wins {
+                            // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
+                            flowtune_obs::count("sched.tiebreak_optcount", 1);
+                        }
+                        wins
+                    }
+                };
+                if better {
+                    win = p;
+                    win_idle = Some(p_idle);
+                }
+            }
+            front.push(*win);
         }
         // Cap width, keeping extremes and an even spread. A cap of one
         // keeps the fastest schedule (the even-spread index formula
-        // divides by `max_skyline - 1`).
-        if front.len() > self.config.max_skyline {
-            if self.config.max_skyline <= 1 {
-                front.truncate(self.config.max_skyline);
-                return front;
-            }
-            let n = front.len();
-            let keep: Vec<usize> = (0..self.config.max_skyline)
-                .map(|i| i * (n - 1) / (self.config.max_skyline - 1))
-                .collect();
-            let mut kept = Vec::with_capacity(self.config.max_skyline);
-            let mut front_iter = front.into_iter().enumerate();
-            let mut keep_iter = keep.into_iter().peekable();
-            for (i, p) in front_iter.by_ref() {
-                if keep_iter.peek() == Some(&i) {
-                    kept.push(p);
-                    keep_iter.next();
+        // divides by `max_skyline - 1`). The kept indices strictly
+        // increase and never fall below their slot, so the front is
+        // compacted in place.
+        let cap = self.config.max_skyline;
+        if front.len() > cap {
+            if cap > 1 {
+                let n = front.len();
+                for slot in 0..cap {
+                    front[slot] = front[slot * (n - 1) / (cap - 1)];
                 }
             }
-            front = kept;
+            front.truncate(cap);
         }
-        front
     }
 
     /// Per-predecessor transfer durations for one op (the list
@@ -1033,7 +1167,7 @@ impl SkylineScheduler {
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
         let xfer = self.op_xfer(dag, op);
         let cand = self.dataflow_cand(p, 0, dag, op, &xfer, c);
-        self.materialize(p, &cand)
+        self.materialize(p, &cand, None)
     }
 }
 
@@ -1051,9 +1185,12 @@ struct ExpandJob {
 
 /// Deterministic parallel candidate expansion (DESIGN §5i).
 ///
-/// Workers are spawned once per `schedule()` call inside a
-/// `std::thread::scope` and fed one contiguous shard of the step's
-/// flattened candidate index space each. Because the shards partition
+/// Workers are spawned inside the `std::thread::scope` of one
+/// `schedule()` call, on its first step with at least
+/// [`SchedulerConfig::expand_threshold`] candidates, and joined when the
+/// call returns; a call that never reaches the threshold spawns none.
+/// Each parallel step feeds every worker one contiguous shard of the
+/// step's flattened candidate index space. Because the shards partition
 /// `0..total` in worker order and the results are concatenated in the
 /// same order, the candidate vector is byte-identical to the
 /// sequential enumeration — for any thread count, on any machine. The
@@ -1063,6 +1200,12 @@ struct ExpandJob {
 struct ExpandPool {
     jobs: Vec<mpsc::Sender<ExpandJob>>,
     results: mpsc::Receiver<(usize, Vec<Cand>)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Workers [`ExpandPool::spawn`] has started from this thread.
+    static SPAWNED_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Map a flattened candidate index to its parent via the offset table
@@ -1079,6 +1222,8 @@ impl ExpandPool {
         dag: &'env Dag,
         pred_xfer: &'env [Vec<(OpId, SimDuration)>],
     ) -> ExpandPool {
+        #[cfg(test)]
+        SPAWNED_WORKERS.with(|n| n.set(n.get() + threads));
         let (result_tx, results) = mpsc::channel::<(usize, Vec<Cand>)>();
         let mut jobs = Vec::with_capacity(threads);
         for w in 0..threads {
@@ -1094,6 +1239,10 @@ impl ExpandPool {
                         let c = k - job.offsets[pi];
                         out.push(sched.dataflow_cand(&job.skyline[pi], pi, dag, job.op, xfer, c));
                     }
+                    // Release the skyline snapshot before reporting, so
+                    // the caller owns the skyline alone again once the
+                    // last shard arrives and can recycle its partials.
+                    drop(job);
                     if result_tx.send((w, out)).is_err() {
                         break;
                     }
@@ -1106,10 +1255,10 @@ impl ExpandPool {
         ExpandPool { jobs, results }
     }
 
-    /// Expand one step's candidates across the pool. Always returns
-    /// the full, ordered candidate vector: any shard a worker failed to
-    /// deliver (unreachable in practice — the workers run pure
-    /// computation) is recomputed inline.
+    /// Expand one step's candidates across the pool, appending them to
+    /// `cands`. Always appends the full, ordered candidate vector: any
+    /// shard a worker failed to deliver (unreachable in practice — the
+    /// workers run pure computation) is recomputed inline.
     fn expand(
         &self,
         sched: &SkylineScheduler,
@@ -1117,9 +1266,19 @@ impl ExpandPool {
         xfer: &[(OpId, SimDuration)],
         skyline: &Arc<Vec<Partial>>,
         op: OpId,
-        offsets: Vec<usize>,
-    ) -> Vec<Cand> {
-        let total = offsets.last().copied().unwrap_or(0);
+        cands: &mut Vec<Cand>,
+    ) {
+        // Candidate-count prefix offsets per parent; the final entry is
+        // the step's total candidate count. Shared with the workers so
+        // a flattened candidate index maps to its (parent, container)
+        // pair.
+        let mut offsets = Vec::with_capacity(skyline.len() + 1);
+        let mut total = 0usize;
+        for p in skyline.iter() {
+            offsets.push(total);
+            total += sched.candidate_containers(p);
+        }
+        offsets.push(total);
         let threads = self.jobs.len();
         let chunk = total.div_ceil(threads.max(1));
         let offsets = Arc::new(offsets);
@@ -1147,7 +1306,7 @@ impl ExpandPool {
                 Err(_) => break,
             }
         }
-        let mut cands = Vec::with_capacity(total);
+        cands.reserve(total);
         for (w, shard) in shards.into_iter().enumerate() {
             match shard {
                 Some(out) => cands.extend(out),
@@ -1161,7 +1320,6 @@ impl ExpandPool {
                 }
             }
         }
-        cands
     }
 }
 
@@ -1479,7 +1637,7 @@ mod tests {
                 // materialization then caches.
                 let xfer = sched.op_xfer(&dag, OpId(i as u32));
                 let cand = sched.dataflow_cand(&p, 0, &dag, OpId(i as u32), &xfer, c);
-                p = sched.materialize(&p, &cand);
+                p = sched.materialize(&p, &cand, None);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
                 assert_eq!(
                     p.idle_cached(quantum),
@@ -1513,17 +1671,18 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut skyline = vec![Partial::new(n)];
+            let mut skyline = Arc::new(vec![Partial::new(n)]);
+            let mut buf = StepBuffers::default();
             let mut opt_id = 5000u32;
             for i in 0..n {
                 // Expand one random container choice per partial.
                 let mut next = Vec::new();
-                for p in &skyline {
+                for p in skyline.iter() {
                     let used = p.container_free.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                     let xfer = sched.op_xfer(&dag, OpId(i as u32));
                     let cand = sched.dataflow_cand(p, 0, &dag, OpId(i as u32), &xfer, c);
-                    let q = sched.materialize(p, &cand);
+                    let q = sched.materialize(p, &cand, None);
                     assert_eq!(
                         cand.optional_count,
                         q.optional_count(),
@@ -1531,7 +1690,7 @@ mod tests {
                     );
                     next.push(q);
                 }
-                skyline = next;
+                skyline = Arc::new(next);
                 // Randomly offer an optional op between steps.
                 if rng.uniform_u64(0, 2) == 0 {
                     let opt = OptionalOp {
@@ -1543,9 +1702,9 @@ mod tests {
                         },
                     };
                     opt_id += 1;
-                    skyline = sched.offer_optional(&skyline, &opt);
+                    sched.offer_optional(&mut skyline, &opt, &mut buf);
                 }
-                for p in &skyline {
+                for p in skyline.iter() {
                     let schedule = p.clone().into_schedule();
                     assert_eq!(
                         p.optional_count(),
@@ -1562,6 +1721,97 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    fn spawned_workers() -> usize {
+        SPAWNED_WORKERS.with(|n| n.get())
+    }
+
+    #[test]
+    fn expand_pool_is_spawned_only_when_a_step_reaches_the_threshold() {
+        let mut rng = SimRng::seed_from_u64(7);
+        let dag = App::Montage.generate(100, &[], &mut rng);
+        let seq = SkylineScheduler::new(SchedulerConfig {
+            expand_threads: 1,
+            ..cfg()
+        });
+        let want = seq.schedule(&dag);
+        // Default threshold: no step of a 100-op dataflow reaches it.
+        let lazy = SkylineScheduler::new(SchedulerConfig {
+            expand_threads: 2,
+            ..cfg()
+        });
+        let before = spawned_workers();
+        assert_eq!(lazy.schedule(&dag), want);
+        assert_eq!(spawned_workers(), before, "an idle pool was spawned");
+        // Threshold 1: the first step engages the pool, once per call.
+        let eager = SkylineScheduler::new(SchedulerConfig {
+            expand_threads: 3,
+            expand_threshold: 1,
+            ..cfg()
+        });
+        for call in 1..=2 {
+            assert_eq!(eager.schedule(&dag), want);
+            assert_eq!(spawned_workers(), before + 3 * call);
+        }
+    }
+
+    /// A partial of an `n`-op chain with op `i` on container
+    /// `i % containers`, then offered `optional` build ops.
+    fn chain_partial(
+        sched: &SkylineScheduler,
+        n: usize,
+        containers: usize,
+        optional: u32,
+    ) -> Partial {
+        let ops: Vec<OpSpec> = (0..n).map(|i| op(i as u32, 10)).collect();
+        let edges: Vec<Edge> = (1..n)
+            .map(|i| Edge {
+                from: OpId(i as u32 - 1),
+                to: OpId(i as u32),
+                bytes: 0,
+            })
+            .collect();
+        let dag = Dag::new(ops, edges).unwrap();
+        let mut p = Partial::new(n);
+        for i in 0..n {
+            p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), i % containers);
+        }
+        let mut skyline = Arc::new(vec![p]);
+        let mut buf = StepBuffers::default();
+        for i in 0..optional {
+            let opt = OptionalOp {
+                op: OpId(9000 + i),
+                duration: SimDuration::from_secs(5),
+                build: BuildRef {
+                    index: IndexId(i),
+                    part: i,
+                },
+            };
+            sched.offer_optional(&mut skyline, &opt, &mut buf);
+        }
+        Arc::try_unwrap(skyline).unwrap().remove(0)
+    }
+
+    #[test]
+    fn clone_from_over_a_dirty_spare_equals_clone() {
+        // Recycling refills retired partials with `clone_from`; a field
+        // it forgot would leak the spare's old state into the search.
+        let sched = SkylineScheduler::new(cfg());
+        let big = chain_partial(&sched, 150, 7, 4);
+        let small = chain_partial(&sched, 5, 2, 0);
+        assert!(
+            big.optional_count() > 0,
+            "the dirty spare carries no builds"
+        );
+        assert!(big.dataflow.tail.len() > small.dataflow.tail.len());
+        assert!(big.ops.chunks.len() > small.ops.chunks.len());
+        for (spare, parent) in [(&big, &small), (&small, &big)] {
+            let mut q = spare.clone();
+            q.clone_from(parent);
+            assert_eq!(format!("{q:?}"), format!("{:?}", parent.clone()));
+            assert_eq!(q.into_schedule(), parent.clone().into_schedule());
         }
     }
 
