@@ -83,6 +83,17 @@ cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
 diff -u tests/golden/trace_smoke.jsonl "$scratch/trace.jsonl"
 diff -u tests/golden/metrics_smoke.json "$scratch/metrics.json"
 
+echo "==> online interleaver report under faults (vs golden)"
+# The smoke trace above plans with the LP interleaver; this pins the
+# online interleaver (which reruns the skyline search with optional
+# build ops) end to end. The report is deterministic, so it diffs
+# byte-for-byte.
+cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
+  --interleaver online --fault-rate 0.3 --crash-share 0.3 --torn-share 0.3 \
+  --recovery-policy retry-gain-penalty --quanta 24 --seed 1 --concurrency 1 \
+  > "$scratch/report_online_faults.txt"
+diff -u tests/golden/report_online_faults.txt "$scratch/report_online_faults.txt"
+
 echo "==> flowtune rejects a bad config before announcing the run"
 # The online interleaver has no load-balance form; ServiceConfig::validate
 # must refuse the pair in parse_args: exit 1, an error line, no banner.

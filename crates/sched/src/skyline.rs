@@ -22,65 +22,64 @@
 //!
 //! * **Cached objectives.** [`Partial::money`] carries the billed
 //!   quanta; assigning an operator changes only the touched container's
-//!   lease contribution, so the objective is a subtract/add instead of
-//!   an O(containers) rescan inside every sort comparator.
-//!   [`Partial::gap_internal`] keeps, per container, the longest idle
-//!   gap strictly before the billing tail; the idle tie-break becomes
-//!   an O(containers) fold instead of re-collecting and re-sorting all
-//!   assignments, and is computed only inside non-dominated
-//!   (time, money) groups.
+//!   lease, so the objective is an add instead of an O(containers)
+//!   rescan. [`Partial::gap_internal`] keeps, per container, the
+//!   longest idle gap strictly before the billing tail; the idle
+//!   tie-break is computed only inside non-dominated (time, money)
+//!   groups.
 //! * **Delta expansion.** A candidate expansion is a [`Cand`]: parent
 //!   index plus a [`Delta`] and the already-computed objective values.
-//!   The reduction (sort, tie-collapse, dominance, width cap) runs
-//!   entirely on candidates; only the survivors — at most
-//!   `max_skyline` per step, not width × containers — are materialized
-//!   into full [`Partial`] clones. The `sched.partials_expanded` /
-//!   `sched.partial_clone_bytes` counters (vs `sched.candidates`)
-//!   record the clones this avoids.
+//!   The reduction (dominance, tie-collapse, width cap) runs entirely on
+//!   candidates; only the survivors — at most `max_skyline` per step,
+//!   not width × containers — become [`Partial`]s.
 //! * **Split assignment lists.** Dataflow assignments are append-only
 //!   and kept apart from the preemptible optional (build) tail ops, so
 //!   preempting an optional op never rewrites dataflow history; the
 //!   final assignment order of the legacy single list is reproduced at
-//!   materialization time from each optional op's interleave position.
+//!   the end from each optional op's interleave position.
 //!
 //! # Scale state (DESIGN §5i)
 //!
-//! Three additions keep 1k–10k-op DAGs tractable, still byte-identical
-//! to the reference:
-//!
 //! * **Chunked copy-on-write state.** [`OpState`] (per-op placement)
 //!   and [`AsgList`] (assignment history) store fixed-size chunks
-//!   behind `Arc`; a survivor clone copies pointer tables instead of
-//!   O(n_ops) payloads, so materialization cost stops growing with DAG
-//!   size (priced by `sched.partial_clone_bytes`).
+//!   behind `Arc`; copying a partial copies pointer tables instead of
+//!   O(n_ops) payloads, so the cost of a survivor stops growing with
+//!   DAG size.
 //! * **O(1) tie-break.** [`IdleTops`] memoizes each parent's two
 //!   largest per-container idle contributions once per reduction; a
 //!   candidate's tie-break value is a constant-time combine instead of
 //!   an O(containers) rescan.
 //! * **Deterministic parallel expansion.** Above
 //!   [`SchedulerConfig::expand_threshold`] candidates per step, an
-//!   [`ExpandPool`] shards the flattened candidate index space across
-//!   workers in fixed contiguous ranges and concatenates the results
-//!   in shard order — the candidate vector is byte-identical to the
-//!   sequential enumeration for every thread count. The pool is
-//!   spawned on the first step that reaches the threshold, so a call
-//!   that never does starts no thread.
+//!   [`ExpandPool`] gives each worker a contiguous range of parents and
+//!   concatenates the results in parent order — the candidate vector is
+//!   byte-identical to the sequential enumeration for every thread
+//!   count. The pool is spawned on the first step that reaches the
+//!   threshold, so a call that never does starts no thread.
 //!
 //! # Lean steps (DESIGN §5i)
 //!
-//! * **Dominance-first reduce.** A (time, money) group whose money is
-//!   not below every faster group's is dropped before its idle
-//!   tie-break runs: the group winner never decides whether the group
-//!   survives.
-//! * **Recycled partials.** The partials of a retired skyline are kept
-//!   as spares; [`Partial`]'s `clone_from` refills one in place instead
-//!   of allocating a fresh clone for every survivor.
-//! * **Reused buffers.** Candidates, sort keys, the idle memo and the
-//!   reduced front live in one [`StepBuffers`] per call.
+//! * **One expansion kernel.** [`SkylineScheduler::expand_parent`]
+//!   serves the sequential loop, the pool workers and the tests. It
+//!   reads each predecessor's placement once per parent, and prices a
+//!   used container from its lease end: the op adds nothing when it
+//!   ends inside the lease, else the quanta past it.
+//! * **Money-level reduce, no sort.** One pass records the fastest
+//!   makespan at each distinct money value (a handful per step); a
+//!   sweep in ascending money keeps a level only if it is strictly
+//!   faster than every cheaper one; a second pass folds the idle
+//!   tie-break inside each kept group in enumeration order.
+//! * **Survivors take their parent.** The last survivor of each parent
+//!   moves the parent out of the skyline and applies its delta in place; earlier survivors of the same parent refill a
+//!   retired spare with `clone_from`. `sched.partial_clone_bytes`
+//!   counts only the copies actually made.
+//! * **Reused buffers.** Candidates, money levels, groups, the idle memo,
+//!   the front and the next skyline live in one [`StepBuffers`] per call.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use flowtune_common::{CloudConfig, ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
@@ -162,11 +161,17 @@ pub struct SkylineScheduler {
     pub config: SchedulerConfig,
 }
 
+/// End of the lease billed for one container's dataflow span `[s, e]`:
+/// the quantum boundary at or after `e`, and at least one quantum past
+/// the boundary at or before `s`.
+fn lease_end(s: SimTime, e: SimTime, quantum: SimDuration) -> SimTime {
+    e.quantum_ceil(quantum)
+        .max(s.quantum_floor(quantum) + quantum)
+}
+
 /// Billed quanta for one container's dataflow span.
 fn lease_quanta(s: SimTime, e: SimTime, quantum: SimDuration) -> u64 {
-    let lease_start = s.quantum_floor(quantum);
-    let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
-    (lease_end - lease_start).as_millis() / quantum.as_millis()
+    (lease_end(s, e, quantum) - s.quantum_floor(quantum)).as_millis() / quantum.as_millis()
 }
 
 /// Per-op placement record: end time of the op and the container it ran
@@ -306,7 +311,10 @@ pub(crate) struct Partial {
     optional: Vec<(u32, Assignment)>,
     /// Next free time per used container (end of its last dataflow op).
     container_free: Vec<SimTime>,
-    /// Span of *dataflow* ops per container (billing basis).
+    /// Span of *dataflow* ops per container (billing basis). A used
+    /// container's span ends at its `container_free` entry and starts
+    /// at or before it: ops on a container start no earlier than it is
+    /// free, so an assignment only ever extends the span's end.
     container_span: Vec<(SimTime, SimTime)>,
     /// Next free time per container counting optional (build) tail ops.
     opt_free: Vec<SimTime>,
@@ -379,16 +387,27 @@ impl Clone for Partial {
 impl Partial {
     pub(crate) fn new(n_ops: usize) -> Self {
         Partial {
+            ops: OpState::new(n_ops),
+            skeleton: 0xcbf2_9ce4_8422_2325,
+            ..Partial::empty()
+        }
+    }
+
+    /// A partial that owns no allocation: the stand-in left in a
+    /// parent's slot when a survivor takes the parent and no spare is
+    /// at hand.
+    fn empty() -> Self {
+        Partial {
             dataflow: AsgList::default(),
             optional: Vec::new(),
             container_free: Vec::new(),
             container_span: Vec::new(),
             opt_free: Vec::new(),
             gap_internal: Vec::new(),
-            ops: OpState::new(n_ops),
+            ops: OpState { chunks: Vec::new() },
             makespan: SimDuration::ZERO,
             money: 0,
-            skeleton: 0xcbf2_9ce4_8422_2325,
+            skeleton: 0,
         }
     }
 
@@ -409,6 +428,16 @@ impl Partial {
             .sum()
     }
 
+    /// Whether every used container's span ends at its free time and
+    /// starts at or before it: the invariant the lease-end money of
+    /// [`SkylineScheduler::expand_parent`] relies on.
+    fn spans_end_at_free(&self) -> bool {
+        self.container_span
+            .iter()
+            .zip(&self.container_free)
+            .all(|(&(s, e), &free)| e == free && s <= free)
+    }
+
     /// Longest single idle gap across containers (tie-break criterion)
     /// from the incremental per-container cache: O(containers). The
     /// search itself now reads [`IdleTops::best`]; tests pin this fold
@@ -420,8 +449,7 @@ impl Partial {
             if e <= s {
                 continue;
             }
-            let lease_start = s.quantum_floor(quantum);
-            let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
+            let lease_end = lease_end(s, e, quantum);
             let free = self.container_free[c];
             best = best.max(self.gap_internal[c]);
             if lease_end > free {
@@ -442,7 +470,7 @@ impl Partial {
                 continue;
             }
             let lease_start = s.quantum_floor(quantum);
-            let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
+            let lease_end = lease_end(s, e, quantum);
             let mut ops: Vec<(SimTime, SimTime)> = self
                 .dataflow
                 .iter()
@@ -553,17 +581,84 @@ struct Cand {
 struct StepBuffers {
     /// The step's candidates, in enumeration order.
     cands: Vec<Cand>,
-    /// `(makespan, money, index into cands)`: the index makes every key
-    /// unique, so an unstable sort orders exactly as a stable sort by
-    /// (makespan, money) would.
-    keys: Vec<(SimDuration, u64, usize)>,
+    /// `(container, end, end + transfer)` of each predecessor of the
+    /// op being assigned, read from the parent being expanded.
+    preds: Vec<(u32, SimTime, SimTime)>,
+    /// The step's distinct candidate money values, ascending.
+    levels: Vec<Level>,
+    /// One tie-break fold per non-dominated group, in ascending money.
+    groups: Vec<Group>,
     /// Per-parent idle memo, filled the first time a parent's candidate
     /// meets a tie.
     tops: Vec<Option<IdleTops>>,
-    /// The reduced front: the candidates that get materialized.
+    /// The reduced front: the candidates that survive the step.
     front: Vec<Cand>,
-    /// Partials of retired skylines, refilled by `materialize`.
+    /// Per parent, the position in `front` of its last survivor.
+    last_of: Vec<usize>,
+    /// The next skyline while it is built; swapped with the current one.
+    next: Vec<Partial>,
+    /// Retired partials, refilled by the survivors that copy a parent.
     spares: Vec<Partial>,
+}
+
+/// `Level::slot` of a money level whose group is dominated.
+const DOMINATED: usize = usize::MAX;
+
+/// One distinct money value among a step's candidates.
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    money: u64,
+    /// Fastest makespan among the candidates at this money value.
+    makespan: SimDuration,
+    /// Rank of the (makespan, money) group among the kept groups in
+    /// ascending money, or [`DOMINATED`] when a cheaper level is at
+    /// least as fast.
+    slot: usize,
+}
+
+/// The tie-break fold of one non-dominated (makespan, money) group.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    /// The current winner's index in the step's candidates
+    /// (`usize::MAX` until the group's first member is seen).
+    win: usize,
+    /// The winner's idle tie-break value, once a tie needed it.
+    win_idle: Option<SimDuration>,
+}
+
+/// The op one step assigns, with what each expansion of it reads.
+struct StepOp<'a> {
+    op: OpId,
+    runtime: SimDuration,
+    /// Per-predecessor transfer durations (precomputed per call).
+    xfer: &'a [(OpId, SimDuration)],
+}
+
+impl<'a> StepOp<'a> {
+    fn new(dag: &Dag, op: OpId, xfer: &'a [(OpId, SimDuration)]) -> Self {
+        StepOp {
+            op,
+            runtime: dag.op(op).runtime,
+            xfer,
+        }
+    }
+}
+
+/// Cap the front at `cap` schedules, keeping the extremes and an even
+/// spread. A cap of one keeps the fastest schedule (the even-spread
+/// index formula divides by `cap - 1`). The kept indices strictly
+/// increase and never fall below their slot, so the front is compacted
+/// in place.
+fn cap_width(front: &mut Vec<Cand>, cap: usize) {
+    if front.len() > cap {
+        if cap > 1 {
+            let n = front.len();
+            for slot in 0..cap {
+                front[slot] = front[slot * (n - 1) / (cap - 1)];
+            }
+        }
+        front.truncate(cap);
+    }
 }
 
 /// One container's contribution to the idle tie-break: its longest
@@ -579,8 +674,7 @@ fn container_idle(
     if e <= s {
         return SimDuration::ZERO;
     }
-    let lease_start = s.quantum_floor(quantum);
-    let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
+    let lease_end = lease_end(s, e, quantum);
     let mut v = gap;
     if lease_end > free {
         v = v.max(lease_end - free);
@@ -686,11 +780,17 @@ impl SkylineScheduler {
     /// [`SchedulerConfig::expand_threads`]). The count never changes
     /// the output, only how the candidate enumeration is sharded.
     fn effective_expand_threads(&self) -> usize {
+        // Resolved once per process: asking the host for its
+        // parallelism reads cgroup files on Linux, which costs more
+        // than a small `schedule()` call.
+        static AUTO: OnceLock<usize> = OnceLock::new();
         match self.config.expand_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            0 => *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+                    .min(8)
+            }),
             n => n.min(32),
         }
     }
@@ -724,7 +824,7 @@ impl SkylineScheduler {
         let mut next_opt = 0usize;
         for (step, &op) in order.iter().enumerate() {
             let total: usize = skyline.iter().map(|p| self.candidate_containers(p)).sum();
-            let xfer = &pred_xfer[op.index()];
+            let assign = StepOp::new(dag, op, &pred_xfer[op.index()]);
             // Expand every partial with every candidate container —
             // as cheap deltas, not clones.
             buf.cands.clear();
@@ -732,13 +832,11 @@ impl SkylineScheduler {
                 Some(pool) if total >= self.config.expand_threshold => {
                     // flowtune-allow(obs-discipline): the pool engages only above the candidate threshold, which the smoke workload never reaches
                     flowtune_obs::count("sched.parallel_steps", 1);
-                    pool().expand(self, dag, xfer, &skyline, op, &mut buf.cands);
+                    pool().expand(self, &assign, &skyline, &mut buf.cands);
                 }
                 _ => {
                     for (pi, p) in skyline.iter().enumerate() {
-                        for c in 0..self.candidate_containers(p) {
-                            buf.cands.push(self.dataflow_cand(p, pi, dag, op, xfer, c));
-                        }
+                        self.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
                     }
                 }
             }
@@ -779,72 +877,85 @@ impl SkylineScheduler {
         SimDuration::from_secs_f64(bytes as f64 / self.config.network_bandwidth)
     }
 
-    /// Evaluate assigning `op` to container `c` of `p` without cloning
-    /// anything: placement times from the predecessor caches, money from
-    /// the touched container's lease delta, the skeleton hash folded
-    /// forward, and the optional-op count after preemption. `xfer` is
-    /// the op's precomputed per-predecessor transfer-duration list.
-    fn dataflow_cand(
+    /// The expansion kernel: append to `out` one [`Cand`] per candidate
+    /// container of `p` (skyline index `parent`), assigning `assign.op`
+    /// there, without cloning anything. Placement times come from the
+    /// predecessors' placements, read into `preds` once per parent;
+    /// money from the touched container's lease; the skeleton hash is
+    /// folded forward; the optional-op count is taken after preemption.
+    /// The sequential loop, the pool workers and the tests all expand
+    /// through here.
+    fn expand_parent(
         &self,
         p: &Partial,
         parent: usize,
-        dag: &Dag,
-        op: OpId,
-        xfer: &[(OpId, SimDuration)],
-        c: usize,
-    ) -> Cand {
+        assign: &StepOp<'_>,
+        preds: &mut Vec<(u32, SimTime, SimTime)>,
+        out: &mut Vec<Cand>,
+    ) {
         let quantum = self.config.quantum;
-        let fresh = c == p.container_free.len();
-        // Data-ready: every predecessor done, plus transfer when remote.
-        let mut ready = SimTime::ZERO;
-        for &(pred, dt) in xfer {
+        preds.clear();
+        preds.extend(assign.xfer.iter().map(|&(pred, dt)| {
             let slot = p.ops.get(pred.index());
-            let mut t = slot.end;
-            if slot.container != c as u32 {
-                t += dt;
+            (slot.container, slot.end, slot.end + dt)
+        }));
+        let used = p.container_free.len();
+        for c in 0..self.candidate_containers(p) {
+            // Data-ready: every predecessor done, plus transfer when remote.
+            let mut ready = SimTime::ZERO;
+            for &(on, local, remote) in preds.iter() {
+                ready = ready.max(if on == c as u32 { local } else { remote });
             }
-            ready = ready.max(t);
-        }
-        // Dataflow ops see only other dataflow ops: an optional build op
-        // occupying the container is preempted (priority -1 in the
-        // execution model), so it never delays the dataflow.
-        let free = if fresh {
-            SimTime::ZERO
-        } else {
-            p.container_free[c]
-        };
-        let start = ready.max(free);
-        let end = start + dag.op(op).runtime;
-        // Only container `c`'s lease contribution changes.
-        let money = if fresh {
-            p.money + lease_quanta(start, end, quantum)
-        } else {
-            let (s, e) = p.container_span[c];
-            p.money - lease_quanta(s, e, quantum) + lease_quanta(s.min(start), e.max(end), quantum)
-        };
-        let mut skeleton = p.skeleton;
-        for word in [op.0 as u64, c as u64, start.as_millis()] {
-            skeleton ^= word;
-            skeleton = skeleton.wrapping_mul(0x1000_0000_01b3);
-        }
-        // Optional tail ops on `c` that this dataflow op would preempt.
-        let dropped = p
-            .optional
-            .iter()
-            .filter(|(_, a)| a.container.index() == c && a.end > start)
-            .count();
-        Cand {
-            parent,
-            delta: Delta::Dataflow {
-                op,
-                container: c,
-                start,
-                end,
-            },
-            makespan: p.makespan.max(end - SimTime::ZERO),
-            money,
-            skeleton,
-            optional_count: p.optional.len() - dropped,
+            let fresh = c == used;
+            // Dataflow ops see only other dataflow ops: an optional build
+            // op occupying the container is preempted (priority -1 in the
+            // execution model), so it never delays the dataflow.
+            let free = if fresh {
+                SimTime::ZERO
+            } else {
+                p.container_free[c]
+            };
+            let start = ready.max(free);
+            let end = start + assign.runtime;
+            // Only container `c`'s lease changes. A used container's span
+            // ends at `free <= start`, so the op only moves the span's
+            // end, and adds quanta only when it ends past the lease.
+            let money = if fresh {
+                p.money + lease_quanta(start, end, quantum)
+            } else {
+                let (s, e) = p.container_span[c];
+                let lease_end = lease_end(s, e, quantum);
+                if end <= lease_end {
+                    p.money
+                } else {
+                    p.money
+                        + (end.quantum_ceil(quantum) - lease_end).as_millis() / quantum.as_millis()
+                }
+            };
+            let mut skeleton = p.skeleton;
+            for word in [assign.op.0 as u64, c as u64, start.as_millis()] {
+                skeleton ^= word;
+                skeleton = skeleton.wrapping_mul(0x1000_0000_01b3);
+            }
+            // Optional tail ops on `c` that this dataflow op would preempt.
+            let dropped = p
+                .optional
+                .iter()
+                .filter(|(_, a)| a.container.index() == c && a.end > start)
+                .count();
+            out.push(Cand {
+                parent,
+                delta: Delta::Dataflow {
+                    op: assign.op,
+                    container: c,
+                    start,
+                    end,
+                },
+                makespan: p.makespan.max(end - SimTime::ZERO),
+                money,
+                skeleton,
+                optional_count: p.optional.len() - dropped,
+            });
         }
     }
 
@@ -891,11 +1002,9 @@ impl SkylineScheduler {
         touched.max(others)
     }
 
-    /// Materialize a surviving candidate: one copy of its parent plus
-    /// the delta — the only place the search copies a partial. The copy
-    /// refills `spare` in place when one is given.
+    /// Materialize a surviving candidate from a copy of its parent —
+    /// refilling `spare` in place when one is given — plus the delta.
     fn materialize(&self, parent: &Partial, cand: &Cand, spare: Option<Partial>) -> Partial {
-        flowtune_obs::count("sched.partials_expanded", 1);
         flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
         let mut q = match spare {
             Some(mut q) => {
@@ -904,6 +1013,14 @@ impl SkylineScheduler {
             }
             None => parent.clone(),
         };
+        self.apply(&mut q, cand);
+        q
+    }
+
+    /// Apply a surviving candidate's delta in place to `q`, which holds
+    /// (a copy of, or the moved) parent.
+    fn apply(&self, q: &mut Partial, cand: &Cand) {
+        flowtune_obs::count("sched.partials_expanded", 1);
         match cand.delta {
             Delta::Dataflow {
                 op,
@@ -975,24 +1092,47 @@ impl SkylineScheduler {
         q.skeleton = cand.skeleton;
         debug_assert_eq!(q.money, q.money_quanta(self.config.quantum));
         debug_assert_eq!(q.optional_count(), cand.optional_count);
-        q
+        // The lease-end pricing in `expand_parent` relies on this.
+        debug_assert!(q.spans_end_at_free());
     }
 
-    /// Reduce `buf.cands` against `skyline` and replace the skyline
-    /// with the materialized survivors. The retired skyline's partials
-    /// become spares for the next step — unless a pool worker still
-    /// holds a snapshot of it, in which case they are simply dropped.
+    /// Reduce `buf.cands` against `skyline` and replace the skyline with
+    /// the survivors. When the caller owns the skyline, the last
+    /// survivor of each parent takes the parent itself and applies its
+    /// delta in place; earlier survivors of that parent refill a spare
+    /// with a copy. The retired partials become spares for the next
+    /// step. The caller always owns the skyline here (pool workers drop
+    /// their snapshot before reporting a shard), so `Arc::make_mut`
+    /// copies nothing; were a handle still held, it would copy the
+    /// skyline once and leave that snapshot untouched.
     fn advance(&self, skyline: &mut Arc<Vec<Partial>>, buf: &mut StepBuffers) {
         self.reduce(skyline, buf);
-        let next = buf
-            .front
-            .iter()
-            .map(|cand| self.materialize(&skyline[cand.parent], cand, buf.spares.pop()))
-            .collect();
-        let retired = std::mem::replace(skyline, Arc::new(next));
-        if let Ok(retired) = Arc::try_unwrap(retired) {
-            buf.spares.extend(retired);
+        let StepBuffers {
+            front,
+            last_of,
+            next,
+            spares,
+            ..
+        } = buf;
+        let parents = Arc::make_mut(skyline);
+        last_of.clear();
+        last_of.resize(parents.len(), usize::MAX);
+        for (i, cand) in front.iter().enumerate() {
+            last_of[cand.parent] = i;
         }
+        for (i, cand) in front.iter().enumerate() {
+            let q = if last_of[cand.parent] == i {
+                let stand_in = spares.pop().unwrap_or_else(Partial::empty);
+                let mut q = std::mem::replace(&mut parents[cand.parent], stand_in);
+                self.apply(&mut q, cand);
+                q
+            } else {
+                self.materialize(&parents[cand.parent], cand, spares.pop())
+            };
+            next.push(q);
+        }
+        std::mem::swap(parents, next);
+        spares.append(next);
     }
 
     /// Union each partial with versions that place `opt` on some
@@ -1012,8 +1152,7 @@ impl SkylineScheduler {
                 if e <= s {
                     continue;
                 }
-                let lease_start = s.quantum_floor(quantum);
-                let lease_end = e.quantum_ceil(quantum).max(lease_start + quantum);
+                let lease_end = lease_end(s, e, quantum);
                 let start = p.opt_free[c].max(p.container_free[c]);
                 let end = start + opt.duration;
                 if end <= lease_end {
@@ -1046,31 +1185,59 @@ impl SkylineScheduler {
         self.advance(skyline, buf);
     }
 
-    /// Skyline reduction of `buf.cands` into `buf.front`: sort by
-    /// (time, money); keep a (time, money) group only if its money is
-    /// strictly below every faster group's (drop dominated); collapse
-    /// each kept group to one winner with the tie-break (most sequential
-    /// idle, then — between identical dataflow skeletons — more optional
-    /// operators); cap the width. A dominated group is dropped before
-    /// any tie-break runs, since its winner could not survive anyway.
-    /// Runs entirely on deltas.
+    /// Skyline reduction of `buf.cands` into `buf.front`, without a
+    /// sort. Pass 1 records the fastest makespan at each distinct money
+    /// value. A sweep in ascending money keeps a level only if it is
+    /// strictly faster than every cheaper level: exactly the (time,
+    /// money) groups a scan sorted by (time, money) keeps when it drops
+    /// every group whose money is not below every faster group's. Pass
+    /// 2 collapses each kept group to one winner with the tie-break
+    /// (most sequential idle, then — between identical dataflow
+    /// skeletons — more optional operators), meeting the members in
+    /// enumeration order, as the sorted scan did; dominated candidates
+    /// never reach a tie-break. Then the width is capped. Runs entirely
+    /// on deltas.
     fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
         let quantum = self.config.quantum;
         let StepBuffers {
             cands,
-            keys,
+            levels,
+            groups,
             tops,
             front,
             ..
         } = buf;
-        keys.clear();
-        keys.extend(
-            cands
-                .iter()
-                .enumerate()
-                .map(|(k, c)| (c.makespan, c.money, k)),
+        levels.clear();
+        for c in cands.iter() {
+            match levels.binary_search_by_key(&c.money, |l| l.money) {
+                Ok(i) => levels[i].makespan = levels[i].makespan.min(c.makespan),
+                Err(i) => levels.insert(
+                    i,
+                    Level {
+                        money: c.money,
+                        makespan: c.makespan,
+                        slot: DOMINATED,
+                    },
+                ),
+            }
+        }
+        let mut fastest: Option<SimDuration> = None;
+        let mut kept = 0;
+        for level in levels.iter_mut() {
+            if fastest.is_none_or(|f| level.makespan < f) {
+                fastest = Some(level.makespan);
+                level.slot = kept;
+                kept += 1;
+            }
+        }
+        groups.clear();
+        groups.resize(
+            kept,
+            Group {
+                win: usize::MAX,
+                win_idle: None,
+            },
         );
-        keys.sort_unstable();
         // Lazy per-parent top-2 idle memo: computed once for a parent
         // the first time one of its candidates hits a tie.
         tops.clear();
@@ -1080,75 +1247,56 @@ impl SkylineScheduler {
                 *tops[c.parent].get_or_insert_with(|| IdleTops::of(&skyline[c.parent], quantum));
             self.cand_idle(t, &skyline[c.parent], &c.delta)
         };
-        front.clear();
-        let mut best_money = u64::MAX;
-        let mut i = 0;
-        while i < keys.len() {
-            let (makespan, money, first) = keys[i];
-            let mut end = i + 1;
-            while end < keys.len() && (keys[end].0, keys[end].1) == (makespan, money) {
-                end += 1;
-            }
-            let group = &keys[i + 1..end];
-            i = end;
-            // Sorted by time asc: keep strictly decreasing money.
-            if money >= best_money {
+        for (k, p) in cands.iter().enumerate() {
+            let Ok(i) = levels.binary_search_by_key(&p.money, |l| l.money) else {
+                continue;
+            };
+            let level = levels[i];
+            if level.slot == DOMINATED || p.makespan != level.makespan {
                 continue;
             }
-            best_money = money;
-            let mut win = &cands[first];
-            let mut win_idle = None;
-            for &(_, _, k) in group {
-                let p = &cands[k];
-                // Primary tie-break: most sequential idle over the
-                // dataflow skeleton (as the plain scheduler). Only
-                // between skeleton-equivalent candidates does the
-                // optional-operator count decide (§5.3.2).
-                let p_idle = idle_of(p);
-                let last_idle = *win_idle.get_or_insert_with(|| idle_of(win));
-                let better = match p_idle.cmp(&last_idle) {
-                    std::cmp::Ordering::Greater => {
-                        flowtune_obs::count("sched.tiebreak_idle", 1);
-                        true
-                    }
-                    std::cmp::Ordering::Less => false,
-                    // The operator count only decides between
-                    // *identical* dataflow skeletons; across different
-                    // skeletons we keep the incumbent exactly as the
-                    // plain scheduler would, so offering optional ops
-                    // never changes how the front evolves.
-                    std::cmp::Ordering::Equal => {
-                        let wins =
-                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
-                        if wins {
-                            // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
-                            flowtune_obs::count("sched.tiebreak_optcount", 1);
-                        }
-                        wins
-                    }
-                };
-                if better {
-                    win = p;
-                    win_idle = Some(p_idle);
-                }
+            let group = &mut groups[level.slot];
+            if group.win == usize::MAX {
+                group.win = k;
+                continue;
             }
-            front.push(*win);
-        }
-        // Cap width, keeping extremes and an even spread. A cap of one
-        // keeps the fastest schedule (the even-spread index formula
-        // divides by `max_skyline - 1`). The kept indices strictly
-        // increase and never fall below their slot, so the front is
-        // compacted in place.
-        let cap = self.config.max_skyline;
-        if front.len() > cap {
-            if cap > 1 {
-                let n = front.len();
-                for slot in 0..cap {
-                    front[slot] = front[slot * (n - 1) / (cap - 1)];
+            let win = &cands[group.win];
+            // Primary tie-break: most sequential idle over the dataflow
+            // skeleton (as the plain scheduler). Only between
+            // skeleton-equivalent candidates does the optional-operator
+            // count decide (§5.3.2).
+            let p_idle = idle_of(p);
+            let last_idle = *group.win_idle.get_or_insert_with(|| idle_of(win));
+            let better = match p_idle.cmp(&last_idle) {
+                std::cmp::Ordering::Greater => {
+                    flowtune_obs::count("sched.tiebreak_idle", 1);
+                    true
                 }
+                std::cmp::Ordering::Less => false,
+                // The operator count only decides between *identical*
+                // dataflow skeletons; across different skeletons we keep
+                // the incumbent exactly as the plain scheduler would, so
+                // offering optional ops never changes how the front
+                // evolves.
+                std::cmp::Ordering::Equal => {
+                    let wins = p.skeleton == win.skeleton && p.optional_count > win.optional_count;
+                    if wins {
+                        // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
+                        flowtune_obs::count("sched.tiebreak_optcount", 1);
+                    }
+                    wins
+                }
+            };
+            if better {
+                group.win = k;
+                group.win_idle = Some(p_idle);
             }
-            front.truncate(cap);
         }
+        // Kept levels get slower as they get cheaper; the front lists
+        // them fastest first.
+        front.clear();
+        front.extend(groups.iter().rev().map(|g| cands[g.win]));
+        cap_width(front, self.config.max_skyline);
     }
 
     /// Per-predecessor transfer durations for one op (the list
@@ -1161,26 +1309,37 @@ impl SkylineScheduler {
             .collect()
     }
 
+    /// The candidate assigning `op` to container `c` of `p`, from the
+    /// expansion kernel.
+    #[cfg(test)]
+    fn cand_for(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Cand {
+        let xfer = self.op_xfer(dag, op);
+        let mut out = Vec::new();
+        self.expand_parent(
+            p,
+            0,
+            &StepOp::new(dag, op, &xfer),
+            &mut Vec::new(),
+            &mut out,
+        );
+        out[c]
+    }
+
     /// Test-only convenience mirroring the legacy single-shot
     /// assignment: evaluate the candidate and materialize it.
     #[cfg(test)]
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
-        let xfer = self.op_xfer(dag, op);
-        let cand = self.dataflow_cand(p, 0, dag, op, &xfer, c);
+        let cand = self.cand_for(p, dag, op, c);
         self.materialize(p, &cand, None)
     }
 }
 
-/// One expansion job: the shard `[lo, hi)` of the step's flattened
-/// candidate index space, against a shared snapshot of the skyline.
+/// One expansion job: a contiguous range of the step's parents, against
+/// a shared snapshot of the skyline.
 struct ExpandJob {
     skyline: Arc<Vec<Partial>>,
     op: OpId,
-    lo: usize,
-    hi: usize,
-    /// Candidate-count prefix offsets per parent with the total as the
-    /// final entry; maps a flattened index back to (parent, container).
-    offsets: Arc<Vec<usize>>,
+    parents: Range<usize>,
 }
 
 /// Deterministic parallel candidate expansion (DESIGN §5i).
@@ -1189,14 +1348,14 @@ struct ExpandJob {
 /// `schedule()` call, on its first step with at least
 /// [`SchedulerConfig::expand_threshold`] candidates, and joined when the
 /// call returns; a call that never reaches the threshold spawns none.
-/// Each parallel step feeds every worker one contiguous shard of the
-/// step's flattened candidate index space. Because the shards partition
-/// `0..total` in worker order and the results are concatenated in the
-/// same order, the candidate vector is byte-identical to the
-/// sequential enumeration — for any thread count, on any machine. The
-/// workers never touch observability (the recorder is thread-local to
-/// the caller) and never mutate shared state: they read the skyline
-/// snapshot and return owned `Cand` vectors.
+/// Each parallel step feeds every worker one contiguous range of the
+/// skyline's parents, expanded with [`SkylineScheduler::expand_parent`].
+/// Because the ranges partition the parents in worker order and the
+/// results are concatenated in the same order, the candidate vector is
+/// byte-identical to the sequential enumeration — for any thread count,
+/// on any machine. The workers never touch observability (the recorder
+/// is thread-local to the caller) and never mutate shared state: they
+/// read the skyline snapshot and return owned `Cand` vectors.
 struct ExpandPool {
     jobs: Vec<mpsc::Sender<ExpandJob>>,
     results: mpsc::Receiver<(usize, Vec<Cand>)>,
@@ -1206,12 +1365,6 @@ struct ExpandPool {
 thread_local! {
     /// Workers [`ExpandPool::spawn`] has started from this thread.
     static SPAWNED_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Map a flattened candidate index to its parent via the offset table
-/// (last entry = total): the parent is the rightmost offset <= k.
-fn parent_of(offsets: &[usize], k: usize) -> usize {
-    offsets.partition_point(|&o| o <= k) - 1
 }
 
 impl ExpandPool {
@@ -1231,17 +1384,17 @@ impl ExpandPool {
             jobs.push(tx);
             let result_tx = result_tx.clone();
             scope.spawn(move || {
+                let mut preds = Vec::new();
                 while let Ok(job) = rx.recv() {
-                    let xfer = &pred_xfer[job.op.index()];
-                    let mut out = Vec::with_capacity(job.hi - job.lo);
-                    for k in job.lo..job.hi {
-                        let pi = parent_of(&job.offsets, k);
-                        let c = k - job.offsets[pi];
-                        out.push(sched.dataflow_cand(&job.skyline[pi], pi, dag, job.op, xfer, c));
+                    let assign = StepOp::new(dag, job.op, &pred_xfer[job.op.index()]);
+                    let mut out = Vec::new();
+                    for pi in job.parents.clone() {
+                        sched.expand_parent(&job.skyline[pi], pi, &assign, &mut preds, &mut out);
                     }
                     // Release the skyline snapshot before reporting, so
                     // the caller owns the skyline alone again once the
-                    // last shard arrives and can recycle its partials.
+                    // last shard arrives and its survivors can take
+                    // their parents.
                     drop(job);
                     if result_tx.send((w, out)).is_err() {
                         break;
@@ -1258,42 +1411,28 @@ impl ExpandPool {
     /// Expand one step's candidates across the pool, appending them to
     /// `cands`. Always appends the full, ordered candidate vector: any
     /// shard a worker failed to deliver (unreachable in practice — the
-    /// workers run pure computation) is recomputed inline.
+    /// workers run pure computation) is expanded inline.
     fn expand(
         &self,
         sched: &SkylineScheduler,
-        dag: &Dag,
-        xfer: &[(OpId, SimDuration)],
+        assign: &StepOp<'_>,
         skyline: &Arc<Vec<Partial>>,
-        op: OpId,
         cands: &mut Vec<Cand>,
     ) {
-        // Candidate-count prefix offsets per parent; the final entry is
-        // the step's total candidate count. Shared with the workers so
-        // a flattened candidate index maps to its (parent, container)
-        // pair.
-        let mut offsets = Vec::with_capacity(skyline.len() + 1);
-        let mut total = 0usize;
-        for p in skyline.iter() {
-            offsets.push(total);
-            total += sched.candidate_containers(p);
-        }
-        offsets.push(total);
         let threads = self.jobs.len();
-        let chunk = total.div_ceil(threads.max(1));
-        let offsets = Arc::new(offsets);
+        let width = skyline.len();
+        let chunk = width.div_ceil(threads.max(1));
+        let shard = |w: usize| (w * chunk).min(width)..((w + 1) * chunk).min(width);
         let mut sent = 0usize;
         for (w, tx) in self.jobs.iter().enumerate() {
-            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(total));
-            if lo >= hi {
+            let parents = shard(w);
+            if parents.is_empty() {
                 continue;
             }
             let job = ExpandJob {
                 skyline: Arc::clone(skyline),
-                op,
-                lo,
-                hi,
-                offsets: Arc::clone(&offsets),
+                op: assign.op,
+                parents,
             };
             if tx.send(job).is_ok() {
                 sent += 1;
@@ -1306,16 +1445,13 @@ impl ExpandPool {
                 Err(_) => break,
             }
         }
-        cands.reserve(total);
-        for (w, shard) in shards.into_iter().enumerate() {
-            match shard {
+        let mut preds = Vec::new();
+        for (w, out) in shards.into_iter().enumerate() {
+            match out {
                 Some(out) => cands.extend(out),
                 None => {
-                    let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(total));
-                    for k in lo..hi.max(lo) {
-                        let pi = parent_of(&offsets, k);
-                        let c = k - offsets[pi];
-                        cands.push(sched.dataflow_cand(&skyline[pi], pi, dag, op, xfer, c));
+                    for pi in shard(w) {
+                        sched.expand_parent(&skyline[pi], pi, assign, &mut preds, cands);
                     }
                 }
             }
@@ -1635,10 +1771,13 @@ mod tests {
                 let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                 // The candidate's objectives must match what its
                 // materialization then caches.
-                let xfer = sched.op_xfer(&dag, OpId(i as u32));
-                let cand = sched.dataflow_cand(&p, 0, &dag, OpId(i as u32), &xfer, c);
+                let cand = sched.cand_for(&p, &dag, OpId(i as u32), c);
                 p = sched.materialize(&p, &cand, None);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
+                assert!(
+                    p.spans_end_at_free(),
+                    "a span drifted from its container's free time at round {round} step {i}"
+                );
                 assert_eq!(
                     p.idle_cached(quantum),
                     p.longest_sequential_idle(quantum),
@@ -1680,8 +1819,7 @@ mod tests {
                 for p in skyline.iter() {
                     let used = p.container_free.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
-                    let xfer = sched.op_xfer(&dag, OpId(i as u32));
-                    let cand = sched.dataflow_cand(p, 0, &dag, OpId(i as u32), &xfer, c);
+                    let cand = sched.cand_for(p, &dag, OpId(i as u32), c);
                     let q = sched.materialize(p, &cand, None);
                     assert_eq!(
                         cand.optional_count,
@@ -1813,6 +1951,224 @@ mod tests {
             assert_eq!(format!("{q:?}"), format!("{:?}", parent.clone()));
             assert_eq!(q.into_schedule(), parent.clone().into_schedule());
         }
+    }
+
+    /// A random `n`-op dataflow: every op after the first has one
+    /// earlier predecessor, some edges carry data.
+    fn random_dag(n: usize, rng: &mut SimRng) -> Dag {
+        let ops: Vec<OpSpec> = (0..n)
+            .map(|i| op(i as u32, 1 + rng.uniform_u64(0, 90)))
+            .collect();
+        let edges: Vec<Edge> = (1..n)
+            .map(|i| Edge {
+                from: OpId(rng.uniform_u64(0, i as u64) as u32),
+                to: OpId(i as u32),
+                bytes: rng.uniform_u64(0, 2) * 2_000_000_000,
+            })
+            .collect();
+        Dag::new(ops, edges).unwrap()
+    }
+
+    /// The reduction `reduce` replaced: sort `(makespan, money, index)`,
+    /// keep a (makespan, money) group only if its money is below every
+    /// faster group's, fold the tie-break over the group in sorted
+    /// order, cap the width. Returns the front and the idle and
+    /// optional-count tie-break wins.
+    fn sorted_reduce(
+        sched: &SkylineScheduler,
+        skyline: &[Partial],
+        cands: &[Cand],
+    ) -> (Vec<Cand>, u64, u64) {
+        let idle = |c: &Cand| {
+            let p = &skyline[c.parent];
+            sched.cand_idle(IdleTops::of(p, sched.config.quantum), p, &c.delta)
+        };
+        let mut keys: Vec<(SimDuration, u64, usize)> = (cands.iter().enumerate())
+            .map(|(k, c)| (c.makespan, c.money, k))
+            .collect();
+        keys.sort_unstable();
+        let (mut front, mut idle_wins, mut opt_wins) = (Vec::new(), 0, 0);
+        let mut best_money = u64::MAX;
+        for group in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if group[0].1 >= best_money {
+                continue;
+            }
+            best_money = group[0].1;
+            let mut win = cands[group[0].2];
+            for &(_, _, k) in &group[1..] {
+                let p = cands[k];
+                let better = match idle(&p).cmp(&idle(&win)) {
+                    std::cmp::Ordering::Greater => {
+                        idle_wins += 1;
+                        true
+                    }
+                    std::cmp::Ordering::Less => false,
+                    std::cmp::Ordering::Equal => {
+                        let wins =
+                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
+                        opt_wins += u64::from(wins);
+                        wins
+                    }
+                };
+                if better {
+                    win = p;
+                }
+            }
+            front.push(win);
+        }
+        cap_width(&mut front, sched.config.max_skyline);
+        (front, idle_wins, opt_wins)
+    }
+
+    #[test]
+    fn money_level_reduce_matches_a_sort_based_oracle() {
+        // Synthetic candidate sets over real parents: few makespan and
+        // money values (exact ties across parents, equal makespans at
+        // several money levels), skeletons from a two-value set
+        // (optional-count ties), single-candidate steps, steps with far
+        // more than 40 money levels, and widths 1, 2, 3 and 24.
+        let mut rng = SimRng::seed_from_u64(0x5EED_0F00);
+        let (mut idle_total, mut opt_total) = (0, 0);
+        for round in 0..400 {
+            let sched = SkylineScheduler::new(SchedulerConfig {
+                max_skyline: [1, 2, 3, 24][round % 4],
+                ..cfg()
+            });
+            let n = 3 + rng.uniform_u64(0, 8) as usize;
+            let dag = random_dag(n, &mut rng);
+            let skyline: Vec<Partial> = (0..1 + rng.uniform_u64(0, 5))
+                .map(|_| {
+                    let mut p = Partial::new(n);
+                    for i in 0..n - 1 {
+                        let c = rng.uniform_u64(0, p.containers_used() as u64 + 1) as usize;
+                        p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
+                    }
+                    p
+                })
+                .collect();
+            let xfer = sched.op_xfer(&dag, OpId(n as u32 - 1));
+            let assign = StepOp::new(&dag, OpId(n as u32 - 1), &xfer);
+            let mut real = Vec::new();
+            for (pi, p) in skyline.iter().enumerate() {
+                sched.expand_parent(p, pi, &assign, &mut Vec::new(), &mut real);
+                real.push(Cand {
+                    delta: Delta::Keep,
+                    ..real[real.len() - 1]
+                });
+            }
+            let many_levels = round % 5 == 1;
+            let size = match round % 5 {
+                0 => 1,
+                1 => 300,
+                _ => 2 + rng.uniform_u64(0, 60) as usize,
+            };
+            let money_levels = 1 + rng.uniform_u64(0, 6);
+            let cands: Vec<Cand> = (0..size)
+                .map(|_| {
+                    let mut c = real[rng.uniform_u64(0, real.len() as u64) as usize];
+                    if many_levels {
+                        c.money = rng.uniform_u64(0, 90);
+                        let slower = 90 - c.money + rng.uniform_u64(0, 3);
+                        c.makespan = SimDuration::from_secs(10 * slower);
+                    } else {
+                        c.money = rng.uniform_u64(0, money_levels);
+                        c.makespan = SimDuration::from_secs(10 * rng.uniform_u64(1, 5));
+                    }
+                    c.skeleton = rng.uniform_u64(1, 3);
+                    c.optional_count = rng.uniform_u64(0, 3) as usize;
+                    c
+                })
+                .collect();
+            let mut buf = StepBuffers {
+                cands: cands.clone(),
+                ..StepBuffers::default()
+            };
+            flowtune_obs::install();
+            sched.reduce(&skyline, &mut buf);
+            let rec = flowtune_obs::uninstall().unwrap();
+            if many_levels {
+                assert!(buf.levels.len() > 40, "round {round}: too few money levels");
+            }
+            let (want, idle_wins, opt_wins) = sorted_reduce(&sched, &skyline, &cands);
+            let fields = |c: &Cand| {
+                let delta = format!("{:?}", c.delta);
+                (
+                    c.parent,
+                    c.makespan,
+                    c.money,
+                    c.skeleton,
+                    c.optional_count,
+                    delta,
+                )
+            };
+            let got: Vec<_> = buf.front.iter().map(fields).collect();
+            let want: Vec<_> = want.iter().map(fields).collect();
+            assert_eq!(got, want, "round {round}: fronts differ");
+            let counter = |name| rec.metrics().counter(name);
+            assert_eq!(counter("sched.tiebreak_idle"), idle_wins, "round {round}");
+            assert_eq!(
+                counter("sched.tiebreak_optcount"),
+                opt_wins,
+                "round {round}"
+            );
+            idle_total += idle_wins;
+            opt_total += opt_wins;
+        }
+        assert!(
+            idle_total > 0 && opt_total > 0,
+            "a tie-break kind never ran"
+        );
+    }
+
+    #[test]
+    fn advance_past_a_held_skyline_handle_matches_an_owned_skyline() {
+        // Two identical searches, step by step: one owns its skyline;
+        // the other advances while a second handle is held, so
+        // `Arc::make_mut` must copy. Both must reach the same next
+        // skyline, and the held snapshot must be left as it was.
+        let sched = SkylineScheduler::new(cfg());
+        let mut rng = SimRng::seed_from_u64(5);
+        let dag = App::Montage.generate(60, &[], &mut rng);
+        let pred_xfer: Vec<_> = (0..dag.len())
+            .map(|i| sched.op_xfer(&dag, OpId::from_index(i)))
+            .collect();
+        let mut owned = Arc::new(vec![Partial::new(dag.len())]);
+        let mut shared = Arc::new(vec![Partial::new(dag.len())]);
+        let (mut owned_buf, mut shared_buf) = (StepBuffers::default(), StepBuffers::default());
+        for (step, op) in dag.topo_order().into_iter().enumerate() {
+            let assign = StepOp::new(&dag, op, &pred_xfer[op.index()]);
+            let opt = OptionalOp {
+                op: OpId(7000 + step as u32),
+                duration: SimDuration::from_secs(5),
+                build: BuildRef {
+                    index: IndexId(step as u32),
+                    part: 0,
+                },
+            };
+            for (skyline, buf, hold) in [
+                (&mut owned, &mut owned_buf, false),
+                (&mut shared, &mut shared_buf, true),
+            ] {
+                buf.cands.clear();
+                for (pi, p) in skyline.iter().enumerate() {
+                    sched.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
+                }
+                let held = hold.then(|| (Arc::clone(skyline), format!("{skyline:?}")));
+                sched.advance(skyline, buf);
+                if step % 7 == 3 {
+                    sched.offer_optional(skyline, &opt, buf);
+                }
+                if let Some((handle, before)) = held {
+                    assert_eq!(format!("{handle:?}"), before, "step {step}");
+                    assert!(!Arc::ptr_eq(&handle, skyline));
+                }
+            }
+            assert_eq!(format!("{owned:?}"), format!("{shared:?}"), "step {step}");
+        }
+        let schedules = |s: &Arc<Vec<Partial>>| -> Vec<Schedule> {
+            s.iter().map(|p| p.clone().into_schedule()).collect()
+        };
+        assert_eq!(schedules(&owned), schedules(&shared));
     }
 
     #[test]
