@@ -22,11 +22,12 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> scheduler suite with optimizations on"
+echo "==> scheduler and DAG suites with optimizations on"
 # The equivalence suites force the threaded expand path
 # (expand_threshold: 1); run them optimized too, where the pool's
-# timing differs most from the debug build.
-cargo test -q --offline --release -p flowtune-sched
+# timing differs most from the debug build. The flat-adjacency DAG
+# oracle runs optimized as well.
+cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow
 
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism

@@ -14,11 +14,13 @@ macro_rules! define_id {
 
         impl $name {
             /// The raw numeric value.
+            #[inline]
             pub const fn index(self) -> usize {
                 self.0 as usize
             }
 
             /// Construct from a `usize` index (panics on overflow).
+            #[inline]
             pub fn from_index(i: usize) -> Self {
                 // flowtune-allow(panic-hygiene): documented contract: entity counts in the simulation fit in u32
                 $name(u32::try_from(i).expect("id overflow"))

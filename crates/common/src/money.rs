@@ -32,6 +32,7 @@ impl Money {
     }
 
     /// Whole micro-dollars.
+    #[inline]
     pub const fn as_micros(self) -> i64 {
         self.0
     }
@@ -64,11 +65,13 @@ impl Money {
     }
 
     /// Smaller of two amounts.
+    #[inline]
     pub fn min(self, other: Money) -> Money {
         Money(self.0.min(other.0))
     }
 
     /// Larger of two amounts.
+    #[inline]
     pub fn max(self, other: Money) -> Money {
         Money(self.0.max(other.0))
     }
@@ -76,12 +79,14 @@ impl Money {
 
 impl Add for Money {
     type Output = Money;
+    #[inline]
     fn add(self, rhs: Money) -> Money {
         Money(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Money {
+    #[inline]
     fn add_assign(&mut self, rhs: Money) {
         self.0 += rhs.0;
     }
@@ -89,12 +94,14 @@ impl AddAssign for Money {
 
 impl Sub for Money {
     type Output = Money;
+    #[inline]
     fn sub(self, rhs: Money) -> Money {
         Money(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Money {
+    #[inline]
     fn sub_assign(&mut self, rhs: Money) {
         self.0 -= rhs.0;
     }
@@ -102,6 +109,7 @@ impl SubAssign for Money {
 
 impl Neg for Money {
     type Output = Money;
+    #[inline]
     fn neg(self) -> Money {
         Money(-self.0)
     }
@@ -109,6 +117,7 @@ impl Neg for Money {
 
 impl Mul<i64> for Money {
     type Output = Money;
+    #[inline]
     fn mul(self, rhs: i64) -> Money {
         Money(self.0 * rhs)
     }
@@ -116,6 +125,7 @@ impl Mul<i64> for Money {
 
 impl Div<i64> for Money {
     type Output = Money;
+    #[inline]
     fn div(self, rhs: i64) -> Money {
         Money(self.0 / rhs)
     }

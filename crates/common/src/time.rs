@@ -26,11 +26,13 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1000)
     }
@@ -42,6 +44,7 @@ impl SimTime {
     }
 
     /// Milliseconds since simulation start.
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0
     }
@@ -53,6 +56,7 @@ impl SimTime {
 
     /// The duration elapsed since `earlier`, saturating at zero if
     /// `earlier` is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -65,28 +69,33 @@ impl SimTime {
     /// The index of the billing quantum that contains this instant
     /// (quantum boundaries are aligned at multiples of `quantum` from time
     /// zero).
+    #[inline]
     pub fn quantum_index(self, quantum: SimDuration) -> u64 {
         debug_assert!(quantum.0 > 0, "quantum must be positive");
         self.0 / quantum.0
     }
 
     /// The start of the quantum that contains this instant.
+    #[inline]
     pub fn quantum_floor(self, quantum: SimDuration) -> SimTime {
         SimTime(self.quantum_index(quantum) * quantum.0)
     }
 
     /// The first quantum boundary at or after this instant.
+    #[inline]
     pub fn quantum_ceil(self, quantum: SimDuration) -> SimTime {
         debug_assert!(quantum.0 > 0, "quantum must be positive");
         SimTime(self.0.div_ceil(quantum.0) * quantum.0)
     }
 
     /// Smaller of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 
     /// Larger of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -99,11 +108,13 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from whole milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1000)
     }
@@ -115,6 +126,7 @@ impl SimDuration {
     }
 
     /// Milliseconds in this duration.
+    #[inline]
     pub const fn as_millis(self) -> u64 {
         self.0
     }
@@ -131,11 +143,13 @@ impl SimDuration {
     }
 
     /// True if this duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Difference that saturates at zero instead of underflowing.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -147,11 +161,13 @@ impl SimDuration {
     }
 
     /// Smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// Larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
@@ -247,12 +263,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -260,6 +278,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
@@ -267,6 +286,7 @@ impl Sub<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimTime subtraction underflow");
         SimDuration(self.0 - rhs.0)
@@ -275,12 +295,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -288,6 +310,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimDuration subtraction underflow");
         SimDuration(self.0 - rhs.0)
@@ -295,6 +318,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         debug_assert!(self.0 >= rhs.0, "SimDuration subtraction underflow");
         self.0 -= rhs.0;
@@ -303,6 +327,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -310,6 +335,7 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

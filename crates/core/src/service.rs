@@ -5,6 +5,7 @@
 //! triggers one round of Algorithm 1: tune → schedule → interleave →
 //! execute → record history.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use flowtune_cloud::{perturb_dag, ExecutionReport, FaultConfig, FaultPlan, Simulator};
@@ -381,10 +382,12 @@ impl QaasService {
         report: &mut RunReport,
     ) -> Result<Executed> {
         let (time_err, data_err) = self.config.estimation_error;
+        // The planned DAG runs as is unless estimation error perturbs
+        // it, so it is borrowed, not copied.
         let actual = if time_err > 0.0 || data_err > 0.0 {
-            perturb_dag(&df.dag, time_err, data_err, &mut self.rng)
+            Cow::Owned(perturb_dag(&df.dag, time_err, data_err, &mut self.rng))
         } else {
-            df.dag.clone()
+            Cow::Borrowed(&df.dag)
         };
         // Causality: only index partitions built before this dataflow
         // was issued are visible to it (lanes execute logically in
@@ -420,7 +423,7 @@ impl QaasService {
             report.dataflow_ops += retry.dataflow_ops;
             delay += recovery.backoff_delay(attempt) + retry.makespan;
             completed = retry.completed();
-            (remnant_src, killed_ops) = (remnant, retry.killed_ops);
+            (remnant_src, killed_ops) = (Cow::Owned(remnant), retry.killed_ops);
         }
         if completed && attempt > 0 {
             let latency = delay.quanta(cloud.quantum).get();

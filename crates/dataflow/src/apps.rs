@@ -145,7 +145,7 @@ impl Builder {
         }
     }
 
-    fn add(&mut self, name: &str, rng: &mut SimRng) -> OpId {
+    fn add(&mut self, name: &'static str, rng: &mut SimRng) -> OpId {
         let id = OpId::from_index(self.ops.len());
         let mut op = OpSpec::new(id, name, self.app.sample_runtime(rng));
         op.memory = rng.uniform_range(0.05, 0.5);
@@ -375,7 +375,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let dag = App::Montage.generate(100, &[], &mut rng);
         let names: std::collections::HashSet<&str> =
-            dag.ops().iter().map(|o| o.name.as_str()).collect();
+            dag.ops().iter().map(|o| o.name.as_ref()).collect();
         for stage in [
             "mProject",
             "mDiffFit",

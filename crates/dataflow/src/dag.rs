@@ -22,17 +22,42 @@ pub struct Edge {
 }
 
 /// A validated dataflow DAG.
+///
+/// Adjacency is stored flat (CSR): the predecessors of op `i` are
+/// `preds[pred_off[i]..pred_off[i + 1]]`, likewise for successors, and
+/// both lists keep edge-insertion order. Building a DAG allocates a
+/// fixed handful of arrays however many operators it has.
 #[derive(Debug, Clone)]
 pub struct Dag {
     ops: Vec<OpSpec>,
     edges: Vec<Edge>,
-    preds: Vec<Vec<OpId>>,
-    succs: Vec<Vec<OpId>>,
-    /// Aligned with `preds`: `pred_bytes[to][k]` is the total bytes on
-    /// all `preds[to][k] -> to` edges. Schedulers probe edge weights
-    /// once per predecessor per candidate, so the lookup must not scan
-    /// the global edge list.
-    pred_bytes: Vec<Vec<u64>>,
+    pred_off: Vec<u32>,
+    preds: Vec<OpId>,
+    /// Aligned with `preds`: `pred_bytes[k]` is the total bytes on all
+    /// `preds[k] -> to` edges. Schedulers probe edge weights once per
+    /// predecessor per candidate, so the lookup must not scan the
+    /// global edge list.
+    pred_bytes: Vec<u64>,
+    succ_off: Vec<u32>,
+    succs: Vec<OpId>,
+}
+
+/// Per-node offsets into a flat adjacency array holding `degree[i]`
+/// entries for node `i`: `off.len() == degree.len() + 1`.
+fn offsets(degree: &[usize]) -> Vec<u32> {
+    let mut off = Vec::with_capacity(degree.len() + 1);
+    let mut total = 0u32;
+    off.push(0);
+    for &d in degree {
+        total += d as u32;
+        off.push(total);
+    }
+    off
+}
+
+/// Node `id`'s entries in a flat adjacency array with offsets `off`.
+fn adjacent(off: &[u32], id: OpId) -> std::ops::Range<usize> {
+    off[id.index()] as usize..off[id.index() + 1] as usize
 }
 
 impl Dag {
@@ -49,8 +74,7 @@ impl Dag {
             }
         }
         let n = ops.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
+        let (mut in_deg, mut out_deg) = (vec![0usize; n], vec![0usize; n]);
         for e in &edges {
             if e.from.index() >= n || e.to.index() >= n {
                 return Err(FlowtuneError::invalid_dag(format!(
@@ -64,31 +88,52 @@ impl Dag {
                     e.from
                 )));
             }
-            preds[e.to.index()].push(e.from);
-            succs[e.from.index()].push(e.to);
+            in_deg[e.to.index()] += 1;
+            out_deg[e.from.index()] += 1;
         }
-        // Per-consumer edge-byte totals, duplicate edges summed — the
-        // same value the old `edge_bytes` linear scan produced.
-        let mut totals: Vec<std::collections::BTreeMap<OpId, u64>> =
-            vec![std::collections::BTreeMap::new(); n];
+        let pred_off = offsets(&in_deg);
+        let succ_off = offsets(&out_deg);
+        // Fill both lists in edge order; the degree arrays become
+        // per-node fill cursors.
+        let mut preds = vec![OpId(0); edges.len()];
+        let mut pred_bytes = vec![0u64; edges.len()];
+        let mut succs = vec![OpId(0); edges.len()];
+        in_deg.iter_mut().for_each(|d| *d = 0);
+        out_deg.iter_mut().for_each(|d| *d = 0);
         for e in &edges {
-            *totals[e.to.index()].entry(e.from).or_insert(0) += e.bytes;
+            let (to, from) = (e.to.index(), e.from.index());
+            let k = pred_off[to] as usize + in_deg[to];
+            preds[k] = e.from;
+            pred_bytes[k] = e.bytes;
+            in_deg[to] += 1;
+            succs[succ_off[from] as usize + out_deg[from]] = e.to;
+            out_deg[from] += 1;
         }
-        let pred_bytes: Vec<Vec<u64>> = preds
-            .iter()
-            .enumerate()
-            .map(|(to, ps)| {
-                ps.iter()
-                    .map(|p| totals[to].get(p).copied().unwrap_or(0))
-                    .collect()
-            })
-            .collect();
+        // Sum duplicate edges per consumer: accumulate each producer's
+        // bytes in a scratch slot, write the total back to every
+        // occurrence, then clear the slots — O(in-degree) per op, so a
+        // fan-in of thousands of edges stays linear.
+        let mut total = vec![0u64; n];
+        for to in 0..n {
+            let range = adjacent(&pred_off, OpId::from_index(to));
+            for k in range.clone() {
+                total[preds[k].index()] += pred_bytes[k];
+            }
+            for k in range.clone() {
+                pred_bytes[k] = total[preds[k].index()];
+            }
+            for k in range {
+                total[preds[k].index()] = 0;
+            }
+        }
         let dag = Dag {
             ops,
             edges,
+            pred_off,
             preds,
-            succs,
             pred_bytes,
+            succ_off,
+            succs,
         };
         // Kahn's algorithm detects cycles.
         if dag.topo_order().len() != n {
@@ -124,24 +169,26 @@ impl Dag {
 
     /// Direct predecessors of an operator.
     pub fn preds(&self, id: OpId) -> &[OpId] {
-        &self.preds[id.index()]
+        &self.preds[adjacent(&self.pred_off, id)]
     }
 
     /// Direct successors of an operator.
     pub fn succs(&self, id: OpId) -> &[OpId] {
-        &self.succs[id.index()]
+        &self.succs[adjacent(&self.succ_off, id)]
     }
 
     /// Bytes flowing along edge `from -> to` (0 when absent), duplicate
     /// edges summed. O(in-degree of `to`) via the prebuilt index — this
     /// sits on the scheduler's per-candidate hot path.
     pub fn edge_bytes(&self, from: OpId, to: OpId) -> u64 {
-        let Some(ps) = self.preds.get(to.index()) else {
+        if to.index() >= self.ops.len() {
             return 0;
-        };
-        ps.iter()
+        }
+        let range = adjacent(&self.pred_off, to);
+        self.preds[range.clone()]
+            .iter()
             .position(|&p| p == from)
-            .map(|k| self.pred_bytes[to.index()][k])
+            .map(|k| self.pred_bytes[range.start + k])
             .unwrap_or(0)
     }
 
@@ -149,10 +196,11 @@ impl Dag {
     /// `pred -> id` edge (aligned with [`Dag::preds`]; duplicate edges
     /// carry the summed total on every occurrence).
     pub fn preds_with_bytes(&self, id: OpId) -> impl Iterator<Item = (OpId, u64)> + '_ {
-        self.preds[id.index()]
+        let range = adjacent(&self.pred_off, id);
+        self.preds[range.clone()]
             .iter()
             .copied()
-            .zip(self.pred_bytes[id.index()].iter().copied())
+            .zip(self.pred_bytes[range].iter().copied())
     }
 
     /// Operators with no predecessors (entry nodes).
@@ -176,7 +224,7 @@ impl Dag {
     /// operators.
     pub fn topo_order(&self) -> Vec<OpId> {
         let n = self.ops.len();
-        let mut in_deg: Vec<usize> = (0..n).map(|i| self.preds[i].len()).collect();
+        let mut in_deg: Vec<u32> = self.pred_off.windows(2).map(|w| w[1] - w[0]).collect();
         let mut queue: std::collections::VecDeque<OpId> = (0..n)
             .map(OpId::from_index)
             .filter(|id| in_deg[id.index()] == 0)
@@ -321,6 +369,131 @@ mod tests {
         // twice, each occurrence carrying the summed total.
         assert_eq!(got, vec![(OpId(0), 10), (OpId(1), 5), (OpId(0), 10)]);
         assert!(d.preds_with_bytes(OpId(0)).next().is_none());
+    }
+
+    /// The pre-CSR construction: `Vec<Vec>` adjacency in edge order
+    /// and a `BTreeMap` of per-(from, to) byte totals.
+    struct NaiveDag {
+        preds: Vec<Vec<OpId>>,
+        succs: Vec<Vec<OpId>>,
+        bytes: std::collections::BTreeMap<(OpId, OpId), u64>,
+    }
+
+    impl NaiveDag {
+        fn of(n: usize, edges: &[Edge]) -> NaiveDag {
+            let mut naive = NaiveDag {
+                preds: vec![Vec::new(); n],
+                succs: vec![Vec::new(); n],
+                bytes: std::collections::BTreeMap::new(),
+            };
+            for e in edges {
+                naive.preds[e.to.index()].push(e.from);
+                naive.succs[e.from.index()].push(e.to);
+                *naive.bytes.entry((e.from, e.to)).or_insert(0) += e.bytes;
+            }
+            naive
+        }
+
+        fn topo_order(&self) -> Vec<OpId> {
+            let mut in_deg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+            let mut queue: std::collections::VecDeque<OpId> = (0..in_deg.len())
+                .map(OpId::from_index)
+                .filter(|id| in_deg[id.index()] == 0)
+                .collect();
+            let mut order = Vec::new();
+            while let Some(id) = queue.pop_front() {
+                order.push(id);
+                for &s in &self.succs[id.index()] {
+                    in_deg[s.index()] -= 1;
+                    if in_deg[s.index()] == 0 {
+                        queue.push_back(s);
+                    }
+                }
+            }
+            order
+        }
+    }
+
+    fn assert_matches_naive(d: &Dag, rng: &mut flowtune_common::SimRng, label: &str) {
+        let n = d.len();
+        let naive = NaiveDag::of(n, d.edges());
+        for i in 0..n {
+            let id = OpId::from_index(i);
+            assert_eq!(d.preds(id), &naive.preds[i][..], "{label}: preds of {id}");
+            assert_eq!(d.succs(id), &naive.succs[i][..], "{label}: succs of {id}");
+            let want: Vec<(OpId, u64)> = naive.preds[i]
+                .iter()
+                .map(|&p| (p, naive.bytes[&(p, id)]))
+                .collect();
+            let got: Vec<(OpId, u64)> = d.preds_with_bytes(id).collect();
+            assert_eq!(got, want, "{label}: preds_with_bytes of {id}");
+        }
+        for e in d.edges() {
+            let total = naive.bytes[&(e.from, e.to)];
+            assert_eq!(d.edge_bytes(e.from, e.to), total, "{label}: {e:?}");
+            let back = naive.bytes.get(&(e.to, e.from)).copied().unwrap_or(0);
+            assert_eq!(d.edge_bytes(e.to, e.from), back, "{label}: reverse {e:?}");
+        }
+        for _ in 0..n.min(200) {
+            let (from, to) = (
+                OpId::from_index(rng.uniform_u64(0, n as u64) as usize),
+                OpId::from_index(rng.uniform_u64(0, n as u64) as usize),
+            );
+            let want = naive.bytes.get(&(from, to)).copied().unwrap_or(0);
+            assert_eq!(d.edge_bytes(from, to), want, "{label}: {from} -> {to}");
+        }
+        assert_eq!(d.edge_bytes(OpId(0), OpId::from_index(n)), 0, "{label}");
+        assert_eq!(d.topo_order(), naive.topo_order(), "{label}: topo order");
+    }
+
+    #[test]
+    fn flat_adjacency_matches_a_naive_oracle() {
+        use crate::apps::App;
+        use flowtune_common::SimRng;
+        let mut rng = SimRng::seed_from_u64(0xC5A);
+        for app in App::ALL {
+            for ops in [10, 100, 1_000] {
+                let d = app.generate(ops, &[], &mut rng);
+                assert_matches_naive(&d, &mut rng, &format!("{}:{ops}", app.name()));
+            }
+        }
+        // Hand-made duplicate and parallel edges: 0 -> 3 three times,
+        // 1 -> 3 twice, interleaved with other edges into and out of 3.
+        let edge = |from: u32, to: u32, bytes: u64| Edge {
+            from: OpId(from),
+            to: OpId(to),
+            bytes,
+        };
+        let d = Dag::new(
+            (0..5).map(|i| op(i, 1)).collect(),
+            vec![
+                edge(0, 3, 1),
+                edge(1, 3, 10),
+                edge(3, 4, 7),
+                edge(0, 3, 100),
+                edge(2, 3, 0),
+                edge(1, 3, 1_000),
+                edge(0, 3, 10_000),
+                edge(0, 4, 5),
+                edge(3, 4, 2),
+            ],
+        )
+        .unwrap();
+        assert_matches_naive(&d, &mut rng, "hand-made");
+        let ps: Vec<(OpId, u64)> = d.preds_with_bytes(OpId(3)).collect();
+        assert_eq!(
+            ps,
+            vec![
+                (OpId(0), 10_101),
+                (OpId(1), 1_010),
+                (OpId(0), 10_101),
+                (OpId(2), 0),
+                (OpId(1), 1_010),
+                (OpId(0), 10_101),
+            ]
+        );
+        assert_eq!(d.succs(OpId(3)), &[OpId(4), OpId(4)]);
+        assert_eq!(d.edge_bytes(OpId(3), OpId(4)), 9);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! list them in `reads`; these are the operators an index can
 //! accelerate.
 
+use std::borrow::Cow;
+
 use flowtune_common::{OpId, PartitionId, SimDuration};
 
 /// One dataflow operator.
@@ -12,8 +14,9 @@ use flowtune_common::{OpId, PartitionId, SimDuration};
 pub struct OpSpec {
     /// Identity within the dataflow.
     pub id: OpId,
-    /// Stage name (e.g. `mProject`, `Inspiral`).
-    pub name: String,
+    /// Stage name (e.g. `mProject`, `Inspiral`). The generators pass
+    /// static stage names, which borrow instead of allocating per op.
+    pub name: Cow<'static, str>,
     /// CPU demand as a fraction of one container CPU, in `(0, 1]`.
     pub cpu: f64,
     /// Memory demand as a fraction of container memory, in `(0, 1]`.
@@ -29,7 +32,7 @@ pub struct OpSpec {
 
 impl OpSpec {
     /// Convenience constructor with unit CPU, modest memory, no reads.
-    pub fn new(id: OpId, name: impl Into<String>, runtime: SimDuration) -> Self {
+    pub fn new(id: OpId, name: impl Into<Cow<'static, str>>, runtime: SimDuration) -> Self {
         OpSpec {
             id,
             name: name.into(),

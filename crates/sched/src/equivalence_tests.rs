@@ -14,8 +14,8 @@
 // (panic-hygiene test exemption) can see it.
 #![cfg(test)]
 
-use flowtune_common::{IndexId, OpId, SimDuration, SimRng};
-use flowtune_dataflow::{App, Dag};
+use flowtune_common::{CloudConfig, DataflowId, IndexId, OpId, SimDuration, SimRng, SimTime};
+use flowtune_dataflow::{App, Dag, DataflowFactory, FileDatabase};
 
 use crate::reference::ReferenceSkylineScheduler;
 use crate::schedule::{BuildRef, Schedule};
@@ -92,6 +92,25 @@ fn equivalent_on_all_apps_at_100_ops() {
             &optional,
             &format!("{}:100:optional", app.name()),
         );
+    }
+}
+
+#[test]
+fn equivalent_on_service_shaped_dataflows() {
+    // DAGs as the service builds them: `DataflowFactory::make` over a
+    // generated file database (operators carry partition reads), for
+    // every app, planned at the service's cloud config and width 8.
+    let mut rng = SimRng::seed_from_u64(0xE9);
+    let filedb = FileDatabase::generate(&mut rng);
+    let mut factory = DataflowFactory::new(filedb, 100, rng.fork());
+    let config = SchedulerConfig::for_cloud(&CloudConfig::default(), 8);
+    let optional = optional_ops(24, 0xEE);
+    for (i, app) in App::ALL.into_iter().cycle().take(6).enumerate() {
+        let df = factory.make(DataflowId(i as u32), app, SimTime::ZERO);
+        assert!(df.dag.ops().iter().any(|op| !op.reads.is_empty()));
+        let label = format!("{}:service{i}", app.name());
+        assert_identical(&df.dag, &config, &[], &format!("{label}:plain"));
+        assert_identical(&df.dag, &config, &optional, &format!("{label}:optional"));
     }
 }
 

@@ -23,10 +23,12 @@
 //! * **Cached objectives.** [`Partial::money`] carries the billed
 //!   quanta; assigning an operator changes only the touched container's
 //!   lease, so the objective is an add instead of an O(containers)
-//!   rescan. [`Partial::gap_internal`] keeps, per container, the
-//!   longest idle gap strictly before the billing tail; the idle
-//!   tie-break is computed only inside non-dominated (time, money)
-//!   groups.
+//!   rescan. Each used container is one [`Container`] record in
+//!   [`Partial::containers`]: span start, free time, optional-tail free
+//!   time, the longest idle gap strictly before the billing tail, and
+//!   the lease end, cached so that pricing and the idle tie-break read
+//!   it instead of dividing. The idle tie-break is computed only inside
+//!   non-dominated (time, money) groups.
 //! * **Delta expansion.** A candidate expansion is a [`Cand`]: parent
 //!   index plus a [`Delta`] and the already-computed objective values.
 //!   The reduction (dominance, tie-collapse, width cap) runs entirely on
@@ -62,19 +64,27 @@
 //! * **One expansion kernel.** [`SkylineScheduler::expand_parent`]
 //!   serves the sequential loop, the pool workers and the tests. It
 //!   reads each predecessor's placement once per parent, and prices a
-//!   used container from its lease end: the op adds nothing when it
-//!   ends inside the lease, else the quanta past it.
-//! * **Money-level reduce, no sort.** One pass records the fastest
-//!   makespan at each distinct money value (a handful per step); a
-//!   sweep in ascending money keeps a level only if it is strictly
-//!   faster than every cheaper one; a second pass folds the idle
-//!   tie-break inside each kept group in enumeration order.
+//!   used container with one compare against its cached lease end: the
+//!   op adds nothing when it ends inside the lease; only an overrun
+//!   divides, to count the quanta past it.
+//! * **Money-level reduce, no sort, no search per candidate.** Pass 1
+//!   appends each distinct money value to a level list in first-seen
+//!   order (a handful per step), checking the previous candidate's
+//!   level first, and records each candidate's level index; a sweep
+//!   over a small money-sorted index list keeps a level only if it is
+//!   strictly faster than every cheaper one; pass 2 reads each
+//!   candidate's recorded level and folds the idle tie-break inside
+//!   each kept group in enumeration order.
 //! * **Survivors take their parent.** The last survivor of each parent
-//!   moves the parent out of the skyline and applies its delta in place; earlier survivors of the same parent refill a
-//!   retired spare with `clone_from`. `sched.partial_clone_bytes`
-//!   counts only the copies actually made.
-//! * **Reused buffers.** Candidates, money levels, groups, the idle memo,
-//!   the front and the next skyline live in one [`StepBuffers`] per call.
+//!   moves the parent out of the skyline and applies its delta in
+//!   place; earlier survivors of the same parent refill a retired spare
+//!   with `clone_from`. `sched.partial_clone_bytes` counts only the
+//!   copies actually made.
+//! * **Reused buffers, flat tables.** Candidates, money levels, groups,
+//!   the idle memo, the front and the next skyline live in one
+//!   [`StepBuffers`] per call. The per-predecessor transfer durations
+//!   are one flat [`XferTable`] aligned with the DAG's flat predecessor
+//!   array, built once per call.
 
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -299,6 +309,46 @@ impl AsgList {
     }
 }
 
+/// One used container of a [`Partial`]: five words, 40 bytes (pinned
+/// by the assertion below), which is what `sched.partial_clone_bytes`
+/// charges per container of a copied partial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Container {
+    /// Start of the container's first dataflow op: the start of its
+    /// billed span. The span ends at `free`: ops on a container start
+    /// no earlier than it is free, so an assignment only ever moves the
+    /// span's end.
+    start: SimTime,
+    /// End of the container's last dataflow op: its next free time and
+    /// the end of its billed span.
+    free: SimTime,
+    /// Next free time counting optional (build) tail ops.
+    opt_free: SimTime,
+    /// The longest idle gap strictly before the billing tail — the
+    /// head gap from the lease start to the first dataflow op plus
+    /// every gap between consecutive dataflow ops. Established on first
+    /// assignment, extended on each later one.
+    gap: SimDuration,
+    /// Cache: `lease_end(start, free, quantum)`, the end of the billed
+    /// lease. Set in [`SkylineScheduler::apply`], where it moves only
+    /// when an op overruns it.
+    lease_end: SimTime,
+}
+
+const _: () = assert!(size_of::<Container>() == 40);
+
+impl Container {
+    /// The container's contribution to the idle tie-break: its longest
+    /// internal gap or its billing-tail gap, zero for an empty span.
+    /// Reads only cached fields, so it divides nothing.
+    fn idle(&self) -> SimDuration {
+        if self.free <= self.start {
+            return SimDuration::ZERO;
+        }
+        self.gap.max(self.lease_end - self.free)
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Partial {
     /// Dataflow assignments, in assignment (topological-step) order.
@@ -309,22 +359,8 @@ pub(crate) struct Partial {
     /// interleave position when the final assignment list is merged.
     /// Positions are non-decreasing along the list.
     optional: Vec<(u32, Assignment)>,
-    /// Next free time per used container (end of its last dataflow op).
-    container_free: Vec<SimTime>,
-    /// Span of *dataflow* ops per container (billing basis). A used
-    /// container's span ends at its `container_free` entry and starts
-    /// at or before it: ops on a container start no earlier than it is
-    /// free, so an assignment only ever extends the span's end.
-    container_span: Vec<(SimTime, SimTime)>,
-    /// Next free time per container counting optional (build) tail ops.
-    opt_free: Vec<SimTime>,
-    /// Cache: per container, the longest idle gap strictly before the
-    /// billing tail — the head gap from the lease start to the first
-    /// dataflow op plus every gap between consecutive dataflow ops.
-    /// Established on first assignment, extended on each later one; the
-    /// tail gap (lease end − last op end) is derived on demand because
-    /// the lease end moves with the span.
-    gap_internal: Vec<SimDuration>,
+    /// The used containers, by container id.
+    containers: Vec<Container>,
     /// Placement (end time, container) of each dataflow op assigned so
     /// far, in chunked copy-on-write storage.
     ops: OpState,
@@ -343,10 +379,7 @@ impl Clone for Partial {
         Partial {
             dataflow: self.dataflow.clone(),
             optional: self.optional.clone(),
-            container_free: self.container_free.clone(),
-            container_span: self.container_span.clone(),
-            opt_free: self.opt_free.clone(),
-            gap_internal: self.gap_internal.clone(),
+            containers: self.containers.clone(),
             ops: self.ops.clone(),
             makespan: self.makespan,
             money: self.money,
@@ -362,10 +395,7 @@ impl Clone for Partial {
         let Partial {
             dataflow,
             optional,
-            container_free,
-            container_span,
-            opt_free,
-            gap_internal,
+            containers,
             ops,
             makespan,
             money,
@@ -373,10 +403,7 @@ impl Clone for Partial {
         } = source;
         self.dataflow.clone_from(dataflow);
         self.optional.clone_from(optional);
-        self.container_free.clone_from(container_free);
-        self.container_span.clone_from(container_span);
-        self.opt_free.clone_from(opt_free);
-        self.gap_internal.clone_from(gap_internal);
+        self.containers.clone_from(containers);
         self.ops.clone_from(ops);
         self.makespan = *makespan;
         self.money = *money;
@@ -400,10 +427,7 @@ impl Partial {
         Partial {
             dataflow: AsgList::default(),
             optional: Vec::new(),
-            container_free: Vec::new(),
-            container_span: Vec::new(),
-            opt_free: Vec::new(),
-            gap_internal: Vec::new(),
+            containers: Vec::new(),
             ops: OpState { chunks: Vec::new() },
             makespan: SimDuration::ZERO,
             money: 0,
@@ -415,27 +439,25 @@ impl Partial {
     /// ground truth the cached [`Partial::money`] field must equal
     /// (checked by tests and debug assertions).
     ///
-    /// `e >= s` (not `>`): a container whose only ops are zero-duration
-    /// has span (s, s) but is still leased and billed one quantum. The
-    /// unused-container sentinel (MAX, ZERO) stays excluded.
-    /// `Schedule::leased_span` bills the same way, so the search's money
-    /// objective matches the reported money.
+    /// A container whose only ops are zero-duration has span (s, s) but
+    /// is still leased and billed one quantum. `Schedule::leased_span`
+    /// bills the same way, so the search's money objective matches the
+    /// reported money.
     fn money_quanta(&self, quantum: SimDuration) -> u64 {
-        self.container_span
+        self.containers
             .iter()
-            .filter(|(s, e)| e >= s)
-            .map(|&(s, e)| lease_quanta(s, e, quantum))
+            .map(|c| lease_quanta(c.start, c.free, quantum))
             .sum()
     }
 
-    /// Whether every used container's span ends at its free time and
-    /// starts at or before it: the invariant the lease-end money of
+    /// Whether every container's cached lease end equals the lease end
+    /// recomputed from its span, and the span starts at or before its
+    /// free time: the invariants the lease-end pricing of
     /// [`SkylineScheduler::expand_parent`] relies on.
-    fn spans_end_at_free(&self) -> bool {
-        self.container_span
+    fn leases_match(&self, quantum: SimDuration) -> bool {
+        self.containers
             .iter()
-            .zip(&self.container_free)
-            .all(|(&(s, e), &free)| e == free && s <= free)
+            .all(|c| c.start <= c.free && c.lease_end == lease_end(c.start, c.free, quantum))
     }
 
     /// Longest single idle gap across containers (tie-break criterion)
@@ -443,20 +465,12 @@ impl Partial {
     /// search itself now reads [`IdleTops::best`]; tests pin this fold
     /// (and thereby the memo) against `longest_sequential_idle`.
     #[cfg(test)]
-    pub(crate) fn idle_cached(&self, quantum: SimDuration) -> SimDuration {
-        let mut best = SimDuration::ZERO;
-        for (c, &(s, e)) in self.container_span.iter().enumerate() {
-            if e <= s {
-                continue;
-            }
-            let lease_end = lease_end(s, e, quantum);
-            let free = self.container_free[c];
-            best = best.max(self.gap_internal[c]);
-            if lease_end > free {
-                best = best.max(lease_end - free);
-            }
-        }
-        best
+    pub(crate) fn idle_cached(&self) -> SimDuration {
+        self.containers
+            .iter()
+            .map(Container::idle)
+            .max()
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Reference recomputation of the idle tie-break from the raw
@@ -465,7 +479,8 @@ impl Partial {
     #[cfg(test)]
     fn longest_sequential_idle(&self, quantum: SimDuration) -> SimDuration {
         let mut best = SimDuration::ZERO;
-        for (c, &(s, e)) in self.container_span.iter().enumerate() {
+        for (c, u) in self.containers.iter().enumerate() {
+            let (s, e) = (u.start, u.free);
             if e <= s {
                 continue;
             }
@@ -500,10 +515,7 @@ impl Partial {
         use std::mem::size_of;
         self.dataflow.heap_bytes()
             + self.optional.len() * size_of::<(u32, Assignment)>()
-            + self.container_free.len()
-                * (2 * size_of::<SimTime>()
-                    + size_of::<(SimTime, SimTime)>()
-                    + size_of::<SimDuration>())
+            + self.containers.len() * size_of::<Container>()
             + self.ops.heap_bytes()
     }
 
@@ -515,7 +527,7 @@ impl Partial {
     /// Number of containers leased so far.
     #[cfg(test)]
     pub(crate) fn containers_used(&self) -> usize {
-        self.container_free.len()
+        self.containers.len()
     }
 
     /// Merge the split assignment lists back into the legacy insertion
@@ -584,8 +596,12 @@ struct StepBuffers {
     /// `(container, end, end + transfer)` of each predecessor of the
     /// op being assigned, read from the parent being expanded.
     preds: Vec<(u32, SimTime, SimTime)>,
-    /// The step's distinct candidate money values, ascending.
+    /// The step's distinct candidate money values, in first-seen order.
     levels: Vec<Level>,
+    /// `(money, index into levels)` of every level, ascending in money.
+    by_money: Vec<(u64, usize)>,
+    /// Per candidate, the index of its money level.
+    level_of: Vec<usize>,
     /// One tie-break fold per non-dominated group, in ascending money.
     groups: Vec<Group>,
     /// Per-parent idle memo, filled the first time a parent's candidate
@@ -626,6 +642,34 @@ struct Group {
     win_idle: Option<SimDuration>,
 }
 
+/// Per-(op, predecessor) transfer durations, computed once per call
+/// into one flat table aligned with [`Dag::preds`]: op `i`'s entries
+/// are `items[off[i]..off[i + 1]]`. The division producing each
+/// duration is the same one a per-candidate recomputation would run, so
+/// every placement sees bit-identical times.
+struct XferTable {
+    off: Vec<usize>,
+    items: Vec<(OpId, SimDuration)>,
+}
+
+impl XferTable {
+    fn new(sched: &SkylineScheduler, dag: &Dag) -> Self {
+        let mut off = Vec::with_capacity(dag.len() + 1);
+        let mut items = Vec::with_capacity(dag.edges().len());
+        off.push(0);
+        for i in 0..dag.len() {
+            let preds = dag.preds_with_bytes(OpId::from_index(i));
+            items.extend(preds.map(|(p, b)| (p, sched.transfer_time(b))));
+            off.push(items.len());
+        }
+        XferTable { off, items }
+    }
+
+    fn of(&self, op: OpId) -> &[(OpId, SimDuration)] {
+        &self.items[self.off[op.index()]..self.off[op.index() + 1]]
+    }
+}
+
 /// The op one step assigns, with what each expansion of it reads.
 struct StepOp<'a> {
     op: OpId,
@@ -661,27 +705,6 @@ fn cap_width(front: &mut Vec<Cand>, cap: usize) {
     }
 }
 
-/// One container's contribution to the idle tie-break: its longest
-/// internal gap or its billing-tail gap, zero for an empty span. The
-/// same fold step [`Partial::idle_cached`] runs per container.
-fn container_idle(
-    quantum: SimDuration,
-    s: SimTime,
-    e: SimTime,
-    free: SimTime,
-    gap: SimDuration,
-) -> SimDuration {
-    if e <= s {
-        return SimDuration::ZERO;
-    }
-    let lease_end = lease_end(s, e, quantum);
-    let mut v = gap;
-    if lease_end > free {
-        v = v.max(lease_end - free);
-    }
-    v
-}
-
 /// Per-parent memo for the idle tie-break: the two largest
 /// per-container idle contributions plus the container holding the
 /// largest. A dataflow delta changes exactly one container's
@@ -703,14 +726,14 @@ struct IdleTops {
 }
 
 impl IdleTops {
-    fn of(p: &Partial, quantum: SimDuration) -> IdleTops {
+    fn of(p: &Partial) -> IdleTops {
         let mut tops = IdleTops {
             best: SimDuration::ZERO,
             best_c: usize::MAX,
             second: SimDuration::ZERO,
         };
-        for (c, &(s, e)) in p.container_span.iter().enumerate() {
-            let v = container_idle(quantum, s, e, p.container_free[c], p.gap_internal[c]);
+        for (c, container) in p.containers.iter().enumerate() {
+            let v = container.idle();
             if v > tops.best {
                 tops.second = tops.best;
                 tops.best = v;
@@ -745,17 +768,7 @@ impl SkylineScheduler {
             return vec![Schedule::new()];
         }
         let order = dag.topo_order();
-        // Per-(op, predecessor) transfer durations, computed once. The
-        // division producing each duration is the same one the old
-        // per-candidate recomputation ran, so every placement sees
-        // bit-identical times.
-        let pred_xfer: Vec<Vec<(OpId, SimDuration)>> = (0..dag.len())
-            .map(|i| {
-                dag.preds_with_bytes(OpId::from_index(i))
-                    .map(|(p, b)| (p, self.transfer_time(b)))
-                    .collect()
-            })
-            .collect();
+        let pred_xfer = XferTable::new(self, dag);
         let threads = self.effective_expand_threads();
         let mut skyline = if threads > 1 {
             // The worker pool lives for the rest of the call once the
@@ -798,7 +811,7 @@ impl SkylineScheduler {
     /// Candidate containers for expanding `p`: every used container
     /// plus one fresh container while under the fleet cap.
     fn candidate_containers(&self, p: &Partial) -> usize {
-        let used = p.container_free.len();
+        let used = p.containers.len();
         if (used as u32) < self.config.max_containers {
             used + 1
         } else {
@@ -814,7 +827,7 @@ impl SkylineScheduler {
         dag: &Dag,
         optional: &[OptionalOp],
         order: &[OpId],
-        pred_xfer: &[Vec<(OpId, SimDuration)>],
+        pred_xfer: &XferTable,
         pool: Option<&dyn Fn() -> &'p ExpandPool>,
     ) -> Vec<Partial> {
         let n = order.len();
@@ -824,7 +837,7 @@ impl SkylineScheduler {
         let mut next_opt = 0usize;
         for (step, &op) in order.iter().enumerate() {
             let total: usize = skyline.iter().map(|p| self.candidate_containers(p)).sum();
-            let assign = StepOp::new(dag, op, &pred_xfer[op.index()]);
+            let assign = StepOp::new(dag, op, pred_xfer.of(op));
             // Expand every partial with every candidate container —
             // as cheap deltas, not clones.
             buf.cands.clear();
@@ -899,37 +912,32 @@ impl SkylineScheduler {
             let slot = p.ops.get(pred.index());
             (slot.container, slot.end, slot.end + dt)
         }));
-        let used = p.container_free.len();
         for c in 0..self.candidate_containers(p) {
             // Data-ready: every predecessor done, plus transfer when remote.
             let mut ready = SimTime::ZERO;
             for &(on, local, remote) in preds.iter() {
                 ready = ready.max(if on == c as u32 { local } else { remote });
             }
-            let fresh = c == used;
             // Dataflow ops see only other dataflow ops: an optional build
             // op occupying the container is preempted (priority -1 in the
             // execution model), so it never delays the dataflow.
-            let free = if fresh {
-                SimTime::ZERO
-            } else {
-                p.container_free[c]
-            };
-            let start = ready.max(free);
+            let used = p.containers.get(c);
+            let start = ready.max(used.map_or(SimTime::ZERO, |u| u.free));
             let end = start + assign.runtime;
             // Only container `c`'s lease changes. A used container's span
             // ends at `free <= start`, so the op only moves the span's
-            // end, and adds quanta only when it ends past the lease.
-            let money = if fresh {
-                p.money + lease_quanta(start, end, quantum)
-            } else {
-                let (s, e) = p.container_span[c];
-                let lease_end = lease_end(s, e, quantum);
-                if end <= lease_end {
+            // end, and adds quanta only when it ends past the cached
+            // lease end — the one case that divides. The lease end is a
+            // quantum boundary, so the quanta past it are
+            // `ceil((end - lease_end) / quantum)`.
+            let money = match used {
+                None => p.money + lease_quanta(start, end, quantum),
+                Some(u) if end <= u.lease_end => p.money,
+                Some(u) => {
                     p.money
-                } else {
-                    p.money
-                        + (end.quantum_ceil(quantum) - lease_end).as_millis() / quantum.as_millis()
+                        + (end - u.lease_end)
+                            .as_millis()
+                            .div_ceil(quantum.as_millis())
                 }
             };
             let mut skeleton = p.skeleton;
@@ -959,6 +967,35 @@ impl SkylineScheduler {
         }
     }
 
+    /// Container `used` (`None` = a fresh one) after a dataflow op runs
+    /// on it over `[start, end)`. The gap the op leaves behind it is
+    /// final (later ops start no earlier). The lease end is the cached
+    /// one unless the op overruns it; only then, or on a fresh
+    /// container, does this divide.
+    fn touched(&self, used: Option<&Container>, start: SimTime, end: SimTime) -> Container {
+        let quantum = self.config.quantum;
+        match used {
+            None => Container {
+                start,
+                free: end,
+                opt_free: end,
+                gap: start - start.quantum_floor(quantum),
+                lease_end: lease_end(start, end, quantum),
+            },
+            Some(u) => Container {
+                start: u.start,
+                free: end,
+                opt_free: u.opt_free.max(end),
+                gap: u.gap.max(start - u.free),
+                lease_end: if end <= u.lease_end {
+                    u.lease_end
+                } else {
+                    end.quantum_ceil(quantum)
+                },
+            },
+        }
+    }
+
     /// The candidate's idle tie-break value, from the parent's
     /// memoized top-2 per-container idle contributions with the touched
     /// container's entry (and a possible fresh container) overridden —
@@ -966,7 +1003,6 @@ impl SkylineScheduler {
     /// and identity candidates inherit the parent's value unchanged:
     /// the tie-break only sees dataflow ops.
     fn cand_idle(&self, tops: IdleTops, p: &Partial, delta: &Delta) -> SimDuration {
-        let quantum = self.config.quantum;
         let (oc, ostart, oend) = match *delta {
             Delta::Dataflow {
                 container,
@@ -977,21 +1013,8 @@ impl SkylineScheduler {
             // The parent's best contribution IS its `idle_cached` value.
             Delta::Optional { .. } | Delta::Keep => return tops.best,
         };
-        let used = p.container_free.len();
         // Contribution of the touched container after the assignment.
-        let (s, e, free, gap) = if oc == used {
-            // Fresh container: head gap from the lease start.
-            (ostart, oend, oend, ostart - ostart.quantum_floor(quantum))
-        } else {
-            let (ps, pe) = p.container_span[oc];
-            (
-                ps.min(ostart),
-                pe.max(oend),
-                oend,
-                p.gap_internal[oc].max(ostart - p.container_free[oc]),
-            )
-        };
-        let touched = container_idle(quantum, s, e, free, gap);
+        let touched = self.touched(p.containers.get(oc), ostart, oend).idle();
         // Max over the untouched containers: the parent's best, unless
         // the touched container held it — then the runner-up.
         let others = if oc == tops.best_c {
@@ -1028,21 +1051,12 @@ impl SkylineScheduler {
                 start,
                 end,
             } => {
-                let fresh = c == q.container_free.len();
-                if fresh {
-                    q.container_free.push(SimTime::ZERO);
-                    q.container_span.push((SimTime::MAX, SimTime::ZERO));
-                    q.opt_free.push(SimTime::ZERO);
-                    q.gap_internal.push(SimDuration::ZERO);
-                }
-                // Extend the idle-gap cache: the gap this op leaves
-                // behind it is final (later ops start no earlier).
-                let gap = if fresh {
-                    start - start.quantum_floor(self.config.quantum)
+                let touched = self.touched(q.containers.get(c), start, end);
+                if c == q.containers.len() {
+                    q.containers.push(touched);
                 } else {
-                    start - q.container_free[c]
-                };
-                q.gap_internal[c] = q.gap_internal[c].max(gap);
+                    q.containers[c] = touched;
+                }
                 // Preempt optional tail ops that would overlap: drop the
                 // ones not yet started, truncation of a running one is
                 // the simulator's business.
@@ -1055,10 +1069,6 @@ impl SkylineScheduler {
                     end,
                     build: None,
                 });
-                q.container_free[c] = end;
-                q.opt_free[c] = q.opt_free[c].max(end);
-                let (s, e) = q.container_span[c];
-                q.container_span[c] = (s.min(start), e.max(end));
                 q.ops.set(
                     op.index(),
                     OpSlot {
@@ -1083,7 +1093,7 @@ impl SkylineScheduler {
                         build: Some(op.build),
                     },
                 ));
-                q.opt_free[c] = end;
+                q.containers[c].opt_free = end;
             }
             Delta::Keep => {}
         }
@@ -1093,7 +1103,7 @@ impl SkylineScheduler {
         debug_assert_eq!(q.money, q.money_quanta(self.config.quantum));
         debug_assert_eq!(q.optional_count(), cand.optional_count);
         // The lease-end pricing in `expand_parent` relies on this.
-        debug_assert!(q.spans_end_at_free());
+        debug_assert!(q.leases_match(self.config.quantum));
     }
 
     /// Reduce `buf.cands` against `skyline` and replace the skyline with
@@ -1143,19 +1153,16 @@ impl SkylineScheduler {
         opt: &OptionalOp,
         buf: &mut StepBuffers,
     ) {
-        let quantum = self.config.quantum;
         let cands = &mut buf.cands;
         cands.clear();
         for (pi, p) in skyline.iter().enumerate() {
-            for c in 0..p.container_free.len() {
-                let (s, e) = p.container_span[c];
-                if e <= s {
+            for (c, u) in p.containers.iter().enumerate() {
+                if u.free <= u.start {
                     continue;
                 }
-                let lease_end = lease_end(s, e, quantum);
-                let start = p.opt_free[c].max(p.container_free[c]);
+                let start = u.opt_free.max(u.free);
                 let end = start + opt.duration;
-                if end <= lease_end {
+                if end <= u.lease_end {
                     cands.push(Cand {
                         parent: pi,
                         delta: Delta::Optional {
@@ -1198,32 +1205,47 @@ impl SkylineScheduler {
     /// never reach a tie-break. Then the width is capped. Runs entirely
     /// on deltas.
     fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
-        let quantum = self.config.quantum;
         let StepBuffers {
             cands,
             levels,
+            by_money,
+            level_of,
             groups,
             tops,
             front,
             ..
         } = buf;
         levels.clear();
+        by_money.clear();
+        level_of.clear();
+        // Pass 1. A parent's candidates mostly share its money, so the
+        // previous candidate's level is checked first; only a new money
+        // value searches the (short) ascending index.
+        let mut last = usize::MAX;
         for c in cands.iter() {
-            match levels.binary_search_by_key(&c.money, |l| l.money) {
-                Ok(i) => levels[i].makespan = levels[i].makespan.min(c.makespan),
-                Err(i) => levels.insert(
-                    i,
-                    Level {
-                        money: c.money,
-                        makespan: c.makespan,
-                        slot: DOMINATED,
-                    },
-                ),
-            }
+            let i = match levels.get(last) {
+                Some(l) if l.money == c.money => last,
+                _ => match by_money.binary_search_by_key(&c.money, |&(m, _)| m) {
+                    Ok(k) => by_money[k].1,
+                    Err(k) => {
+                        by_money.insert(k, (c.money, levels.len()));
+                        levels.push(Level {
+                            money: c.money,
+                            makespan: c.makespan,
+                            slot: DOMINATED,
+                        });
+                        levels.len() - 1
+                    }
+                },
+            };
+            levels[i].makespan = levels[i].makespan.min(c.makespan);
+            level_of.push(i);
+            last = i;
         }
         let mut fastest: Option<SimDuration> = None;
         let mut kept = 0;
-        for level in levels.iter_mut() {
+        for &(_, i) in by_money.iter() {
+            let level = &mut levels[i];
             if fastest.is_none_or(|f| level.makespan < f) {
                 fastest = Some(level.makespan);
                 level.slot = kept;
@@ -1243,14 +1265,10 @@ impl SkylineScheduler {
         tops.clear();
         tops.resize(skyline.len(), None);
         let mut idle_of = |c: &Cand| {
-            let t =
-                *tops[c.parent].get_or_insert_with(|| IdleTops::of(&skyline[c.parent], quantum));
+            let t = *tops[c.parent].get_or_insert_with(|| IdleTops::of(&skyline[c.parent]));
             self.cand_idle(t, &skyline[c.parent], &c.delta)
         };
-        for (k, p) in cands.iter().enumerate() {
-            let Ok(i) = levels.binary_search_by_key(&p.money, |l| l.money) else {
-                continue;
-            };
+        for (k, (p, &i)) in cands.iter().zip(level_of.iter()).enumerate() {
             let level = levels[i];
             if level.slot == DOMINATED || p.makespan != level.makespan {
                 continue;
@@ -1299,26 +1317,16 @@ impl SkylineScheduler {
         cap_width(front, self.config.max_skyline);
     }
 
-    /// Per-predecessor transfer durations for one op (the list
-    /// [`SkylineScheduler::schedule_with_optional`] precomputes for
-    /// every op up front).
-    #[cfg(test)]
-    fn op_xfer(&self, dag: &Dag, op: OpId) -> Vec<(OpId, SimDuration)> {
-        dag.preds_with_bytes(op)
-            .map(|(p, b)| (p, self.transfer_time(b)))
-            .collect()
-    }
-
     /// The candidate assigning `op` to container `c` of `p`, from the
     /// expansion kernel.
     #[cfg(test)]
     fn cand_for(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Cand {
-        let xfer = self.op_xfer(dag, op);
+        let xfer = XferTable::new(self, dag);
         let mut out = Vec::new();
         self.expand_parent(
             p,
             0,
-            &StepOp::new(dag, op, &xfer),
+            &StepOp::new(dag, op, xfer.of(op)),
             &mut Vec::new(),
             &mut out,
         );
@@ -1373,7 +1381,7 @@ impl ExpandPool {
         threads: usize,
         sched: &'env SkylineScheduler,
         dag: &'env Dag,
-        pred_xfer: &'env [Vec<(OpId, SimDuration)>],
+        pred_xfer: &'env XferTable,
     ) -> ExpandPool {
         #[cfg(test)]
         SPAWNED_WORKERS.with(|n| n.set(n.get() + threads));
@@ -1386,7 +1394,7 @@ impl ExpandPool {
             scope.spawn(move || {
                 let mut preds = Vec::new();
                 while let Ok(job) = rx.recv() {
-                    let assign = StepOp::new(dag, job.op, &pred_xfer[job.op.index()]);
+                    let assign = StepOp::new(dag, job.op, pred_xfer.of(job.op));
                     let mut out = Vec::new();
                     for pi in job.parents.clone() {
                         sched.expand_parent(&job.skyline[pi], pi, &assign, &mut preds, &mut out);
@@ -1690,7 +1698,7 @@ mod tests {
         let sched = SkylineScheduler::new(cfg());
         let dag = Dag::new(vec![op(0, 0)], vec![]).unwrap();
         let p = sched.assign_dataflow_op(&Partial::new(1), &dag, OpId(0), 0);
-        assert_eq!(p.container_free.len(), 1);
+        assert_eq!(p.containers.len(), 1);
         assert_eq!(p.money_quanta(SimDuration::from_secs(60)), 1);
         assert_eq!(p.money, 1, "cached money must bill the zero-span lease");
     }
@@ -1719,11 +1727,11 @@ mod tests {
             let dag = Dag::new(ops, edges).unwrap();
             let mut p = Partial::new(n);
             for i in 0..n {
-                let used = p.container_free.len();
+                let used = p.containers.len();
                 let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                 p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
             }
-            let leased = p.container_free.len() as u64;
+            let leased = p.containers.len() as u64;
             assert!(
                 p.money_quanta(quantum) >= leased,
                 "container leased but unbilled: {} quanta for {leased} containers",
@@ -1767,19 +1775,23 @@ mod tests {
             let dag = Dag::new(ops, edges).unwrap();
             let mut p = Partial::new(n);
             for i in 0..n {
-                let used = p.container_free.len();
+                let used = p.containers.len();
                 let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                 // The candidate's objectives must match what its
                 // materialization then caches.
                 let cand = sched.cand_for(&p, &dag, OpId(i as u32), c);
                 p = sched.materialize(&p, &cand, None);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
-                assert!(
-                    p.spans_end_at_free(),
-                    "a span drifted from its container's free time at round {round} step {i}"
-                );
+                for (c, u) in p.containers.iter().enumerate() {
+                    assert!(u.start <= u.free, "round {round} step {i} container {c}");
+                    assert_eq!(
+                        u.lease_end,
+                        lease_end(u.start, u.free, quantum),
+                        "cached lease end drifted at round {round} step {i} container {c}"
+                    );
+                }
                 assert_eq!(
-                    p.idle_cached(quantum),
+                    p.idle_cached(),
                     p.longest_sequential_idle(quantum),
                     "idle cache drifted at round {round} step {i}"
                 );
@@ -1817,7 +1829,7 @@ mod tests {
                 // Expand one random container choice per partial.
                 let mut next = Vec::new();
                 for p in skyline.iter() {
-                    let used = p.container_free.len();
+                    let used = p.containers.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                     let cand = sched.cand_for(p, &dag, OpId(i as u32), c);
                     let q = sched.materialize(p, &cand, None);
@@ -1981,7 +1993,7 @@ mod tests {
     ) -> (Vec<Cand>, u64, u64) {
         let idle = |c: &Cand| {
             let p = &skyline[c.parent];
-            sched.cand_idle(IdleTops::of(p, sched.config.quantum), p, &c.delta)
+            sched.cand_idle(IdleTops::of(p), p, &c.delta)
         };
         let mut keys: Vec<(SimDuration, u64, usize)> = (cands.iter().enumerate())
             .map(|(k, c)| (c.makespan, c.money, k))
@@ -2046,8 +2058,8 @@ mod tests {
                     p
                 })
                 .collect();
-            let xfer = sched.op_xfer(&dag, OpId(n as u32 - 1));
-            let assign = StepOp::new(&dag, OpId(n as u32 - 1), &xfer);
+            let xfer = XferTable::new(&sched, &dag);
+            let assign = StepOp::new(&dag, OpId(n as u32 - 1), xfer.of(OpId(n as u32 - 1)));
             let mut real = Vec::new();
             for (pi, p) in skyline.iter().enumerate() {
                 sched.expand_parent(p, pi, &assign, &mut Vec::new(), &mut real);
@@ -2129,14 +2141,12 @@ mod tests {
         let sched = SkylineScheduler::new(cfg());
         let mut rng = SimRng::seed_from_u64(5);
         let dag = App::Montage.generate(60, &[], &mut rng);
-        let pred_xfer: Vec<_> = (0..dag.len())
-            .map(|i| sched.op_xfer(&dag, OpId::from_index(i)))
-            .collect();
+        let pred_xfer = XferTable::new(&sched, &dag);
         let mut owned = Arc::new(vec![Partial::new(dag.len())]);
         let mut shared = Arc::new(vec![Partial::new(dag.len())]);
         let (mut owned_buf, mut shared_buf) = (StepBuffers::default(), StepBuffers::default());
         for (step, op) in dag.topo_order().into_iter().enumerate() {
-            let assign = StepOp::new(&dag, op, &pred_xfer[op.index()]);
+            let assign = StepOp::new(&dag, op, pred_xfer.of(op));
             let opt = OptionalOp {
                 op: OpId(7000 + step as u32),
                 duration: SimDuration::from_secs(5),

@@ -194,7 +194,7 @@ mod tests {
                 let c = rng.uniform_u64(0, p.containers_used() as u64 + 1) as usize;
                 p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
             }
-            let cached = p.idle_cached(q);
+            let cached = p.idle_cached();
             let schedule = p.into_schedule();
             assert_eq!(
                 cached,
