@@ -19,6 +19,12 @@ cargo build --release --offline
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> cargo doc --offline (broken intra-doc links are errors)"
+# Links to private items stay warnings; a link that resolves to nothing
+# (a deleted item, or a module compiled only under cfg(test)) fails.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --offline --no-deps --workspace
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 

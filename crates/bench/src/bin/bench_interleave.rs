@@ -33,10 +33,12 @@
 //! * `--out <path>` — where to write the JSON (default
 //!   `BENCH_interleave.json` in the current directory).
 //!
-//! Exits nonzero if any benchmark fails to produce samples or the
-//! reference implementation was never exercised.
+//! Any other argument, or `--out` without a path, exits 2 with a usage
+//! line before anything runs. Exits 1 if the scheduler yields no
+//! skyline to pack or the reference implementation was never
+//! exercised.
 
-use flowtune_bench::compare::{compare, parse_bench_args, render_json};
+use flowtune_bench::compare::{bench_args, compare, render_json};
 use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
 use flowtune_dataflow::App;
 use flowtune_interleave::{reference, solve_knapsack, BuildOp, LpInterleaver};
@@ -159,8 +161,7 @@ fn build_ops(n: u32, seed: u64) -> Vec<BuildOp> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (smoke, out_path) = parse_bench_args(&args, "BENCH_interleave.json");
+    let (smoke, out_path) = bench_args("bench_interleave", "BENCH_interleave.json");
     // Item counts stay <= 18 so the reference's worst case (< 2^19
     // nodes) finishes far under the node budget: every timed row is a
     // complete, equivalence-checked search on both sides.
@@ -180,7 +181,6 @@ fn main() {
     println!();
 
     let mut comparisons = Vec::new();
-    let mut ok = true;
 
     let families: Vec<(String, Vec<Instance>)> = vec![
         (
@@ -209,7 +209,6 @@ fn main() {
                 black_box(solve_all_reference(black_box(insts)));
             },
             &mut comparisons,
-            &mut ok,
         );
     }
 
@@ -230,33 +229,26 @@ fn main() {
             assert_eq!(opt_placed, ref_placed, "pack[{i}]: placed ops differ");
             assert_eq!(opt, rf, "pack[{i}]: packed schedules differ");
         }
-        let first = skyline.first().cloned();
-        if let Some(base) = first {
-            compare(
-                "interleave",
-                &format!("pack/montage/{dag_ops}ops_{builds}builds"),
-                samples,
-                || {
-                    let mut s = base.clone();
-                    black_box(interleaver.interleave(&mut s, black_box(&pending)));
-                },
-                || {
-                    let mut s = base.clone();
-                    black_box(reference::pack_reference(Q, &mut s, black_box(&pending)));
-                },
-                &mut comparisons,
-                &mut ok,
-            );
-        } else {
+        let Some(base) = skyline.first().cloned() else {
             eprintln!("error: scheduler produced an empty skyline");
-            ok = false;
-        }
+            std::process::exit(1);
+        };
+        compare(
+            "interleave",
+            &format!("pack/montage/{dag_ops}ops_{builds}builds"),
+            samples,
+            || {
+                let mut s = base.clone();
+                black_box(interleaver.interleave(&mut s, black_box(&pending)));
+            },
+            || {
+                let mut s = base.clone();
+                black_box(reference::pack_reference(Q, &mut s, black_box(&pending)));
+            },
+            &mut comparisons,
+        );
     }
 
-    if !ok {
-        eprintln!("error: one or more benchmarks failed");
-        std::process::exit(1);
-    }
     if comparisons.is_empty() {
         eprintln!("error: the reference implementation was never exercised");
         std::process::exit(1);

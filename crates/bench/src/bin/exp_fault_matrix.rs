@@ -13,8 +13,8 @@
 //! partitions invalidated, rebuilds completed, and the compute wasted
 //! on discarded builds.
 //!
-//! `--smoke` shrinks the horizon and the rate grids for CI; set
-//! `FLOWTUNE_QUANTA` to override the full-run horizon.
+//! `--smoke` shrinks the horizon (720 → 40 quanta) and the rate grids
+//! for CI.
 
 // Experiment/bench/example code fails fast on setup errors; panic-hygiene
 // (flowtune-analyze) scopes to library code, so asserting here is idiomatic.

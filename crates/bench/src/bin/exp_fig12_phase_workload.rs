@@ -7,7 +7,7 @@
 //! * dataflows finished and average cost per dataflow (Fig. 12);
 //! * operators executed and killed (Table 7).
 //!
-//! Set `FLOWTUNE_QUANTA` for a shorter smoke run.
+//! `--smoke` shrinks the horizon to 60 quanta.
 
 // Experiment/bench/example code fails fast on setup errors; panic-hygiene
 // (flowtune-analyze) scopes to library code, so asserting here is idiomatic.

@@ -6,8 +6,8 @@
 //! structures, not model numbers. Absolute times differ from the
 //! paper's DBMS/hardware; the ordering and magnitudes reproduce.
 //!
-//! Set `FLOWTUNE_TABLE6_ROWS` to scale the table (default 2 M rows;
-//! the paper uses ~12 M).
+//! The table has 2 M rows (the paper uses ~12 M); `--smoke` shrinks it
+//! to 200 k.
 
 // Experiment/bench/example code fails fast on setup errors; panic-hygiene
 // (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
@@ -27,11 +27,7 @@ const PAPER: [(&str, f64, f64, f64); 4] = [
 fn main() {
     let _obs = flowtune_bench::obs_guard();
     let smoke = flowtune_bench::smoke();
-    let rows_n = if smoke {
-        200_000
-    } else {
-        flowtune_bench::table6_rows()
-    };
+    let rows_n = if smoke { 200_000 } else { 2_000_000 };
     flowtune_bench::banner("Table 6", "index speedup (measured on real B+Tree)");
     println!("table rows: {rows_n} (paper: ~12 M at SF 2)");
     println!();

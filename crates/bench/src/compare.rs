@@ -1,5 +1,7 @@
-//! Shared optimized-vs-reference comparison harness for the pinned
-//! perf baselines (`bench_sched`, `bench_interleave`).
+//! The workspace's one bench harness: the optimized-vs-reference
+//! comparison behind the pinned perf baselines (`bench_sched`,
+//! `bench_interleave`), timed by the calibrated loop in `measure`
+//! (no registry dependency — DESIGN §7).
 //!
 //! Both binaries time an optimized implementation against its retained
 //! pre-optimization reference in the same process and serialize the
@@ -9,7 +11,60 @@
 //! deliberately identical across schemas so `tests/bench_baselines.rs`
 //! can enforce speedup bars on either file with one parser.
 
-use crate::micro::{run_captured, BenchStats};
+use std::time::{Duration, Instant};
+
+/// Summary statistics of one timed benchmark, per-iteration times in
+/// nanoseconds; [`render_json`] serializes these into `BENCH_*.json`
+/// (schema in `EXPERIMENTS.md`).
+#[derive(Debug, Clone)]
+pub struct BenchStats {
+    /// Benchmark label (`<prefix>/<name>` or `reference/<name>`).
+    pub name: String,
+    /// Median per-iteration time.
+    pub median_ns: f64,
+    /// Fastest sample's per-iteration time.
+    pub min_ns: f64,
+    /// Slowest sample's per-iteration time.
+    pub max_ns: f64,
+    /// Number of samples taken.
+    pub samples: usize,
+}
+
+/// Time `f`. Warmup doubles as calibration: the iteration count per
+/// sample grows 4× until one sample lasts at least 1 ms (capped at
+/// 2^20), so timer quantisation is negligible. Then `samples` samples
+/// are taken and the median, minimum and maximum per-iteration times
+/// reported.
+///
+/// The sample count is clamped to at least 3: with 2 samples the
+/// `len / 2` median index lands on the *maximum*, and with 1 the
+/// median, minimum and maximum collapse into one observation. Three is
+/// the smallest count where the median is a true middle order
+/// statistic.
+fn measure<F: FnMut()>(label: &str, samples: usize, mut f: F) -> BenchStats {
+    let mut run = |iters: u64| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed()
+    };
+    let mut iters = 1u64;
+    while run(iters) < Duration::from_millis(1) && iters < 1 << 20 {
+        iters *= 4;
+    }
+    let mut per_iter: Vec<f64> = (0..samples.max(3))
+        .map(|_| run(iters).as_secs_f64() / iters as f64)
+        .collect();
+    per_iter.sort_by(|a, b| a.total_cmp(b));
+    BenchStats {
+        name: label.to_owned(),
+        median_ns: per_iter[per_iter.len() / 2] * 1e9,
+        min_ns: per_iter[0] * 1e9,
+        max_ns: per_iter[per_iter.len() - 1] * 1e9,
+        samples: per_iter.len(),
+    }
+}
 
 /// One optimized-vs-reference pairing of [`BenchStats`] rows.
 #[derive(Debug)]
@@ -30,72 +85,46 @@ impl Comparison {
 }
 
 /// Benchmark one scenario under both implementations; pushes the
-/// paired comparison. Sets `ok` to false on a benchmark error (no
-/// samples).
-pub fn compare<F, G>(
+/// paired comparison.
+pub fn compare<F: FnMut(), G: FnMut()>(
     prefix: &str,
     name: &str,
     samples: usize,
-    mut fast: F,
-    mut slow: G,
+    fast: F,
+    slow: G,
     out: &mut Vec<Comparison>,
-    ok: &mut bool,
-) where
-    F: FnMut(),
-    G: FnMut(),
-{
-    let optimized = run_captured(&format!("{prefix}/{name}"), samples, |b| b.iter(&mut fast));
-    let reference = run_captured(&format!("reference/{name}"), samples, |b| b.iter(&mut slow));
-    match (optimized, reference) {
-        (Some(optimized), Some(reference)) => {
-            let c = Comparison {
-                name: name.to_owned(),
-                optimized,
-                reference,
-            };
-            println!(
-                "{:<44} optimized {:>10.1} us   reference {:>10.1} us   speedup {:>5.2}x",
-                c.name,
-                c.optimized.median_ns / 1e3,
-                c.reference.median_ns / 1e3,
-                c.speedup()
-            );
-            out.push(c);
-        }
-        _ => {
-            eprintln!("error: benchmark {name} produced no samples");
-            *ok = false;
-        }
-    }
+) {
+    let c = Comparison {
+        name: name.to_owned(),
+        optimized: measure(&format!("{prefix}/{name}"), samples, fast),
+        reference: measure(&format!("reference/{name}"), samples, slow),
+    };
+    println!(
+        "{:<44} optimized {:>10.1} us   reference {:>10.1} us   speedup {:>5.2}x",
+        c.name,
+        c.optimized.median_ns / 1e3,
+        c.reference.median_ns / 1e3,
+        c.speedup()
+    );
+    out.push(c);
 }
 
 /// Benchmark an optimized-only scenario (the reference is infeasible at
-/// this scale); pushes a standalone stats row. Sets `ok` to false on a
-/// benchmark error.
-pub fn measure_standalone<F>(
+/// this scale); pushes a standalone stats row.
+pub fn measure_standalone<F: FnMut()>(
     prefix: &str,
     name: &str,
     samples: usize,
-    mut fast: F,
+    fast: F,
     out: &mut Vec<BenchStats>,
-    ok: &mut bool,
-) where
-    F: FnMut(),
-{
-    match run_captured(&format!("{prefix}/{name}"), samples, |b| b.iter(&mut fast)) {
-        Some(stats) => {
-            println!(
-                "{:<44} optimized {:>10.1} us   (no reference at this scale)",
-                name,
-                stats.median_ns / 1e3,
-            );
-            out.push(stats);
-        }
-        None => {
-            eprintln!("error: benchmark {name} produced no samples");
-            *ok = false;
-        }
-    }
+) {
+    let stats = measure(&format!("{prefix}/{name}"), samples, fast);
+    println!(
+        "{:<44} optimized {:>10.1} us   (no reference at this scale)",
+        name,
+        stats.median_ns / 1e3,
+    );
+    out.push(stats);
 }
 
 fn json_f64(v: f64) -> String {
@@ -151,18 +180,97 @@ pub fn render_json(
     )
 }
 
-/// Parse `--smoke` / `--out <path>` from the argument list; returns
-/// `(smoke, out_path)` with `default_out` when `--out` is absent.
-pub fn parse_bench_args(args: &[String], default_out: &str) -> (bool, String) {
-    let smoke = args.iter().any(|a| a == "--smoke");
+/// Parse `--smoke` / `--out <path>` from the argument list (program
+/// name excluded); returns `(smoke, out_path)` with `default_out` when
+/// `--out` is absent. A bare `--out` and any other argument are errors,
+/// so a typo can neither run the wrong mode nor overwrite the committed
+/// baseline in the working directory.
+pub fn parse_bench_args(args: &[String], default_out: &str) -> Result<(bool, String), String> {
+    let mut smoke = false;
     let mut out_path = default_out.to_owned();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--out" {
-            if let Some(p) = it.next() {
-                out_path = p.clone();
-            }
+        match a.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => match it.next() {
+                Some(p) if !p.starts_with("--") => out_path = p.clone(),
+                _ => return Err("--out needs a path".to_owned()),
+            },
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    (smoke, out_path)
+    Ok((smoke, out_path))
+}
+
+/// [`parse_bench_args`] over this process's arguments; on a bad
+/// argument prints the error and a usage line for `bin`, then exits
+/// with status 2 before any benchmark runs.
+pub fn bench_args(bin: &str, default_out: &str) -> (bool, String) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_bench_args(&args, default_out).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: {bin} [--smoke] [--out <path>]");
+        std::process::exit(2);
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hint::black_box;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn measure_clamps_sample_count_to_three() {
+        // With 2 samples the median index (len / 2 == 1) would be the
+        // maximum; the clamp keeps a true middle order statistic.
+        for requested in [0usize, 1, 2] {
+            let stats = measure("clamp", requested, || {
+                black_box(1u64 + 1);
+            });
+            assert_eq!(stats.samples, 3, "requested {requested} samples");
+            assert!(stats.min_ns <= stats.median_ns && stats.median_ns <= stats.max_ns);
+        }
+        // Larger requests are untouched.
+        let stats = measure("clamp", 5, || {
+            black_box(1u64 + 1);
+        });
+        assert_eq!(stats.samples, 5);
+    }
+
+    #[test]
+    fn parse_bench_args_accepts_the_two_flags() {
+        assert_eq!(
+            parse_bench_args(&args(&[]), "BENCH_x.json"),
+            Ok((false, "BENCH_x.json".to_owned()))
+        );
+        assert_eq!(
+            parse_bench_args(&args(&["--out", "/tmp/b.json", "--smoke"]), "BENCH_x.json"),
+            Ok((true, "/tmp/b.json".to_owned()))
+        );
+    }
+
+    #[test]
+    fn parse_bench_args_rejects_a_bare_out() {
+        // Falling back to the default path here would let a smoke run
+        // overwrite the committed full-run baseline.
+        for bad in [&["--smoke", "--out"][..], &["--out", "--smoke"]] {
+            assert_eq!(
+                parse_bench_args(&args(bad), "BENCH_x.json"),
+                Err("--out needs a path".to_owned()),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_bench_args_rejects_unknown_flags() {
+        assert_eq!(
+            parse_bench_args(&args(&["--smok"]), "BENCH_x.json"),
+            Err("unknown argument `--smok`".to_owned())
+        );
+    }
 }

@@ -1,31 +1,24 @@
 //! # flowtune-bench
 //!
 //! Experiment harness: one `exp_*` binary per table/figure of the
-//! paper's evaluation (§6) plus micro-benchmarks built on the in-repo
-//! [`micro`] harness (no registry dependencies — DESIGN §7). Run them
-//! with `cargo run --release -p flowtune-bench --bin exp_<name>` and
-//! `cargo bench -p flowtune-bench`.
+//! paper's evaluation (§6), plus the pinned perf baselines
+//! `bench_sched` and `bench_interleave` built on the in-repo
+//! [`compare`] harness (no registry dependencies — DESIGN §7). Run them
+//! with `cargo run --release -p flowtune-bench --bin <name>`.
 //!
 //! Every binary prints the paper's reported values next to the measured
 //! ones; `EXPERIMENTS.md` at the repository root records a full
-//! comparison.
+//! comparison. Every `exp_*` binary takes `--smoke` for a CI-sized run
+//! (the §6.5 workload experiments shrink their 720-quanta horizon to
+//! 60).
 //!
-//! Environment knobs:
-//!
-//! * `FLOWTUNE_QUANTA` — override the simulated horizon for the §6.5
-//!   workload experiments (default 720, the paper's value). Useful for
-//!   quick smoke runs.
-//! * `FLOWTUNE_TABLE6_ROWS` — row count for the measured speedups of
-//!   Table 6 (default 2,000,000).
-//!
-//! Every binary also honours `--trace-out <path>` / `--metrics-out
+//! Every `exp_*` binary also honours `--trace-out <path>` / `--metrics-out
 //! <path>` (see [`obs_guard`]): when either flag is present the run is
 //! recorded through `flowtune-obs` and the trace (JSONL) / metrics
 //! summary (JSON) are written on exit. The metrics summary is the
 //! machine-readable seed for `BENCH_*.json`.
 
 pub mod compare;
-pub mod micro;
 pub mod table6_composite;
 
 /// Writes the observability outputs when dropped (end of `main`).
@@ -80,21 +73,14 @@ pub fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// Read the horizon override (quanta). `FLOWTUNE_QUANTA` wins, then
-/// `--smoke` shrinks the default to a short CI horizon.
+/// The simulated horizon (quanta) of the §6.5 workload experiments:
+/// the paper's 720, or 60 under `--smoke`.
 pub fn horizon_quanta() -> u64 {
-    std::env::var("FLOWTUNE_QUANTA")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke() { 60 } else { 720 })
-}
-
-/// Read the Table 6 row-count override.
-pub fn table6_rows() -> usize {
-    std::env::var("FLOWTUNE_TABLE6_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000_000)
+    if smoke() {
+        60
+    } else {
+        720
+    }
 }
 
 /// Standard header each experiment prints.
@@ -110,12 +96,7 @@ mod tests {
 
     #[test]
     fn defaults_without_env() {
-        // Note: assumes the test environment doesn't set the overrides.
-        if std::env::var("FLOWTUNE_QUANTA").is_err() {
-            assert_eq!(horizon_quanta(), 720);
-        }
-        if std::env::var("FLOWTUNE_TABLE6_ROWS").is_err() {
-            assert_eq!(table6_rows(), 2_000_000);
-        }
+        // The test harness never passes `--smoke`.
+        assert_eq!(horizon_quanta(), 720);
     }
 }

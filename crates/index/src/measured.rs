@@ -9,8 +9,9 @@
 //! once cold (cache dropped before every probe, so each probe pays its
 //! full root-to-leaf store reads) and once warm (pool left alone, so
 //! the hit rate reflects steady-state locality). The resulting
-//! [`MeasuredIo`] plugs into [`IndexCostModel::with_measured_io`] and
-//! replaces the asserted write term in the gain model's build time.
+//! [`MeasuredIo`] plugs into
+//! [`IndexCostModel::with_measured_io`](crate::IndexCostModel::with_measured_io)
+//! and replaces the asserted write term in the gain model's build time.
 //!
 //! Everything here is deterministic: the key set is dense `0..rows`,
 //! the probe sequence comes from a [`SimRng`] seed, and pool traffic

@@ -21,7 +21,7 @@
 //! engages lazily, only after the search crosses a node threshold, so
 //! tiny searches (the common per-slot case) pay nothing for it. Both
 //! techniques are exact: unbudgeted solves are element-wise identical
-//! to the retained pre-optimization solver in [`crate::reference`],
+//! to the retained pre-optimization solver in `crate::reference`,
 //! pinned by the golden equivalence suite in `equivalence_tests.rs`.
 
 /// Result of a knapsack solve.
@@ -39,7 +39,7 @@ pub struct KnapsackSolution {
     /// Nodes cut by dominance pruning: visits to a
     /// (depth, remaining-capacity) state that an earlier, at-least-as-
     /// valuable prefix had already explored. Always 0 in the
-    /// [`crate::reference`] solver, which has no state table.
+    /// `crate::reference` solver, which has no state table.
     pub pruned: usize,
 }
 

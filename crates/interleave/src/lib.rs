@@ -20,7 +20,7 @@
 //!
 //! The knapsack search is accelerated by memoized Dantzig bounds and
 //! dominance pruning (DESIGN §5i); the pre-optimization solver is
-//! retained in [`reference`] (`cfg(test)` or the `reference` cargo
+//! retained in `reference` (`cfg(test)` or the `reference` cargo
 //! feature) and golden tests pin element-wise identical solutions.
 
 pub mod buildop;

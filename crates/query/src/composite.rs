@@ -1,7 +1,10 @@
-//! Multi-predicate planning over composite indexes.
+//! The access-path planner, for single- and multi-column keys alike.
 //!
-//! Extends the single-column what-if planner (`plan.rs`) to queries
-//! that constrain several columns at once. An index over columns
+//! A query is a set of column predicates; an index is a column list
+//! (a one-column index is simply the arity-1 case). Costs are abstract
+//! rows of work: a scan touches every row, a B+Tree descends in
+//! O(log n) and then emits the matching rows, a hash probe costs one
+//! step plus its matches. An index over columns
 //! `(a, b, c)` serves a predicate set by the **leftmost-prefix rule**
 //! (the ESR shape every composite B-tree obeys): consume equality
 //! predicates along the index's columns left to right, then at most
@@ -14,9 +17,35 @@
 //! equally-selective non-covering one, reproducing the classic
 //! index-only-scan win.
 
-use crate::plan::{AccessPath, Predicate};
 use flowtune_index::IndexKind;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The predicate a query places on one column.
+///
+/// `Eq`/`Hash`/`Ord` are total (fields are `i64`): observed predicate
+/// sets dedupe through ordered collections before candidate
+/// generation, so a repeated predicate cannot inflate a composite
+/// candidate's modelled gain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Predicate {
+    /// `col = key`.
+    Equals(i64),
+    /// `lo <= col <= hi`.
+    Between(i64, i64),
+    /// No filter: full ordered output (`ORDER BY col`).
+    OrderBy,
+}
+
+/// Which physical plan to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessPath {
+    /// Full scan (plus sort for `OrderBy`).
+    Scan,
+    /// B+Tree probe / range / in-order traversal.
+    BTree,
+    /// Hash probe (equality only).
+    Hash,
+}
 
 /// A predicate bound to a named column.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -176,14 +205,14 @@ pub fn prefix_match(index: &IndexDef, query: &QuerySpec) -> PrefixMatch {
 pub struct CompositeStats {
     /// Table row count.
     pub rows: u64,
-    /// Distinct values per column (uniform-domain assumption, as in
-    /// [`crate::plan::TableStats`]).
+    /// Distinct values per column; each column's keys are assumed
+    /// uniform over `[0, distinct)`.
     pub distinct: BTreeMap<String, u64>,
 }
 
 impl CompositeStats {
-    /// Selectivity of one predicate in `[0, 1]`, under the same
-    /// uniform-key model the single-column planner uses.
+    /// Selectivity of one predicate in `[0, 1]`, under the uniform-key
+    /// model.
     pub fn selectivity(&self, p: &ColPredicate) -> f64 {
         let d = self.distinct.get(&p.column).copied().unwrap_or(1).max(1) as f64;
         match p.pred {
@@ -377,6 +406,56 @@ mod tests {
         let plan = choose_composite(&q, &stats(), &[IndexDef::hash(&["shipdate"])]);
         assert_eq!(plan.path, AccessPath::Scan);
         assert_eq!(plan.index, None);
+    }
+
+    #[test]
+    fn one_column_range_takes_btree_never_hash() {
+        // A selective one-column range: the hash index alone cannot
+        // serve it, and next to a B+Tree on the same column the
+        // planner takes the B+Tree, never the hash.
+        let s = stats();
+        let q = QuerySpec::new(vec![between("shipdate", 0, 99)], vec!["linenumber".to_owned()]);
+        let btree = IndexDef::btree(&["shipdate"]);
+        let hash = IndexDef::hash(&["shipdate"]);
+        let plan = choose_composite(&q, &s, std::slice::from_ref(&hash));
+        assert_eq!((plan.path, plan.index), (AccessPath::Scan, None));
+        let plan = choose_composite(&q, &s, &[hash, btree]);
+        assert_eq!((plan.path, plan.index), (AccessPath::BTree, Some(1)));
+        assert!(plan.work < s.rows as f64, "{}", plan.work);
+    }
+
+    #[test]
+    fn one_column_point_equality_beats_scan() {
+        // 1M rows over 2500 shipdates: an equality matches 400 rows.
+        // The output column forces a base-table fetch per hit, so the
+        // hash's O(1) descent beats the B+Tree's log n.
+        let s = stats();
+        let q = QuerySpec::new(vec![eq("shipdate", 42)], vec!["linenumber".to_owned()]);
+        let btree = IndexDef::btree(&["shipdate"]);
+        let hash = IndexDef::hash(&["shipdate"]);
+        let plan = choose_composite(&q, &s, std::slice::from_ref(&btree));
+        assert_eq!((plan.path, plan.index), (AccessPath::BTree, Some(0)));
+        assert!(plan.work < s.rows as f64 / 100.0, "{}", plan.work);
+        let plan = choose_composite(&q, &s, std::slice::from_ref(&hash));
+        assert_eq!((plan.path, plan.index), (AccessPath::Hash, Some(0)));
+        let plan = choose_composite(&q, &s, &[btree, hash]);
+        assert_eq!((plan.path, plan.index), (AccessPath::Hash, Some(1)));
+        assert_eq!(choose_composite(&q, &s, &[]).path, AccessPath::Scan);
+    }
+
+    #[test]
+    fn one_column_near_total_range_falls_back_to_scan() {
+        // Between(0, distinct) selects every row: the B+Tree would pay
+        // its descent on top of a full emit, so the scan wins even
+        // when the index covers the query.
+        let s = stats();
+        let idx = [IndexDef::btree(&["shipdate"])];
+        for output in [vec![], vec!["linenumber".to_owned()]] {
+            let q = QuerySpec::new(vec![between("shipdate", 0, 2500)], output);
+            let plan = choose_composite(&q, &s, &idx);
+            assert_eq!((plan.path, plan.index), (AccessPath::Scan, None));
+            assert_eq!(plan.work, s.rows as f64);
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! emitted, base-table fetches — so a modelled win and a measured win
 //! can be compared line by line.
 
-use crate::composite::{prefix_match, IndexDef, QuerySpec};
-use crate::plan::Predicate;
+use crate::composite::{prefix_match, IndexDef, Predicate, QuerySpec};
 use flowtune_index::{BPlusTree, TupleKey};
 use std::collections::BTreeSet;
 

@@ -18,7 +18,7 @@
 //! tie-break, the skeleton hash) as incrementally maintained caches and
 //! expands candidates as cheap deltas, materializing full partial
 //! schedules only for reduction survivors (DESIGN §5f). The
-//! pre-optimization implementation is retained in [`reference`]
+//! pre-optimization implementation is retained in `reference`
 //! (`cfg(test)` or the `reference` cargo feature) and golden tests pin
 //! the two byte-identical.
 

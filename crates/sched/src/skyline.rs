@@ -17,7 +17,7 @@
 //! # Incremental search state (DESIGN §5f)
 //!
 //! This is the inner loop of every run, so the search state is built
-//! for cheap expansion (byte-identical to [`crate::reference`], pinned
+//! for cheap expansion (byte-identical to `crate::reference`, pinned
 //! by golden tests in `equivalence_tests`):
 //!
 //! * **Cached objectives.** [`Partial::money`] carries the billed
