@@ -29,19 +29,15 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline
 
 echo "==> scheduler and DAG suites with optimizations on"
-# The equivalence suites force the threaded expand path
-# (expand_threshold: 1); run them optimized too, where the pool's
-# timing differs most from the debug build. The flat-adjacency DAG
-# oracle runs optimized as well.
+# The skyline-vs-reference equivalence suites and the flat-adjacency
+# DAG oracle run optimized too: the release build is what every run
+# and benchmark ships, and its larger DAG cases finish quickly there.
 cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow
 
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism
 cargo test -q --offline -p flowtune-core --test fault_recovery
 cargo test -q --offline -p flowtune-core --test fault_crash_recovery
-
-echo "==> exp_fault_matrix --smoke"
-cargo run -q --offline --release -p flowtune-bench --bin exp_fault_matrix -- --smoke
 
 # All throwaway output from the smoke steps below lands in one scratch
 # dir owned by a single cleanup handler. (Stacking per-step
@@ -50,6 +46,21 @@ cargo run -q --offline --release -p flowtune-bench --bin exp_fault_matrix -- --s
 scratch="$(mktemp -d)"
 cleanup() { rm -rf "$scratch"; }
 trap cleanup EXIT
+
+echo "==> exp_* --smoke reports (vs tests/golden/exp/)"
+# Every deterministic experiment binary diffs byte-for-byte against its
+# pinned smoke report; exp_fault_matrix is one of them. Two binaries are
+# not in this loop: exp_table6_composite has its own golden step below,
+# and exp_table6_speedups prints measured wall times, which differ on
+# every run. Regenerate one golden with
+#   cargo run -q --offline --release -p flowtune-bench --bin exp_<name> -- \
+#     --smoke > tests/golden/exp/<name>_smoke.txt
+for golden in tests/golden/exp/*_smoke.txt; do
+  name="$(basename "$golden" _smoke.txt)"
+  cargo run -q --offline --release -p flowtune-bench --bin "exp_$name" -- \
+    --smoke > "$scratch/exp_$name.txt"
+  diff -u "$golden" "$scratch/exp_$name.txt"
+done
 
 echo "==> bench_sched --smoke (scheduler perf baseline harness)"
 # Smoke-sized run into the scratch dir: verifies the optimized-vs-

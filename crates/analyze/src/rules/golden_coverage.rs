@@ -5,7 +5,10 @@
 //! naming a golden that doesn't exist) fails only at runtime, usually
 //! in CI. The rule scans test targets and the check script for
 //! `tests/golden/<name>` path literals and cross-checks the directory
-//! listing.
+//! listing, subdirectories included. A reference that ends in `/` (the
+//! directory part of a glob such as `tests/golden/exp/*_smoke.txt`)
+//! names a directory: it covers every golden under it, and dangles when
+//! that directory holds none.
 //!
 //! The committed perf baselines at the repository root (`BENCH_*.json`)
 //! get the same treatment: each must be read by a test or a check-script
@@ -42,7 +45,7 @@ impl Rule for GoldenCoverage {
                 }
                 for (idx, raw) in file.raw_lines.iter().enumerate() {
                     for path in refs_in_line(raw) {
-                        if ws.golden(&path).is_none() {
+                        if !golden_exists(ws, &path) {
                             em.emit(
                                 file,
                                 idx,
@@ -67,7 +70,7 @@ impl Rule for GoldenCoverage {
         if let Some(script) = &ws.check_script {
             for (idx, raw) in script.text.lines().enumerate() {
                 for path in refs_in_line(raw) {
-                    if ws.golden(&path).is_none() {
+                    if !golden_exists(ws, &path) {
                         em.emit_raw(
                             script.rel.clone(),
                             idx + 1,
@@ -90,7 +93,10 @@ impl Rule for GoldenCoverage {
         }
 
         for golden in &ws.goldens {
-            if !referenced.contains(&golden.rel) {
+            let covered = referenced
+                .iter()
+                .any(|r| *r == golden.rel || (r.ends_with('/') && golden.rel.starts_with(r)));
+            if !covered {
                 em.emit_raw(
                     golden.rel.clone(),
                     1,
@@ -111,6 +117,17 @@ impl Rule for GoldenCoverage {
                 );
             }
         }
+    }
+}
+
+/// Whether the golden reference `path` resolves: a file reference to
+/// that golden, a directory reference (trailing `/`) to at least one
+/// golden under it.
+fn golden_exists(ws: &Workspace, path: &str) -> bool {
+    if path.ends_with('/') {
+        ws.goldens.iter().any(|g| g.rel.starts_with(path))
+    } else {
+        ws.golden(path).is_some()
     }
 }
 
@@ -172,6 +189,11 @@ mod tests {
         );
         // A bare directory mention is not a file reference.
         assert!(refs_in_line("ls tests/golden/ | wc -l").is_empty());
+        // A glob keeps its directory part: a directory reference.
+        assert_eq!(
+            refs_in_line("for g in tests/golden/exp/*_smoke.txt; do"),
+            ["tests/golden/exp/"]
+        );
         assert!(refs_in_line("no goldens here").is_empty());
     }
 

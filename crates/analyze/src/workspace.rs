@@ -41,7 +41,8 @@ pub struct AuxFile {
 pub struct Workspace {
     pub root: PathBuf,
     pub crates: Vec<CrateInfo>,
-    /// Files under `<root>/tests/golden/`, sorted by path.
+    /// Files under `<root>/tests/golden/` and its subdirectories,
+    /// sorted by path.
     pub goldens: Vec<AuxFile>,
     /// Committed perf baselines: `<root>/BENCH_*.json`, sorted by path.
     pub baselines: Vec<AuxFile>,
@@ -70,22 +71,15 @@ impl Workspace {
             crates.push(load_crate(root, &dir)?);
         }
 
+        let mut golden_paths = Vec::new();
+        collect_files(&root.join("tests/golden"), &mut golden_paths)?;
+        golden_paths.sort();
         let mut goldens = Vec::new();
-        let golden_dir = root.join("tests/golden");
-        if golden_dir.is_dir() {
-            let mut paths: Vec<PathBuf> = std::fs::read_dir(&golden_dir)?
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .map(|e| e.path())
-                .filter(|p| p.is_file())
-                .collect();
-            paths.sort();
-            for p in paths {
-                goldens.push(AuxFile {
-                    rel: rel_to(root, &p),
-                    text: std::fs::read_to_string(&p)?,
-                });
-            }
+        for p in golden_paths {
+            goldens.push(AuxFile {
+                rel: rel_to(root, &p),
+                text: std::fs::read_to_string(&p)?,
+            });
         }
         let mut baselines = Vec::new();
         let mut bench_paths: Vec<PathBuf> = std::fs::read_dir(root)?
@@ -214,6 +208,23 @@ fn collect_rs(
         }
     }
     Ok(out)
+}
+
+/// Append every file under `dir` (if it exists) and its subdirectories
+/// to `out`, in no particular order.
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    for entry in std::fs::read_dir(dir)? {
+        let p = entry?.path();
+        if p.is_dir() {
+            collect_files(&p, out)?;
+        } else if p.is_file() {
+            out.push(p);
+        }
+    }
+    Ok(())
 }
 
 struct ParsedManifest {

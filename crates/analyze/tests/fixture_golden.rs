@@ -28,6 +28,10 @@ fn fixture_findings_match_golden_list() {
         // that do not exist.
         ("ci/check.sh", 6, "golden-coverage"),
         ("ci/check.sh", 8, "golden-coverage"),
+        // ... and a golden directory (a glob) that holds no golden. The
+        // other glob covers the golden in its subdirectory, which the
+        // scan must reach for that glob not to dangle too.
+        ("ci/check.sh", 12, "golden-coverage"),
         // An experiment binary with neither obs_guard() nor --smoke —
         // two findings on its fn main line. The waived sibling
         // (crates/bench/src/bin/exp_waived.rs) is absent.

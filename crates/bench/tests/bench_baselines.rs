@@ -6,7 +6,7 @@
 //! committed files and enforce the DESIGN §5f/§5i speedup bars, so a
 //! committed baseline that regresses below a bar — or a schema drift
 //! in either file — fails plain `cargo test`. The bars are set well
-//! below measured medians (e.g. 2x vs a measured ~19–33x headline) so
+//! below measured medians (e.g. 2x vs a measured ~76–138x headline) so
 //! container timer noise between regen runs cannot trip them.
 //!
 //! The smoke-mode runs in `ci/check.sh` exercise the harness itself;

@@ -109,6 +109,15 @@ impl ServiceConfig {
         if self.max_skyline == 0 {
             return Err(FlowtuneError::config("max_skyline must be at least 1"));
         }
+        // With no container, the skyline search keeps no schedule and
+        // the load-balance scheduler has no container to pick.
+        if self.params.cloud.max_containers == 0 {
+            return Err(FlowtuneError::config("max_containers must be at least 1"));
+        }
+        // Billing, arrivals and the gain model all count in quanta.
+        if self.params.cloud.quantum.is_zero() {
+            return Err(FlowtuneError::config("quantum must be positive"));
+        }
         // Online interleaving is the skyline search with optional build
         // operators (§5.3.2); it has no load-balance form.
         if (self.scheduler, self.interleaver)
@@ -792,6 +801,31 @@ mod tests {
     fn validate_rejects_zero_max_skyline() {
         let mut c = short_config(IndexPolicy::NoIndex);
         c.max_skyline = 0;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_containers_under_the_skyline() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.cloud.max_containers = 0;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_containers_under_load_balance() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.scheduler = SchedulerKind::OnlineLoadBalance;
+        c.params.cloud.max_containers = 0;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_quantum() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.cloud.quantum = SimDuration::ZERO;
         assert!(c.validate().is_err());
         assert!(QaasService::new(c).run().is_err());
     }

@@ -414,7 +414,10 @@ mod tests {
         // serve it, and next to a B+Tree on the same column the
         // planner takes the B+Tree, never the hash.
         let s = stats();
-        let q = QuerySpec::new(vec![between("shipdate", 0, 99)], vec!["linenumber".to_owned()]);
+        let q = QuerySpec::new(
+            vec![between("shipdate", 0, 99)],
+            vec!["linenumber".to_owned()],
+        );
         let btree = IndexDef::btree(&["shipdate"]);
         let hash = IndexDef::hash(&["shipdate"]);
         let plan = choose_composite(&q, &s, std::slice::from_ref(&hash));

@@ -147,68 +147,6 @@ fn equivalent_across_skyline_widths_including_one() {
 }
 
 #[test]
-fn equivalent_with_forced_parallel_expansion() {
-    // Force the worker pool onto every step (threshold 1) with several
-    // thread counts: the sharded enumeration plus ordered concat must
-    // reproduce the reference output exactly, optional ops included.
-    // Thread count must never matter — that is the determinism
-    // contract of DESIGN §5i.
-    let dag = app_dag(App::Montage, 80, 0xEA);
-    let optional = optional_ops(16, 0xEB);
-    for threads in [2usize, 3, 8] {
-        let config = SchedulerConfig {
-            max_skyline: 8,
-            expand_threads: threads,
-            expand_threshold: 1,
-            ..SchedulerConfig::default()
-        };
-        assert_identical(&dag, &config, &[], &format!("montage:par{threads}"));
-        assert_identical(
-            &dag,
-            &config,
-            &optional,
-            &format!("montage:par{threads}:optional"),
-        );
-    }
-}
-
-#[test]
-fn parallel_equals_sequential_on_larger_dags() {
-    // Beyond reference-feasible sizes the parallel path is pinned
-    // against the sequential optimized path (which the suites above
-    // pin against the reference transitively at smaller sizes);
-    // bench_sched re-asserts reference equivalence at 1k ops in
-    // release mode where the reference is affordable.
-    for (app, n) in [(App::Cybershake, 400), (App::Montage, 300)] {
-        let dag = app_dag(app, n, 0xEC);
-        let optional = optional_ops(40, 0xED);
-        let seq = SkylineScheduler::new(SchedulerConfig {
-            max_skyline: 8,
-            expand_threads: 1,
-            ..SchedulerConfig::default()
-        });
-        let par = SkylineScheduler::new(SchedulerConfig {
-            max_skyline: 8,
-            expand_threads: 4,
-            expand_threshold: 1,
-            ..SchedulerConfig::default()
-        });
-        assert_eq!(
-            seq.schedule(&dag),
-            par.schedule(&dag),
-            "{}:{n}: parallel diverged",
-            app.name()
-        );
-        assert_eq!(
-            seq.schedule_with_optional(&dag, &optional),
-            par.schedule_with_optional(&dag, &optional),
-            "{}:{n}: parallel diverged with optional ops",
-            app.name()
-        );
-    }
-}
-
-#[test]
 fn equivalent_on_zero_duration_and_tight_quantum_edge_cases() {
     // Zero-duration ops produce (s, s) container spans — the `e >= s`
     // billing edge — and a 7s quantum misaligns every lease boundary.

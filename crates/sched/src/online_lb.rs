@@ -62,7 +62,7 @@ impl OnlineLoadBalanceScheduler {
             #[allow(clippy::expect_used)]
             let c = (0..pool)
                 .min_by_key(|&c| (load[c], c))
-                // flowtune-allow(panic-hygiene): SchedulerConfig::validate rejects a zero container pool
+                // flowtune-allow(panic-hygiene): ServiceConfig::validate rejects a zero container pool
                 .expect("pool is non-empty");
             let mut ready = SimTime::ZERO;
             for &pred in dag.preds(op) {

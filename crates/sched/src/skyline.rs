@@ -51,22 +51,15 @@
 //!   largest per-container idle contributions once per reduction; a
 //!   candidate's tie-break value is a constant-time combine instead of
 //!   an O(containers) rescan.
-//! * **Deterministic parallel expansion.** Above
-//!   [`SchedulerConfig::expand_threshold`] candidates per step, an
-//!   [`ExpandPool`] gives each worker a contiguous range of parents and
-//!   concatenates the results in parent order — the candidate vector is
-//!   byte-identical to the sequential enumeration for every thread
-//!   count. The pool is spawned on the first step that reaches the
-//!   threshold, so a call that never does starts no thread.
 //!
 //! # Lean steps (DESIGN §5i)
 //!
 //! * **One expansion kernel.** [`SkylineScheduler::expand_parent`]
-//!   serves the sequential loop, the pool workers and the tests. It
-//!   reads each predecessor's placement once per parent, and prices a
-//!   used container with one compare against its cached lease end: the
-//!   op adds nothing when it ends inside the lease; only an overrun
-//!   divides, to count the quanta past it.
+//!   serves the step loop and the tests. It reads each predecessor's
+//!   placement once per parent, and prices a used container with one
+//!   compare against its cached lease end: the op adds nothing when it
+//!   ends inside the lease; only an overrun divides, to count the
+//!   quanta past it.
 //! * **Money-level reduce, no sort, no search per candidate.** Pass 1
 //!   appends each distinct money value to a level list in first-seen
 //!   order (a handful per step), checking the previous candidate's
@@ -86,10 +79,7 @@
 //!   are one flat [`XferTable`] aligned with the DAG's flat predecessor
 //!   array, built once per call.
 
-use std::cell::OnceCell;
-use std::ops::Range;
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use flowtune_common::{CloudConfig, ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
@@ -109,18 +99,6 @@ pub struct SchedulerConfig {
     pub vm_price: Money,
     /// Network bandwidth (bytes/s) for inter-container edge transfers.
     pub network_bandwidth: f64,
-    /// Worker threads for parallel candidate expansion: `0` = one per
-    /// available core (capped at 8), `1` = always sequential. The
-    /// output is byte-identical for every value — threads only shard
-    /// the candidate enumeration (DESIGN §5i).
-    pub expand_threads: usize,
-    /// Minimum candidates in one step before the worker pool engages;
-    /// below it the per-step channel round-trip costs more than the
-    /// expansion itself. The pool is spawned on the first step of a
-    /// `schedule()` call that reaches this count and joined when the
-    /// call returns; a call whose steps all stay below it spawns no
-    /// thread.
-    pub expand_threshold: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -131,8 +109,6 @@ impl Default for SchedulerConfig {
             quantum: SimDuration::from_secs(60),
             vm_price: Money::from_dollars(0.1),
             network_bandwidth: 1e9 / 8.0,
-            expand_threads: 0,
-            expand_threshold: 512,
         }
     }
 }
@@ -147,7 +123,6 @@ impl SchedulerConfig {
             quantum: cloud.quantum,
             vm_price: cloud.vm_price_per_quantum,
             network_bandwidth: cloud.network_bandwidth,
-            ..SchedulerConfig::default()
         }
     }
 }
@@ -769,43 +744,9 @@ impl SkylineScheduler {
         }
         let order = dag.topo_order();
         let pred_xfer = XferTable::new(self, dag);
-        let threads = self.effective_expand_threads();
-        let mut skyline = if threads > 1 {
-            // The worker pool lives for the rest of the call once the
-            // first step reaches `expand_threshold` — per-step thread
-            // spawning would cost more than the steps — and is never
-            // spawned for a call that stays below it.
-            std::thread::scope(|scope| {
-                let cell = OnceCell::new();
-                let pool = || {
-                    cell.get_or_init(|| ExpandPool::spawn(scope, threads, self, dag, &pred_xfer))
-                };
-                self.run_steps(dag, optional, &order, &pred_xfer, Some(&pool))
-            })
-        } else {
-            self.run_steps(dag, optional, &order, &pred_xfer, None)
-        };
+        let mut skyline = self.run_steps(dag, optional, &order, &pred_xfer);
         skyline.sort_by_key(|p| (p.makespan, p.money));
         skyline.into_iter().map(Partial::into_schedule).collect()
-    }
-
-    /// Resolved expansion thread count (see
-    /// [`SchedulerConfig::expand_threads`]). The count never changes
-    /// the output, only how the candidate enumeration is sharded.
-    fn effective_expand_threads(&self) -> usize {
-        // Resolved once per process: asking the host for its
-        // parallelism reads cgroup files on Linux, which costs more
-        // than a small `schedule()` call.
-        static AUTO: OnceLock<usize> = OnceLock::new();
-        match self.config.expand_threads {
-            0 => *AUTO.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(8)
-            }),
-            n => n.min(32),
-        }
     }
 
     /// Candidate containers for expanding `p`: every used container
@@ -819,39 +760,27 @@ impl SkylineScheduler {
         }
     }
 
-    /// The assignment main loop: expand (sequentially or through the
-    /// pool, which `pool` spawns on first use), reduce, materialize,
+    /// The assignment main loop: expand, reduce, materialize,
     /// interleave optional offers.
-    fn run_steps<'p>(
+    fn run_steps(
         &self,
         dag: &Dag,
         optional: &[OptionalOp],
         order: &[OpId],
         pred_xfer: &XferTable,
-        pool: Option<&dyn Fn() -> &'p ExpandPool>,
     ) -> Vec<Partial> {
         let n = order.len();
-        let mut skyline = Arc::new(vec![Partial::new(dag.len())]);
+        let mut skyline = vec![Partial::new(dag.len())];
         let mut buf = StepBuffers::default();
         // Offer optional ops evenly across the assignment steps.
         let mut next_opt = 0usize;
         for (step, &op) in order.iter().enumerate() {
-            let total: usize = skyline.iter().map(|p| self.candidate_containers(p)).sum();
             let assign = StepOp::new(dag, op, pred_xfer.of(op));
             // Expand every partial with every candidate container —
             // as cheap deltas, not clones.
             buf.cands.clear();
-            match pool {
-                Some(pool) if total >= self.config.expand_threshold => {
-                    // flowtune-allow(obs-discipline): the pool engages only above the candidate threshold, which the smoke workload never reaches
-                    flowtune_obs::count("sched.parallel_steps", 1);
-                    pool().expand(self, &assign, &skyline, &mut buf.cands);
-                }
-                _ => {
-                    for (pi, p) in skyline.iter().enumerate() {
-                        self.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
-                    }
-                }
+            for (pi, p) in skyline.iter().enumerate() {
+                self.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
             }
             let generated = buf.cands.len();
             self.advance(&mut skyline, &mut buf);
@@ -880,10 +809,7 @@ impl SkylineScheduler {
             self.offer_optional(&mut skyline, &optional[next_opt], &mut buf);
             next_opt += 1;
         }
-        // The workers dropped their handles when their last job ended,
-        // so the unwrap is ordinarily free; the fallback clone keeps
-        // this panic-free regardless.
-        Arc::try_unwrap(skyline).unwrap_or_else(|shared| shared.as_ref().clone())
+        skyline
     }
 
     fn transfer_time(&self, bytes: u64) -> SimDuration {
@@ -896,8 +822,7 @@ impl SkylineScheduler {
     /// predecessors' placements, read into `preds` once per parent;
     /// money from the touched container's lease; the skeleton hash is
     /// folded forward; the optional-op count is taken after preemption.
-    /// The sequential loop, the pool workers and the tests all expand
-    /// through here.
+    /// The step loop and the tests both expand through here.
     fn expand_parent(
         &self,
         p: &Partial,
@@ -1106,17 +1031,13 @@ impl SkylineScheduler {
         debug_assert!(q.leases_match(self.config.quantum));
     }
 
-    /// Reduce `buf.cands` against `skyline` and replace the skyline with
-    /// the survivors. When the caller owns the skyline, the last
-    /// survivor of each parent takes the parent itself and applies its
-    /// delta in place; earlier survivors of that parent refill a spare
-    /// with a copy. The retired partials become spares for the next
-    /// step. The caller always owns the skyline here (pool workers drop
-    /// their snapshot before reporting a shard), so `Arc::make_mut`
-    /// copies nothing; were a handle still held, it would copy the
-    /// skyline once and leave that snapshot untouched.
-    fn advance(&self, skyline: &mut Arc<Vec<Partial>>, buf: &mut StepBuffers) {
-        self.reduce(skyline, buf);
+    /// Reduce `buf.cands` against `parents` and replace them with the
+    /// survivors. The last survivor of each parent takes the parent
+    /// itself and applies its delta in place; earlier survivors of that
+    /// parent refill a spare with a copy. The retired partials become
+    /// spares for the next step.
+    fn advance(&self, parents: &mut Vec<Partial>, buf: &mut StepBuffers) {
+        self.reduce(parents, buf);
         let StepBuffers {
             front,
             last_of,
@@ -1124,7 +1045,6 @@ impl SkylineScheduler {
             spares,
             ..
         } = buf;
-        let parents = Arc::make_mut(skyline);
         last_of.clear();
         last_of.resize(parents.len(), usize::MAX);
         for (i, cand) in front.iter().enumerate() {
@@ -1147,12 +1067,7 @@ impl SkylineScheduler {
 
     /// Union each partial with versions that place `opt` on some
     /// container's free tail inside the current leased span.
-    fn offer_optional(
-        &self,
-        skyline: &mut Arc<Vec<Partial>>,
-        opt: &OptionalOp,
-        buf: &mut StepBuffers,
-    ) {
+    fn offer_optional(&self, skyline: &mut Vec<Partial>, opt: &OptionalOp, buf: &mut StepBuffers) {
         let cands = &mut buf.cands;
         cands.clear();
         for (pi, p) in skyline.iter().enumerate() {
@@ -1339,131 +1254,6 @@ impl SkylineScheduler {
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
         let cand = self.cand_for(p, dag, op, c);
         self.materialize(p, &cand, None)
-    }
-}
-
-/// One expansion job: a contiguous range of the step's parents, against
-/// a shared snapshot of the skyline.
-struct ExpandJob {
-    skyline: Arc<Vec<Partial>>,
-    op: OpId,
-    parents: Range<usize>,
-}
-
-/// Deterministic parallel candidate expansion (DESIGN §5i).
-///
-/// Workers are spawned inside the `std::thread::scope` of one
-/// `schedule()` call, on its first step with at least
-/// [`SchedulerConfig::expand_threshold`] candidates, and joined when the
-/// call returns; a call that never reaches the threshold spawns none.
-/// Each parallel step feeds every worker one contiguous range of the
-/// skyline's parents, expanded with [`SkylineScheduler::expand_parent`].
-/// Because the ranges partition the parents in worker order and the
-/// results are concatenated in the same order, the candidate vector is
-/// byte-identical to the sequential enumeration — for any thread count,
-/// on any machine. The workers never touch observability (the recorder
-/// is thread-local to the caller) and never mutate shared state: they
-/// read the skyline snapshot and return owned `Cand` vectors.
-struct ExpandPool {
-    jobs: Vec<mpsc::Sender<ExpandJob>>,
-    results: mpsc::Receiver<(usize, Vec<Cand>)>,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Workers [`ExpandPool::spawn`] has started from this thread.
-    static SPAWNED_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl ExpandPool {
-    fn spawn<'scope, 'env>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        threads: usize,
-        sched: &'env SkylineScheduler,
-        dag: &'env Dag,
-        pred_xfer: &'env XferTable,
-    ) -> ExpandPool {
-        #[cfg(test)]
-        SPAWNED_WORKERS.with(|n| n.set(n.get() + threads));
-        let (result_tx, results) = mpsc::channel::<(usize, Vec<Cand>)>();
-        let mut jobs = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, rx) = mpsc::channel::<ExpandJob>();
-            jobs.push(tx);
-            let result_tx = result_tx.clone();
-            scope.spawn(move || {
-                let mut preds = Vec::new();
-                while let Ok(job) = rx.recv() {
-                    let assign = StepOp::new(dag, job.op, pred_xfer.of(job.op));
-                    let mut out = Vec::new();
-                    for pi in job.parents.clone() {
-                        sched.expand_parent(&job.skyline[pi], pi, &assign, &mut preds, &mut out);
-                    }
-                    // Release the skyline snapshot before reporting, so
-                    // the caller owns the skyline alone again once the
-                    // last shard arrives and its survivors can take
-                    // their parents.
-                    drop(job);
-                    if result_tx.send((w, out)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // Drop the main-thread result sender so `recv` can observe
-        // disconnection instead of blocking forever if workers die.
-        drop(result_tx);
-        ExpandPool { jobs, results }
-    }
-
-    /// Expand one step's candidates across the pool, appending them to
-    /// `cands`. Always appends the full, ordered candidate vector: any
-    /// shard a worker failed to deliver (unreachable in practice — the
-    /// workers run pure computation) is expanded inline.
-    fn expand(
-        &self,
-        sched: &SkylineScheduler,
-        assign: &StepOp<'_>,
-        skyline: &Arc<Vec<Partial>>,
-        cands: &mut Vec<Cand>,
-    ) {
-        let threads = self.jobs.len();
-        let width = skyline.len();
-        let chunk = width.div_ceil(threads.max(1));
-        let shard = |w: usize| (w * chunk).min(width)..((w + 1) * chunk).min(width);
-        let mut sent = 0usize;
-        for (w, tx) in self.jobs.iter().enumerate() {
-            let parents = shard(w);
-            if parents.is_empty() {
-                continue;
-            }
-            let job = ExpandJob {
-                skyline: Arc::clone(skyline),
-                op: assign.op,
-                parents,
-            };
-            if tx.send(job).is_ok() {
-                sent += 1;
-            }
-        }
-        let mut shards: Vec<Option<Vec<Cand>>> = (0..threads).map(|_| None).collect();
-        for _ in 0..sent {
-            match self.results.recv() {
-                Ok((w, out)) => shards[w] = Some(out),
-                Err(_) => break,
-            }
-        }
-        let mut preds = Vec::new();
-        for (w, out) in shards.into_iter().enumerate() {
-            match out {
-                Some(out) => cands.extend(out),
-                None => {
-                    for pi in shard(w) {
-                        sched.expand_parent(&skyline[pi], pi, assign, &mut preds, cands);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1822,7 +1612,7 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut skyline = Arc::new(vec![Partial::new(n)]);
+            let mut skyline = vec![Partial::new(n)];
             let mut buf = StepBuffers::default();
             let mut opt_id = 5000u32;
             for i in 0..n {
@@ -1840,7 +1630,7 @@ mod tests {
                     );
                     next.push(q);
                 }
-                skyline = Arc::new(next);
+                skyline = next;
                 // Randomly offer an optional op between steps.
                 if rng.uniform_u64(0, 2) == 0 {
                     let opt = OptionalOp {
@@ -1874,39 +1664,6 @@ mod tests {
         }
     }
 
-    fn spawned_workers() -> usize {
-        SPAWNED_WORKERS.with(|n| n.get())
-    }
-
-    #[test]
-    fn expand_pool_is_spawned_only_when_a_step_reaches_the_threshold() {
-        let mut rng = SimRng::seed_from_u64(7);
-        let dag = App::Montage.generate(100, &[], &mut rng);
-        let seq = SkylineScheduler::new(SchedulerConfig {
-            expand_threads: 1,
-            ..cfg()
-        });
-        let want = seq.schedule(&dag);
-        // Default threshold: no step of a 100-op dataflow reaches it.
-        let lazy = SkylineScheduler::new(SchedulerConfig {
-            expand_threads: 2,
-            ..cfg()
-        });
-        let before = spawned_workers();
-        assert_eq!(lazy.schedule(&dag), want);
-        assert_eq!(spawned_workers(), before, "an idle pool was spawned");
-        // Threshold 1: the first step engages the pool, once per call.
-        let eager = SkylineScheduler::new(SchedulerConfig {
-            expand_threads: 3,
-            expand_threshold: 1,
-            ..cfg()
-        });
-        for call in 1..=2 {
-            assert_eq!(eager.schedule(&dag), want);
-            assert_eq!(spawned_workers(), before + 3 * call);
-        }
-    }
-
     /// A partial of an `n`-op chain with op `i` on container
     /// `i % containers`, then offered `optional` build ops.
     fn chain_partial(
@@ -1928,7 +1685,7 @@ mod tests {
         for i in 0..n {
             p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), i % containers);
         }
-        let mut skyline = Arc::new(vec![p]);
+        let mut skyline = vec![p];
         let mut buf = StepBuffers::default();
         for i in 0..optional {
             let opt = OptionalOp {
@@ -1941,7 +1698,7 @@ mod tests {
             };
             sched.offer_optional(&mut skyline, &opt, &mut buf);
         }
-        Arc::try_unwrap(skyline).unwrap().remove(0)
+        skyline.remove(0)
     }
 
     #[test]
@@ -2130,55 +1887,6 @@ mod tests {
             idle_total > 0 && opt_total > 0,
             "a tie-break kind never ran"
         );
-    }
-
-    #[test]
-    fn advance_past_a_held_skyline_handle_matches_an_owned_skyline() {
-        // Two identical searches, step by step: one owns its skyline;
-        // the other advances while a second handle is held, so
-        // `Arc::make_mut` must copy. Both must reach the same next
-        // skyline, and the held snapshot must be left as it was.
-        let sched = SkylineScheduler::new(cfg());
-        let mut rng = SimRng::seed_from_u64(5);
-        let dag = App::Montage.generate(60, &[], &mut rng);
-        let pred_xfer = XferTable::new(&sched, &dag);
-        let mut owned = Arc::new(vec![Partial::new(dag.len())]);
-        let mut shared = Arc::new(vec![Partial::new(dag.len())]);
-        let (mut owned_buf, mut shared_buf) = (StepBuffers::default(), StepBuffers::default());
-        for (step, op) in dag.topo_order().into_iter().enumerate() {
-            let assign = StepOp::new(&dag, op, pred_xfer.of(op));
-            let opt = OptionalOp {
-                op: OpId(7000 + step as u32),
-                duration: SimDuration::from_secs(5),
-                build: BuildRef {
-                    index: IndexId(step as u32),
-                    part: 0,
-                },
-            };
-            for (skyline, buf, hold) in [
-                (&mut owned, &mut owned_buf, false),
-                (&mut shared, &mut shared_buf, true),
-            ] {
-                buf.cands.clear();
-                for (pi, p) in skyline.iter().enumerate() {
-                    sched.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
-                }
-                let held = hold.then(|| (Arc::clone(skyline), format!("{skyline:?}")));
-                sched.advance(skyline, buf);
-                if step % 7 == 3 {
-                    sched.offer_optional(skyline, &opt, buf);
-                }
-                if let Some((handle, before)) = held {
-                    assert_eq!(format!("{handle:?}"), before, "step {step}");
-                    assert!(!Arc::ptr_eq(&handle, skyline));
-                }
-            }
-            assert_eq!(format!("{owned:?}"), format!("{shared:?}"), "step {step}");
-        }
-        let schedules = |s: &Arc<Vec<Partial>>| -> Vec<Schedule> {
-            s.iter().map(|p| p.clone().into_schedule()).collect()
-        };
-        assert_eq!(schedules(&owned), schedules(&shared));
     }
 
     #[test]
