@@ -44,7 +44,14 @@ cargo test -q --offline -p flowtune-core --test fault_crash_recovery
 # `trap ... EXIT` lines overwrites the previous handler and leaks the
 # earlier dirs — keep every temp path inside $scratch instead.)
 scratch="$(mktemp -d)"
-cleanup() { rm -rf "$scratch"; }
+# Cargo may rewrite perfbench/Cargo.lock when it builds the benchmark
+# below; the copy saved here is put back on exit, so the committed
+# lockfile never changes.
+cp perfbench/Cargo.lock "$scratch/perfbench.Cargo.lock"
+cleanup() {
+  cp "$scratch/perfbench.Cargo.lock" perfbench/Cargo.lock
+  rm -rf "$scratch"
+}
 trap cleanup EXIT
 
 echo "==> exp_* --smoke reports (vs tests/golden/exp/)"
@@ -113,18 +120,28 @@ cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
 diff -u tests/golden/report_online_faults.txt "$scratch/report_online_faults.txt"
 
 echo "==> flowtune rejects a bad config before announcing the run"
-# The online interleaver has no load-balance form; ServiceConfig::validate
-# must refuse the pair in parse_args: exit 1, an error line, no banner.
-status=0
-cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
-  --scheduler online-lb --interleaver online --quanta 4 \
-  > /dev/null 2> "$scratch/bad_config.err" || status=$?
-test "$status" -eq 1
-grep -q '^error:' "$scratch/bad_config.err"
-if grep -q '^running' "$scratch/bad_config.err"; then
-  echo "bad config was announced before it was rejected" >&2
-  exit 1
-fi
+# ServiceConfig::validate must refuse each of these in parse_args: exit
+# 1, an error line, no banner. The online interleaver has no
+# load-balance form, and an estimation error must lie in [0, 1).
+reject_config() {
+  local status=0
+  cargo run -q --offline --release -p flowtune-core --bin flowtune -- "$@" \
+    > "$scratch/bad_config.out" 2> "$scratch/bad_config.err" || status=$?
+  test "$status" -eq 1
+  grep -q '^error:' "$scratch/bad_config.err"
+  if grep -q '^running' "$scratch/bad_config.out" "$scratch/bad_config.err"; then
+    echo "bad config was announced before it was rejected: $*" >&2
+    exit 1
+  fi
+}
+reject_config --scheduler online-lb --interleaver online --quanta 4
+reject_config --error 1.5 --quanta 10 --seed 1 --concurrency 1
+
+echo "==> perfbench builds and its tests pass"
+# perfbench/ is a workspace of its own, so the root build and tests
+# above never compile it. This catches a change that breaks the
+# benchmark's build or its replay-vs-service RunReport fidelity test.
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> flowtune-analyze (workspace invariants, JSON report vs baseline)"
 # The machine-readable report gates the tree against the committed

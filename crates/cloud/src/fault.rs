@@ -98,7 +98,7 @@ impl FaultConfig {
         self.rate > 0.0
     }
 
-    /// Validate parameter ranges.
+    /// Validate parameter ranges. NaN fails every check.
     pub fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.rate) {
             return Err(FlowtuneError::config(format!(
@@ -120,7 +120,7 @@ impl FaultConfig {
                 )));
             }
         }
-        if self.straggler_factor < 1.0 {
+        if self.straggler_factor.is_nan() || self.straggler_factor < 1.0 {
             return Err(FlowtuneError::config(format!(
                 "straggler factor must be >= 1, got {}",
                 self.straggler_factor
@@ -447,5 +447,24 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_nan() {
+        for field in 0..8 {
+            let mut c = FaultConfig::with_rate(0.3, 0);
+            let slot = match field {
+                0 => &mut c.rate,
+                1 => &mut c.revocation_share,
+                2 => &mut c.storage_share,
+                3 => &mut c.straggler_share,
+                4 => &mut c.build_failure_share,
+                5 => &mut c.crash_build_share,
+                6 => &mut c.torn_write_share,
+                _ => &mut c.straggler_factor,
+            };
+            *slot = f64::NAN;
+            assert!(c.validate().is_err(), "NaN in field {field} accepted");
+        }
     }
 }

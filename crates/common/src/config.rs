@@ -25,15 +25,9 @@ pub struct CloudConfig {
     /// Capacity of each container's local disk cache in bytes
     /// (default 100 GB).
     pub disk_capacity_bytes: u64,
-    /// Local disk sequential bandwidth in bytes/second (default 250 MB/s,
-    /// a typical SSD per the paper).
-    pub disk_bandwidth: f64,
     /// Network bandwidth between containers and the storage service in
     /// bytes/second (default 1 Gbps = 125 MB/s).
     pub network_bandwidth: f64,
-    /// Container memory capacity, normalised to 1.0; operator memory
-    /// requirements are fractions of this.
-    pub memory_capacity: f64,
 }
 
 impl Default for CloudConfig {
@@ -44,9 +38,7 @@ impl Default for CloudConfig {
             storage_price_per_mb_quantum: Money::from_dollars(1e-4),
             max_containers: 100,
             disk_capacity_bytes: 100 * 1024 * 1024 * 1024,
-            disk_bandwidth: 250.0 * 1024.0 * 1024.0,
             network_bandwidth: 1e9 / 8.0,
-            memory_capacity: 1.0,
         }
     }
 }
@@ -55,11 +47,6 @@ impl CloudConfig {
     /// Seconds needed to move `bytes` over the network.
     pub fn network_transfer(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.network_bandwidth)
-    }
-
-    /// Seconds needed to read/write `bytes` on the local disk.
-    pub fn disk_transfer(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.disk_bandwidth)
     }
 }
 
@@ -98,7 +85,7 @@ impl Default for TunerConfig {
 }
 
 impl TunerConfig {
-    /// Validate parameter ranges.
+    /// Validate parameter ranges. NaN fails every check.
     pub fn validate(&self) -> crate::Result<()> {
         if !(0.0..=1.0).contains(&self.alpha) {
             return Err(crate::FlowtuneError::config(format!(
@@ -106,19 +93,19 @@ impl TunerConfig {
                 self.alpha
             )));
         }
-        if self.fading_d <= 0.0 {
+        if self.fading_d.is_nan() || self.fading_d <= 0.0 {
             return Err(crate::FlowtuneError::config(format!(
                 "fading D must be positive, got {}",
                 self.fading_d
             )));
         }
-        if self.window_w <= 0.0 {
+        if self.window_w.is_nan() || self.window_w <= 0.0 {
             return Err(crate::FlowtuneError::config(format!(
                 "window W must be positive, got {}",
                 self.window_w
             )));
         }
-        if self.storage_window_w <= 0.0 {
+        if self.storage_window_w.is_nan() || self.storage_window_w <= 0.0 {
             return Err(crate::FlowtuneError::config(format!(
                 "storage window must be positive, got {}",
                 self.storage_window_w
@@ -193,9 +180,6 @@ mod tests {
         // 125 MB over 1 Gbps (125 MB/s) ≈ 1.048576 s (MB here is 2^20).
         let t = c.network_transfer(125 * 1024 * 1024);
         assert!((t.as_secs_f64() - 125.0 * 1024.0 * 1024.0 / (1e9 / 8.0)).abs() < 1e-3);
-        // 250 MB at 250 MB/s = 1 s.
-        let d = c.disk_transfer(250 * 1024 * 1024);
-        assert!((d.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -219,5 +203,19 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn tuner_validation_rejects_nan() {
+        for field in 0..4 {
+            let mut c = TunerConfig::default();
+            match field {
+                0 => c.alpha = f64::NAN,
+                1 => c.fading_d = f64::NAN,
+                2 => c.window_w = f64::NAN,
+                _ => c.storage_window_w = f64::NAN,
+            }
+            assert!(c.validate().is_err(), "NaN in field {field} accepted");
+        }
     }
 }

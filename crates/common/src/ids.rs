@@ -57,11 +57,6 @@ define_id!(
     "df"
 );
 define_id!(
-    /// A table in the catalog.
-    TableId,
-    "t"
-);
-define_id!(
     /// A file in the file database the dataflows read.
     FileId,
     "f"

@@ -24,9 +24,7 @@ pub mod time;
 pub use config::{CloudConfig, ExperimentParams, TunerConfig};
 pub use error::{FlowtuneError, Result};
 pub use histogram::Histogram;
-pub use ids::{
-    BuildOpId, ContainerId, DataflowId, FileId, IndexId, OpId, PageId, PartitionId, TableId,
-};
+pub use ids::{BuildOpId, ContainerId, DataflowId, FileId, IndexId, OpId, PageId, PartitionId};
 pub use money::Money;
 pub use rng::SimRng;
 pub use stats::OnlineStats;

@@ -31,12 +31,6 @@ impl Money {
         Money((dollars * 1e6).round() as i64)
     }
 
-    /// Whole micro-dollars.
-    #[inline]
-    pub const fn as_micros(self) -> i64 {
-        self.0
-    }
-
     /// Dollar amount.
     pub fn as_dollars(self) -> f64 {
         self.0 as f64 / 1e6
@@ -52,16 +46,6 @@ impl Money {
     /// Scale by a factor, rounding to the nearest micro-dollar.
     pub fn mul_f64(self, factor: f64) -> Money {
         Money((self.0 as f64 * factor).round() as i64)
-    }
-
-    /// True if strictly positive.
-    pub const fn is_positive(self) -> bool {
-        self.0 > 0
-    }
-
-    /// True if zero or negative.
-    pub const fn is_non_positive(self) -> bool {
-        self.0 <= 0
     }
 
     /// Smaller of two amounts.
@@ -150,7 +134,7 @@ mod tests {
     #[test]
     fn dollars_round_trip() {
         let m = Money::from_dollars(0.1);
-        assert_eq!(m.as_micros(), 100_000);
+        assert_eq!(m, Money::from_micros(100_000));
         assert!((m.as_dollars() - 0.1).abs() < 1e-12);
     }
 
@@ -158,10 +142,10 @@ mod tests {
     fn storage_price_is_exact() {
         // $1e-4 per MB per quantum must be exactly representable.
         let mst = Money::from_dollars(1e-4);
-        assert_eq!(mst.as_micros(), 100);
+        assert_eq!(mst, Money::from_micros(100));
         // Charging 713 partitions of 128 MB for one quantum is exact.
         let total = mst * (713 * 128);
-        assert_eq!(total.as_micros(), 100 * 713 * 128);
+        assert_eq!(total, Money::from_micros(100 * 713 * 128));
     }
 
     #[test]
@@ -179,8 +163,8 @@ mod tests {
         assert_eq!(a - b, Money::from_micros(2));
         assert_eq!(-(a - b), Money::from_micros(-2));
         assert!(b < a);
-        assert!(Money::from_micros(-1).is_non_positive());
-        assert!(a.is_positive());
+        assert!(Money::from_micros(-1) < Money::ZERO);
+        assert!(a > Money::ZERO);
         let total: Money = [a, b, b].into_iter().sum();
         assert_eq!(total, Money::from_micros(11));
     }

@@ -1,13 +1,8 @@
 //! Cloud pricing formulas.
 //!
 //! The paper's cloud model (§3, "Cloud Model") charges compute per VM per
-//! time quantum and storage per GB per month. The helper here converts the
-//! provider's monthly storage price into the per-quantum price `Mst` the
-//! scheduler and tuner operate on, using the paper's own formula:
-//!
-//! ```text
-//! Mst = (MC · 12 · Q) / (365.25 · 24 · 60)      (Q in minutes)
-//! ```
+//! time quantum and storage per MB per quantum (`Mst`, configured
+//! directly in [`crate::config::CloudConfig`]).
 //!
 //! Pricing is pluggable: all downstream code reads prices from
 //! [`crate::config::CloudConfig`], never from constants, so alternative
@@ -15,17 +10,6 @@
 
 use crate::money::Money;
 use crate::time::SimDuration;
-
-/// Minutes in an average Gregorian year (365.25 days), the constant the
-/// paper uses to convert monthly storage pricing to per-quantum pricing.
-const MINUTES_PER_YEAR: f64 = 365.25 * 24.0 * 60.0;
-
-/// Convert a *per GB per month* storage price into a *per GB per quantum*
-/// price using the paper's formula.
-pub fn storage_price_per_gb_quantum(per_gb_month: Money, quantum: SimDuration) -> Money {
-    let q_minutes = quantum.as_secs_f64() / 60.0;
-    per_gb_month.mul_f64(12.0 * q_minutes / MINUTES_PER_YEAR)
-}
 
 /// Storage cost of holding `bytes` for `quanta` billing quanta at a
 /// *per MB per quantum* price.
@@ -53,18 +37,6 @@ pub fn quanta_to_cover(duration: SimDuration, quantum: SimDuration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn monthly_to_quantum_conversion_matches_paper_formula() {
-        // $0.10 per GB per month, 60 s quantum (1 minute).
-        let per_month = Money::from_dollars(0.10);
-        let q = SimDuration::from_secs(60);
-        let got = storage_price_per_gb_quantum(per_month, q);
-        let expect = 0.10 * 12.0 * 1.0 / (365.25 * 24.0 * 60.0);
-        // Money has micro-dollar granularity, so the result is exact up to
-        // half a micro-dollar of rounding.
-        assert!((got.as_dollars() - expect).abs() <= 5e-7);
-    }
 
     #[test]
     fn storage_cost_scales_linearly() {

@@ -129,12 +129,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Normal variate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, stdev: f64) -> f64 {
-        debug_assert!(stdev >= 0.0, "stdev must be non-negative");
-        mean + stdev * self.standard_normal()
-    }
-
     /// Log-normal variate parameterised by the *target* mean and standard
     /// deviation of the resulting distribution (not of the underlying
     /// normal), clamped to `[min, max]`.

@@ -195,11 +195,6 @@ impl Quanta {
     pub const fn get(self) -> f64 {
         self.0
     }
-
-    /// The duration this many quanta span.
-    pub fn to_duration(self, quantum: SimDuration) -> SimDuration {
-        quantum.mul_f64(self.0.max(0.0))
-    }
 }
 
 impl From<f64> for Quanta {
@@ -418,7 +413,6 @@ mod tests {
         assert!(((q * 2.0).get() - 4.0).abs() < 1e-12);
         let sum: Quanta = [Quanta::new(1.0), Quanta::new(2.5)].into_iter().sum();
         assert!((sum.get() - 3.5).abs() < 1e-12);
-        assert_eq!(Quanta::new(1.5).to_duration(Q), SimDuration::from_secs(90));
         assert_eq!(format!("{}", Quanta::new(1.25)), "1.250q");
     }
 

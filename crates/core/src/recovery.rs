@@ -122,9 +122,9 @@ impl RecoveryConfig {
         self.backoff_base.mul_f64(factor).min(self.backoff_cap)
     }
 
-    /// Validate parameter ranges.
+    /// Validate parameter ranges. NaN fails every check.
     pub fn validate(&self) -> Result<()> {
-        if self.backoff_factor < 1.0 {
+        if self.backoff_factor.is_nan() || self.backoff_factor < 1.0 {
             return Err(FlowtuneError::config(format!(
                 "backoff factor must be >= 1, got {}",
                 self.backoff_factor
@@ -135,7 +135,7 @@ impl RecoveryConfig {
                 "backoff cap must be >= backoff base".to_owned(),
             ));
         }
-        if self.gain_penalty < 0.0 {
+        if self.gain_penalty.is_nan() || self.gain_penalty < 0.0 {
             return Err(FlowtuneError::config(format!(
                 "gain penalty must be >= 0, got {}",
                 self.gain_penalty
@@ -299,6 +299,20 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn config_validation_rejects_nan() {
+        let nan_factor = RecoveryConfig {
+            backoff_factor: f64::NAN,
+            ..Default::default()
+        };
+        assert!(nan_factor.validate().is_err());
+        let nan_penalty = RecoveryConfig {
+            gain_penalty: f64::NAN,
+            ..Default::default()
+        };
+        assert!(nan_penalty.validate().is_err());
     }
 
     #[test]

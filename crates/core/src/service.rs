@@ -118,6 +118,14 @@ impl ServiceConfig {
         if self.params.cloud.quantum.is_zero() {
             return Err(FlowtuneError::config("quantum must be positive"));
         }
+        // Execution scales each estimate by a factor drawn from
+        // `1 ± error`, which must stay positive.
+        let (time_err, data_err) = self.estimation_error;
+        if !(0.0..1.0).contains(&time_err) || !(0.0..1.0).contains(&data_err) {
+            return Err(FlowtuneError::config(format!(
+                "estimation error must be in [0,1), got ({time_err}, {data_err})"
+            )));
+        }
         // Online interleaving is the skyline search with optional build
         // operators (§5.3.2); it has no load-balance form.
         if (self.scheduler, self.interleaver)
@@ -786,6 +794,19 @@ mod tests {
         assert!(c.validate().is_err());
         assert!(QaasService::new(c.clone()).run().is_err());
         c.interleaver = InterleaverKind::Lp;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_estimation_error_outside_unit_interval() {
+        for bad in [(1.5, 0.0), (0.0, 1.0), (-0.1, 0.0), (f64::NAN, 0.0)] {
+            let mut c = short_config(IndexPolicy::NoIndex);
+            c.estimation_error = bad;
+            assert!(c.validate().is_err(), "accepted {bad:?}");
+            assert!(QaasService::new(c).run().is_err());
+        }
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.estimation_error = (0.3, 0.99);
         assert!(c.validate().is_ok());
     }
 

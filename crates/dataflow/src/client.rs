@@ -91,15 +91,6 @@ impl ArrivalClient {
         self.advance();
         (t, app)
     }
-
-    /// All arrivals up to `horizon`.
-    pub fn arrivals_until(&mut self, horizon: SimTime) -> Vec<(SimTime, App)> {
-        let mut out = Vec::new();
-        while self.next_time <= horizon {
-            out.push(self.next_arrival());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -110,11 +101,20 @@ mod tests {
         SimDuration::from_secs(60 * n)
     }
 
+    /// All arrivals up to `horizon`.
+    fn arrivals_until(c: &mut ArrivalClient, horizon: SimTime) -> Vec<(SimTime, App)> {
+        let mut out = Vec::new();
+        while c.next_time <= horizon {
+            out.push(c.next_arrival());
+        }
+        out
+    }
+
     #[test]
     fn poisson_rate_is_about_one_per_quantum() {
         let mut c = ArrivalClient::new(WorkloadKind::Random, q(1), SimRng::seed_from_u64(1));
         let horizon = SimTime::ZERO + q(720);
-        let arrivals = c.arrivals_until(horizon);
+        let arrivals = arrivals_until(&mut c, horizon);
         // 720 expected; Poisson stdev ~27.
         assert!(
             (620..820).contains(&arrivals.len()),

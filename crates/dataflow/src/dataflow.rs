@@ -43,38 +43,6 @@ pub struct Dataflow {
     pub index_uses: Vec<IndexUse>,
 }
 
-impl Dataflow {
-    /// The speedup this dataflow gets from `index`, or `None` if the
-    /// dataflow does not use it.
-    pub fn speedup_of(&self, index: IndexId) -> Option<f64> {
-        self.index_uses
-            .iter()
-            .find(|u| u.index == index)
-            .map(|u| u.speedup)
-    }
-
-    /// The best usable index (and its speedup) for a given file, if any.
-    pub fn best_index_for(&self, file: FileId) -> Option<&IndexUse> {
-        self.index_uses
-            .iter()
-            .filter(|u| u.file == file)
-            .max_by(|a, b| a.speedup.total_cmp(&b.speedup))
-    }
-
-    /// Distinct files read by this dataflow's operators.
-    pub fn files_read(&self) -> Vec<FileId> {
-        let mut files: Vec<FileId> = self
-            .dag
-            .ops()
-            .iter()
-            .flat_map(|o| o.reads.iter().map(|p| p.file))
-            .collect();
-        files.sort_unstable();
-        files.dedup();
-        files
-    }
-}
-
 /// Builds dataflow instances against a file database.
 #[derive(Debug)]
 pub struct DataflowFactory {
@@ -183,12 +151,25 @@ mod tests {
         DataflowFactory::new(db, 100, rng)
     }
 
+    /// Distinct files read by the dataflow's operators.
+    fn files_read(df: &Dataflow) -> Vec<FileId> {
+        let mut files: Vec<FileId> = df
+            .dag
+            .ops()
+            .iter()
+            .flat_map(|o| o.reads.iter().map(|p| p.file))
+            .collect();
+        files.sort_unstable();
+        files.dedup();
+        files
+    }
+
     #[test]
     fn dataflow_reads_a_subset_of_its_apps_files() {
         let mut f = factory();
         let df = f.make(DataflowId(0), App::Montage, SimTime::ZERO);
         assert_eq!(df.app, App::Montage);
-        let files = df.files_read();
+        let files = files_read(&df);
         assert!((2..=5).contains(&files.len()), "{} files", files.len());
         for file in &files {
             assert_eq!(f.filedb().file(*file).app, App::Montage);
@@ -199,7 +180,7 @@ mod tests {
     fn one_index_per_file_with_table6_speedup() {
         let mut f = factory();
         let df = f.make(DataflowId(1), App::Ligo, SimTime::from_secs(60));
-        assert_eq!(df.index_uses.len(), df.files_read().len());
+        assert_eq!(df.index_uses.len(), files_read(&df).len());
         for u in &df.index_uses {
             assert!(
                 TABLE6_SPEEDUPS.contains(&u.speedup),
@@ -209,17 +190,6 @@ mod tests {
             let spec = &f.filedb().potential_indexes()[u.index.index()];
             assert_eq!(spec.file, u.file);
         }
-    }
-
-    #[test]
-    fn speedup_lookup() {
-        let mut f = factory();
-        let df = f.make(DataflowId(2), App::Cybershake, SimTime::ZERO);
-        let u = df.index_uses[0];
-        assert_eq!(df.speedup_of(u.index), Some(u.speedup));
-        assert_eq!(df.speedup_of(IndexId(9999)), None);
-        let best = df.best_index_for(u.file).unwrap();
-        assert!(best.speedup >= u.speedup);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! Tracks every index the service knows about — *potential* (suggested by
 //! an index advisor, not built), partially built, fully built — together
-//! with per-partition creation times `T` and version stamps. Batch
-//! updates to a table partition invalidate the index partitions built on
-//! it (§3: "Indexes built on table partitions that are updated are
-//! deleted and marked as not built").
+//! with per-partition creation times `T`. Each index partition is written
+//! once by its build operator; a failed or torn build marks it not built
+//! again, and deleting an index drops every partition whole.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use flowtune_common::{FileId, IndexId, SimDuration, SimTime};
@@ -74,18 +72,6 @@ impl IndexSpec {
         self.columns.len() > 1
     }
 
-    /// Leftmost-prefix subsumption: true when this index's column list
-    /// is a strict leftmost prefix of `other`'s over the same file and
-    /// kind. Every probe this index can serve, `other` serves too (at
-    /// the same asymptotic cost), so a catalog holding `other` should
-    /// never also build `self`.
-    pub fn is_prefix_of(&self, other: &IndexSpec) -> bool {
-        self.file == other.file
-            && self.kind == other.kind
-            && self.columns.len() < other.columns.len()
-            && other.columns.starts_with(&self.columns)
-    }
-
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
         self.partition_rows.len()
@@ -106,13 +92,6 @@ impl IndexSpec {
     /// Time to build index partition `part`.
     pub fn partition_build_time(&self, part: usize) -> SimDuration {
         self.model.build_time(self.partition_rows[part])
-    }
-
-    /// Total time `ti(idx)` to build every partition sequentially.
-    pub fn total_build_time(&self) -> SimDuration {
-        (0..self.partition_count())
-            .map(|p| self.partition_build_time(p))
-            .sum()
     }
 }
 
@@ -143,11 +122,6 @@ impl IndexState {
     /// Number of built partitions.
     pub fn built_count(&self) -> usize {
         self.parts.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// True when every partition is built.
-    pub fn fully_built(&self) -> bool {
-        self.parts.iter().all(Option::is_some)
     }
 
     /// True when no partition is built.
@@ -189,7 +163,6 @@ pub struct IndexCatalog {
     /// `SpecCosts::of(&specs[i])`, filled in on first use; reset when
     /// calibration changes the build times.
     costs: Vec<OnceLock<SpecCosts>>,
-    by_file: HashMap<FileId, Vec<IndexId>>,
 }
 
 impl IndexCatalog {
@@ -203,7 +176,6 @@ impl IndexCatalog {
     pub fn add(&mut self, mut spec: IndexSpec) -> IndexId {
         let id = IndexId::from_index(self.specs.len());
         spec.id = id;
-        self.by_file.entry(spec.file).or_default().push(id);
         self.states.push(IndexState::new(spec.partition_count()));
         self.costs.push(OnceLock::new());
         self.specs.push(spec);
@@ -248,23 +220,9 @@ impl IndexCatalog {
         &self.states[id.index()]
     }
 
-    /// Indexes registered over a file.
-    pub fn indexes_on(&self, file: FileId) -> &[IndexId] {
-        self.by_file.get(&file).map_or(&[], Vec::as_slice)
-    }
-
     /// True when index partition `part` is built and current.
     pub fn is_partition_built(&self, id: IndexId, part: usize) -> bool {
         self.states[id.index()].parts[part].is_some()
-    }
-
-    /// Fraction of partitions currently built, in `[0, 1]`.
-    pub fn built_fraction(&self, id: IndexId) -> f64 {
-        let st = &self.states[id.index()];
-        if st.parts.is_empty() {
-            return 0.0;
-        }
-        st.built_count() as f64 / st.parts.len() as f64
     }
 
     /// Record that index partition `part` finished building at `now`
@@ -281,30 +239,6 @@ impl IndexCatalog {
     /// Returns true when the partition was built.
     pub fn unmark_built(&mut self, id: IndexId, part: usize) -> bool {
         self.states[id.index()].parts[part].take().is_some()
-    }
-
-    /// A batch update bumped `file`'s partition `part` to `new_version`:
-    /// drop every index partition built against an older version.
-    /// Returns `(index, partition, freed_bytes)` for each dropped one.
-    pub fn invalidate_table_partition(
-        &mut self,
-        file: FileId,
-        part: usize,
-        new_version: u32,
-    ) -> Vec<(IndexId, usize, u64)> {
-        let mut dropped = Vec::new();
-        for &id in self.by_file.get(&file).map_or(&[][..], Vec::as_slice) {
-            let state = &mut self.states[id.index()];
-            if part < state.parts.len() {
-                if let Some(built) = state.parts[part] {
-                    if built.version < new_version {
-                        state.parts[part] = None;
-                        dropped.push((id, part, self.specs[id.index()].partition_bytes(part)));
-                    }
-                }
-            }
-        }
-        dropped
     }
 
     /// Delete every built partition of an index (it stays registered as a
@@ -387,37 +321,6 @@ mod tests {
         )
     }
 
-    fn composite(file: u32, columns: &[&str], kind: IndexKind) -> IndexSpec {
-        IndexSpec {
-            id: IndexId(0),
-            file: FileId(file),
-            columns: columns.iter().map(|c| (*c).to_owned()).collect(),
-            kind,
-            model: IndexCostModel::new(12.0, 117.0),
-            partition_rows: vec![100_000; 2],
-        }
-    }
-
-    #[test]
-    fn leftmost_prefix_subsumption() {
-        let a = composite(0, &["quantity"], IndexKind::BTree);
-        let ab = composite(0, &["quantity", "shipdate"], IndexKind::BTree);
-        let abc = composite(0, &["quantity", "linenumber", "shipdate"], IndexKind::BTree);
-        assert!(a.is_prefix_of(&ab));
-        assert!(a.is_prefix_of(&abc));
-        assert!(!ab.is_prefix_of(&abc), "(a,b) is not a prefix of (a,c,b)");
-        assert!(!ab.is_prefix_of(&a), "subsumption is not symmetric");
-        assert!(
-            !a.is_prefix_of(&a),
-            "strict: an index does not subsume itself"
-        );
-        // Different file or kind: no subsumption.
-        assert!(!a.is_prefix_of(&composite(1, &["quantity", "shipdate"], IndexKind::BTree)));
-        assert!(!a.is_prefix_of(&composite(0, &["quantity", "shipdate"], IndexKind::Hash)));
-        assert_eq!(abc.display_columns(), "quantity+linenumber+shipdate");
-        assert!(abc.is_composite() && !a.is_composite());
-    }
-
     #[test]
     fn add_and_lookup() {
         let mut cat = IndexCatalog::new();
@@ -425,9 +328,9 @@ mod tests {
         let b = cat.add(spec(0, 3));
         let c = cat.add(spec(1, 2));
         assert_eq!(cat.len(), 3);
-        assert_eq!(cat.indexes_on(FileId(0)), &[a, b]);
-        assert_eq!(cat.indexes_on(FileId(1)), &[c]);
-        assert!(cat.indexes_on(FileId(9)).is_empty());
+        assert_eq!(cat.ids().collect::<Vec<_>>(), [a, b, c]);
+        assert_eq!(cat.spec(b).id, b);
+        assert_eq!(cat.spec(c).file, FileId(1));
         assert_eq!(cat.spec(a).partition_count(), 3);
     }
 
@@ -451,14 +354,11 @@ mod tests {
         let mut cat = IndexCatalog::new();
         let id = cat.add(spec(0, 4));
         assert!(cat.state(id).empty());
-        assert_eq!(cat.built_fraction(id), 0.0);
         cat.mark_built(id, 1, SimTime::from_secs(10), 0);
         cat.mark_built(id, 2, SimTime::from_secs(20), 0);
         assert_eq!(cat.state(id).built_count(), 2);
-        assert!((cat.built_fraction(id) - 0.5).abs() < 1e-12);
         assert!(cat.is_partition_built(id, 1));
         assert!(!cat.is_partition_built(id, 0));
-        assert!(!cat.state(id).fully_built());
         assert_eq!(cat.remaining_build_ops(id).len(), 2);
     }
 
@@ -486,22 +386,6 @@ mod tests {
         assert!(cat.state(id).empty());
         // Idempotent.
         assert_eq!(cat.delete_index(id), 0);
-    }
-
-    #[test]
-    fn update_invalidates_stale_partitions_only() {
-        let mut cat = IndexCatalog::new();
-        let a = cat.add(spec(0, 3));
-        let b = cat.add(spec(0, 3));
-        cat.mark_built(a, 1, SimTime::ZERO, 0);
-        cat.mark_built(b, 1, SimTime::ZERO, 1); // already built on v1
-        cat.mark_built(a, 2, SimTime::ZERO, 0);
-        let dropped = cat.invalidate_table_partition(FileId(0), 1, 1);
-        assert_eq!(dropped.len(), 1);
-        assert_eq!(dropped[0].0, a);
-        assert!(!cat.is_partition_built(a, 1));
-        assert!(cat.is_partition_built(b, 1));
-        assert!(cat.is_partition_built(a, 2));
     }
 
     #[test]
@@ -541,6 +425,8 @@ mod tests {
         cat.mark_built(id, 0, SimTime::ZERO, 0);
         let less = cat.remaining_build_time(id);
         assert!(less < full);
-        assert_eq!(cat.spec(id).total_build_time(), full);
+        let spec = cat.spec(id);
+        let all: SimDuration = (0..4).map(|p| spec.partition_build_time(p)).sum();
+        assert_eq!(all, full);
     }
 }

@@ -1,10 +1,10 @@
 //! # flowtune-index
 //!
-//! Index substrate: a from-scratch B+Tree and hash index (used by
+//! Index substrate: a from-scratch, bulk-built B+Tree (used by
 //! `flowtune-query` to *measure* the speedups of Table 6), the paper's
-//! analytic index size/build-time model (§3, "Data Model"), and the index
-//! catalog that tracks which index partitions exist, when they were built
-//! and which are stale.
+//! analytic index size/build-time model (§3, "Data Model"), the index
+//! catalog that tracks which index partitions exist and when they were
+//! built, and the paged store of committed partition images.
 //!
 //! Indexes are **partitioned**: an index over a table consists of one
 //! index partition per table partition, each built by an independent
@@ -13,7 +13,6 @@
 
 pub mod bptree;
 pub mod catalog;
-pub mod hash;
 pub mod measured;
 pub mod model;
 pub mod store;
@@ -21,7 +20,6 @@ pub mod tuple;
 
 pub use bptree::{BPlusTree, NodeKey};
 pub use catalog::{IndexCatalog, IndexKind, IndexSpec, IndexState};
-pub use hash::HashIndex;
 pub use measured::measure_io;
 pub use model::{IndexCostModel, MeasuredIo};
 pub use store::{IndexPageStore, PartitionVerdict};

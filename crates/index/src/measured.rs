@@ -9,8 +9,8 @@
 //! once cold (cache dropped before every probe, so each probe pays its
 //! full root-to-leaf store reads) and once warm (pool left alone, so
 //! the hit rate reflects steady-state locality). The resulting
-//! [`MeasuredIo`] plugs into
-//! [`IndexCostModel::with_measured_io`](crate::IndexCostModel::with_measured_io)
+//! [`MeasuredIo`] goes into the cost model's `measured_io` (see
+//! [`IndexCatalog::calibrate_io`](crate::IndexCatalog::calibrate_io))
 //! and replaces the asserted write term in the gain model's build time.
 //!
 //! Everything here is deterministic: the key set is dense `0..rows`,
@@ -113,7 +113,10 @@ mod tests {
     #[test]
     fn calibrated_model_uses_the_measurement() {
         let io = measure_io(2_000, 50, 3);
-        let model = IndexCostModel::new(12.0, 117.0).with_measured_io(io);
+        let model = IndexCostModel {
+            measured_io: Some(io),
+            ..IndexCostModel::new(12.0, 117.0)
+        };
         let rows = 100_000u64;
         let expect_write = rows as f64 * io.write_bytes_per_row;
         let expect = flowtune_common::SimDuration::from_secs_f64(

@@ -66,14 +66,6 @@ impl IndexCostModel {
         }
     }
 
-    /// The same model with measured build/probe I/O attached; the
-    /// analytic write-size estimate in [`IndexCostModel::io_time`] is
-    /// replaced by the observed per-row page traffic.
-    pub fn with_measured_io(mut self, io: MeasuredIo) -> Self {
-        self.measured_io = Some(io);
-        self
-    }
-
     /// Tree fan-out `k`: how many index records fit in one disk block.
     pub fn fanout(&self) -> f64 {
         (self.block_bytes / self.rec_bytes).max(2.0)
@@ -210,11 +202,14 @@ mod tests {
     #[test]
     fn measured_io_replaces_the_analytic_write_term() {
         let base = orderkey_model();
-        let calibrated = orderkey_model().with_measured_io(MeasuredIo {
-            write_bytes_per_row: base.rec_bytes * 3.0,
-            read_bytes_per_probe: 12288.0,
-            probe_hit_rate: 0.9,
-        });
+        let calibrated = IndexCostModel {
+            measured_io: Some(MeasuredIo {
+                write_bytes_per_row: base.rec_bytes * 3.0,
+                read_bytes_per_probe: 12288.0,
+                probe_hit_rate: 0.9,
+            }),
+            ..orderkey_model()
+        };
         let rows = 1_000_000u64;
         let expect = SimDuration::from_secs_f64(
             (rows as f64 * base.table_rec_bytes + rows as f64 * base.rec_bytes * 3.0)

@@ -30,7 +30,7 @@
 //! (pages the scan read back, missing ones included).
 
 use flowtune_common::{IndexId, PageId};
-use flowtune_storage::{MemPageStore, Page, PageCheck, PageStore, PAGE_PAYLOAD, PAGE_SIZE};
+use flowtune_storage::{MemPageStore, Page, PageCheck, PAGE_PAYLOAD, PAGE_SIZE};
 use std::collections::BTreeMap;
 
 /// Page-kind tag for index partition image pages.

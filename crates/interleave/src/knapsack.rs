@@ -43,28 +43,6 @@ pub struct KnapsackSolution {
     pub pruned: usize,
 }
 
-/// Upper bound from the LP relaxation (items sorted by value density,
-/// last item taken fractionally) — the classic Dantzig bound.
-pub fn fractional_upper_bound(capacity: u64, sizes: &[u64], values: &[f64]) -> f64 {
-    assert_eq!(sizes.len(), values.len(), "sizes/values length mismatch");
-    let mut order: Vec<usize> = (0..sizes.len()).filter(|&i| values[i] > 0.0).collect();
-    order.sort_by(|&a, &b| density(values[b], sizes[b]).total_cmp(&density(values[a], sizes[a])));
-    let mut remaining = capacity;
-    let mut bound = 0.0;
-    for i in order {
-        if sizes[i] == 0 {
-            bound += values[i];
-        } else if sizes[i] <= remaining {
-            bound += values[i];
-            remaining -= sizes[i];
-        } else {
-            bound += values[i] * remaining as f64 / sizes[i] as f64;
-            break;
-        }
-    }
-    bound
-}
-
 fn density(value: f64, size: u64) -> f64 {
     if size == 0 {
         f64::INFINITY
@@ -374,15 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn fractional_bound_dominates_integral_optimum() {
-        let sizes = [6, 4, 5, 3];
-        let values = [7.0, 5.0, 4.0, 2.5];
-        let lp = fractional_upper_bound(10, &sizes, &values);
-        let ip = solve_knapsack(10, &sizes, &values).value;
-        assert!(lp >= ip - 1e-9, "LP {lp} < IP {ip}");
-    }
-
-    #[test]
     fn graham_assigns_to_largest_remaining_slot() {
         let slots = [10, 6];
         let sizes = [7, 5, 4];
@@ -440,18 +409,6 @@ mod tests {
             assert!(sz <= capacity);
             let val: f64 = sol.chosen.iter().map(|&i| values[i]).sum();
             assert!((val - sol.value).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn lp_bound_always_dominates() {
-        let mut rng = SimRng::seed_from_u64(0x1CA8);
-        for _ in 0..120 {
-            let (sizes, values, _) = random_items(&mut rng, 12);
-            let capacity = rng.uniform_u64(0, 120);
-            let lp = fractional_upper_bound(capacity, &sizes, &values);
-            let ip = solve_knapsack(capacity, &sizes, &values).value;
-            assert!(lp >= ip - 1e-6);
         }
     }
 }

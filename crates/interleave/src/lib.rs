@@ -34,8 +34,6 @@ pub mod reference;
 
 pub use buildop::{BuildOp, BUILD_OP_ID_BASE};
 pub use deferred::{BatchBuild, DeferredBuildQueue};
-pub use knapsack::{
-    fractional_upper_bound, graham_greedy, merged_upper_bound, solve_knapsack, KnapsackSolution,
-};
+pub use knapsack::{graham_greedy, merged_upper_bound, solve_knapsack, KnapsackSolution};
 pub use lp::LpInterleaver;
 pub use online::OnlineInterleaver;

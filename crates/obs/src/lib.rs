@@ -27,8 +27,7 @@
 //! ```
 //!
 //! With no recorder installed every call is a cold branch on a
-//! thread-local flag; with the `trace` cargo feature disabled the whole
-//! surface compiles to no-ops and guarded call sites disappear.
+//! thread-local flag.
 
 mod event;
 mod metrics;

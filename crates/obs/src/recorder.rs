@@ -9,11 +9,10 @@
 //! concurrently running tests from one another.
 //!
 //! When nothing is installed, every recording call is a branch on a
-//! thread-local `Cell<bool>` that is always `false`; with the `trace`
-//! cargo feature disabled, [`is_enabled`] is a constant `false` and the
-//! call sites are removed entirely by dead-code elimination.
+//! thread-local `Cell<bool>` that is always `false`.
 
 use flowtune_common::SimTime;
+use std::cell::{Cell, RefCell};
 
 use crate::event::{Event, Value};
 use crate::metrics::MetricsRegistry;
@@ -59,122 +58,79 @@ impl Recorder {
     }
 }
 
-#[cfg(feature = "trace")]
-mod active {
-    use super::*;
-    use std::cell::{Cell, RefCell};
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
 
-    thread_local! {
-        static ENABLED: Cell<bool> = const { Cell::new(false) };
-        static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+/// Whether a recorder is installed on this thread.
+#[inline]
+pub fn is_enabled() -> bool {
+    ENABLED.with(Cell::get)
+}
+
+/// Install a fresh recorder on this thread, replacing (and
+/// discarding) any previous one.
+pub fn install() {
+    RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new()));
+    ENABLED.with(|e| e.set(true));
+}
+
+/// Take the recorder off this thread, disabling recording.
+pub fn uninstall() -> Option<Recorder> {
+    ENABLED.with(|e| e.set(false));
+    RECORDER.with(|r| r.borrow_mut().take())
+}
+
+fn with_recorder(f: impl FnOnce(&mut Recorder)) {
+    RECORDER.with(|r| {
+        if let Some(rec) = r.borrow_mut().as_mut() {
+            f(rec);
+        }
+    });
+}
+
+/// Set the sim-time clock used to stamp subsequent events.
+pub fn set_now(now: SimTime) {
+    if is_enabled() {
+        with_recorder(|rec| rec.now_ms = now.as_millis());
     }
+}
 
-    /// Whether a recorder is installed on this thread.
-    #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.with(Cell::get)
-    }
-
-    /// Install a fresh recorder on this thread, replacing (and
-    /// discarding) any previous one.
-    pub fn install() {
-        RECORDER.with(|r| *r.borrow_mut() = Some(Recorder::new()));
-        ENABLED.with(|e| e.set(true));
-    }
-
-    /// Take the recorder off this thread, disabling recording.
-    pub fn uninstall() -> Option<Recorder> {
-        ENABLED.with(|e| e.set(false));
-        RECORDER.with(|r| r.borrow_mut().take())
-    }
-
-    fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-        RECORDER.with(|r| {
-            if let Some(rec) = r.borrow_mut().as_mut() {
-                f(rec);
-            }
+/// Record one event at the current sim time.
+pub fn emit(kind: &'static str, fields: Vec<(&'static str, Value)>) {
+    if is_enabled() {
+        with_recorder(|rec| {
+            let at_ms = rec.now_ms;
+            rec.events.push(Event {
+                at_ms,
+                kind,
+                fields,
+            });
         });
     }
+}
 
-    /// Set the sim-time clock used to stamp subsequent events.
-    pub fn set_now(now: SimTime) {
-        if is_enabled() {
-            with_recorder(|rec| rec.now_ms = now.as_millis());
-        }
-    }
-
-    /// Record one event at the current sim time.
-    pub fn emit(kind: &'static str, fields: Vec<(&'static str, Value)>) {
-        if is_enabled() {
-            with_recorder(|rec| {
-                let at_ms = rec.now_ms;
-                rec.events.push(Event {
-                    at_ms,
-                    kind,
-                    fields,
-                });
-            });
-        }
-    }
-
-    /// Add `delta` to a named counter.
-    pub fn count(name: &'static str, delta: u64) {
-        if is_enabled() {
-            with_recorder(|rec| rec.metrics.count(name, delta));
-        }
-    }
-
-    /// Set a named gauge.
-    pub fn gauge(name: &'static str, value: f64) {
-        if is_enabled() {
-            with_recorder(|rec| rec.metrics.gauge(name, value));
-        }
-    }
-
-    /// Record one observation into a named distribution.
-    pub fn observe(name: &'static str, x: f64) {
-        if is_enabled() {
-            with_recorder(|rec| rec.metrics.observe(name, x));
-        }
+/// Add `delta` to a named counter.
+pub fn count(name: &'static str, delta: u64) {
+    if is_enabled() {
+        with_recorder(|rec| rec.metrics.count(name, delta));
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod active {
-    use super::*;
-
-    /// Always `false` with the `trace` feature off; guarded call sites
-    /// are dead-code-eliminated.
-    #[inline(always)]
-    pub fn is_enabled() -> bool {
-        false
+/// Set a named gauge.
+pub fn gauge(name: &'static str, value: f64) {
+    if is_enabled() {
+        with_recorder(|rec| rec.metrics.gauge(name, value));
     }
-
-    /// No-op with the `trace` feature off.
-    pub fn install() {}
-
-    /// Always `None` with the `trace` feature off.
-    pub fn uninstall() -> Option<Recorder> {
-        None
-    }
-
-    /// No-op with the `trace` feature off.
-    pub fn set_now(_now: SimTime) {}
-
-    /// No-op with the `trace` feature off.
-    pub fn emit(_kind: &'static str, _fields: Vec<(&'static str, Value)>) {}
-
-    /// No-op with the `trace` feature off.
-    pub fn count(_name: &'static str, _delta: u64) {}
-
-    /// No-op with the `trace` feature off.
-    pub fn gauge(_name: &'static str, _value: f64) {}
-
-    /// No-op with the `trace` feature off.
-    pub fn observe(_name: &'static str, _x: f64) {}
 }
 
-pub use active::{count, emit, gauge, install, is_enabled, observe, set_now, uninstall};
+/// Record one observation into a named distribution.
+pub fn observe(name: &'static str, x: f64) {
+    if is_enabled() {
+        with_recorder(|rec| rec.metrics.observe(name, x));
+    }
+}
 
 /// Record one event if a recorder is installed. Field values are not
 /// evaluated when recording is disabled.
@@ -196,7 +152,6 @@ macro_rules! obs_event {
 }
 
 #[cfg(test)]
-#[cfg(feature = "trace")]
 mod tests {
     use super::*;
 

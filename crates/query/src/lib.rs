@@ -5,13 +5,13 @@
 //! query classes on TPC-H `lineitem` (Table 6: order-by 7.44×, large
 //! range 94×, small range 307×, lookup 627×); this crate reproduces those
 //! measurements on the synthetic `lineitem` of `flowtune-storage` and the
-//! B+Tree/hash indexes of `flowtune-index`.
+//! bulk-built B+Trees of `flowtune-index`.
 //!
 //! The operators cover Table 6's three categories:
 //!
 //! | Category     | No-index path              | Indexed path                  |
 //! |--------------|----------------------------|-------------------------------|
-//! | Lookup       | full scan                  | B+Tree / hash probe           |
+//! | Lookup       | full scan                  | B+Tree probe                  |
 //! | Range select | full scan with predicate   | B+Tree range scan             |
 //! | Sorting      | comparison argsort         | B+Tree in-order traversal     |
 //!

@@ -1,10 +1,10 @@
 //! Lookup and range-select operators.
 //!
 //! The no-index paths are O(n) full scans; the indexed paths are
-//! O(log n) (B+Tree) or O(1) (hash) — the complexities the paper cites
-//! for its "Lookup" and "Range select" operator categories.
+//! O(log n) B+Tree probes — the complexities the paper cites for its
+//! "Lookup" and "Range select" operator categories.
 
-use flowtune_index::{BPlusTree, HashIndex};
+use flowtune_index::BPlusTree;
 
 /// Full-scan equality lookup: all row ids where `col[row] == key`.
 pub fn scan_eq(col: &[i64], key: i64) -> Vec<u32> {
@@ -29,11 +29,6 @@ pub fn btree_eq(index: &BPlusTree<i64>, key: i64) -> Vec<u32> {
     index.get(&key).collect()
 }
 
-/// Hash-index equality lookup.
-pub fn hash_eq(index: &HashIndex<i64>, key: i64) -> Vec<u32> {
-    index.get(&key).collect()
-}
-
 /// B+Tree range select: row ids with `lo <= key <= hi`, in key order.
 pub fn btree_range(index: &BPlusTree<i64>, lo: i64, hi: i64) -> Vec<u32> {
     index.range(lo, hi).map(|(_, r)| r).collect()
@@ -43,7 +38,7 @@ pub fn btree_range(index: &BPlusTree<i64>, lo: i64, hi: i64) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    fn fixture() -> (Vec<i64>, BPlusTree<i64>, HashIndex<i64>) {
+    fn fixture() -> (Vec<i64>, BPlusTree<i64>) {
         let col: Vec<i64> = vec![5, 3, 9, 3, 7, 1, 3, 9, 0, 4];
         let mut pairs: Vec<(i64, u32)> = col
             .iter()
@@ -52,28 +47,24 @@ mod tests {
             .collect();
         pairs.sort_unstable();
         let bt = BPlusTree::bulk_build(4, &pairs);
-        let hash = HashIndex::build(col.iter().enumerate().map(|(i, k)| (*k, i as u32)));
-        (col, bt, hash)
+        (col, bt)
     }
 
     #[test]
     fn all_lookup_paths_agree() {
-        let (col, bt, hash) = fixture();
+        let (col, bt) = fixture();
         for key in -1..11 {
             let mut a = scan_eq(&col, key);
             let mut b = btree_eq(&bt, key);
-            let mut c = hash_eq(&hash, key);
             a.sort_unstable();
             b.sort_unstable();
-            c.sort_unstable();
             assert_eq!(a, b, "btree disagrees at {key}");
-            assert_eq!(a, c, "hash disagrees at {key}");
         }
     }
 
     #[test]
     fn range_paths_agree() {
-        let (col, bt, _) = fixture();
+        let (col, bt) = fixture();
         for lo in -1..11 {
             for hi in lo..11 {
                 let mut a = scan_range(&col, lo, hi);
@@ -87,16 +78,15 @@ mod tests {
 
     #[test]
     fn empty_results() {
-        let (col, bt, hash) = fixture();
+        let (col, bt) = fixture();
         assert!(scan_eq(&col, 42).is_empty());
         assert!(btree_eq(&bt, 42).is_empty());
-        assert!(hash_eq(&hash, 42).is_empty());
         assert!(btree_range(&bt, 100, 200).is_empty());
     }
 
     #[test]
     fn btree_range_is_key_ordered() {
-        let (col, bt, _) = fixture();
+        let (col, bt) = fixture();
         let rows = btree_range(&bt, 0, 9);
         let keys: Vec<i64> = rows.iter().map(|&r| col[r as usize]).collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));

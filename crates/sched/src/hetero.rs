@@ -75,11 +75,6 @@ impl HeteroSchedule {
             })
             .sum()
     }
-
-    /// The VM type of one container.
-    pub fn type_of(&self, c: ContainerId) -> &VmType {
-        &self.types[self.container_types[c.index()]]
-    }
 }
 
 /// Skyline scheduler over a heterogeneous pool.
@@ -296,7 +291,8 @@ mod tests {
         let fastest_hetero = hetero.schedule(&dag).remove(0);
         assert_eq!(fastest_homo.makespan(), SimDuration::from_secs(150));
         assert_eq!(fastest_hetero.makespan(), SimDuration::from_secs(75));
-        assert_eq!(fastest_hetero.type_of(ContainerId(0)).name, "fast");
+        let first_type = fastest_hetero.container_types[0];
+        assert_eq!(fastest_hetero.types[first_type].name, "fast");
     }
 
     #[test]

@@ -71,17 +71,6 @@ pub fn total_fragmentation(schedule: &Schedule, quantum: SimDuration) -> SimDura
         .sum()
 }
 
-/// The longest single idle slot — the tie-breaking criterion of the
-/// skyline scheduler ("the schedule with the most sequential idle
-/// compute time is selected").
-pub fn longest_idle_slot(schedule: &Schedule, quantum: SimDuration) -> SimDuration {
-    idle_slots(schedule, quantum)
-        .iter()
-        .map(IdleSlot::duration)
-        .max()
-        .unwrap_or(SimDuration::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +78,17 @@ mod tests {
     use flowtune_common::{IndexId, OpId};
 
     const Q: SimDuration = SimDuration::from_secs(60);
+
+    /// The longest single idle slot — the skyline scheduler's
+    /// tie-break ("the schedule with the most sequential idle compute
+    /// time is selected"), recomputed from the schedule.
+    fn longest_idle_slot(schedule: &Schedule, quantum: SimDuration) -> SimDuration {
+        idle_slots(schedule, quantum)
+            .iter()
+            .map(IdleSlot::duration)
+            .max()
+            .unwrap_or(SimDuration::ZERO)
+    }
 
     fn asg(op: u32, c: u32, s: u64, e: u64) -> Assignment {
         Assignment {

@@ -136,11 +136,6 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
         self.used
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of cached objects.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -257,7 +252,7 @@ mod tests {
                 let k = rng.uniform_u64(0, 20) as u32;
                 let sz = rng.uniform_u64(1, 40);
                 c.insert(k, sz);
-                assert!(c.used_bytes() <= c.capacity_bytes());
+                assert!(c.used_bytes() <= c.capacity);
             }
             // Internal bookkeeping consistent: re-deriving used from entries.
             let derived: u64 = (0u32..20).filter(|k| c.contains(k)).count() as u64;
@@ -362,7 +357,7 @@ mod tests {
                 assert_eq!(c.used_bytes(), m.used(), "round {round} op {op}");
                 assert_eq!(c.len(), m.order.len(), "round {round} op {op}");
                 assert_eq!(c.evictions(), m.evictions, "round {round} op {op}");
-                assert!(c.used_bytes() <= c.capacity_bytes());
+                assert!(c.used_bytes() <= c.capacity);
                 for &(k, _) in &m.order {
                     assert!(c.contains(&k), "round {round} op {op}: missing {k}");
                 }

@@ -60,22 +60,6 @@ impl ColumnData {
         }
     }
 
-    /// Typed access: 32-bit integer column.
-    pub fn as_i32(&self) -> Option<&[i32]> {
-        match self {
-            ColumnData::I32(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Typed access: date column.
-    pub fn as_date(&self) -> Option<&[i32]> {
-        match self {
-            ColumnData::Date(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Typed access: text column.
     pub fn as_str(&self) -> Option<&[String]> {
         match self {

@@ -6,14 +6,14 @@
 //! cloud storage-service cost meter, and the container local-disk LRU
 //! cache model.
 //!
-//! Two layers coexist:
-//!
-//! * **Metadata** ([`table::TableMeta`], [`table::PartitionMeta`]) — what
-//!   the scheduler/tuner/simulator see: row counts, byte sizes, column
-//!   statistics. This is all the paper's cost models need.
-//! * **Data** ([`column::ColumnData`], [`table::PartitionData`]) — actual
-//!   values, used by `flowtune-query` and `flowtune-index` to *measure*
-//!   real index speedups (Table 6) instead of assuming them.
+//! Table and partition metadata (row counts, byte sizes) lives in
+//! `flowtune_dataflow::FileDatabase`, which is all the paper's cost
+//! models need. This crate holds the actual values
+//! ([`column::ColumnData`], [`table::PartitionData`]), used by
+//! `flowtune-query` and `flowtune-index` to *measure* real index
+//! speedups (Table 6) instead of assuming them, and the checksummed
+//! page layer ([`page`], [`pool`]) the B+Tree and the page-image store
+//! run on.
 
 pub mod cache;
 pub mod column;
@@ -28,9 +28,9 @@ pub mod value;
 pub use cache::LruCache;
 pub use column::ColumnData;
 pub use lineitem::{LineitemGenerator, LineitemParams};
-pub use page::{checksum64, MemPageStore, Page, PageCheck, PageStore, PAGE_PAYLOAD, PAGE_SIZE};
+pub use page::{checksum64, MemPageStore, Page, PageCheck, PAGE_PAYLOAD, PAGE_SIZE};
 pub use pool::{BufferPool, PoolStats};
 pub use schema::{Column, ColumnType, Schema};
 pub use store::{ObjectKey, StorageService};
-pub use table::{PartitionData, PartitionMeta, TableMeta};
+pub use table::PartitionData;
 pub use value::Value;

@@ -337,7 +337,10 @@ mod tests {
             ..Default::default()
         });
         let data = g.generate_columns(&["shipdate"]);
-        for &d in data.column(0).as_date().unwrap() {
+        let ColumnData::Date(days) = data.column(0) else {
+            panic!("shipdate is a date column");
+        };
+        for &d in days {
             assert!((8035..10593).contains(&d));
         }
     }

@@ -15,8 +15,8 @@
 //!
 //! The checksum covers the epoch, so a torn write that splices an old
 //! page body under a new header (or vice versa) fails verification.
-//! [`PageStore`] is the persistence trait; [`MemPageStore`] is the
-//! deterministic in-memory backing every simulation run uses. The raw
+//! [`MemPageStore`] is the deterministic in-memory backing every
+//! simulation run uses. The raw
 //! store accepts arbitrary byte strings so fault injection can model
 //! truncated (torn) writes — [`Page::check`] reports them as
 //! [`PageCheck::SizeMismatch`].
@@ -223,27 +223,9 @@ impl Page {
     }
 }
 
-/// Persistence abstraction the buffer pool runs over. Implementations
-/// must be deterministic: id allocation and read/write behavior depend
-/// only on the call sequence.
-pub trait PageStore {
-    /// Allocate a fresh page id. Ids are never reused.
-    fn allocate(&mut self) -> PageId;
-    /// Write raw bytes for `id`. Arbitrary lengths are accepted so
-    /// fault injection can model torn (truncated) writes; verification
-    /// catches them later.
-    fn write(&mut self, id: PageId, bytes: Vec<u8>);
-    /// Raw bytes for `id`, or `None` when the page was never written
-    /// (or was freed).
-    fn read(&self, id: PageId) -> Option<&[u8]>;
-    /// Drop the page. Freed ids are not reallocated.
-    fn free(&mut self, id: PageId);
-    /// Number of pages currently stored.
-    fn page_count(&self) -> usize;
-}
-
 /// Deterministic in-memory page store: a `BTreeMap` of raw page images
-/// with monotonically allocated ids.
+/// with monotonically allocated ids. Id allocation and read/write
+/// behavior depend only on the call sequence.
 #[derive(Debug, Clone, Default)]
 pub struct MemPageStore {
     pages: BTreeMap<PageId, Vec<u8>>,
@@ -267,40 +249,38 @@ impl MemPageStore {
         }
     }
 
-    /// Fault-injection hook: truncate the stored image to `keep`
-    /// bytes, modeling a torn write that persisted only a prefix.
-    pub fn truncate(&mut self, id: PageId, keep: usize) {
-        if let Some(bytes) = self.pages.get_mut(&id) {
-            bytes.truncate(keep);
-        }
-    }
-
     /// Ids of every stored page, ascending.
     pub fn ids(&self) -> impl Iterator<Item = PageId> + '_ {
         self.pages.keys().copied()
     }
-}
 
-impl PageStore for MemPageStore {
-    fn allocate(&mut self) -> PageId {
+    /// Allocate a fresh page id. Ids are never reused.
+    pub fn allocate(&mut self) -> PageId {
         let id = PageId(self.next);
         self.next = self.next.wrapping_add(1);
         id
     }
 
-    fn write(&mut self, id: PageId, bytes: Vec<u8>) {
+    /// Write raw bytes for `id`. Arbitrary lengths are accepted so
+    /// fault injection can model torn (truncated) writes; verification
+    /// catches them later.
+    pub fn write(&mut self, id: PageId, bytes: Vec<u8>) {
         self.pages.insert(id, bytes);
     }
 
-    fn read(&self, id: PageId) -> Option<&[u8]> {
+    /// Raw bytes for `id`, or `None` when the page was never written
+    /// (or was freed).
+    pub fn read(&self, id: PageId) -> Option<&[u8]> {
         self.pages.get(&id).map(Vec::as_slice)
     }
 
-    fn free(&mut self, id: PageId) {
+    /// Drop the page. Freed ids are not reallocated.
+    pub fn free(&mut self, id: PageId) {
         self.pages.remove(&id);
     }
 
-    fn page_count(&self) -> usize {
+    /// Number of pages currently stored.
+    pub fn page_count(&self) -> usize {
         self.pages.len()
     }
 }
@@ -471,7 +451,7 @@ mod tests {
         let page = Page::new(1, 4, vec![7u8; 64]).unwrap();
         s.write(id, page.encode());
         assert_eq!(Page::check(s.read(id), 4), PageCheck::Clean);
-        s.truncate(id, 1000);
+        s.write(id, page.encode()[..1000].to_vec());
         assert_eq!(Page::check(s.read(id), 4), PageCheck::SizeMismatch);
         let id2 = s.allocate();
         s.write(id2, page.encode());

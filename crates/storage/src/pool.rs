@@ -1,4 +1,4 @@
-//! Deterministic LRU buffer pool over a [`PageStore`].
+//! Deterministic LRU buffer pool over a [`MemPageStore`].
 //!
 //! The pool is write-through: every [`BufferPool::write`] encodes the
 //! page, persists it to the backing store, and caches the *decoded*
@@ -24,7 +24,7 @@
 //! *measured* build/probe I/O instead of asserted constants.
 
 use crate::cache::LruCache;
-use crate::page::{Page, PageCheck, PageStore, PAGE_SIZE};
+use crate::page::{MemPageStore, Page, PageCheck, PAGE_SIZE};
 use flowtune_common::{FlowtuneError, PageId, Result};
 use std::collections::BTreeMap;
 
@@ -45,18 +45,19 @@ pub struct PoolStats {
 
 /// Write-through LRU buffer pool; see the module docs.
 #[derive(Debug, Clone)]
-pub struct BufferPool<S> {
-    store: S,
+pub struct BufferPool {
+    store: MemPageStore,
     cache: LruCache<PageId>,
     frames: BTreeMap<PageId, Page>,
     stats: PoolStats,
 }
 
-impl<S: PageStore> BufferPool<S> {
-    /// Create a pool holding at most `capacity_pages` cached frames.
-    pub fn new(store: S, capacity_pages: usize) -> Self {
+impl BufferPool {
+    /// Create a pool over an empty store, holding at most
+    /// `capacity_pages` cached frames.
+    pub fn new(capacity_pages: usize) -> Self {
         BufferPool {
-            store,
+            store: MemPageStore::new(),
             cache: LruCache::new(capacity_pages as u64 * PAGE_SIZE as u64),
             frames: BTreeMap::new(),
             stats: PoolStats::default(),
@@ -162,12 +163,12 @@ impl<S: PageStore> BufferPool<S> {
     }
 
     /// The backing store (read-only).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &MemPageStore {
         &self.store
     }
 
     /// The backing store (mutable — fault-injection hooks live here).
-    pub fn store_mut(&mut self) -> &mut S {
+    pub fn store_mut(&mut self) -> &mut MemPageStore {
         &mut self.store
     }
 
@@ -180,7 +181,6 @@ impl<S: PageStore> BufferPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::MemPageStore;
 
     fn page(epoch: u32, fill: u8) -> Page {
         Page::new(1, epoch, vec![fill; 32]).unwrap()
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn write_then_read_hits_the_cache() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 8);
+        let mut pool = BufferPool::new(8);
         let id = pool.allocate();
         pool.write(id, &page(1, 0xAA));
         assert_eq!(pool.read(id).unwrap(), page(1, 0xAA));
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn capacity_pressure_evicts_and_rereads_from_store() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 2);
+        let mut pool = BufferPool::new(2);
         let ids: Vec<_> = (0..3)
             .map(|i| {
                 let id = pool.allocate();
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn check_bypasses_cached_frames() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 8);
+        let mut pool = BufferPool::new(8);
         let id = pool.allocate();
         pool.write(id, &page(7, 0x01));
         // Corrupt the persistent bytes while the cached frame stays
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn clean_check_warms_the_cache() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 8);
+        let mut pool = BufferPool::new(8);
         let id = pool.allocate();
         pool.write(id, &page(3, 0x02));
         pool.evict(id);
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn epoch_mismatch_is_detected() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 8);
+        let mut pool = BufferPool::new(8);
         let id = pool.allocate();
         pool.write(id, &page(4, 0x03));
         assert_eq!(pool.check(id, 5), PageCheck::EpochMismatch);
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn free_removes_from_store_and_cache() {
-        let mut pool = BufferPool::new(MemPageStore::new(), 8);
+        let mut pool = BufferPool::new(8);
         let id = pool.allocate();
         pool.write(id, &page(1, 0x04));
         pool.free(id);

@@ -98,11 +98,6 @@ impl StorageService {
         self.objects.contains_key(key)
     }
 
-    /// Size of an object, if present.
-    pub fn object_bytes(&self, key: &ObjectKey) -> Option<u64> {
-        self.objects.get(key).map(|o| o.bytes)
-    }
-
     /// Creation time of an object, if present.
     pub fn object_created(&self, key: &ObjectKey) -> Option<SimTime> {
         self.objects.get(key).map(|o| o.created)
@@ -213,10 +208,8 @@ mod tests {
         s.put(pkey(0), MB, SimTime::ZERO);
         s.put(ObjectKey::IndexPart(IndexId(0), 0), 2 * MB, SimTime::ZERO);
         assert_eq!(s.object_count(), 2);
-        assert_eq!(
-            s.object_bytes(&ObjectKey::IndexPart(IndexId(0), 0)),
-            Some(2 * MB)
-        );
+        assert_eq!(s.stored_bytes(), 3 * MB);
+        assert!(s.contains(&ObjectKey::IndexPart(IndexId(0), 0)));
         assert_eq!(s.object_created(&pkey(0)), Some(SimTime::ZERO));
     }
 }

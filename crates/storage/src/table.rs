@@ -1,99 +1,11 @@
-//! Tables, partitions and partition data.
+//! Partition data: the column values of one table partition.
 //!
-//! A table `t(schema, P, S)` is its schema, an ordered set of partitions
-//! and its statistics (§3, "Data Model"). Partitions carry a version
-//! number: batch updates create a new version of the partitions they
-//! touch, which invalidates indexes built on the old version.
+//! Table and partition *metadata* (row counts, byte sizes, partition
+//! ids) live in `flowtune_dataflow::FileDatabase`; this module holds
+//! the actual values that `flowtune-query` and `flowtune-index` use to
+//! measure real index speedups.
 
 use crate::column::ColumnData;
-use crate::schema::Schema;
-use flowtune_common::{FileId, PartitionId, TableId};
-
-/// Metadata of one table partition `p(id, n, path)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionMeta {
-    /// Partition identity (file + ordinal).
-    pub id: PartitionId,
-    /// Number of records `n`.
-    pub rows: u64,
-    /// Size in bytes (rows × average row size, or exact when data exists).
-    pub bytes: u64,
-    /// Path of the partition object in the storage service.
-    pub path: String,
-    /// Version, bumped by each batch update that touches this partition.
-    pub version: u32,
-}
-
-/// Metadata of a table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableMeta {
-    /// Table identity.
-    pub id: TableId,
-    /// Human-readable name.
-    pub name: String,
-    /// Column schema (carries per-column average-size statistics).
-    pub schema: Schema,
-    /// Ordered partitions.
-    pub partitions: Vec<PartitionMeta>,
-}
-
-impl TableMeta {
-    /// Build a table, splitting `rows` records into partitions of at most
-    /// `max_partition_bytes` bytes using the schema's average row size.
-    ///
-    /// This mirrors the paper's setup where files are split into at most
-    /// 128 MB partitions.
-    pub fn with_partitions(
-        id: TableId,
-        name: impl Into<String>,
-        schema: Schema,
-        rows: u64,
-        max_partition_bytes: u64,
-    ) -> Self {
-        let name = name.into();
-        let row_bytes = schema.avg_row_bytes();
-        assert!(row_bytes > 0.0, "schema must have a positive row size");
-        assert!(max_partition_bytes > 0, "partition size must be positive");
-        let rows_per_part = ((max_partition_bytes as f64 / row_bytes).floor() as u64).max(1);
-        let mut partitions = Vec::new();
-        let mut remaining = rows;
-        let mut ordinal = 0u32;
-        while remaining > 0 {
-            let n = remaining.min(rows_per_part);
-            partitions.push(PartitionMeta {
-                id: PartitionId::new(FileId(id.0), ordinal),
-                rows: n,
-                bytes: (n as f64 * row_bytes).round() as u64,
-                path: format!("{name}/part-{ordinal:05}"),
-                version: 0,
-            });
-            remaining -= n;
-            ordinal += 1;
-        }
-        TableMeta {
-            id,
-            name,
-            schema,
-            partitions,
-        }
-    }
-
-    /// Total rows across all partitions.
-    pub fn rows(&self) -> u64 {
-        self.partitions.iter().map(|p| p.rows).sum()
-    }
-
-    /// Total bytes across all partitions.
-    pub fn bytes(&self) -> u64 {
-        self.partitions.iter().map(|p| p.bytes).sum()
-    }
-
-    /// Apply a batch update to partition `ordinal`: bump its version (old
-    /// indexes on it are now stale).
-    pub fn update_partition(&mut self, ordinal: usize) {
-        self.partitions[ordinal].version += 1;
-    }
-}
 
 /// Actual column values of one partition (schema-aligned).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,48 +48,6 @@ impl PartitionData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, ColumnType};
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            Column::new("k", ColumnType::Int64),
-            Column::new("txt", ColumnType::Text { avg: 24.0 }),
-        ])
-    }
-
-    #[test]
-    fn partitioning_respects_max_bytes() {
-        // 32 bytes/row, 1000 rows, 3200-byte partitions -> 100 rows each.
-        let t = TableMeta::with_partitions(TableId(0), "t", schema(), 1000, 3200);
-        assert_eq!(t.partitions.len(), 10);
-        assert!(t.partitions.iter().all(|p| p.rows == 100));
-        assert_eq!(t.rows(), 1000);
-        assert_eq!(t.bytes(), 32_000);
-        assert_eq!(t.partitions[3].id, PartitionId::new(FileId(0), 3));
-    }
-
-    #[test]
-    fn last_partition_takes_remainder() {
-        let t = TableMeta::with_partitions(TableId(1), "t", schema(), 250, 3200);
-        assert_eq!(t.partitions.len(), 3);
-        assert_eq!(t.partitions[2].rows, 50);
-    }
-
-    #[test]
-    fn tiny_partition_size_still_progresses() {
-        // max bytes below one row size -> one row per partition.
-        let t = TableMeta::with_partitions(TableId(2), "t", schema(), 3, 8);
-        assert_eq!(t.partitions.len(), 3);
-        assert!(t.partitions.iter().all(|p| p.rows == 1));
-    }
-
-    #[test]
-    fn updates_bump_versions() {
-        let mut t = TableMeta::with_partitions(TableId(0), "t", schema(), 10, 3200);
-        assert_eq!(t.partitions[0].version, 0);
-        t.update_partition(0);
-        assert_eq!(t.partitions[0].version, 1);
-    }
 
     #[test]
     fn partition_data_checks_alignment() {

@@ -88,12 +88,6 @@ impl AdaptiveFading {
     pub fn tracked(&self) -> usize {
         self.state.len()
     }
-
-    /// Drop state for an index (e.g. when it is deleted and its file
-    /// retired).
-    pub fn forget(&mut self, idx: IndexId) {
-        self.state.remove(&idx);
-    }
 }
 
 #[cfg(test)]
@@ -174,14 +168,5 @@ mod tests {
             hot < cold,
             "D must shrink when reuse accelerates: {cold} -> {hot}"
         );
-    }
-
-    #[test]
-    fn forget_removes_state() {
-        let mut a = AdaptiveFading::new(1.0, Q);
-        a.record_use(IndexId(0), t(0));
-        a.record_use(IndexId(0), t(2));
-        a.forget(IndexId(0));
-        assert_eq!(a.d_for(IndexId(0)), 1.0);
     }
 }
