@@ -59,7 +59,8 @@ echo "==> exp_* --smoke reports (vs tests/golden/exp/)"
 # pinned smoke report; exp_fault_matrix is one of them. Two binaries are
 # not in this loop: exp_table6_composite has its own golden step below,
 # and exp_table6_speedups prints measured wall times, which differ on
-# every run. Regenerate one golden with
+# every run, so its step below checks only the speedup ordering.
+# Regenerate one golden with
 #   cargo run -q --offline --release -p flowtune-bench --bin exp_<name> -- \
 #     --smoke > tests/golden/exp/<name>_smoke.txt
 for golden in tests/golden/exp/*_smoke.txt; do
@@ -100,6 +101,12 @@ cargo run -q --offline --release -p flowtune-bench --bin exp_table6_composite --
   --smoke > "$scratch/table6_composite.txt"
 diff -u tests/golden/table6_composite_smoke.txt "$scratch/table6_composite.txt"
 
+echo "==> exp_table6_speedups --smoke (measured speedup ordering)"
+# Wall times are not pinned. The binary exits non-zero unless the
+# median of three measurements keeps lookup > small range > large
+# range > 1 (EXPERIMENTS.md, Table 6); the table stays in the log.
+cargo run -q --offline --release -p flowtune-bench --bin exp_table6_speedups -- --smoke
+
 echo "==> observability golden trace (smoke)"
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
   --quanta 4 --seed 1 --concurrency 1 \
@@ -118,6 +125,14 @@ cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
   --recovery-policy retry-gain-penalty --quanta 24 --seed 1 --concurrency 1 \
   > "$scratch/report_online_faults.txt"
 diff -u tests/golden/report_online_faults.txt "$scratch/report_online_faults.txt"
+
+echo "==> index cost models calibrated from measured B+Tree I/O (vs golden)"
+# --calibrate-io bulk-builds a calibration tree and probes it; the
+# measured page traffic replaces the asserted build I/O in the gain
+# model, so this report pins the tree's page accounting end to end.
+cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
+  --calibrate-io --quanta 40 --seed 7 > "$scratch/calibrate_io.txt"
+diff -u tests/golden/calibrate_io_smoke.txt "$scratch/calibrate_io.txt"
 
 echo "==> flowtune rejects a bad config before announcing the run"
 # ServiceConfig::validate must refuse each of these in parse_args: exit

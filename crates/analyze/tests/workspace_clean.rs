@@ -100,11 +100,12 @@ fn waiver_budget_is_pinned() {
         // crates/tuner/src/candidates.rs fire outside the pinned smoke
         // trace. +4 panic-hygiene: documented invariants in the
         // composite index/query layer (tuple.rs, composite.rs, multi.rs).
-        // +1 obs-discipline: `storage.pool_evictions` left the smoke
-        // golden when the page-image store dropped its buffer pool; only
-        // the B+Tree probe path still evicts. -1 obs-discipline:
-        // `sched.parallel_steps` left with the skyline's expand pool.
-        ("obs-discipline", 15),
+        // +1 obs-discipline: the pool-eviction counter left the smoke
+        // golden when the page-image store dropped its buffer pool.
+        // -1 obs-discipline: `sched.parallel_steps` left with the
+        // skyline's expand pool. -3 obs-discipline: the pool hit, miss
+        // and eviction counters left with the B+Tree's buffer pool.
+        ("obs-discipline", 12),
         // -1 panic-hygiene: the service's lane pick returns `None` on an
         // empty lane set instead of asserting one exists. -2
         // panic-hygiene: the B+Tree's `String` key encoding and its

@@ -7,11 +7,15 @@
 //! paper's DBMS/hardware; the ordering and magnitudes reproduce.
 //!
 //! The table has 2 M rows (the paper uses ~12 M); `--smoke` shrinks it
-//! to 200 k.
+//! to 200 k. The run exits non-zero when the selectivity ordering that
+//! EXPERIMENTS.md records as reproduced (lookup > small range > large
+//! range > 1) does not hold.
 
 // Experiment/bench/example code fails fast on setup errors; panic-hygiene
 // (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
+
+use std::process::ExitCode;
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_query::measure_table6;
@@ -24,15 +28,16 @@ const PAPER: [(&str, f64, f64, f64); 4] = [
     ("Lookup", 4.393, 0.007, 627.14),
 ];
 
-fn main() {
+fn main() -> ExitCode {
     let _obs = flowtune_bench::obs_guard();
     let smoke = flowtune_bench::smoke();
     let rows_n = if smoke { 200_000 } else { 2_000_000 };
     flowtune_bench::banner("Table 6", "index speedup (measured on real B+Tree)");
     println!("table rows: {rows_n} (paper: ~12 M at SF 2)");
     println!();
+    // Each time is the median of three runs.
     let measured = if smoke {
-        measure_table6(rows_n, 2, 1)
+        measure_table6(rows_n, 2, 3)
     } else {
         measure_table6(rows_n, 6, 3)
     };
@@ -58,11 +63,23 @@ fn main() {
     }
     print!("{}", render_table(&rows));
     println!();
-    // The qualitative shape: lookup >= small range >= large range, and
-    // every indexed path wins.
-    let speedups: Vec<f64> = measured.iter().map(|m| m.speedup()).collect();
-    println!(
-        "ordering check (order-by < large < small <= lookup): {}",
-        speedups[0] < speedups[1] && speedups[1] < speedups[2]
-    );
+    // The selectivity ordering, and every compared indexed path wins.
+    // Order-by is left out: in this in-memory engine it lands above the
+    // large range (EXPERIMENTS.md, Table 6).
+    let speedup = |query: &str| {
+        measured
+            .iter()
+            .find(|m| m.query == query)
+            .expect("query class measured")
+            .speedup()
+    };
+    let holds = speedup("Lookup") > speedup("Select range (small)")
+        && speedup("Select range (small)") > speedup("Select range (large)")
+        && speedup("Select range (large)") > 1.0;
+    println!("ordering check (lookup > small > large > 1): {holds}");
+    if holds {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

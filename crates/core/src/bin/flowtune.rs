@@ -30,7 +30,7 @@ OPTIONS:
     --seed <N>         workload seed                               [default]
     --alpha <F>        time-money trade-off in [0,1]               [0.5]
     --fading-d <F>     gain fading controller D (quanta)           [1]
-    --window-w <F>     tuner window W (quanta)                     [30]
+    --window-w <F>     tuner window W (quanta)                     [120]
     --concurrency <N>  concurrently executing dataflows            [4]
     --error <F>        runtime/data estimation error fraction      [0]
     --adaptive         learn a fading controller per index
@@ -85,15 +85,16 @@ where
     raw.parse().map_err(|e| format!("{name}: {e}"))
 }
 
-fn parse_args() -> Result<(ServiceConfig, bool, ObsOutputs), String> {
+/// Build the run's config from the flags after the program name.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(ServiceConfig, bool, ObsOutputs), String> {
     let mut config = ServiceConfig {
         workload: WorkloadKind::paper_phases(),
         ..Default::default()
     };
     let mut csv = false;
     let mut obs = ObsOutputs::default();
-    // flowtune-allow(determinism): CLI argument parsing is this binary's input boundary
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let (args, name) = (&mut args, arg.as_str());
         match name {
@@ -174,7 +175,8 @@ fn main() -> ExitCode {
 
 /// Parse the flags, run the service and print its report.
 fn run() -> Result<(), String> {
-    let (config, csv, obs) = parse_args()?;
+    // flowtune-allow(determinism): CLI argument parsing is this binary's input boundary
+    let (config, csv, obs) = parse_args(std::env::args().skip(1))?;
     let (policy, faulted) = (config.policy, config.faults.is_active());
     if obs.active() {
         flowtune_obs::install();
@@ -246,4 +248,36 @@ fn run() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_defaults_match_the_parsed_config() {
+        let (config, ..) = parse_args(std::iter::empty()).unwrap();
+        let (tuner, faults) = (&config.params.tuner, &config.faults);
+        let parsed = [
+            ("--quanta", config.params.total_quanta as f64),
+            ("--alpha", tuner.alpha),
+            ("--fading-d", tuner.fading_d),
+            ("--window-w", tuner.window_w),
+            ("--concurrency", config.concurrency as f64),
+            ("--error", config.estimation_error.0),
+            ("--fault-rate", faults.rate),
+            ("--crash-share", faults.crash_build_share),
+            ("--torn-share", faults.torn_write_share),
+        ];
+        // Every numeric `[default]` the help prints, by flag.
+        let printed: Vec<(&str, f64)> = HELP
+            .lines()
+            .filter_map(|line| {
+                let flag = line.split_whitespace().next()?;
+                let default = line.trim_end().strip_suffix(']')?.rsplit_once('[')?.1;
+                Some((flag, default.parse().ok()?))
+            })
+            .collect();
+        assert_eq!(printed, parsed);
+    }
 }

@@ -8,24 +8,24 @@
 //! A tree is bulk-built once from key-sorted pairs and never mutated,
 //! matching the paper's index partitions: each is written whole by its
 //! build operator and dropped whole when its gain turns non-positive.
-//! Every node is one fixed-size page in a private
-//! [`flowtune_storage::MemPageStore`], accessed through a
-//! [`flowtune_storage::BufferPool`] — checksummed, epoch-stamped, and
-//! LRU-cached. There is no separate in-memory arena: the page store is
-//! the *only* representation, so the code path the fault-injection and
-//! recovery machinery verifies is the same one every query runs
-//! (DESIGN §5h). Leaves are chained for range scans. Pool traffic
-//! (hits/misses/evictions, page reads/writes) is what turns the cost
+//! Every node is one fixed-size, checksummed, epoch-stamped page in a
+//! private [`flowtune_storage::MemPageStore`] the tree owns. There is no
+//! separate in-memory arena: the page store is the *only* persistent
+//! representation, so the code path the fault-injection and recovery
+//! machinery verifies is the same one every query runs (DESIGN §5h).
+//! The one cache is a bounded memo of decoded nodes; a load it misses
+//! reads, verifies and decodes the page. Leaves are chained for range
+//! scans. The tree's page traffic ([`TreeIo`]) is what turns the cost
 //! model's asserted build/probe I/O into measured I/O.
 
 use flowtune_common::{FlowtuneError, PageId, Result};
-use flowtune_storage::{BufferPool, Page, PoolStats};
+use flowtune_storage::{MemPageStore, Page, PAGE_SIZE};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::rc::Rc;
 
-/// Cached frames in a tree's private buffer pool (16 MiB of 4 KiB
+/// Decoded nodes a tree's memo holds (one per 4 KiB page, 16 MiB of
 /// pages). Trees larger than this spill to store reads, which is
 /// exactly the traffic the measured-I/O calibration wants to see.
 pub const TREE_POOL_PAGES: usize = 4096;
@@ -171,25 +171,37 @@ fn decode_node<K: NodeKey>(page: &Page) -> Result<Node<K>> {
     }
 }
 
+/// Page traffic of one tree: the measured-I/O source the cost model
+/// calibrates against (see [`crate::measured`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeIo {
+    /// Node loads served by the decoded-node memo.
+    pub memo_hits: u64,
+    /// Node loads that read and decoded their page.
+    pub load_misses: u64,
+    /// Pages read from the store (load misses plus verification).
+    pub page_reads: u64,
+    /// Pages written to the store.
+    pub page_writes: u64,
+}
+
 /// B+Tree from keys to row ids; duplicates allowed. Nodes live in a
-/// private checksummed page store behind an LRU buffer pool.
+/// private checksummed page store under a decoded-node memo.
 #[derive(Debug, Clone)]
 pub struct BPlusTree<K> {
-    /// `RefCell` because reads (`get`, `range`, `iter`) take `&self`
-    /// but still move frames through the pool's LRU state. Borrows
-    /// never outlive a single node load, so they cannot overlap.
-    pool: RefCell<BufferPool>,
-    /// Decoded-node memo above the pool: a load served from here is a
-    /// shared-`Rc` clone, skipping the page copy and key decode
-    /// entirely — which is what keeps warm point lookups ahead of warm
-    /// range scans in wall time. Every node is written once, by
-    /// [`Self::bulk_build`], so sharing is safe. The
-    /// memo is buffered memory in the crash model — `drop_cache` and
+    store: MemPageStore,
+    /// Decoded-node memo over the store: a load served from here is a
+    /// shared-`Rc` clone, skipping the page read, checksum and key
+    /// decode entirely — which is what keeps warm point lookups ahead
+    /// of warm range scans in wall time. Every node is written once,
+    /// by [`Self::bulk_build`], so sharing is safe. `RefCell` because
+    /// reads (`get`, `range`, `iter`) take `&self`; borrows never
+    /// outlive a single node load, so they cannot overlap. The memo is
+    /// buffered memory in the crash model — `drop_cache` and
     /// `tear_page` discard it — and is bounded at [`TREE_POOL_PAGES`]
     /// entries by a deterministic full flush.
     memo: RefCell<BTreeMap<PageId, Rc<Node<K>>>>,
-    /// Loads served by the memo, folded into [`Self::pool_stats`] hits.
-    memo_hits: Cell<u64>,
+    io: Cell<TreeIo>,
     root: PageId,
     len: usize,
     /// Epoch stamped into every page this tree writes.
@@ -209,9 +221,9 @@ impl<K: NodeKey> BPlusTree<K> {
             "bulk_build input must be sorted by key"
         );
         let mut tree = BPlusTree {
-            pool: RefCell::new(BufferPool::new(TREE_POOL_PAGES)),
+            store: MemPageStore::new(),
             memo: RefCell::new(BTreeMap::new()),
-            memo_hits: Cell::new(0),
+            io: Cell::new(TreeIo::default()),
             // Set once the root is written.
             root: PageId(0),
             len: pairs.len(),
@@ -219,7 +231,7 @@ impl<K: NodeKey> BPlusTree<K> {
         };
         if pairs.is_empty() {
             // An empty tree is a lone empty leaf.
-            tree.root = tree.pool.get_mut().allocate();
+            tree.root = tree.store.allocate();
             let leaf = Node::Leaf {
                 keys: Vec::new(),
                 rows: Vec::new(),
@@ -229,10 +241,7 @@ impl<K: NodeKey> BPlusTree<K> {
             return tree;
         }
         let chunks: Vec<&[(K, u32)]> = pairs.chunks(order).collect();
-        let leaf_ids: Vec<PageId> = chunks
-            .iter()
-            .map(|_| tree.pool.get_mut().allocate())
-            .collect();
+        let leaf_ids: Vec<PageId> = chunks.iter().map(|_| tree.store.allocate()).collect();
         let mut level: Vec<(K, PageId)> = Vec::with_capacity(chunks.len());
         for (i, chunk) in chunks.iter().enumerate() {
             tree.store_node(
@@ -249,7 +258,7 @@ impl<K: NodeKey> BPlusTree<K> {
         while level.len() > 1 {
             let mut upper: Vec<(K, PageId)> = Vec::new();
             for chunk in level.chunks(order + 1) {
-                let id = tree.pool.borrow_mut().allocate();
+                let id = tree.store.allocate();
                 tree.store_node(
                     id,
                     &Node::Internal {
@@ -265,18 +274,30 @@ impl<K: NodeKey> BPlusTree<K> {
         tree
     }
 
+    /// Apply `f` to this tree's traffic counters.
+    fn tally(&self, f: impl FnOnce(&mut TreeIo)) {
+        let mut io = self.io.get();
+        f(&mut io);
+        self.io.set(io);
+    }
+
     /// Decode the node stored at `id`, serving a shared handle from
     /// the decoded-node memo when possible.
     fn load(&self, id: PageId) -> Rc<Node<K>> {
         if let Some(node) = self.memo.borrow().get(&id) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
+            self.tally(|io| io.memo_hits += 1);
             return Rc::clone(node);
         }
+        self.tally(|io| {
+            io.load_misses += 1;
+            io.page_reads += 1;
+        });
+        flowtune_obs::count("storage.page_reads", 1);
         #[allow(clippy::expect_used)]
         let page = self
-            .pool
-            .borrow_mut()
+            .store
             .read(id)
+            .and_then(|bytes| Page::decode(bytes).ok())
             // flowtune-allow(panic-hygiene): the tree owns its private page store; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)
             .expect("tree-owned page must read back cleanly");
         #[allow(clippy::expect_used)]
@@ -297,19 +318,21 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Encode and persist a node to its page, refreshing the memo.
-    fn store_node(&self, id: PageId, node: &Node<K>) {
+    fn store_node(&mut self, id: PageId, node: &Node<K>) {
         let (kind, payload) = encode_node(node);
         #[allow(clippy::expect_used)]
         let page = Page::new(kind, self.epoch, payload)
             // flowtune-allow(panic-hygiene): an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests
             .expect("node must fit one page: order too large for this key type");
-        self.pool.borrow_mut().write(id, &page);
+        self.store.write(id, page.encode());
+        self.tally(|io| io.page_writes += 1);
+        flowtune_obs::count("storage.page_writes", 1);
         self.memo_node(id, Rc::new(node.clone()));
     }
 
     /// Insert a decoded node into the memo, flushing it wholesale when
-    /// it reaches the pool's frame budget (deterministic, and never
-    /// counted as pool evictions — the persistent frames are intact).
+    /// it reaches [`TREE_POOL_PAGES`] (deterministic; the persistent
+    /// pages are intact).
     fn memo_node(&self, id: PageId, node: Rc<Node<K>>) {
         let mut memo = self.memo.borrow_mut();
         if memo.len() >= TREE_POOL_PAGES && !memo.contains_key(&id) {
@@ -328,31 +351,22 @@ impl<K: NodeKey> BPlusTree<K> {
         self.len == 0
     }
 
-    /// Buffer-pool traffic accumulated by this tree (page reads and
-    /// writes, cache hits/misses/evictions) — the measured-I/O source
-    /// the cost model calibrates against. Loads served by the
-    /// decoded-node memo count as hits: the memo never outlives the
-    /// cached frame it shadows, so they are cache hits in every sense
-    /// that matters to the probe model.
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut stats = self.pool.borrow().stats();
-        stats.hits += self.memo_hits.get();
-        stats
+    /// Page traffic accumulated by this tree.
+    pub fn io_stats(&self) -> TreeIo {
+        self.io.get()
     }
 
-    /// Drop every buffered frame (pool frames and decoded-node memo)
-    /// so the next probes run cold — the measurement hook
-    /// `measured::measure_io` uses to observe real from-store probe
-    /// traffic instead of warm-cache hits.
+    /// Drop the decoded-node memo so the next probes run cold — the
+    /// measurement hook `measured::measure_io` uses to observe real
+    /// from-store probe traffic instead of warm-memo hits.
     pub fn drop_cache(&mut self) {
-        self.pool.borrow_mut().clear_cache();
-        self.memo.borrow_mut().clear();
+        self.memo.get_mut().clear();
     }
 
     /// Locate the leaf that may contain `key` (or the first key ≥ it)
     /// and the position within it. `None` descends to the leftmost
     /// leaf at position 0 — the single descent path shared by point
-    /// lookups, range scans, and full traversal, so pool/memo
+    /// lookups, range scans, and full traversal, so memo
     /// accounting counts every entry point identically.
     fn seek(&self, key: Option<&K>) -> (PageId, usize) {
         let mut node = self.root;
@@ -470,14 +484,14 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Verify every page in the backing store against its checksum and
-    /// this tree's epoch, bypassing cached frames — the scan recovery
-    /// runs before a rebuilt or suspect tree is allowed to serve
-    /// queries. Returns the first defect found.
+    /// this tree's epoch, bypassing the memo — the scan recovery runs
+    /// before a rebuilt or suspect tree is allowed to serve queries.
+    /// Returns the first defect found.
     pub fn verify_pages(&self) -> Result<()> {
-        let mut pool = self.pool.borrow_mut();
-        let ids: Vec<PageId> = pool.store().ids().collect();
-        for id in ids {
-            let verdict = pool.check(id, self.epoch);
+        for id in self.store.ids() {
+            self.tally(|io| io.page_reads += 1);
+            flowtune_obs::count("storage.page_reads", 1);
+            let verdict = Page::check(self.store.read(id), self.epoch);
             if !verdict.is_clean() {
                 return Err(FlowtuneError::corrupt(format!(
                     "page {id} failed verification: {verdict:?}"
@@ -488,20 +502,14 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Fault-injection hook: corrupt the `nth` stored page (modulo the
-    /// page count) in the *persistent* store and drop its cached
-    /// frame, modeling a torn write that survives a crash while the
+    /// page count) in the *persistent* store and drop its memoized
+    /// node, modeling a torn write that survives a crash while the
     /// builder's memory does not. Returns the damaged page id.
     pub fn tear_page(&mut self, nth: usize) -> Option<PageId> {
-        let mut pool = self.pool.borrow_mut();
-        let ids: Vec<PageId> = pool.store().ids().collect();
-        if ids.is_empty() {
-            return None;
-        }
-        let id = ids[nth % ids.len()];
-        pool.store_mut()
-            .corrupt(id, flowtune_storage::PAGE_SIZE / 2);
-        pool.evict(id);
-        self.memo.borrow_mut().remove(&id);
+        let count = self.store.page_count();
+        let id = self.store.ids().nth(nth.checked_rem(count)?)?;
+        self.store.corrupt(id, PAGE_SIZE / 2);
+        self.memo.get_mut().remove(&id);
         Some(id)
     }
 }
@@ -712,11 +720,12 @@ mod tests {
         let pairs: Vec<(i64, u32)> = (0..1000).map(|i| (i, i as u32)).collect();
         let t = BPlusTree::bulk_build(8, &pairs);
         // One page per node, each written once, all verifiable.
-        let pages = t.pool.borrow().store().page_count();
+        let pages = t.store.page_count();
         assert!(pages > 100);
         t.verify_pages().unwrap();
-        let stats = t.pool_stats();
-        assert_eq!(stats.page_writes as usize, pages);
+        let io = t.io_stats();
+        assert_eq!(io.page_writes as usize, pages);
+        assert_eq!(io.page_reads as usize, pages);
     }
 
     #[test]
@@ -733,18 +742,24 @@ mod tests {
     }
 
     #[test]
-    fn probes_hit_the_buffer_pool() {
+    fn probes_hit_the_node_memo() {
         let pairs: Vec<(i64, u32)> = (0..10_000).map(|i| (i, i as u32)).collect();
-        let t = BPlusTree::bulk_build(64, &pairs);
-        let before = t.pool_stats();
+        let mut t = BPlusTree::bulk_build(64, &pairs);
+        let before = t.io_stats();
         for k in (0..10_000i64).step_by(97) {
             assert!(t.get_first(&k).is_some());
         }
-        let after = t.pool_stats();
-        // The tree fits the pool, so probes after a bulk build are all
-        // cache hits — zero store reads.
-        assert!(after.hits > before.hits);
-        assert_eq!(after.page_reads, before.page_reads);
+        let warm = t.io_stats();
+        // The tree fits the memo, so probes after a bulk build are all
+        // memo hits — zero store reads.
+        assert!(warm.memo_hits > before.memo_hits);
+        assert_eq!(warm.page_reads, before.page_reads);
+        // With the memo dropped, each node on the path is read once.
+        t.drop_cache();
+        assert!(t.get_first(&0).is_some());
+        let cold = t.io_stats();
+        assert_eq!(cold.load_misses - warm.load_misses, depth(&t) as u64);
+        assert_eq!(cold.page_reads - warm.page_reads, depth(&t) as u64);
     }
 
     #[test]

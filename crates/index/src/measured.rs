@@ -2,20 +2,20 @@
 //!
 //! The analytic model in [`crate::model`] *asserts* how many bytes a
 //! build writes (geometric series over tree levels) and says nothing
-//! about probe reads. Since the B+Tree now really runs node-per-page
-//! over a checksummed page store with an LRU buffer pool, we can
+//! about probe reads. Since the B+Tree really runs node-per-page over
+//! a checksummed page store under a decoded-node memo, we can
 //! *measure* both instead: bulk-build a calibration tree, count the
 //! page writes it issued, then replay a seeded probe workload twice —
-//! once cold (cache dropped before every probe, so each probe pays its
-//! full root-to-leaf store reads) and once warm (pool left alone, so
+//! once cold (memo dropped before every probe, so each probe pays its
+//! full root-to-leaf store reads) and once warm (memo left alone, so
 //! the hit rate reflects steady-state locality). The resulting
 //! [`MeasuredIo`] goes into the cost model's `measured_io` (see
 //! [`IndexCatalog::calibrate_io`](crate::IndexCatalog::calibrate_io))
 //! and replaces the asserted write term in the gain model's build time.
 //!
 //! Everything here is deterministic: the key set is dense `0..rows`,
-//! the probe sequence comes from a [`SimRng`] seed, and pool traffic
-//! depends only on the access order.
+//! the probe sequence comes from a [`SimRng`] seed, and the tree's
+//! page traffic depends only on the access order.
 
 use crate::bptree::BPlusTree;
 use crate::model::MeasuredIo;
@@ -36,32 +36,32 @@ pub fn measure_io(rows: u32, probes: u32, seed: u64) -> MeasuredIo {
     let pairs: Vec<(i64, u32)> = (0..rows).map(|i| (i64::from(i), i)).collect();
     let mut tree: BPlusTree<i64> = BPlusTree::bulk_build(CALIBRATION_ORDER, &pairs);
 
-    let built = tree.pool_stats();
+    let built = tree.io_stats();
     let write_bytes_per_row = built.page_writes as f64 * PAGE_SIZE as f64 / f64::from(rows);
 
-    // Cold probes: every probe starts from an empty pool and pays the
+    // Cold probes: every probe starts from an empty memo and pays the
     // full root-to-leaf path in store reads.
     let mut rng = SimRng::seed_from_u64(seed);
-    let before = tree.pool_stats();
+    let before = tree.io_stats();
     for _ in 0..probes {
         tree.drop_cache();
         let key = rng.uniform_i64(0, i64::from(rows) - 1);
         let _ = tree.get_first(&key);
     }
-    let cold = tree.pool_stats();
+    let cold = tree.io_stats();
     let read_bytes_per_probe =
         (cold.page_reads - before.page_reads) as f64 * PAGE_SIZE as f64 / f64::from(probes);
 
-    // Warm probes: same seeded key sequence, pool left to fill — the
+    // Warm probes: same seeded key sequence, memo left to fill — the
     // hit rate is what steady-state probing actually sees.
     let mut rng = SimRng::seed_from_u64(seed);
     for _ in 0..probes {
         let key = rng.uniform_i64(0, i64::from(rows) - 1);
         let _ = tree.get_first(&key);
     }
-    let warm = tree.pool_stats();
-    let hits = warm.hits - cold.hits;
-    let loads = hits + (warm.misses - cold.misses);
+    let warm = tree.io_stats();
+    let hits = warm.memo_hits - cold.memo_hits;
+    let loads = hits + (warm.load_misses - cold.load_misses);
     let probe_hit_rate = if loads == 0 {
         0.0
     } else {
@@ -88,6 +88,27 @@ mod tests {
     }
 
     #[test]
+    fn calibration_figures_are_pinned_to_the_bit() {
+        // The figures `--calibrate-io` feeds the cost model, exactly:
+        // 82 pages (79 leaves, 2 internal nodes, a root) per 5 000 rows.
+        let io = measure_io(5_000, 200, 7);
+        let bits = (
+            io.write_bytes_per_row.to_bits(),
+            io.read_bytes_per_probe.to_bits(),
+            io.probe_hit_rate.to_bits(),
+        );
+        assert_eq!(
+            bits,
+            (
+                0x4050_cb29_5e9e_1b09,
+                0x40c8_1eb8_51eb_851f,
+                0x3fed_1745_d174_5d17
+            ),
+            "{io:?}"
+        );
+    }
+
+    #[test]
     fn measured_figures_are_physical() {
         let io = measure_io(5_000, 200, 7);
         // A bulk build touches each leaf at least once, so per-row
@@ -101,7 +122,7 @@ mod tests {
         );
         // Every cold probe reads at least the root page.
         assert!(io.read_bytes_per_probe >= PAGE_SIZE as f64);
-        // The warm pool (4096 frames) holds this whole tree, so warm
+        // The warm memo (4096 nodes) holds this whole tree, so warm
         // probes should overwhelmingly hit.
         assert!(
             io.probe_hit_rate > 0.9,

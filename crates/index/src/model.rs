@@ -28,8 +28,8 @@ pub struct MeasuredIo {
     pub write_bytes_per_row: f64,
     /// Page bytes read from the store per cold point probe.
     pub read_bytes_per_probe: f64,
-    /// Fraction of probe page loads served by the buffer pool once
-    /// warm (hits / (hits + misses)).
+    /// Fraction of probe node loads served by the tree's decoded-node
+    /// memo once warm (hits / (hits + load misses)).
     pub probe_hit_rate: f64,
 }
 

@@ -3,22 +3,12 @@
 //! Each container caches partitions and index partitions read from the
 //! storage service on its local disk (100 GB by default); when the cache
 //! fills, the least-recently-used object is evicted (§6.1). A hit means
-//! the operator's input transfer time is zero.
+//! the operator's input transfer time is zero. The simulator keeps one
+//! cache per container and counts its own hits.
 //!
-//! The cache is also the eviction core of the page buffer pool
-//! (`pool::BufferPool`), which holds one entry per cached page frame.
-//! That use demands two properties the original container-cache role
-//! never exercised:
-//!
-//! * **complete eviction accounting** — every key that leaves the cache
-//!   through [`LruCache::insert`] is reported to the caller (including
-//!   a stale entry displaced by an uncacheable oversized re-insert,
-//!   which used to vanish silently) and tallied in
-//!   [`LruCache::evictions`], so a caller keeping per-key side state
-//!   (pool frames) can never leak or desynchronize;
-//! * **cheap victim selection** — a `BTreeSet` recency index keyed by
-//!   the unique use tick makes eviction `O(log n)` instead of a full
-//!   scan, and deterministic by construction (ticks never collide).
+//! Victim selection goes through a `BTreeSet` recency index keyed by the
+//! unique use tick, so eviction is `O(log n)` instead of a full scan and
+//! deterministic by construction (ticks never collide).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -33,9 +23,6 @@ pub struct LruCache<K> {
     /// so the minimum element is *the* LRU victim.
     recency: BTreeSet<(u64, K)>,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
@@ -47,88 +34,56 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
             entries: HashMap::new(),
             recency: BTreeSet::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
-    /// Look up `key`, updating recency and hit/miss statistics.
+    /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> bool {
         self.tick += 1;
-        if let Some(entry) = self.entries.get_mut(key) {
-            self.recency.remove(&(entry.1, key.clone()));
-            entry.1 = self.tick;
-            self.recency.insert((self.tick, key.clone()));
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
+        let Some(entry) = self.entries.get_mut(key) else {
+            return false;
+        };
+        self.recency.remove(&(entry.1, key.clone()));
+        entry.1 = self.tick;
+        self.recency.insert((self.tick, key.clone()));
+        true
     }
 
-    /// Check presence without touching recency or statistics.
+    /// Check presence without touching recency.
     pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
     }
 
-    /// Remove `key` from both maps, returning its byte size.
-    fn take(&mut self, key: &K) -> Option<u64> {
-        let (bytes, tick) = self.entries.remove(key)?;
-        self.recency.remove(&(tick, key.clone()));
-        self.used -= bytes;
-        Some(bytes)
+    /// Remove `key` from both maps.
+    fn take(&mut self, key: &K) {
+        if let Some((bytes, tick)) = self.entries.remove(key) {
+            self.recency.remove(&(tick, key.clone()));
+            self.used -= bytes;
+        }
     }
 
     /// Insert an object, evicting least-recently-used entries until it
-    /// fits. Objects larger than the whole cache are not cached at all
-    /// — but a stale entry they displace *is* reported. Returns every
-    /// key evicted by this call (also tallied in
-    /// [`LruCache::evictions`]).
-    pub fn insert(&mut self, key: K, bytes: u64) -> Vec<K> {
+    /// fits. Objects larger than the whole cache are not cached at all,
+    /// and a stale entry they displace leaves the cache.
+    pub fn insert(&mut self, key: K, bytes: u64) {
         self.tick += 1;
-        let mut evicted = Vec::new();
+        self.take(&key);
         if bytes > self.capacity {
             // Can't fit even in an empty cache; treat as uncacheable.
-            // The old entry for this key (if any) still leaves the
-            // cache and must be visible to callers tracking side
-            // state per cached key.
-            if self.take(&key).is_some() {
-                self.evictions += 1;
-                evicted.push(key);
-            }
-            return evicted;
+            return;
         }
-        self.take(&key);
         while self.used + bytes > self.capacity {
             // Over budget with the new object not yet inserted: at
             // least one entry exists, and the recency set's minimum
             // is the unique LRU victim.
-            let Some((_, victim)) = self.recency.iter().next().cloned() else {
+            let Some((_, victim)) = self.recency.pop_first() else {
                 break;
             };
             self.take(&victim);
-            self.evictions += 1;
-            evicted.push(victim);
         }
         self.entries.insert(key.clone(), (bytes, self.tick));
         self.recency.insert((self.tick, key));
         self.used += bytes;
-        evicted
-    }
-
-    /// Remove an object (e.g. when its partition version is invalidated).
-    /// Explicit removal is not an eviction.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.take(key).is_some()
-    }
-
-    /// Drop everything (container deleted: local disk contents are lost).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
-        self.used = 0;
     }
 
     /// Bytes currently cached.
@@ -145,22 +100,6 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Hits recorded by [`LruCache::get`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded by [`LruCache::get`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Keys evicted by [`LruCache::insert`] (capacity pressure plus
-    /// oversized-insert displacement), over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +113,7 @@ mod tests {
         assert!(!c.get(&"a"));
         c.insert("a", 10);
         assert!(c.get(&"a"));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert!(!c.get(&"b"));
     }
 
     #[test]
@@ -185,10 +123,10 @@ mod tests {
         c.insert("b", 10);
         c.insert("c", 10);
         assert!(c.get(&"a")); // a is now most recent
-        let evicted = c.insert("d", 10);
-        assert_eq!(evicted, vec!["b"]);
-        assert_eq!(c.evictions(), 1);
+        c.insert("d", 10);
+        assert!(!c.contains(&"b"));
         assert!(c.contains(&"a"));
+        assert!(c.contains(&"c"));
         assert!(c.contains(&"d"));
         assert_eq!(c.used_bytes(), 30);
     }
@@ -197,49 +135,32 @@ mod tests {
     fn reinsert_updates_size() {
         let mut c = LruCache::new(30);
         c.insert("a", 10);
+        c.insert("b", 10);
         c.insert("a", 20);
-        assert_eq!(c.used_bytes(), 20);
-        assert_eq!(c.len(), 1);
-        // Shrinking a key in place is not an eviction.
-        assert_eq!(c.evictions(), 0);
+        // Growing a key in place fits without evicting its neighbour.
+        assert_eq!(c.used_bytes(), 30);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn oversized_objects_are_not_cached() {
         let mut c = LruCache::new(10);
-        assert!(c.insert("big", 100).is_empty());
+        c.insert("big", 100);
         assert!(!c.contains(&"big"));
         assert_eq!(c.used_bytes(), 0);
+        assert!(c.is_empty());
     }
 
     #[test]
-    fn oversized_reinsert_reports_the_displaced_entry() {
-        // Regression: growing a cached object past the whole-cache
-        // capacity removes the old entry — the caller must hear about
-        // it, or side state keyed by cached keys leaks.
+    fn oversized_reinsert_drops_the_old_entry() {
+        // Growing a cached object past the whole-cache capacity removes
+        // the old entry rather than leaving a stale size behind.
         let mut c = LruCache::new(10);
         c.insert("a", 5);
-        let evicted = c.insert("a", 100);
-        assert_eq!(evicted, vec!["a"]);
-        assert_eq!(c.evictions(), 1);
+        c.insert("a", 100);
         assert!(!c.contains(&"a"));
         assert_eq!(c.used_bytes(), 0);
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn remove_and_clear() {
-        let mut c = LruCache::new(100);
-        c.insert("a", 10);
-        c.insert("b", 20);
-        assert!(c.remove(&"a"));
-        assert!(!c.remove(&"a"));
-        assert_eq!(c.used_bytes(), 20);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.used_bytes(), 0);
-        // Removal and clearing are not evictions.
-        assert_eq!(c.evictions(), 0);
     }
 
     #[test]
@@ -265,7 +186,6 @@ mod tests {
     struct RefModel {
         capacity: u64,
         order: Vec<(u32, u64)>,
-        evictions: u64,
     }
 
     impl RefModel {
@@ -283,36 +203,15 @@ mod tests {
             }
         }
 
-        fn insert(&mut self, key: u32, bytes: u64) -> Vec<u32> {
-            let mut evicted = Vec::new();
-            let had = self.order.iter().position(|&(k, _)| k == key);
+        fn insert(&mut self, key: u32, bytes: u64) {
+            self.order.retain(|&(k, _)| k != key);
             if bytes > self.capacity {
-                if let Some(at) = had {
-                    self.order.remove(at);
-                    self.evictions += 1;
-                    evicted.push(key);
-                }
-                return evicted;
-            }
-            if let Some(at) = had {
-                self.order.remove(at);
+                return;
             }
             while self.used() + bytes > self.capacity {
-                let (victim, _) = self.order.remove(0);
-                self.evictions += 1;
-                evicted.push(victim);
+                self.order.remove(0);
             }
             self.order.push((key, bytes));
-            evicted
-        }
-
-        fn remove(&mut self, key: u32) -> bool {
-            if let Some(at) = self.order.iter().position(|&(k, _)| k == key) {
-                self.order.remove(at);
-                true
-            } else {
-                false
-            }
         }
     }
 
@@ -320,9 +219,8 @@ mod tests {
     fn matches_reference_model_under_seeded_workload() {
         // Seeded op soup over a small key universe, cross-checked
         // against the straight-line model after every operation:
-        // identical eviction order, eviction counts, membership, and
-        // byte accounting — including oversized inserts and explicit
-        // removals. This pins the behavior the buffer pool builds on.
+        // identical membership (so identical eviction order), hit/miss
+        // answers and byte accounting — oversized inserts included.
         let mut rng = SimRng::seed_from_u64(0xE71C7);
         for round in 0..60 {
             let capacity = rng.uniform_u64(8, 96);
@@ -330,33 +228,21 @@ mod tests {
             let mut m = RefModel {
                 capacity,
                 order: Vec::new(),
-                evictions: 0,
             };
             let n_ops = rng.uniform_u64(50, 400);
             for op in 0..n_ops {
                 let key = rng.uniform_u64(0, 12) as u32;
-                match rng.uniform_u64(0, 10) {
-                    0..=5 => {
-                        // Sizes up to 1.5x capacity exercise the
-                        // oversized path too.
-                        let sz = rng.uniform_u64(1, capacity + capacity / 2);
-                        let got = c.insert(key, sz);
-                        let want = m.insert(key, sz);
-                        assert!(
-                            got == want,
-                            "round {round} op {op}: evicted {got:?}, reference {want:?}"
-                        );
-                    }
-                    6..=8 => {
-                        assert_eq!(c.get(&key), m.get(key), "round {round} op {op}: get {key}");
-                    }
-                    _ => {
-                        assert_eq!(c.remove(&key), m.remove(key), "round {round} op {op}");
-                    }
+                if rng.uniform_u64(0, 10) <= 5 {
+                    // Sizes up to 1.5x capacity exercise the oversized
+                    // path too.
+                    let sz = rng.uniform_u64(1, capacity + capacity / 2);
+                    c.insert(key, sz);
+                    m.insert(key, sz);
+                } else {
+                    assert_eq!(c.get(&key), m.get(key), "round {round} op {op}: get {key}");
                 }
                 assert_eq!(c.used_bytes(), m.used(), "round {round} op {op}");
                 assert_eq!(c.len(), m.order.len(), "round {round} op {op}");
-                assert_eq!(c.evictions(), m.evictions, "round {round} op {op}");
                 assert!(c.used_bytes() <= c.capacity);
                 for &(k, _) in &m.order {
                     assert!(c.contains(&k), "round {round} op {op}: missing {k}");

@@ -12,25 +12,20 @@
 //! ([`column::ColumnData`], [`table::PartitionData`]), used by
 //! `flowtune-query` and `flowtune-index` to *measure* real index
 //! speedups (Table 6) instead of assuming them, and the checksummed
-//! page layer ([`page`], [`pool`]) the B+Tree and the page-image store
-//! run on.
+//! page layer ([`page`]) the B+Tree and the page-image store run on.
 
 pub mod cache;
 pub mod column;
 pub mod lineitem;
 pub mod page;
-pub mod pool;
 pub mod schema;
 pub mod store;
 pub mod table;
-pub mod value;
 
 pub use cache::LruCache;
 pub use column::ColumnData;
 pub use lineitem::{LineitemGenerator, LineitemParams};
 pub use page::{checksum64, MemPageStore, Page, PageCheck, PAGE_PAYLOAD, PAGE_SIZE};
-pub use pool::{BufferPool, PoolStats};
 pub use schema::{Column, ColumnType, Schema};
 pub use store::{ObjectKey, StorageService};
 pub use table::PartitionData;
-pub use value::Value;

@@ -131,13 +131,6 @@ impl LineitemGenerator {
         PartitionData::new(columns)
     }
 
-    /// Generate the full 16-column table.
-    pub fn generate(&self) -> PartitionData {
-        let schema = Self::schema();
-        let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
-        self.generate_columns(&names)
-    }
-
     fn generate_column(&self, name: &str, rng: &mut SimRng) -> ColumnData {
         let n = self.params.rows;
         match name {

@@ -171,18 +171,12 @@ impl Page {
                 )))
             }
         }
-        Ok(Self::parse(bytes))
-    }
-
-    /// Split raw bytes that already passed [`Page::check`] into a page,
-    /// without hashing them again.
-    pub(crate) fn parse(bytes: &[u8]) -> Page {
         let len = usize::from(u16::from_le_bytes([bytes[14], bytes[15]]));
-        Page {
+        Ok(Page {
             epoch: Self::raw_epoch(bytes),
             kind: bytes[12],
             payload: bytes[PAGE_HEADER..PAGE_HEADER + len].to_vec(),
-        }
+        })
     }
 
     fn raw_epoch(bytes: &[u8]) -> u32 {

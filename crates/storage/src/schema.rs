@@ -98,11 +98,6 @@ impl Schema {
         Schema { columns }
     }
 
-    /// All columns in order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.columns.len()

@@ -38,11 +38,6 @@ impl PartitionData {
     pub fn columns(&self) -> &[ColumnData] {
         &self.columns
     }
-
-    /// Exact encoded byte size of the partition.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.columns.iter().map(ColumnData::encoded_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -56,7 +51,7 @@ mod tests {
             ColumnData::Str(vec!["a".into(), "b".into()]),
         ]);
         assert_eq!(d.rows(), 2);
-        assert_eq!(d.encoded_bytes(), 16 + 2);
+        assert_eq!(d.column(1).as_str().unwrap(), ["a", "b"]);
         assert_eq!(d.columns().len(), 2);
     }
 
