@@ -74,11 +74,15 @@ fn run(c: ServiceConfig) -> RunReport {
     QaasService::new(c).run().expect("service run failed")
 }
 
-fn crash_run(rate: f64) -> RunReport {
+fn crash_config(rate: f64) -> ServiceConfig {
     let mut c = config(7, 40);
     c.faults = page_faults_only(rate, 0xFA_0175);
     c.recovery = RecoveryConfig::with_policy(RecoveryPolicyKind::Retry);
-    run(c)
+    c
+}
+
+fn crash_run(rate: f64) -> RunReport {
+    run(crash_config(rate))
 }
 
 fn render(r: &RunReport) -> String {
@@ -145,6 +149,27 @@ fn detection_invalidation_and_rebuild_match_the_golden() {
 #[ignore = "golden regeneration helper, not a check"]
 fn regen_golden() {
     print!("{}", render(&crash_run(0.4)));
+}
+
+#[test]
+fn page_store_traffic_of_the_golden_run_is_pinned() {
+    // Raw page-store traffic of the golden's faulted run: pages written
+    // (clean, torn and the flushed prefix of crashed images), pages the
+    // recovery scan read back (missing ones included), and the pages the
+    // service scanned. The fault-free smoke golden pins these only on a
+    // run with no torn or crashed image.
+    flowtune_obs::install();
+    let report = QaasService::new(crash_config(0.4)).run();
+    let rec = flowtune_obs::uninstall().expect("recorder was installed");
+    let report = report.expect("service run failed");
+    let m = rec.metrics();
+    let traffic = [
+        m.counter("storage.page_writes"),
+        m.counter("storage.page_reads"),
+        m.counter("storage.verify_pages"),
+    ];
+    assert_eq!(traffic, [21_235, 24_099, 24_099]);
+    assert_eq!(traffic[2], report.verify_pages_scanned);
 }
 
 #[test]
