@@ -158,6 +158,24 @@ echo "==> perfbench builds and its tests pass"
 # benchmark's build or its replay-vs-service RunReport fidelity test.
 cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench peak memory stays under 16 MiB (gain_phases, faults_online)"
+# Partition images are ledger records, not page bytes, so a smoke run
+# of either index-building workload stays a few MiB resident. When the
+# images were 4-KiB witness pages these runs peaked at 174 and 33 MiB;
+# the ceiling fails on code that brings such a per-image buffer back.
+for workload in gain_phases faults_online; do
+  cargo run -q --offline --release --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --smoke --seconds 1 \
+    > "$scratch/rss_$workload.json" 2> "$scratch/rss_$workload.err"
+  rss="$(grep -o '"peak_rss_mb": {"value": [0-9.e+-]*' "$scratch/rss_$workload.json" \
+    | grep -o '[0-9.e+-]*$')"
+  echo "$workload peak_rss_mb $rss"
+  awk -v rss="$rss" 'BEGIN { exit !(rss > 0 && rss <= 16) }' || {
+    echo "$workload: peak_rss_mb $rss is above the 16 MiB ceiling (or unreadable)" >&2
+    exit 1
+  }
+done
+
 echo "==> flowtune-analyze (workspace invariants, JSON report vs baseline)"
 # The machine-readable report gates the tree against the committed
 # baseline: only findings absent from ANALYZE_baseline.json fail the

@@ -515,8 +515,8 @@ impl QaasService {
             self.lifecycle.invalidate(b.index, b.part);
         }
 
-        // Post-crash verification scan: read every touched image back
-        // from the persistent store and verify checksum + epoch.
+        // Post-crash verification scan: find the bad pages (torn or
+        // never flushed) of every image touched this round.
         // Defective partitions are invalidated in the same round they
         // committed, before any later dataflow's availability snapshot —
         // a failing page is never probed.

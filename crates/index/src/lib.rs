@@ -4,7 +4,7 @@
 //! `flowtune-query` to *measure* the speedups of Table 6), the paper's
 //! analytic index size/build-time model (§3, "Data Model"), the index
 //! catalog that tracks which index partitions exist and when they were
-//! built, and the paged store of committed partition images.
+//! built, and the ledger of committed partition images.
 //!
 //! Indexes are **partitioned**: an index over a table consists of one
 //! index partition per table partition, each built by an independent

@@ -12,7 +12,7 @@
 //! ([`column::ColumnData`], [`table::PartitionData`]), used by
 //! `flowtune-query` and `flowtune-index` to *measure* real index
 //! speedups (Table 6) instead of assuming them, and the checksummed
-//! page layer ([`page`]) the B+Tree and the page-image store run on.
+//! page layer ([`page`]) the B+Tree runs on.
 
 pub mod cache;
 pub mod column;

@@ -7,7 +7,7 @@
 //! ```text
 //! bytes  0..8   checksum64 over bytes 8..PAGE_SIZE
 //! bytes  8..12  epoch (u32 LE) — stamp of the build that wrote the page
-//! byte   12     kind tag (node type / image payload)
+//! byte   12     kind tag (node type)
 //! byte   13     reserved (zero)
 //! bytes 14..16  payload length (u16 LE)
 //! bytes 16..    payload, zero-padded to PAGE_SIZE
@@ -98,7 +98,7 @@ pub struct Page {
     /// Epoch of the build that wrote the page; verification rejects
     /// pages whose epoch does not match the committed partition epoch.
     pub epoch: u32,
-    /// Kind tag (leaf/internal node, partition-image chunk, ...).
+    /// Kind tag (leaf or internal node).
     pub kind: u8,
     /// Meaningful payload bytes (at most [`PAGE_PAYLOAD`]).
     pub payload: Vec<u8>,
@@ -262,15 +262,9 @@ impl MemPageStore {
         self.pages.insert(id, bytes);
     }
 
-    /// Raw bytes for `id`, or `None` when the page was never written
-    /// (or was freed).
+    /// Raw bytes for `id`, or `None` when the page was never written.
     pub fn read(&self, id: PageId) -> Option<&[u8]> {
         self.pages.get(&id).map(Vec::as_slice)
-    }
-
-    /// Drop the page. Freed ids are not reallocated.
-    pub fn free(&mut self, id: PageId) {
-        self.pages.remove(&id);
     }
 
     /// Number of pages currently stored.
@@ -430,12 +424,11 @@ mod tests {
         let b = s.allocate();
         assert_eq!(a, PageId(0));
         assert_eq!(b, PageId(1));
-        s.write(a, vec![1, 2, 3]);
-        s.free(a);
+        s.write(b, vec![1, 2, 3]);
         let c = s.allocate();
         assert_eq!(c, PageId(2));
         assert_eq!(s.read(a), None);
-        assert_eq!(s.page_count(), 0);
+        assert_eq!(s.page_count(), 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! storage meter bills it, and the page store holds its image. At the
 //! end of every run, under every policy, with and without faults and
 //! deferred builds, the three must name exactly the same partitions,
-//! and every image left must verify clean.
+//! every image left must verify clean, and the page store must hold
+//! exactly the pages of those images.
 
 // Experiment/bench/example code fails fast on setup errors; panic-hygiene
 // (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
@@ -14,8 +15,11 @@ use std::collections::BTreeSet;
 
 use flowtune_cloud::FaultConfig;
 use flowtune_common::IndexId;
-use flowtune_core::{IndexLifecycle, IndexPolicy, QaasService, ServiceConfig};
+use flowtune_core::{
+    IndexLifecycle, IndexPolicy, InterleaverKind, QaasService, RecoveryPolicyKind, ServiceConfig,
+};
 use flowtune_dataflow::WorkloadKind;
+use flowtune_index::IndexPageStore;
 use flowtune_storage::ObjectKey;
 
 type Parts = BTreeSet<(IndexId, u32)>;
@@ -53,6 +57,14 @@ fn assert_agreement(svc: &QaasService, what: &str) {
         let verdict = lc.pages().verify_partition(i, p).expect("image exists");
         assert!(verdict.is_clean(), "{what}: image {i:?}/{p} is defective");
     }
+    let image_pages: usize = built
+        .iter()
+        .map(|&(i, p)| {
+            let bytes = lc.catalog().spec(i).partition_bytes(p as usize);
+            IndexPageStore::image_pages(bytes)
+        })
+        .sum();
+    assert_eq!(lc.pages().page_count(), image_pages, "{what}: page count");
 }
 
 /// The CLI's defaults (phase workload), with a short horizon.
@@ -92,6 +104,27 @@ fn catalog_storage_and_page_store_agree_at_the_end_of_every_run() {
             }
         }
     }
+}
+
+#[test]
+fn the_online_interleaver_under_page_faults_keeps_the_stores_in_agreement() {
+    // The shape of the benchmark's faults_online workload: the online
+    // interleaver, rebuilds under a gain penalty, and crashed and torn
+    // images among the other faults.
+    let mut c = config(IndexPolicy::Gain { delete: true }, 60, 7);
+    c.interleaver = InterleaverKind::Online;
+    c.faults.rate = 0.3;
+    c.faults.crash_build_share = 0.3;
+    c.faults.torn_write_share = 0.3;
+    c.recovery.policy = RecoveryPolicyKind::RetryGainPenalty;
+    let mut svc = QaasService::new(c);
+    let report = svc.run().expect("service run");
+    assert!(report.builds_completed > 0);
+    assert!(
+        report.partitions_invalidated > 0,
+        "no image was ever defective"
+    );
+    assert_agreement(&svc, "gain, online interleaver, faults 0.3");
 }
 
 #[test]
