@@ -28,11 +28,14 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> scheduler and DAG suites with optimizations on"
-# The skyline-vs-reference equivalence suites and the flat-adjacency
-# DAG oracle run optimized too: the release build is what every run
-# and benchmark ships, and its larger DAG cases finish quickly there.
-cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow
+echo "==> scheduler, DAG, simulator and cache suites with optimizations on"
+# The skyline-vs-reference equivalence suites, the flat-adjacency DAG
+# oracle, the simulator's pinned report digests and the LRU
+# reference-model test run optimized too: the release build is what
+# every run and benchmark ships, and its larger DAG cases finish
+# quickly there.
+cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow \
+  -p flowtune-cloud -p flowtune-storage
 
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism
@@ -158,15 +161,23 @@ echo "==> perfbench builds and its tests pass"
 # benchmark's build or its replay-vs-service RunReport fidelity test.
 cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench peak memory stays under 16 MiB (gain_phases, faults_online)"
+echo "==> perfbench smoke runs are correct and stay under 16 MiB"
+# Each workload's smoke run must end with a `"correct": true` line.
 # Partition images are ledger records, not page bytes, so a smoke run
-# of either index-building workload stays a few MiB resident. When the
-# images were 4-KiB witness pages these runs peaked at 174 and 33 MiB;
-# the ceiling fails on code that brings such a per-image buffer back.
-for workload in gain_phases faults_online; do
+# stays a few MiB resident. When the images were 4-KiB witness pages
+# the two index-building runs peaked at 174 and 33 MiB; the ceiling
+# fails on code that brings such a per-image buffer back.
+for workload in gain_phases noindex_phases faults_online; do
   cargo run -q --offline --release --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --smoke --seconds 1 \
     > "$scratch/rss_$workload.json" 2> "$scratch/rss_$workload.err"
+  case "$(tail -n 1 "$scratch/rss_$workload.json")" in
+    '{"correct": true,'*) ;;
+    *)
+      echo "$workload: the smoke run's last line is not \"correct\": true" >&2
+      exit 1
+      ;;
+  esac
   rss="$(grep -o '"peak_rss_mb": {"value": [0-9.e+-]*' "$scratch/rss_$workload.json" \
     | grep -o '[0-9.e+-]*$')"
   echo "$workload peak_rss_mb $rss"

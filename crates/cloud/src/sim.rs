@@ -14,12 +14,21 @@
 //! transiently and be reissued, operators can straggle, and completed
 //! builds can turn out corrupt. An inactive injector is a strict no-op,
 //! so fault-free runs are byte-identical to the pre-fault simulator.
+//!
+//! All state of one execution is flat: operator outcomes live in a
+//! `Vec` indexed by `OpId::index()`, and per-container free times,
+//! caches, revocations, spans, leases and busy time in `Vec`s indexed
+//! by `ContainerId::index()` (the schedulers number containers densely
+//! from 0). Walking the container tables in index order is the
+//! ascending-id order every per-container event and fault draw needs.
+//! A schedule that assigns an operator twice or names one outside the
+//! DAG is rejected as [`FlowtuneError::InvalidSchedule`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use flowtune_common::{
-    pricing, CloudConfig, ContainerId, FlowtuneError, IndexId, OpId, PartitionId, Result,
-    SimDuration, SimTime,
+    pricing, CloudConfig, ContainerId, FlowtuneError, IndexId, PartitionId, Result, SimDuration,
+    SimTime,
 };
 use flowtune_dataflow::{Dag, FileDatabase, IndexUse};
 use flowtune_sched::{Assignment, BuildRef, Schedule};
@@ -73,10 +82,21 @@ impl IndexAvailability {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CacheKey {
     Partition(PartitionId),
     IndexPart(IndexId, u32),
+}
+
+/// What became of a dataflow operator during execution.
+#[derive(Debug, Clone, Copy)]
+enum OpRun {
+    /// Not reached yet.
+    Pending,
+    /// Ran on the container over `[start, end)`.
+    Ran(ContainerId, SimTime, SimTime),
+    /// Killed by a revocation, directly or through a killed predecessor.
+    Killed,
 }
 
 /// The execution simulator.
@@ -108,7 +128,8 @@ impl<'a> Simulator<'a> {
     ///   duration assumed when absent).
     ///
     /// Errors with [`FlowtuneError::InvalidSchedule`] when the schedule
-    /// executes an operator before a predecessor it depends on.
+    /// executes an operator before a predecessor it depends on, assigns
+    /// an operator twice, or names an operator outside `actual`.
     pub fn execute(
         &self,
         actual: &Dag,
@@ -157,20 +178,29 @@ impl<'a> Simulator<'a> {
             }
         }
 
+        // Per-container tables are indexed by `ContainerId::index()`.
+        let n_containers = schedule
+            .assignments()
+            .iter()
+            .map(|a| a.container.index() + 1)
+            .max()
+            .unwrap_or(0);
+
         // Revocation instants, drawn upfront per container from the
         // *planned* activity spans in container order — deterministic
         // regardless of how actual execution drifts.
-        let mut revocations: BTreeMap<ContainerId, SimTime> = BTreeMap::new();
+        let mut revocations: Vec<Option<SimTime>> = vec![None; n_containers];
         if faults.is_active() {
-            let mut planned_spans: BTreeMap<ContainerId, (SimTime, SimTime)> = BTreeMap::new();
+            let mut planned_spans: Vec<Option<(SimTime, SimTime)>> = vec![None; n_containers];
             for a in schedule.assignments() {
-                let span = planned_spans
-                    .entry(a.container)
-                    .or_insert((SimTime::MAX, SimTime::ZERO));
+                let span =
+                    planned_spans[a.container.index()].get_or_insert((SimTime::MAX, SimTime::ZERO));
                 span.0 = span.0.min(a.start);
                 span.1 = span.1.max(a.end);
             }
-            for (&c, &(s, e)) in &planned_spans {
+            for (i, span) in planned_spans.iter().enumerate() {
+                let Some((s, e)) = *span else { continue };
+                let c = ContainerId::from_index(i);
                 // Pad by one quantum: actual execution drifts past the
                 // plan and a revocation can land in that drift too.
                 if let Some(t) = faults.revocation_in(s, e + quantum) {
@@ -181,17 +211,17 @@ impl<'a> Simulator<'a> {
                     );
                     // flowtune-allow(obs-discipline): fires only with spot revocations enabled; the smoke run is on-demand
                     flowtune_obs::count("cloud.revocations", 1);
-                    revocations.insert(c, t);
+                    revocations[i] = Some(t);
                     report.revoked_containers.push(c);
                 }
             }
         }
-
-        // Per-container state.
-        let mut caches: BTreeMap<ContainerId, LruCache<CacheKey>> = BTreeMap::new();
-        let mut container_free: BTreeMap<ContainerId, SimTime> = BTreeMap::new();
-        let mut actual_df: BTreeMap<OpId, (ContainerId, SimTime, SimTime)> = BTreeMap::new();
-        let mut killed: BTreeSet<OpId> = BTreeSet::new();
+        let mut caches: Vec<LruCache<CacheKey>> = (0..n_containers)
+            .map(|_| LruCache::new(self.config.disk_capacity_bytes))
+            .collect();
+        let mut container_free = vec![SimTime::ZERO; n_containers];
+        // Per-operator outcome, indexed by `OpId::index()`.
+        let mut ops = vec![OpRun::Pending; actual.len()];
 
         // Dataflow ops in planned order (valid: planned starts respect
         // both dependency and per-container order).
@@ -200,40 +230,58 @@ impl<'a> Simulator<'a> {
         df_assignments.sort_by_key(|a| (a.start, a.end, a.op));
 
         for a in &df_assignments {
-            // An operator downstream of a killed one can never run.
-            if actual.preds(a.op).iter().any(|p| killed.contains(p)) {
-                killed.insert(a.op);
+            match ops.get(a.op.index()) {
+                Some(OpRun::Pending) => {}
+                Some(_) => {
+                    return Err(FlowtuneError::invalid_schedule(format!(
+                        "{} is assigned more than once",
+                        a.op
+                    )))
+                }
+                None => {
+                    return Err(FlowtuneError::invalid_schedule(format!(
+                        "{} is not an operator of the dataflow",
+                        a.op
+                    )))
+                }
+            }
+            // Dependency readiness with cross-container transfer. An
+            // operator downstream of a killed one can never run.
+            let (mut ready, mut doomed, mut unready) = (SimTime::ZERO, false, None);
+            for (p, bytes) in actual.preds_with_bytes(a.op) {
+                match ops[p.index()] {
+                    OpRun::Ran(pc, _, pend) => {
+                        let mut t = pend;
+                        if pc != a.container {
+                            t += self.config.network_transfer(bytes);
+                        }
+                        ready = ready.max(t);
+                    }
+                    OpRun::Killed => doomed = true,
+                    OpRun::Pending => {
+                        unready.get_or_insert(p);
+                    }
+                }
+            }
+            if doomed {
+                ops[a.op.index()] = OpRun::Killed;
                 report.killed_ops.push(a.op);
                 continue;
             }
-            let op = actual.op(a.op);
-            let cache = caches
-                .entry(a.container)
-                .or_insert_with(|| LruCache::new(self.config.disk_capacity_bytes));
-            // Dependency readiness with cross-container transfer.
-            let mut ready = SimTime::ZERO;
-            for &p in actual.preds(a.op) {
-                let &(pc, _, pend) = actual_df.get(&p).ok_or_else(|| {
-                    FlowtuneError::invalid_schedule(format!(
-                        "{} is scheduled before its predecessor {}",
-                        a.op, p
-                    ))
-                })?;
-                let mut t = pend;
-                if pc != a.container {
-                    t += self.config.network_transfer(actual.edge_bytes(p, a.op));
-                }
-                ready = ready.max(t);
+            if let Some(p) = unready {
+                return Err(FlowtuneError::invalid_schedule(format!(
+                    "{} is scheduled before its predecessor {}",
+                    a.op, p
+                )));
             }
-            let free = container_free
-                .get(&a.container)
-                .copied()
-                .unwrap_or(SimTime::ZERO);
-            let start = ready.max(free);
-            let revoke_at = revocations.get(&a.container).copied();
+            let op = actual.op(a.op);
+            let c = a.container.index();
+            let cache = &mut caches[c];
+            let start = ready.max(container_free[c]);
+            let revoke_at = revocations[c];
             if revoke_at.is_some_and(|t| start >= t) {
                 // The container is gone before the operator can start.
-                killed.insert(a.op);
+                ops[a.op.index()] = OpRun::Killed;
                 report.killed_ops.push(a.op);
                 continue;
             }
@@ -302,53 +350,65 @@ impl<'a> Simulator<'a> {
                     // Started before the revocation, died mid-flight:
                     // the partial work is wasted.
                     report.wasted_compute += t - start;
-                    killed.insert(a.op);
+                    ops[a.op.index()] = OpRun::Killed;
                     report.killed_ops.push(a.op);
                     continue;
                 }
             }
-            container_free.insert(a.container, end);
-            actual_df.insert(a.op, (a.container, start, end));
+            container_free[c] = end;
+            ops[a.op.index()] = OpRun::Ran(a.container, start, end);
             report.dataflow_ops += 1;
         }
 
         // Actual makespan and billing.
         let (mut first, mut last) = (SimTime::MAX, SimTime::ZERO);
-        let mut spans: BTreeMap<ContainerId, (SimTime, SimTime)> = BTreeMap::new();
-        for &(c, s, e) in actual_df.values() {
+        let mut spans: Vec<Option<(SimTime, SimTime)>> = vec![None; n_containers];
+        let mut busy = vec![SimDuration::ZERO; n_containers];
+        for run in &ops {
+            let OpRun::Ran(c, s, e) = *run else { continue };
             first = first.min(s);
             last = last.max(e);
-            let span = spans.entry(c).or_insert((SimTime::MAX, SimTime::ZERO));
+            let span = spans[c.index()].get_or_insert((SimTime::MAX, SimTime::ZERO));
             span.0 = span.0.min(s);
             span.1 = span.1.max(e);
+            busy[c.index()] += e - s;
         }
         report.makespan = if first == SimTime::MAX {
             SimDuration::ZERO
         } else {
             last - first
         };
-        let mut busy: BTreeMap<ContainerId, SimDuration> = BTreeMap::new();
-        for &(c, s, e) in actual_df.values() {
-            *busy.entry(c).or_insert(SimDuration::ZERO) += e - s;
-        }
-        let mut leases: BTreeMap<ContainerId, (SimTime, SimTime)> = BTreeMap::new();
-        for (&c, &(s, e)) in &spans {
-            let ls = s.quantum_floor(quantum);
-            let le = e.quantum_ceil(quantum).max(ls + quantum);
-            leases.insert(c, (ls, le));
-            report.leased_quanta += (le - ls).as_millis() / quantum.as_millis();
-        }
+        let leases: Vec<Option<(SimTime, SimTime)>> = spans
+            .iter()
+            .map(|span| {
+                let (s, e) = (*span)?;
+                let ls = s.quantum_floor(quantum);
+                let le = e.quantum_ceil(quantum).max(ls + quantum);
+                report.leased_quanta += (le - ls).as_millis() / quantum.as_millis();
+                Some((ls, le))
+            })
+            .collect();
         report.compute_cost =
             pricing::compute_cost(report.leased_quanta, self.config.vm_price_per_quantum);
 
-        // Build operators: backfill real idle time in planned order.
-        let mut per_container: BTreeMap<ContainerId, Vec<Assignment>> = BTreeMap::new();
-        for a in schedule.assignments() {
-            per_container.entry(a.container).or_default().push(*a);
+        // Build operators: backfill real idle time in planned order. Only
+        // containers holding a build need the walk; every dataflow
+        // assignment has run or been killed by now.
+        let mut per_container: Vec<Option<Vec<Assignment>>> = vec![None; n_containers];
+        for a in schedule.build_assignments() {
+            per_container[a.container.index()] = Some(Vec::new());
         }
-        for (c, mut assignments) in per_container {
-            let revoke_at = revocations.get(&c).copied().unwrap_or(SimTime::MAX);
-            let Some(&(lease_start, lease_end)) = leases.get(&c) else {
+        for a in schedule.assignments() {
+            if let Some(list) = &mut per_container[a.container.index()] {
+                list.push(*a);
+            }
+        }
+        for (c, assignments) in per_container.iter_mut().enumerate() {
+            let Some(assignments) = assignments else {
+                continue;
+            };
+            let revoke_at = revocations[c].unwrap_or(SimTime::MAX);
+            let Some((lease_start, lease_end)) = leases[c] else {
                 // Container ran no dataflow op (never leased, or revoked
                 // before anything survived): planned builds there never
                 // run.
@@ -366,101 +426,90 @@ impl<'a> Simulator<'a> {
             assignments.sort_by_key(|a| (a.start, a.end, a.op));
             let mut cursor = lease_start;
             for (i, a) in assignments.iter().enumerate() {
-                match a.build {
-                    None => {
-                        match actual_df.get(&a.op) {
-                            Some(&(_, _, e)) => cursor = cursor.max(e),
-                            // A killed operator never arrived; it
-                            // occupies no time on the container.
-                            None if killed.contains(&a.op) => {}
-                            None => {
-                                return Err(FlowtuneError::invalid_schedule(format!(
-                                    "assignment for {} references an operator the \
-                                     dataflow pass never executed",
-                                    a.op
-                                )))
-                            }
+                let Some(build) = a.build else {
+                    // A killed operator never arrived; it occupies no
+                    // time on the container.
+                    if let OpRun::Ran(_, _, e) = ops[a.op.index()] {
+                        cursor = cursor.max(e);
+                    }
+                    continue;
+                };
+                if cursor >= revoke_at {
+                    // The container is gone; the build never starts.
+                    report.fault_killed_builds.push(build);
+                    continue;
+                }
+                // Window: from the cursor to the next dataflow op's
+                // actual start (preemption) or lease expiry.
+                let next_df_start = assignments[i + 1..]
+                    .iter()
+                    .filter(|b| !b.is_optional())
+                    .find_map(|b| match ops[b.op.index()] {
+                        OpRun::Ran(_, s, _) => Some(s),
+                        _ => None,
+                    })
+                    .unwrap_or(lease_end)
+                    .min(lease_end);
+                let start = cursor;
+                let dur = build_durations.get(&build).copied().unwrap_or(a.duration());
+                let end = start + dur;
+                if end <= next_df_start && start < lease_end && end <= revoke_at {
+                    // The slot fits — but the build can still crash
+                    // mid-run, corrupt its artifact, or tear its final
+                    // page write.
+                    if let Some(fraction) = faults.crash_during_build() {
+                        // Died partway: the prefix of its page image is
+                        // flushed, the time is wasted, and the slot frees
+                        // up at the crash instant.
+                        let ran = dur.mul_f64(fraction);
+                        report.crashed_builds.push(CrashedBuild { build, fraction });
+                        report.wasted_compute += ran;
+                        busy[c] += ran;
+                        cursor = start + ran;
+                        continue;
+                    }
+                    if faults.build_failure() {
+                        report.failed_builds.push(build);
+                    } else {
+                        report.completed_builds.push(CompletedBuild {
+                            build,
+                            finished_at: end,
+                        });
+                        if faults.torn_page_write() {
+                            // Completed from the build's point of view —
+                            // only the recovery scan can tell the image
+                            // is torn.
+                            report.torn_builds.push(build);
                         }
                     }
-                    Some(build) => {
-                        if cursor >= revoke_at {
-                            // The container is gone; the build never
-                            // starts.
-                            report.fault_killed_builds.push(build);
-                            continue;
-                        }
-                        // Window: from the cursor to the next dataflow
-                        // op's actual start (preemption) or lease expiry.
-                        let next_df_start = assignments[i + 1..]
-                            .iter()
-                            .filter(|b| !b.is_optional())
-                            .filter_map(|b| actual_df.get(&b.op))
-                            .map(|&(_, s, _)| s)
-                            .next()
-                            .unwrap_or(lease_end)
-                            .min(lease_end);
-                        let start = cursor;
-                        let dur = build_durations.get(&build).copied().unwrap_or(a.duration());
-                        let end = start + dur;
-                        if end <= next_df_start && start < lease_end && end <= revoke_at {
-                            // The slot fits — but the build can still
-                            // crash mid-run, corrupt its artifact, or
-                            // tear its final page write.
-                            if let Some(fraction) = faults.crash_during_build() {
-                                // Died partway: the prefix of its page
-                                // image is flushed, the time is wasted,
-                                // and the slot frees up at the crash
-                                // instant.
-                                let ran = dur.mul_f64(fraction);
-                                report.crashed_builds.push(CrashedBuild { build, fraction });
-                                report.wasted_compute += ran;
-                                *busy.entry(c).or_insert(SimDuration::ZERO) += ran;
-                                cursor = start + ran;
-                                continue;
-                            }
-                            if faults.build_failure() {
-                                report.failed_builds.push(build);
-                            } else {
-                                report.completed_builds.push(CompletedBuild {
-                                    build,
-                                    finished_at: end,
-                                });
-                                if faults.torn_page_write() {
-                                    // Completed from the build's point
-                                    // of view — only the recovery scan
-                                    // can tell the image is torn.
-                                    report.torn_builds.push(build);
-                                }
-                            }
-                            *busy.entry(c).or_insert(SimDuration::ZERO) += dur;
-                            cursor = end;
-                        } else {
-                            // Stopped early: by revocation, by the next
-                            // dataflow op, or by lease expiry.
-                            let stopped = next_df_start.min(revoke_at).max(start);
-                            if revoke_at < end && revoke_at <= next_df_start {
-                                report.fault_killed_builds.push(build);
-                                report.wasted_compute += stopped - start;
-                            } else {
-                                report.killed_builds.push(build);
-                            }
-                            *busy.entry(c).or_insert(SimDuration::ZERO) += stopped - start;
-                            cursor = stopped;
-                        }
+                    busy[c] += dur;
+                    cursor = end;
+                } else {
+                    // Stopped early: by revocation, by the next dataflow
+                    // op, or by lease expiry.
+                    let stopped = next_df_start.min(revoke_at).max(start);
+                    if revoke_at < end && revoke_at <= next_df_start {
+                        report.fault_killed_builds.push(build);
+                        report.wasted_compute += stopped - start;
+                    } else {
+                        report.killed_builds.push(build);
                     }
+                    busy[c] += stopped - start;
+                    cursor = stopped;
                 }
             }
         }
 
         // Actual fragmentation: leased minus busy per container.
-        for (&c, &(ls, le)) in &leases {
-            let b = busy.get(&c).copied().unwrap_or(SimDuration::ZERO);
+        for (c, lease) in leases.iter().enumerate() {
+            let Some((ls, le)) = *lease else { continue };
+            let b = busy[c];
             let leased = le - ls;
             let waste = leased.saturating_sub(b);
             report.fragmentation += waste;
             flowtune_obs::obs_event!(
                 "cloud.container",
-                container = c.0,
+                container = c,
                 leased_ms = leased.as_millis(),
                 busy_ms = b.as_millis(),
                 waste_ms = waste.as_millis(),
@@ -1042,6 +1091,47 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.to_string().contains("predecessor"), "{err}");
+    }
+
+    /// A one-op DAG with `a`, run under `schedule`'s assignments.
+    fn one_op_run(assignments: Vec<Assignment>) -> Result<ExecutionReport> {
+        let db = filedb();
+        let dag = Dag::new(
+            vec![OpSpec::new(OpId(0), "a", SimDuration::from_secs(10))],
+            vec![],
+        )
+        .unwrap();
+        Simulator::new(cfg(), &db).execute(
+            &dag,
+            &Schedule::from_assignments(assignments),
+            &[],
+            &IndexAvailability::new(),
+            &BTreeMap::new(),
+        )
+    }
+
+    fn assignment(op: u32, container: u32, start_secs: u64) -> Assignment {
+        Assignment {
+            op: OpId(op),
+            container: ContainerId(container),
+            start: SimTime::from_secs(start_secs),
+            end: SimTime::from_secs(start_secs + 10),
+            build: None,
+        }
+    }
+
+    #[test]
+    fn an_op_assigned_twice_is_a_typed_error() {
+        let err = one_op_run(vec![assignment(0, 0, 0), assignment(0, 1, 10)]).unwrap_err();
+        assert!(matches!(err, FlowtuneError::InvalidSchedule(_)), "{err}");
+        assert!(err.to_string().contains("more than once"), "{err}");
+    }
+
+    #[test]
+    fn an_op_outside_the_dag_is_a_typed_error() {
+        let err = one_op_run(vec![assignment(0, 0, 0), assignment(7, 0, 10)]).unwrap_err();
+        assert!(matches!(err, FlowtuneError::InvalidSchedule(_)), "{err}");
+        assert!(err.to_string().contains("op7"), "{err}");
     }
 
     #[test]

@@ -74,10 +74,16 @@ impl IndexLifecycle {
         self.horizon
     }
 
-    /// The partitions a dataflow issued at `now` may probe: those built by then.
-    pub fn available_at(&self, now: SimTime) -> IndexAvailability {
+    /// The partitions of `indexes` that a dataflow issued at `now` may
+    /// probe: those built by then. A dataflow only probes its own usable
+    /// indexes, so the snapshot holds those and nothing else.
+    pub fn available_at(
+        &self,
+        now: SimTime,
+        indexes: impl IntoIterator<Item = IndexId>,
+    ) -> IndexAvailability {
         let (catalog, mut avail) = (&self.catalog, IndexAvailability::new());
-        for idx in catalog.ids() {
+        for idx in indexes {
             for (part, built) in catalog.state(idx).parts.iter().enumerate() {
                 if built.is_some_and(|b| b.built_at <= now) {
                     avail.add(idx, part as u32, catalog.spec(idx).partition_bytes(part));
@@ -204,6 +210,22 @@ mod tests {
         // A duplicate build of a built partition loses.
         assert_eq!(lc.commit(build(id, 1), BuildImage::Torn(at)), None);
         assert!(lc.pages().verify_partition(id, 1).unwrap().is_clean());
+    }
+
+    #[test]
+    fn availability_holds_the_asked_indexes_built_by_then() {
+        let (mut lc, id) = lifecycle();
+        lc.commit(build(id, 0), BuildImage::Clean(SimTime::from_secs(600)));
+        lc.commit(build(id, 2), BuildImage::Clean(SimTime::from_secs(1200)));
+        let avail = lc.available_at(SimTime::from_secs(900), [id]);
+        let bytes = lc.catalog().spec(id).partition_bytes(0);
+        assert_eq!(avail.bytes(id, 0), Some(bytes));
+        assert!(
+            !avail.is_built(id, 2),
+            "built after the dataflow was issued"
+        );
+        assert_eq!(avail.len(), 1);
+        assert!(lc.available_at(SimTime::from_secs(900), []).is_empty());
     }
 
     #[test]

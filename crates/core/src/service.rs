@@ -409,7 +409,8 @@ impl QaasService {
         // Causality: only index partitions built before this dataflow
         // was issued are visible to it (lanes execute logically in
         // parallel but are processed in issue order).
-        let avail = self.lifecycle.available_at(df.issued_at);
+        let indexes = df.index_uses.iter().map(|u| u.index);
+        let avail = self.lifecycle.available_at(df.issued_at, indexes);
         let (cloud, recovery) = (&self.config.params.cloud, &self.config.recovery);
         let sim = Simulator::new(cloud.clone(), self.factory.filedb());
         let attempt_run = |dag: &Dag, schedule: &Schedule, attempt: u32| {

@@ -292,6 +292,7 @@ impl<K: NodeKey> BPlusTree<K> {
             io.load_misses += 1;
             io.page_reads += 1;
         });
+        // flowtune-allow(obs-discipline): B+Tree page reads come from --calibrate-io and the Table 6 runs; the smoke run probes no tree
         flowtune_obs::count("storage.page_reads", 1);
         #[allow(clippy::expect_used)]
         let page = self
@@ -490,6 +491,7 @@ impl<K: NodeKey> BPlusTree<K> {
     pub fn verify_pages(&self) -> Result<()> {
         for id in self.store.ids() {
             self.tally(|io| io.page_reads += 1);
+            // flowtune-allow(obs-discipline): only tree recovery scans its pages; the smoke run never does
             flowtune_obs::count("storage.page_reads", 1);
             let verdict = Page::check(self.store.read(id), self.epoch);
             if !verdict.is_clean() {

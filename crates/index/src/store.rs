@@ -27,10 +27,11 @@
 //! ledger and through a byte model of `Page`-encoded images in a
 //! [`flowtune_storage::MemPageStore`], and holds every verdict equal.
 //!
-//! Raw store traffic is counted through `flowtune-obs` as
-//! `storage.page_writes` (pages that reached the store) and
-//! `storage.page_reads` (pages the scan read back, missing ones
-//! included), the counts the byte-backed store would make.
+//! Pages that reached the store are counted through `flowtune-obs` as
+//! `storage.page_writes`, the count the byte-backed store would make.
+//! The scan counts nothing here: the service counts the pages of each
+//! verdict once, as `storage.verify_pages`, and `storage.page_reads`
+//! stays the B+Tree's own page reads.
 
 use flowtune_common::{IndexId, PageId};
 use flowtune_storage::{PageCheck, PAGE_SIZE};
@@ -134,7 +135,6 @@ impl IndexPageStore {
     /// checksum. `None` when no image exists for `(index, part)`.
     pub fn verify_partition(&self, index: IndexId, part: u32) -> Option<PartitionVerdict> {
         let image = *self.parts.get(&(index, part))?;
-        flowtune_obs::count("storage.page_reads", image.pages as u64);
         let missing = (image.flushed..image.pages).map(|i| (image.page(i), PageCheck::Missing));
         let torn = image
             .torn

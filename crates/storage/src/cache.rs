@@ -6,33 +6,34 @@
 //! the operator's input transfer time is zero. The simulator keeps one
 //! cache per container and counts its own hits.
 //!
-//! Victim selection goes through a `BTreeSet` recency index keyed by the
-//! unique use tick, so eviction is `O(log n)` instead of a full scan and
-//! deterministic by construction (ticks never collide).
+//! Every lookup and insert takes a fresh tick, and an entry remembers
+//! the tick of its last use, so a hit is one hash lookup that rewrites
+//! the tick in place. Eviction scans the entries for the minimum tick.
+//! Ticks never collide, so that minimum is the unique LRU victim, and
+//! the hash map's iteration order cannot change which entry goes. The
+//! scan is `O(n)`, but the simulator evicts only when one container
+//! reads more than its disk holds within one dataflow, which is rare;
+//! hits are on every operator's path.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Byte-sized LRU cache keyed by `K`.
 #[derive(Debug, Clone)]
 pub struct LruCache<K> {
     capacity: u64,
     used: u64,
-    /// key -> (bytes, last-use tick)
+    /// key -> (bytes, last-use tick); ticks are unique.
     entries: HashMap<K, (u64, u64)>,
-    /// (last-use tick, key), ordered oldest-first; ticks are unique,
-    /// so the minimum element is *the* LRU victim.
-    recency: BTreeSet<(u64, K)>,
     tick: u64,
 }
 
-impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
+impl<K: std::hash::Hash + Eq + Clone> LruCache<K> {
     /// Create a cache with the given capacity in bytes.
     pub fn new(capacity: u64) -> Self {
         LruCache {
             capacity,
             used: 0,
             entries: HashMap::new(),
-            recency: BTreeSet::new(),
             tick: 0,
         }
     }
@@ -43,9 +44,7 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
         let Some(entry) = self.entries.get_mut(key) else {
             return false;
         };
-        self.recency.remove(&(entry.1, key.clone()));
         entry.1 = self.tick;
-        self.recency.insert((self.tick, key.clone()));
         true
     }
 
@@ -54,10 +53,9 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
         self.entries.contains_key(key)
     }
 
-    /// Remove `key` from both maps.
+    /// Remove `key`, releasing its bytes.
     fn take(&mut self, key: &K) {
-        if let Some((bytes, tick)) = self.entries.remove(key) {
-            self.recency.remove(&(tick, key.clone()));
+        if let Some((bytes, _)) = self.entries.remove(key) {
             self.used -= bytes;
         }
     }
@@ -74,15 +72,19 @@ impl<K: std::hash::Hash + Eq + Ord + Clone> LruCache<K> {
         }
         while self.used + bytes > self.capacity {
             // Over budget with the new object not yet inserted: at
-            // least one entry exists, and the recency set's minimum
-            // is the unique LRU victim.
-            let Some((_, victim)) = self.recency.pop_first() else {
+            // least one entry exists, and the one with the minimum
+            // tick is the unique LRU victim.
+            let Some(victim) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, &(_, tick))| tick)
+                .map(|(k, _)| k.clone())
+            else {
                 break;
             };
             self.take(&victim);
         }
-        self.entries.insert(key.clone(), (bytes, self.tick));
-        self.recency.insert((self.tick, key));
+        self.entries.insert(key, (bytes, self.tick));
         self.used += bytes;
     }
 
