@@ -57,6 +57,69 @@ cleanup() {
 }
 trap cleanup EXIT
 
+echo "==> clippy fails on a planted violation of every token-level ban"
+# Panics in library code, wall clocks, env lookups, hash-ordered
+# collections, `#[allow]` and stale `#[expect]` waivers are clippy lints
+# (root Cargo.toml, clippy.toml), which the clippy step above enforces.
+# Here a copy of the workspace gets one of each appended to a core
+# library file, and clippy must fail naming every one: dropping a lint
+# from the workspace table or an entry from clippy.toml fails this step.
+# The copy is taken now from this tree, and CLIPPY_CONF_DIR points
+# clippy at this tree's clippy.toml, so neither is a maintained copy.
+planted="$scratch/planted"
+mkdir -p "$planted"
+tar -c --exclude=./.git --exclude=./target --exclude=./perfbench/target --exclude=./clippy.toml . \
+  | tar -x -C "$planted"
+cat >> "$planted/crates/sched/src/lib.rs" <<'PLANTED'
+
+#[allow(dead_code)]
+pub fn planted_allow() {}
+
+#[expect(clippy::unwrap_used, reason = "planted: nothing here unwraps")]
+pub fn planted_stale_expect() {}
+
+pub fn planted(v: Option<u64>, r: Result<u64, ()>) -> u64 {
+    let clock = std::time::Instant::now();
+    let wall = std::time::SystemTime::now();
+    let host = std::env::var("PLANTED").is_ok();
+    let map: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let set: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let hasher = std::hash::RandomState::new();
+    if host {
+        panic!("planted");
+    }
+    let _ = (clock, wall, map, set, hasher);
+    v.unwrap() + r.expect("planted")
+}
+PLANTED
+planted_status=0
+CLIPPY_CONF_DIR="$PWD" CARGO_TARGET_DIR="$scratch/planted-target" \
+  cargo clippy -q --offline --manifest-path "$planted/Cargo.toml" -p flowtune-sched \
+  -- -D warnings > "$scratch/planted.out" 2>&1 || planted_status=$?
+if [ "$planted_status" -eq 0 ]; then
+  echo "clippy passed a library file full of planted violations" >&2
+  exit 1
+fi
+for want in \
+  'used `unwrap()` on an `Option` value' \
+  'used `expect()` on a `Result` value' \
+  '`panic` should not be present in production code' \
+  'use of a disallowed type `std::time::Instant`' \
+  'use of a disallowed type `std::time::SystemTime`' \
+  'use of a disallowed type `std::collections::HashMap`' \
+  'use of a disallowed type `std::collections::HashSet`' \
+  'use of a disallowed type `std::hash::RandomState`' \
+  'use of a disallowed method `std::env::var`' \
+  '#[allow] attribute found' \
+  '`allow` attribute without specifying a reason' \
+  'this lint expectation is unfulfilled'; do
+  if ! grep -qF -- "$want" "$scratch/planted.out"; then
+    cat "$scratch/planted.out" >&2
+    echo "planted violation not reported by clippy: $want" >&2
+    exit 1
+  fi
+done
+
 echo "==> exp_* --smoke reports (vs tests/golden/exp/)"
 # Every deterministic experiment binary diffs byte-for-byte against its
 # pinned smoke report; exp_fault_matrix is one of them. Two binaries are
@@ -140,7 +203,8 @@ diff -u tests/golden/calibrate_io_smoke.txt "$scratch/calibrate_io.txt"
 echo "==> flowtune rejects a bad config before announcing the run"
 # ServiceConfig::validate must refuse each of these in parse_args: exit
 # 1, an error line, no banner. The online interleaver has no
-# load-balance form, and an estimation error must lie in [0, 1).
+# load-balance form, an estimation error must lie in [0, 1), and a zero
+# horizon would run as nothing.
 reject_config() {
   local status=0
   cargo run -q --offline --release -p flowtune-core --bin flowtune -- "$@" \
@@ -154,6 +218,7 @@ reject_config() {
 }
 reject_config --scheduler online-lb --interleaver online --quanta 4
 reject_config --error 1.5 --quanta 10 --seed 1 --concurrency 1
+reject_config --quanta 0
 
 echo "==> perfbench builds and its tests pass"
 # perfbench/ is a workspace of its own, so the root build and tests

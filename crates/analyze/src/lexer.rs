@@ -129,30 +129,6 @@ pub fn lex(code_lines: &[String]) -> Vec<Token> {
     out
 }
 
-/// Does `tokens[at..]` start with the given `::`-separated ident path
-/// (e.g. `"std::env"`)? Path segments must match exactly.
-pub fn path_matches(tokens: &[Token], at: usize, path: &str) -> bool {
-    let mut idx = at;
-    let mut first = true;
-    for seg in path.split("::") {
-        if !first {
-            if !tokens.get(idx).is_some_and(|t| t.is_punct("::")) {
-                return false;
-            }
-            idx += 1;
-        }
-        if !tokens.get(idx).is_some_and(|t| t.is_ident(seg)) {
-            return false;
-        }
-        idx += 1;
-        first = false;
-    }
-    // A longer path (`std::env::var`) still matches its prefix, but a
-    // *preceding* `::` means `at` is mid-path (`x::std::env` is not
-    // `std::env`).
-    at == 0 || !tokens[at - 1].is_punct("::")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +173,5 @@ mod tests {
         let t = lex_str("ab\n  cd");
         assert_eq!((t[0].line, t[0].col), (0, 0));
         assert_eq!((t[1].line, t[1].col), (1, 2));
-    }
-
-    #[test]
-    fn path_matching() {
-        let t = lex_str("use std::env::var; x::std::env;");
-        assert!(path_matches(&t, 1, "std::env"));
-        // `x::std::env` — the std at index 8 is mid-path.
-        let std_positions: Vec<usize> = t
-            .iter()
-            .enumerate()
-            .filter(|(_, tok)| tok.is_ident("std"))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(std_positions.len(), 2);
-        assert!(!path_matches(&t, std_positions[1], "std::env"));
     }
 }

@@ -2,17 +2,14 @@
 //!
 //! A zero-external-dependency static-analysis pass over the flowtune
 //! workspace, enforcing the repo-specific invariants the EDBT'20
-//! reproduction depends on (and that no generic linter knows about).
-//! Rules work on a token stream lexed from the comment/string-stripped
-//! "code view" ([`lexer`]) plus a light item model ([`model`]) that
-//! scopes `#[cfg(test)]` structurally:
+//! reproduction depends on and that clippy cannot see. Clippy enforces
+//! the token-level bans on wall clocks, env lookups, hash-ordered
+//! collections and panics in library code; the root `Cargo.toml` and
+//! `clippy.toml` configure them, and `ci/check.sh` runs clippy with
+//! `-D warnings`. Rules here work on a token stream lexed from the
+//! comment/string-stripped "code view" ([`lexer`]) plus a light item
+//! model ([`model`]) that scopes `#[cfg(test)]` structurally:
 //!
-//! - **determinism** — no ambient entropy, wall clocks, or env lookups
-//!   in simulation code; runs must be pure functions of seed + config.
-//! - **ordered-iteration** — no `HashMap`/`HashSet` in the crates whose
-//!   state reaches schedules, costs, or experiment reports.
-//! - **panic-hygiene** — no `unwrap`/`expect`/`panic!` in non-test
-//!   library code of the core crates.
 //! - **newtype-discipline** — no raw `f64` money/time bindings outside
 //!   `flowtune-common`; use `Money`/`SimTime`/`Quanta`.
 //! - **dep-hygiene** — every declared dependency is actually used.
@@ -30,7 +27,7 @@
 //! (a plain `//` comment — doc comments and strings don't count):
 //!
 //! ```text
-//! // flowtune-allow(panic-hygiene): mutex poisoning is unrecoverable here
+//! // flowtune-allow(cast-discipline): leased-quanta counts stay far below 2^53
 //! ```
 //!
 //! The pass runs three ways: as a CLI (`cargo run -p flowtune-analyze`,
@@ -38,8 +35,8 @@
 //! `flowtune.analyze.v1` schema), from `ci/check.sh` (JSON + baseline
 //! mode), and as a library from the integration test
 //! `tests/workspace_clean.rs`, which makes plain `cargo test` the
-//! enforcement point — a new violation anywhere in the workspace fails
-//! the tier-1 gate.
+//! enforcement point for these rules — a new violation anywhere in the
+//! workspace fails the tier-1 gate.
 
 pub mod json;
 pub mod lexer;

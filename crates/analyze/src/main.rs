@@ -135,6 +135,10 @@ fn render_report(findings: &[&Diagnostic], baselined: usize) -> String {
 }
 
 fn run() -> Result<ExitCode, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the command line is this binary's input boundary"
+    )]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args)?;
     if opts.help {
@@ -149,7 +153,9 @@ fn run() -> Result<ExitCode, String> {
              Scans ROOT (default: this workspace) and reports invariant violations.\n\
              Waive a false positive in place with a plain comment on or above the\n\
              line: `// flowtune-allow(<rule>): <reason>`. Stale waivers are\n\
-             themselves reported by the waiver-audit rule."
+             themselves reported by the waiver-audit rule. Wall clocks, env\n\
+             lookups, hash-ordered collections and library panics are clippy\n\
+             lints (clippy.toml), waived with #[expect(<lint>, reason = \"...\")]."
         );
         return Ok(ExitCode::SUCCESS);
     }

@@ -11,9 +11,24 @@
 use super::{Emitter, Rule};
 use crate::lexer::TokenKind;
 use crate::rules::newtype::is_quantity_ident;
-use crate::rules::panic_hygiene::CORE_CRATES;
 use crate::scan::{FileKind, SourceFile};
 use crate::workspace::CrateInfo;
+
+/// The core library crates the rule guards: the shipping simulation
+/// code, as opposed to the bench and analyzer tooling.
+const CORE_CRATES: &[&str] = &[
+    "flowtune-common",
+    "flowtune-storage",
+    "flowtune-index",
+    "flowtune-query",
+    "flowtune-dataflow",
+    "flowtune-sched",
+    "flowtune-interleave",
+    "flowtune-cloud",
+    "flowtune-tuner",
+    "flowtune-core",
+    "flowtune-obs",
+];
 
 /// Primitive numeric types an `as` cast can target.
 const NUMERIC_TYPES: &[&str] = &[

@@ -18,23 +18,17 @@ use crate::workspace::{CrateInfo, Workspace};
 mod bin_hygiene;
 mod cast_discipline;
 mod dep_hygiene;
-mod determinism;
 mod golden_coverage;
 mod newtype;
 mod obs_discipline;
-mod ordered_iteration;
-mod panic_hygiene;
 mod waiver_audit;
 
 pub use bin_hygiene::BinHygiene;
 pub use cast_discipline::CastDiscipline;
 pub use dep_hygiene::DepHygiene;
-pub use determinism::Determinism;
 pub use golden_coverage::GoldenCoverage;
 pub use newtype::NewtypeDiscipline;
 pub use obs_discipline::ObsDiscipline;
-pub use ordered_iteration::OrderedIteration;
-pub use panic_hygiene::PanicHygiene;
 pub use waiver_audit::WaiverAudit;
 
 /// How a finding gates the build.
@@ -159,9 +153,6 @@ pub trait Rule {
 /// The full rule registry, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(Determinism),
-        Box::new(OrderedIteration),
-        Box::new(PanicHygiene),
         Box::new(NewtypeDiscipline),
         Box::new(DepHygiene),
         Box::new(CastDiscipline),

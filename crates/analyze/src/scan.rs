@@ -20,7 +20,7 @@ use crate::lexer::{lex, Token};
 use crate::model::FileModel;
 
 /// Which compilation target a file belongs to — rules scope themselves
-/// by kind (e.g. panic hygiene applies to library code only).
+/// by kind (e.g. cast-discipline skips integration tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `src/**` excluding `src/bin/**` and `src/main.rs`.
@@ -47,6 +47,9 @@ pub struct WaiverDecl {
     pub has_reason: bool,
 }
 
+/// rule name -> covered 0-based line -> declaring lines.
+type WaiverMap = BTreeMap<String, BTreeMap<usize, Vec<usize>>>;
+
 /// A loaded source file: raw text, stripped code view, token stream,
 /// item model, and the waivers declared in its comments.
 #[derive(Debug)]
@@ -69,8 +72,7 @@ pub struct SourceFile {
     pub test_lines: Vec<bool>,
     /// Every waiver declaration, in source order (reasoned or not).
     pub waiver_decls: Vec<WaiverDecl>,
-    /// rule name -> covered 0-based line -> declaring lines.
-    waivers: BTreeMap<String, BTreeMap<usize, Vec<usize>>>,
+    waivers: WaiverMap,
 }
 
 impl SourceFile {
@@ -354,14 +356,8 @@ fn closes_raw_str(bytes: &[char], i: usize, hashes: u32) -> bool {
 /// a string literal is not a waiver). A reason is mandatory — a waiver
 /// without one suppresses nothing (and surfaces in the stale-waiver
 /// audit). Each waiver covers its own line and the next line.
-#[allow(clippy::type_complexity)]
-fn collect_waivers(
-    comment_lines: &[String],
-) -> (
-    BTreeMap<String, BTreeMap<usize, Vec<usize>>>,
-    Vec<WaiverDecl>,
-) {
-    let mut map: BTreeMap<String, BTreeMap<usize, Vec<usize>>> = BTreeMap::new();
+fn collect_waivers(comment_lines: &[String]) -> (WaiverMap, Vec<WaiverDecl>) {
+    let mut map = WaiverMap::new();
     let mut decls = Vec::new();
     for (idx, line) in comment_lines.iter().enumerate() {
         let mut rest = line.as_str();
@@ -388,37 +384,6 @@ fn collect_waivers(
         }
     }
     (map, decls)
-}
-
-/// Token-level word match: `needle` occurs in `haystack` with no
-/// identifier character (alphanumeric or `_`) adjacent on either side.
-/// `needle` itself may contain `::` for path patterns.
-pub fn contains_token(haystack: &str, needle: &str) -> bool {
-    find_token(haystack, needle).is_some()
-}
-
-/// Position of the first token-level match, if any.
-pub fn find_token(haystack: &str, needle: &str) -> Option<usize> {
-    let mut start = 0;
-    while let Some(pos) = haystack[start..].find(needle) {
-        let abs = start + pos;
-        let before_ok = abs == 0
-            || !haystack[..abs]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let end = abs + needle.len();
-        let after_ok = end >= haystack.len()
-            || !haystack[end..]
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return Some(abs);
-        }
-        start = abs + 1;
-    }
-    None
 }
 
 #[cfg(test)]
@@ -514,27 +479,27 @@ mod tests {
     #[test]
     fn comment_view_keeps_only_plain_line_comments() {
         let text = "\
-//! doc: flowtune-allow(determinism): phantom\n\
-/// also doc: flowtune-allow(determinism): phantom\n\
-// real: flowtune-allow(panic-hygiene): genuine\n\
-let s = \"flowtune-allow(determinism): in a string\";\n\
-/* block: flowtune-allow(determinism): phantom */\n";
+//! doc: flowtune-allow(cast-discipline): phantom\n\
+/// also doc: flowtune-allow(cast-discipline): phantom\n\
+// real: flowtune-allow(newtype-discipline): genuine\n\
+let s = \"flowtune-allow(cast-discipline): in a string\";\n\
+/* block: flowtune-allow(cast-discipline): phantom */\n";
         let v = strip_views(text);
         assert_eq!(v.comment.matches("flowtune-allow").count(), 1);
-        assert!(v.comment.contains("flowtune-allow(panic-hygiene)"));
+        assert!(v.comment.contains("flowtune-allow(newtype-discipline)"));
         assert!(!v.code.contains("flowtune-allow"));
     }
 
     #[test]
     fn waiver_requires_reason_and_covers_next_line() {
         let lines: Vec<String> = vec![
-            "// flowtune-allow(panic-hygiene): invariant upheld by caller".into(),
+            "// flowtune-allow(newtype-discipline): invariant upheld by caller".into(),
             "".into(),
-            "// flowtune-allow(panic-hygiene)".into(), // no reason -> suppresses nothing
+            "// flowtune-allow(newtype-discipline)".into(), // no reason -> suppresses nothing
             "".into(),
         ];
         let (map, decls) = collect_waivers(&lines);
-        let set = &map["panic-hygiene"];
+        let set = &map["newtype-discipline"];
         assert!(set.contains_key(&0) && set.contains_key(&1));
         assert!(!set.contains_key(&2) && !set.contains_key(&3));
         // Both declarations are recorded for the stale-waiver audit.
@@ -547,14 +512,14 @@ let s = \"flowtune-allow(determinism): in a string\";\n\
     #[test]
     fn waivers_in_docs_and_strings_are_phantom() {
         let text = "\
-//! // flowtune-allow(determinism): doc example\n\
+//! // flowtune-allow(cast-discipline): doc example\n\
 fn f() {\n\
-    let s = \"flowtune-allow(ordered-iteration): stringly\";\n\
+    let s = \"flowtune-allow(obs-discipline): stringly\";\n\
 }\n";
         let f = SourceFile::from_text(text, PathBuf::from("x.rs"), "x.rs".into(), FileKind::Lib);
         assert!(f.waiver_decls.is_empty());
-        assert!(!f.is_waived("determinism", 0));
-        assert!(!f.is_waived("ordered-iteration", 2));
+        assert!(!f.is_waived("cast-discipline", 0));
+        assert!(!f.is_waived("obs-discipline", 2));
     }
 
     #[test]
@@ -568,17 +533,9 @@ fn f() {\n\
 
     #[test]
     fn waiver_decl_lines_point_at_declaration() {
-        let text = "// flowtune-allow(determinism): reason here\nlet x = 1;\n";
+        let text = "// flowtune-allow(cast-discipline): reason here\nlet x = 1;\n";
         let f = SourceFile::from_text(text, PathBuf::from("x.rs"), "x.rs".into(), FileKind::Lib);
-        assert_eq!(f.waiver_decl_lines("determinism", 1), &[0]);
-        assert_eq!(f.waiver_decl_lines("determinism", 5), &[] as &[usize]);
-    }
-
-    #[test]
-    fn token_matching_respects_word_boundaries() {
-        assert!(contains_token("let m: HashMap<u32, u32> = x;", "HashMap"));
-        assert!(!contains_token("let m = MyHashMapLike::new();", "HashMap"));
-        assert!(!contains_token("x.unwrap_or(0)", "unwrap()"));
-        assert!(contains_token("std::env::var(k)", "std::env"));
+        assert_eq!(f.waiver_decl_lines("cast-discipline", 1), &[0]);
+        assert_eq!(f.waiver_decl_lines("cast-discipline", 5), &[] as &[usize]);
     }
 }

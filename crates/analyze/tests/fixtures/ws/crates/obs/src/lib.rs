@@ -1,29 +1,5 @@
-//! Fixture `flowtune-obs`: the observability layer sits on the
-//! simulation output path, so hash-order iteration, wall clocks, and
-//! panics in its library code must all fire.
+//! Fixture `flowtune-obs`: the obs-discipline cases live in `names.rs`.
 
-use std::collections::HashMap;
-
-pub fn metric_snapshot(counters: &HashMap<String, u64>) -> u64 {
-    let started = std::time::Instant::now();
-    let total: u64 = counters.values().sum();
-    total + started.elapsed().as_millis() as u64
-}
-
-pub fn stamped(events: &[u64]) -> u64 {
-    // flowtune-allow(panic-hygiene): fixture proof that obs waivers work
-    *events.last().unwrap()
-}
-
-pub fn seeded() -> u64 {
+pub fn seeded() -> u32 {
     flowtune_common::seed()
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn test_regions_stay_exempt() {
-        let now = std::time::SystemTime::now();
-        assert!(now.elapsed().is_ok());
-    }
 }

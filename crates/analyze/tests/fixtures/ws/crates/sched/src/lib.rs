@@ -1,13 +1,2 @@
-//! Fixture `flowtune-sched`: determinism violations and a waiver.
-
-pub fn stamp() -> u64 {
-    let started = std::time::Instant::now();
-    started.elapsed().as_nanos() as u64
-}
-
-pub fn host() -> Option<String> {
-    std::env::var("FLOWTUNE_FIXTURE_HOST").ok()
-}
-
-// flowtune-allow(determinism): fixture proof that determinism waivers work
-pub const EPOCH: std::time::SystemTime = std::time::SystemTime::UNIX_EPOCH;
+//! Fixture `flowtune-sched`: its manifest declares a dependency and a
+//! dev-dependency that no source file uses.

@@ -7,9 +7,10 @@
 //! evaluated against a No-Index baseline of the same seed) is reported
 //! for each α.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, ServiceConfig};

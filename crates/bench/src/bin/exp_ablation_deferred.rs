@@ -11,9 +11,10 @@
 //!    partitioned builds are deliberately small enough to fit slots (the
 //!    paper's core premise), so deferral is expected to change nothing.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_common::{BuildOpId, IndexId, Money, SimDuration};
 use flowtune_core::tablefmt::render_table;

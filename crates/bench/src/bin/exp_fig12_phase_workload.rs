@@ -9,9 +9,10 @@
 //!
 //! `--smoke` shrinks the horizon to 60 quanta.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};

@@ -6,9 +6,10 @@
 //! deleted after the phase ends (their gain fades), and some CyberShake
 //! indexes are *recreated* when CyberShake returns in the final phase.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};

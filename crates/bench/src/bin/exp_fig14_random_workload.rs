@@ -5,9 +5,10 @@
 //! phased experiment: with a random mix, indexes essentially never stop
 //! being useful, so they are stored for much longer.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};

@@ -7,9 +7,10 @@
 //! monetary cost and fragmentation, averaged over dataflows of all
 //! three applications.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use std::collections::BTreeMap;
 

@@ -10,9 +10,10 @@
 //! Uses CyberShake, as the paper does ("results are similar for the
 //! other dataflows").
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_common::{ExperimentParams, SimRng};
 use flowtune_core::experiment::ExperimentSetup;

@@ -5,9 +5,10 @@
 //! Prints an ASCII timeline: one row per container, `#` for dataflow
 //! operators, `+` for build operators, `.` for idle leased time.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_common::{BuildOpId, ExperimentParams, IndexId, SimDuration, SimRng, SimTime};
 use flowtune_core::experiment::ExperimentSetup;

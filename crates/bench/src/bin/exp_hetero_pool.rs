@@ -6,9 +6,10 @@
 //! fronts: a mixed pool stretches the front at *both* ends — faster
 //! fastest schedules and cheaper cheapest schedules.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use flowtune_common::{Money, SimDuration, SimRng};
 use flowtune_core::tablefmt::render_table;

@@ -45,6 +45,7 @@ fn main() {
         &PAPER
     };
     for &(column, paper_mb, paper_pct) in columns {
+        #[expect(clippy::panic, reason = "PAPER names lineitem schema columns")]
         let key_bytes = schema
             .column(column)
             .unwrap_or_else(|| panic!("missing column {column}"))

@@ -13,10 +13,6 @@
 //! by `tests/golden/table6_composite_smoke.txt`. The full run repeats
 //! the matrix at a larger table and adds measured wall times.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
-
 use flowtune_bench::table6_composite::{build_report, lineitem_table, query_classes, SMOKE_ROWS};
 use flowtune_index::IndexKind;
 use flowtune_query::timer::time_median;

@@ -11,9 +11,10 @@
 //! EXPERIMENTS.md records as reproduced (lookup > small range > large
 //! range > 1) does not hold.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "experiment binaries fail fast on a broken run"
+)]
 
 use std::process::ExitCode;
 

@@ -11,6 +11,11 @@
 //! deliberately identical across schemas so `tests/bench_baselines.rs`
 //! can enforce speedup bars on either file with one parser.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the bench harness measures wall-clock time"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Summary statistics of one timed benchmark, per-iteration times in

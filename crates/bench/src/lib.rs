@@ -18,6 +18,11 @@
 //! summary (JSON) are written on exit. The metrics summary is the
 //! machine-readable seed for `BENCH_*.json`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "measurement tooling: every binary reads its own command line"
+)]
+
 pub mod compare;
 pub mod table6_composite;
 

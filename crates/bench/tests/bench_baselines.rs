@@ -12,9 +12,11 @@
 //! The smoke-mode runs in `ci/check.sh` exercise the harness itself;
 //! only the committed full-mode files carry bars.
 
-// Test helpers assert freely (clippy's in-test detection misses
-// non-#[test] helper fns in integration tests).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use flowtune_analyze::json::{parse, Json};
 use std::path::PathBuf;

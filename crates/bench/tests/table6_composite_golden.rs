@@ -5,7 +5,10 @@
 //! multi-predicate class, and leftmost-prefix subsumption never keeps
 //! both `(a)` and `(a, b)`.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail fast on a broken fixture"
+)]
 
 use flowtune_bench::table6_composite::{build_report, CompositeReport, SMOKE_ROWS};
 use std::path::{Path, PathBuf};

@@ -50,8 +50,10 @@ pub fn perturb_dag(dag: &Dag, time_error: f64, data_error: f64, rng: &mut SimRng
             }
         })
         .collect();
-    #[allow(clippy::expect_used)]
-    // flowtune-allow(panic-hygiene): ops and edges are copied one-for-one from a Dag that already validated
+    #[expect(
+        clippy::expect_used,
+        reason = "ops and edges are copied one-for-one from a Dag that already validated"
+    )]
     Dag::new(ops, edges).expect("perturbation preserves DAG structure")
 }
 

@@ -21,14 +21,15 @@
 //! by `ContainerId::index()` (the schedulers number containers densely
 //! from 0). Walking the container tables in index order is the
 //! ascending-id order every per-container event and fault draw needs.
-//! A schedule that assigns an operator twice or names one outside the
-//! DAG is rejected as [`FlowtuneError::InvalidSchedule`].
+//! A schedule that assigns an operator twice, leaves one unassigned or
+//! names one outside the DAG is rejected as
+//! [`FlowtuneError::InvalidSchedule`].
 
 use std::collections::BTreeMap;
 
 use flowtune_common::{
-    pricing, CloudConfig, ContainerId, FlowtuneError, IndexId, PartitionId, Result, SimDuration,
-    SimTime,
+    pricing, CloudConfig, ContainerId, FlowtuneError, IndexId, OpId, PartitionId, Result,
+    SimDuration, SimTime,
 };
 use flowtune_dataflow::{Dag, FileDatabase, IndexUse};
 use flowtune_sched::{Assignment, BuildRef, Schedule};
@@ -129,7 +130,8 @@ impl<'a> Simulator<'a> {
     ///
     /// Errors with [`FlowtuneError::InvalidSchedule`] when the schedule
     /// executes an operator before a predecessor it depends on, assigns
-    /// an operator twice, or names an operator outside `actual`.
+    /// an operator twice, leaves an operator of `actual` unassigned, or
+    /// names an operator outside `actual`.
     pub fn execute(
         &self,
         actual: &Dag,
@@ -364,8 +366,17 @@ impl<'a> Simulator<'a> {
         let (mut first, mut last) = (SimTime::MAX, SimTime::ZERO);
         let mut spans: Vec<Option<(SimTime, SimTime)>> = vec![None; n_containers];
         let mut busy = vec![SimDuration::ZERO; n_containers];
-        for run in &ops {
-            let OpRun::Ran(c, s, e) = *run else { continue };
+        for (i, run) in ops.iter().enumerate() {
+            let (c, s, e) = match *run {
+                OpRun::Ran(c, s, e) => (c, s, e),
+                OpRun::Killed => continue,
+                OpRun::Pending => {
+                    return Err(FlowtuneError::invalid_schedule(format!(
+                        "{} is never assigned",
+                        OpId::from_index(i)
+                    )))
+                }
+            };
             first = first.min(s);
             last = last.max(e);
             let span = spans[c.index()].get_or_insert((SimTime::MAX, SimTime::ZERO));
@@ -1125,6 +1136,32 @@ mod tests {
         let err = one_op_run(vec![assignment(0, 0, 0), assignment(0, 1, 10)]).unwrap_err();
         assert!(matches!(err, FlowtuneError::InvalidSchedule(_)), "{err}");
         assert!(err.to_string().contains("more than once"), "{err}");
+    }
+
+    #[test]
+    fn an_unassigned_op_is_a_typed_error() {
+        // Two independent ops, only the first assigned: the run must not
+        // report a completed dataflow that skipped `b`.
+        let db = filedb();
+        let dag = Dag::new(
+            vec![
+                OpSpec::new(OpId(0), "a", SimDuration::from_secs(10)),
+                OpSpec::new(OpId(1), "b", SimDuration::from_secs(10)),
+            ],
+            vec![],
+        )
+        .unwrap();
+        let err = Simulator::new(cfg(), &db)
+            .execute(
+                &dag,
+                &Schedule::from_assignments(vec![assignment(0, 0, 0)]),
+                &[],
+                &IndexAvailability::new(),
+                &BTreeMap::new(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, FlowtuneError::InvalidSchedule(_)), "{err}");
+        assert!(err.to_string().contains("op1 is never assigned"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! `Simulator::execute_with_faults` or `LruCache` must leave them
 //! unchanged.
 
-#![allow(clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "test helpers fail fast on a broken fixture"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 

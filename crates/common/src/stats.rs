@@ -95,26 +95,6 @@ impl OnlineStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64
     }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl FromIterator<f64> for OnlineStats {
@@ -202,21 +182,6 @@ mod tests {
     fn random_vec(rng: &mut SimRng, max_len: u64, lo: f64, hi: f64) -> Vec<f64> {
         let n = rng.uniform_u64(0, max_len) as usize;
         (0..n).map(|_| rng.uniform_range(lo, hi)).collect()
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let mut rng = SimRng::seed_from_u64(0xC0FFEE);
-        for _ in 0..200 {
-            let a = random_vec(&mut rng, 50, -1e6, 1e6);
-            let b = random_vec(&mut rng, 50, -1e6, 1e6);
-            let mut merged = OnlineStats::from_iter(a.iter().copied());
-            merged.merge(&OnlineStats::from_iter(b.iter().copied()));
-            let seq = OnlineStats::from_iter(a.iter().chain(b.iter()).copied());
-            assert_eq!(merged.count(), seq.count());
-            assert!((merged.mean() - seq.mean()).abs() < 1e-6);
-            assert!((merged.variance() - seq.variance()).abs() < 1e-3);
-        }
     }
 
     #[test]

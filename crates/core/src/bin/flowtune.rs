@@ -175,7 +175,10 @@ fn main() -> ExitCode {
 
 /// Parse the flags, run the service and print its report.
 fn run() -> Result<(), String> {
-    // flowtune-allow(determinism): CLI argument parsing is this binary's input boundary
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the command line is this binary's input boundary"
+    )]
     let (config, csv, obs) = parse_args(std::env::args().skip(1))?;
     let (policy, faulted) = (config.policy, config.faults.is_active());
     if obs.active() {

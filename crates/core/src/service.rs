@@ -118,6 +118,11 @@ impl ServiceConfig {
         if self.params.cloud.quantum.is_zero() {
             return Err(FlowtuneError::config("quantum must be positive"));
         }
+        // A zero horizon issues no dataflow: the run would report
+        // nothing and look like a success.
+        if self.params.total_quanta == 0 {
+            return Err(FlowtuneError::config("total_quanta must be at least 1"));
+        }
         // Execution scales each estimate by a factor drawn from
         // `1 ± error`, which must stay positive.
         let (time_err, data_err) = self.estimation_error;
@@ -848,6 +853,14 @@ mod tests {
     fn validate_rejects_zero_quantum() {
         let mut c = short_config(IndexPolicy::NoIndex);
         c.params.cloud.quantum = SimDuration::ZERO;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_zero_horizon() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.total_quanta = 0;
         assert!(c.validate().is_err());
         assert!(QaasService::new(c).run().is_err());
     }

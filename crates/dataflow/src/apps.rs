@@ -174,8 +174,10 @@ impl Builder {
                 ops[i % n_ops].reads.push(reads[i % reads.len()]);
             }
         }
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): edges only connect ops this generator just created, earlier to later
+        #[expect(
+            clippy::expect_used,
+            reason = "edges only connect ops this generator just created, earlier to later"
+        )]
         Dag::new(ops, self.edges).expect("generator produced invalid DAG")
     }
 }
@@ -374,7 +376,7 @@ mod tests {
     fn montage_shape_has_expected_stages() {
         let mut rng = SimRng::seed_from_u64(5);
         let dag = App::Montage.generate(100, &[], &mut rng);
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             dag.ops().iter().map(|o| o.name.as_ref()).collect();
         for stage in [
             "mProject",

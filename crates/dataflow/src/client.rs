@@ -130,9 +130,12 @@ mod tests {
     #[test]
     fn random_mix_covers_all_apps() {
         let mut c = ArrivalClient::new(WorkloadKind::Random, q(1), SimRng::seed_from_u64(2));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = Vec::new();
         for _ in 0..100 {
-            seen.insert(c.next_arrival().1);
+            let app = c.next_arrival().1;
+            if !seen.contains(&app) {
+                seen.push(app);
+            }
         }
         assert_eq!(seen.len(), 3);
     }

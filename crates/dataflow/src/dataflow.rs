@@ -5,8 +5,6 @@
 //! per-dataflow sampled speedup each, as the paper's generator does) and
 //! its issue time.
 
-use std::collections::HashMap;
-
 use flowtune_common::{DataflowId, FileId, IndexId, SimRng, SimTime};
 
 use crate::apps::App;
@@ -113,7 +111,11 @@ impl DataflowFactory {
         // candidate (as a consistent index advisor would suggest),
         // sometimes another column; dataflow-specific speedup.
         let mut index_uses = Vec::new();
-        let mut seen: HashMap<FileId, ()> = HashMap::new();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a membership test only; the map is never iterated"
+        )]
+        let mut seen: std::collections::HashMap<FileId, ()> = std::collections::HashMap::new();
         for p in &reads {
             if seen.insert(p.file, ()).is_none() {
                 let index = if self.rng.chance(0.9) {

@@ -103,8 +103,10 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
     let mut out = Vec::new();
     match node {
         Node::Leaf { keys, rows, next } => {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): node arity is bounded by the tree order, which store_node caps far below u16::MAX
+            #[expect(
+                clippy::expect_used,
+                reason = "node arity is bounded by the tree order, which store_node caps far below u16::MAX"
+            )]
             let n = u16::try_from(keys.len()).expect("leaf arity fits u16");
             out.extend_from_slice(&n.to_le_bytes());
             out.extend_from_slice(&next.map_or(NO_PAGE, |p| p.0).to_le_bytes());
@@ -117,8 +119,10 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
             (KIND_LEAF, out)
         }
         Node::Internal { keys, children } => {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): node arity is bounded by the tree order, which store_node caps far below u16::MAX
+            #[expect(
+                clippy::expect_used,
+                reason = "node arity is bounded by the tree order, which store_node caps far below u16::MAX"
+            )]
             let n = u16::try_from(keys.len()).expect("internal arity fits u16");
             out.extend_from_slice(&n.to_le_bytes());
             for child in children {
@@ -294,15 +298,19 @@ impl<K: NodeKey> BPlusTree<K> {
         });
         // flowtune-allow(obs-discipline): B+Tree page reads come from --calibrate-io and the Table 6 runs; the smoke run probes no tree
         flowtune_obs::count("storage.page_reads", 1);
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "the tree owns its private page store; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)"
+        )]
         let page = self
             .store
             .read(id)
             .and_then(|bytes| Page::decode(bytes).ok())
-            // flowtune-allow(panic-hygiene): the tree owns its private page store; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)
             .expect("tree-owned page must read back cleanly");
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): same invariant as above — pages this tree wrote decode by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "same invariant as above — pages this tree wrote decode by construction"
+        )]
         let node = Rc::new(decode_node(&page).expect("tree-owned page must decode"));
         self.memo_node(id, Rc::clone(&node));
         node
@@ -321,9 +329,11 @@ impl<K: NodeKey> BPlusTree<K> {
     /// Encode and persist a node to its page, refreshing the memo.
     fn store_node(&mut self, id: PageId, node: &Node<K>) {
         let (kind, payload) = encode_node(node);
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests"
+        )]
         let page = Page::new(kind, self.epoch, payload)
-            // flowtune-allow(panic-hygiene): an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests
             .expect("node must fit one page: order too large for this key type");
         self.store.write(id, page.encode());
         self.tally(|io| io.page_writes += 1);

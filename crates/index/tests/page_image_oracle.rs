@@ -11,9 +11,10 @@
 //! scans go through both stores, and every verdict (page ids included)
 //! and every page count must agree.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::unwrap_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use std::collections::BTreeMap;
 

@@ -200,7 +200,10 @@ pub fn pack_reference(
         chosen.sort_by(|a, b| b.gain.total_cmp(&a.gain));
         let mut cursor = slot.start;
         for op in &chosen {
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "the knapsack capacity equals the slot, so chosen ops fit it"
+            )]
             schedule
                 .try_insert_build(
                     slot.container,
@@ -210,7 +213,6 @@ pub fn pack_reference(
                     op.build,
                     quantum,
                 )
-                // flowtune-allow(panic-hygiene): the knapsack capacity equals the slot, so chosen ops fit it
                 .expect("knapsack-chosen ops must fit their slot");
             cursor += op.duration;
         }

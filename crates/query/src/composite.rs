@@ -266,8 +266,10 @@ pub fn cost_with_index(
         .eq_cols
         .iter()
         .map(|c| {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): eq_cols came from query.on(), the predicate exists
+            #[expect(
+                clippy::expect_used,
+                reason = "eq_cols came from query.on(), the predicate exists"
+            )]
             let p = query.on(c).expect("consumed column has a predicate");
             ColPredicate::new(c.clone(), *p)
         })

@@ -117,8 +117,10 @@ pub fn build_composite(
     let cols: Vec<&[i64]> = columns
         .iter()
         .map(|c| {
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): catalog-declared index columns exist in the table by construction
+            #[expect(
+                clippy::expect_used,
+                reason = "catalog-declared index columns exist in the table by construction"
+            )]
             table.column(c).expect("index column exists in table")
         })
         .collect();
@@ -185,8 +187,10 @@ pub fn composite_select(
             let v = col_pos(&p.column)
                 .and_then(|i| key.component(i))
                 .or_else(|| table.value(&p.column, row));
-            #[allow(clippy::expect_used)]
-            // flowtune-allow(panic-hygiene): residual columns exist in the table or the key
+            #[expect(
+                clippy::expect_used,
+                reason = "residual columns exist in the table or the key"
+            )]
             let v = v.expect("residual column resolvable");
             satisfies(&p.pred, v)
         });

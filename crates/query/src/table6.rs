@@ -55,8 +55,10 @@ pub fn measure_table6(rows: usize, seed: u64, runs: usize) -> Vec<SpeedupRow> {
         lines_per_order: 4,
     });
     let data = gen.generate_columns(&["orderkey"]);
-    #[allow(clippy::expect_used)]
-    // flowtune-allow(panic-hygiene): the lineitem schema types orderkey as i64
+    #[expect(
+        clippy::expect_used,
+        reason = "the lineitem schema types orderkey as i64"
+    )]
     let col = data.column(0).as_i64().expect("orderkey is i64").to_vec();
 
     let mut pairs: Vec<(i64, u32)> = col
@@ -70,8 +72,10 @@ pub fn measure_table6(rows: usize, seed: u64, runs: usize) -> Vec<SpeedupRow> {
     // ~80% empty at the default order — fewer page loads per scan.
     let index = BPlusTree::bulk_build(256, &pairs);
 
-    #[allow(clippy::expect_used)]
-    // flowtune-allow(panic-hygiene): rows >= 1 is the documented contract of measure_table6
+    #[expect(
+        clippy::expect_used,
+        reason = "rows >= 1 is the documented contract of measure_table6"
+    )]
     let max_key = *col.iter().max().expect("non-empty table");
     let large = (max_key / 12, max_key / 6);
     let small_width = (max_key / 1200).max(1);

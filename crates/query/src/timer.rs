@@ -1,5 +1,10 @@
 //! Wall-clock measurement helpers for the speedup experiments.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the Table 6 query micro-benchmarks measure real elapsed time"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Time one execution of `f`, returning its result and the elapsed wall

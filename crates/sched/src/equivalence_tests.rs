@@ -11,7 +11,7 @@
 
 // Redundant with the `#[cfg(test)]` on the module declaration, but
 // carries the gate in-file where flowtune-analyze's per-file scan
-// (panic-hygiene test exemption) can see it.
+// (its test-region exemptions) can see it.
 #![cfg(test)]
 
 use flowtune_common::{CloudConfig, DataflowId, IndexId, OpId, SimDuration, SimRng, SimTime};

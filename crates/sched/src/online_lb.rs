@@ -59,10 +59,12 @@ impl OnlineLoadBalanceScheduler {
         for op in dag.topo_order() {
             // Least loaded container (ties: lowest id) — load balance,
             // blind to where the inputs live.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "ServiceConfig::validate rejects a zero container pool"
+            )]
             let c = (0..pool)
                 .min_by_key(|&c| (load[c], c))
-                // flowtune-allow(panic-hygiene): ServiceConfig::validate rejects a zero container pool
                 .expect("pool is non-empty");
             let mut ready = SimTime::ZERO;
             for &pred in dag.preds(op) {

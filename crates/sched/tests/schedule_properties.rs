@@ -4,9 +4,11 @@
 //! Inputs are generated from a seeded `SimRng`, so every case is
 //! reproducible: a failure report's seed pins the exact DAG.
 
-// Test helpers assert freely (clippy's in-test detection misses
-// non-#[test] helper fns in integration tests).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use flowtune_common::{Money, OpId, SimDuration, SimRng};
 use flowtune_dataflow::{App, Dag, Edge, OpSpec};

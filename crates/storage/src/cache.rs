@@ -15,15 +15,17 @@
 //! reads more than its disk holds within one dataflow, which is rare;
 //! hits are on every operator's path.
 
-use std::collections::HashMap;
-
 /// Byte-sized LRU cache keyed by `K`.
 #[derive(Debug, Clone)]
 pub struct LruCache<K> {
     capacity: u64,
     used: u64,
     /// key -> (bytes, last-use tick); ticks are unique.
-    entries: HashMap<K, (u64, u64)>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by key only; eviction takes the unique minimum tick, so hash order never picks a victim"
+    )]
+    entries: std::collections::HashMap<K, (u64, u64)>,
     tick: u64,
 }
 
@@ -33,7 +35,7 @@ impl<K: std::hash::Hash + Eq + Clone> LruCache<K> {
         LruCache {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: Default::default(),
             tick: 0,
         }
     }

@@ -121,9 +121,12 @@ impl LineitemGenerator {
         let columns = names
             .iter()
             .map(|name| {
+                #[expect(
+                    clippy::panic,
+                    reason = "documented contract: callers request schema column names"
+                )]
                 let idx = schema
                     .index_of(name)
-                    // flowtune-allow(panic-hygiene): documented contract: callers request schema column names
                     .unwrap_or_else(|| panic!("unknown lineitem column {name:?}"));
                 self.generate_column(name, &mut streams[idx])
             })
@@ -186,7 +189,10 @@ impl LineitemGenerator {
                     .collect(),
             ),
             "comment" => ColumnData::Str((0..n).map(|_| comment_text(rng)).collect()),
-            // flowtune-allow(panic-hygiene): documented contract: generate_column takes schema column names
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: generate_column takes schema column names"
+            )]
             other => panic!("unknown lineitem column {other:?}"),
         }
     }
@@ -274,7 +280,7 @@ mod tests {
         });
         let data = g.generate_columns(&["orderkey"]);
         let keys = data.column(0).as_i64().unwrap();
-        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = keys.iter().collect();
         let avg_group = keys.len() as f64 / distinct.len() as f64;
         assert!((3.0..5.0).contains(&avg_group), "avg group {avg_group}");
     }

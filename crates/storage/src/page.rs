@@ -149,8 +149,10 @@ impl Page {
         let mut out = vec![0u8; PAGE_SIZE];
         out[8..12].copy_from_slice(&self.epoch.to_le_bytes());
         out[12] = self.kind;
-        #[allow(clippy::expect_used)]
-        // flowtune-allow(panic-hygiene): Page::new bounds payload at PAGE_PAYLOAD (< u16::MAX), so the length conversion cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "Page::new bounds payload at PAGE_PAYLOAD (< u16::MAX), so the length conversion cannot fail"
+        )]
         let len = u16::try_from(self.payload.len()).expect("payload fits a page");
         out[14..16].copy_from_slice(&len.to_le_bytes());
         out[PAGE_HEADER..PAGE_HEADER + self.payload.len()].copy_from_slice(&self.payload);

@@ -6,8 +6,6 @@
 //! paper computes the storage bill "by counting the number of bytes
 //! transferred and charging appropriately over time".
 
-use std::collections::HashMap;
-
 use flowtune_common::{pricing, IndexId, Money, PartitionId, SimDuration, SimTime};
 
 /// Key of an object in the storage service.
@@ -28,7 +26,11 @@ struct StoredObject {
 /// The storage service: object registry plus cost meter.
 #[derive(Debug)]
 pub struct StorageService {
-    objects: HashMap<ObjectKey, StoredObject>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by key and folded by integer sums; only `iter` exposes hash order, and its doc says so"
+    )]
+    objects: std::collections::HashMap<ObjectKey, StoredObject>,
     price_per_mb_quantum: Money,
     quantum: SimDuration,
     /// Cost accrued by `settle` so far.
@@ -43,7 +45,7 @@ impl StorageService {
     /// Create an empty storage service with the given pricing.
     pub fn new(price_per_mb_quantum: Money, quantum: SimDuration) -> Self {
         StorageService {
-            objects: HashMap::new(),
+            objects: Default::default(),
             price_per_mb_quantum,
             quantum,
             accrued: Money::ZERO,
@@ -133,7 +135,10 @@ impl StorageService {
         self.bytes_downloaded
     }
 
-    /// Iterate over stored objects as `(key, bytes)`.
+    /// Iterate over stored objects as `(key, bytes)`, in hash order:
+    /// the order is unspecified and can differ between runs, so a caller
+    /// must collect into an ordered collection (or fold order-free)
+    /// before the result reaches any output.
     pub fn iter(&self) -> impl Iterator<Item = (&ObjectKey, u64)> {
         self.objects.iter().map(|(k, o)| (k, o.bytes))
     }

@@ -83,11 +83,6 @@ impl AdaptiveFading {
             Some(gap) => (self.safety_factor * gap).clamp(self.clamp.0, self.clamp.1),
         }
     }
-
-    /// Number of indexes with learned state.
-    pub fn tracked(&self) -> usize {
-        self.state.len()
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,6 @@ mod tests {
     fn unseen_indexes_use_the_default() {
         let a = AdaptiveFading::new(1.0, Q);
         assert_eq!(a.d_for(IndexId(9)), 1.0);
-        assert_eq!(a.tracked(), 0);
     }
 
     #[test]
@@ -112,7 +106,6 @@ mod tests {
         let mut a = AdaptiveFading::new(1.0, Q);
         a.record_use(IndexId(0), t(5));
         assert_eq!(a.d_for(IndexId(0)), 1.0);
-        assert_eq!(a.tracked(), 1);
     }
 
     #[test]

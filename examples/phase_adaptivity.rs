@@ -7,9 +7,7 @@
 //! cargo run --release -p flowtune-core --example phase_adaptivity
 //! ```
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(clippy::expect_used, reason = "examples fail fast on a broken run")]
 
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;

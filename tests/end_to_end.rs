@@ -2,9 +2,10 @@
 //! crates (workload generation → tuning → scheduling → interleaving →
 //! simulation → accounting).
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use flowtune_common::Money;
 use flowtune_core::{IndexPolicy, QaasService, RunReport, ServiceConfig};

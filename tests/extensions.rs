@@ -2,9 +2,10 @@
 //! per-index fading and deferred batch builds, plus the α trade-off and
 //! the Eq. 1 objective.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, RunReport, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;

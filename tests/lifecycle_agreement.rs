@@ -7,9 +7,10 @@
 //! every image left must verify clean, and the page store must hold
 //! exactly the pages of those images.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use std::collections::BTreeSet;
 

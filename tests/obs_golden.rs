@@ -14,9 +14,10 @@
 //! The smoke configuration mirrors the CLI invocation in `ci/check.sh`:
 //! `flowtune --quanta 4 --seed 1 --concurrency 1`.
 
-// Experiment/bench/example code fails fast on setup errors; panic-hygiene
-// (flowtune-analyze) scopes to library code, so asserting here is idiomatic.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![expect(
+    clippy::expect_used,
+    reason = "helpers outside #[test] fns fail fast on a broken fixture"
+)]
 
 use flowtune_core::{QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
