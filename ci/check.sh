@@ -19,10 +19,11 @@ cargo build --release --offline
 echo "==> cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
-echo "==> cargo doc --offline (broken intra-doc links are errors)"
-# Links to private items stay warnings; a link that resolves to nothing
-# (a deleted item, or a module compiled only under cfg(test)) fails.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+echo "==> cargo doc --offline (every rustdoc warning is an error)"
+# A link that resolves to nothing (a deleted item, or a module compiled
+# only under cfg(test)) fails, and so does public documentation that
+# links to a private item: the rendered docs would carry a dead link.
+RUSTDOCFLAGS="-D warnings" \
   cargo doc --offline --no-deps --workspace
 
 echo "==> cargo test -q --offline"

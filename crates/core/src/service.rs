@@ -634,8 +634,8 @@ impl QaasService {
         let catalog = self.lifecycle.catalog();
         report.timeline.push(TimelinePoint {
             time_quanta: run.finish.quanta(quantum),
-            indexes_built: catalog.ids().filter(|i| !catalog.state(*i).empty()).count(),
-            index_partitions: catalog.ids().map(|i| catalog.state(i).built_count()).sum(),
+            indexes_built: catalog.built_index_count(),
+            index_partitions: catalog.built_partition_count(),
             stored_bytes: catalog.total_built_bytes(),
             storage_cost: self.lifecycle.storage().accrued_cost(),
         });

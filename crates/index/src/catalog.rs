@@ -163,6 +163,23 @@ pub struct IndexCatalog {
     /// `SpecCosts::of(&specs[i])`, filled in on first use; reset when
     /// calibration changes the build times.
     costs: Vec<OnceLock<SpecCosts>>,
+    /// Running totals over every index, kept by the three methods that
+    /// change a partition's state.
+    built: BuiltTotals,
+}
+
+/// Running totals of the built state: per-round accounting reads them
+/// instead of walking every index. Partition sizes depend only on the
+/// spec's row counts and record sizes, which calibration leaves alone,
+/// so the byte total never goes stale.
+#[derive(Debug, Default)]
+struct BuiltTotals {
+    /// Indexes with at least one built partition.
+    indexes: usize,
+    /// Built partitions.
+    partitions: usize,
+    /// Bytes of the built partitions.
+    bytes: u64,
 }
 
 impl IndexCatalog {
@@ -228,7 +245,15 @@ impl IndexCatalog {
     /// Record that index partition `part` finished building at `now`
     /// against table-partition `version`.
     pub fn mark_built(&mut self, id: IndexId, part: usize, now: SimTime, version: u32) {
-        self.states[id.index()].parts[part] = Some(BuiltPartition {
+        let state = &mut self.states[id.index()];
+        let was_empty = state.empty();
+        let slot = &mut state.parts[part];
+        if slot.is_none() {
+            self.built.partitions += 1;
+            self.built.bytes += self.specs[id.index()].partition_bytes(part);
+            self.built.indexes += usize::from(was_empty);
+        }
+        *slot = Some(BuiltPartition {
             built_at: now,
             version,
         });
@@ -238,7 +263,14 @@ impl IndexCatalog {
     /// build): it goes back to *not built* and can be re-attempted.
     /// Returns true when the partition was built.
     pub fn unmark_built(&mut self, id: IndexId, part: usize) -> bool {
-        self.states[id.index()].parts[part].take().is_some()
+        let state = &mut self.states[id.index()];
+        let was_built = state.parts[part].take().is_some();
+        if was_built {
+            self.built.partitions -= 1;
+            self.built.bytes -= self.specs[id.index()].partition_bytes(part);
+            self.built.indexes -= usize::from(state.empty());
+        }
+        was_built
     }
 
     /// Delete every built partition of an index (it stays registered as a
@@ -247,11 +279,16 @@ impl IndexCatalog {
         let spec = &self.specs[id.index()];
         let state = &mut self.states[id.index()];
         let mut freed = 0;
+        let mut parts = 0;
         for (part, slot) in state.parts.iter_mut().enumerate() {
             if slot.take().is_some() {
                 freed += spec.partition_bytes(part);
+                parts += 1;
             }
         }
+        self.built.partitions -= parts;
+        self.built.bytes -= freed;
+        self.built.indexes -= usize::from(parts > 0);
         freed
     }
 
@@ -267,9 +304,20 @@ impl IndexCatalog {
             .sum()
     }
 
-    /// Bytes currently occupied by all built index partitions.
+    /// Bytes currently occupied by all built index partitions. O(1): a
+    /// running total.
     pub fn total_built_bytes(&self) -> u64 {
-        self.ids().map(|id| self.built_bytes(id)).sum()
+        self.built.bytes
+    }
+
+    /// Number of indexes with at least one built partition. O(1).
+    pub fn built_index_count(&self) -> usize {
+        self.built.indexes
+    }
+
+    /// Number of built index partitions across all indexes. O(1).
+    pub fn built_partition_count(&self) -> usize {
+        self.built.partitions
     }
 
     /// Remaining build work for `id`: the unbuilt partitions as
@@ -386,6 +434,58 @@ mod tests {
         assert!(cat.state(id).empty());
         // Idempotent.
         assert_eq!(cat.delete_index(id), 0);
+    }
+
+    #[test]
+    fn running_totals_match_the_per_index_walk() {
+        // Seeded mark / unmark / re-mark / delete sequences over indexes
+        // of different sizes: the O(1) totals must always equal a walk
+        // over every index, re-marks and repeated deletes included.
+        let mut rng = flowtune_common::SimRng::seed_from_u64(0x7074_a150);
+        let mut cat = IndexCatalog::new();
+        let ids: Vec<IndexId> = (0..6)
+            .map(|f| {
+                let rows = (0..1 + f as usize)
+                    .map(|p| 1_000 * (1 + p as u64 + u64::from(f)))
+                    .collect();
+                cat.add(IndexSpec {
+                    partition_rows: rows,
+                    ..spec(f, 1)
+                })
+            })
+            .collect();
+        let (mut unmarked, mut remarked) = (0, 0);
+        for step in 0..2_000 {
+            let id = ids[rng.uniform_u64(0, ids.len() as u64) as usize];
+            let part = rng.uniform_u64(0, cat.spec(id).partition_count() as u64) as usize;
+            match rng.uniform_u64(0, 10) {
+                0..=4 => {
+                    remarked += u64::from(cat.is_partition_built(id, part));
+                    cat.mark_built(id, part, SimTime::from_secs(step), 0);
+                }
+                5..=8 => unmarked += u64::from(cat.unmark_built(id, part)),
+                _ => {
+                    cat.delete_index(id);
+                }
+            }
+            let walk_indexes = cat.ids().filter(|&i| !cat.state(i).empty()).count();
+            let walk_parts: usize = cat.ids().map(|i| cat.state(i).built_count()).sum();
+            let walk_bytes: u64 = cat.ids().map(|i| cat.built_bytes(i)).sum();
+            assert_eq!(cat.built_index_count(), walk_indexes, "step {step}");
+            assert_eq!(cat.built_partition_count(), walk_parts, "step {step}");
+            assert_eq!(cat.total_built_bytes(), walk_bytes, "step {step}");
+        }
+        assert!(unmarked > 0 && remarked > 0, "a transition never ran");
+        // Calibration changes build times, not sizes.
+        let before = cat.total_built_bytes();
+        cat.calibrate_io(crate::model::MeasuredIo {
+            write_bytes_per_row: 4096.0,
+            read_bytes_per_probe: 8192.0,
+            probe_hit_rate: 0.5,
+        });
+        let walk_bytes: u64 = cat.ids().map(|i| cat.built_bytes(i)).sum();
+        assert_eq!(cat.total_built_bytes(), before);
+        assert_eq!(walk_bytes, before);
     }
 
     #[test]

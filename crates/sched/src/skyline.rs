@@ -14,72 +14,44 @@
 //! the skyline is capped at [`SchedulerConfig::max_skyline`] schedules
 //! (evenly spaced along the time axis, extremes always kept).
 //!
-//! # Incremental search state (DESIGN §5f)
+//! # Search state (DESIGN §5f, §5i)
 //!
-//! This is the inner loop of every run, so the search state is built
-//! for cheap expansion (byte-identical to `crate::reference`, pinned
-//! by golden tests in `equivalence_tests`):
+//! This is the inner loop of every run, so the state is built for cheap
+//! expansion; the output is byte-identical to `crate::reference`,
+//! pinned by the golden tests in `equivalence_tests`.
 //!
-//! * **Cached objectives.** [`Partial::money`] carries the billed
-//!   quanta; assigning an operator changes only the touched container's
-//!   lease, so the objective is an add instead of an O(containers)
-//!   rescan. Each used container is one [`Container`] record in
-//!   [`Partial::containers`]: span start, free time, optional-tail free
-//!   time, the longest idle gap strictly before the billing tail, and
-//!   the lease end, cached so that pricing and the idle tie-break read
-//!   it instead of dividing. The idle tie-break is computed only inside
-//!   non-dominated (time, money) groups.
-//! * **Delta expansion.** A candidate expansion is a [`Cand`]: parent
-//!   index plus a [`Delta`] and the already-computed objective values.
-//!   The reduction (dominance, tie-collapse, width cap) runs entirely on
-//!   candidates; only the survivors — at most `max_skyline` per step,
-//!   not width × containers — become [`Partial`]s.
-//! * **Split assignment lists.** Dataflow assignments are append-only
-//!   and kept apart from the preemptible optional (build) tail ops, so
-//!   preempting an optional op never rewrites dataflow history; the
-//!   final assignment order of the legacy single list is reproduced at
-//!   the end from each optional op's interleave position.
-//!
-//! # Scale state (DESIGN §5i)
-//!
-//! * **Chunked copy-on-write state.** [`OpState`] (per-op placement)
-//!   and [`AsgList`] (assignment history) store fixed-size chunks
-//!   behind `Arc`; copying a partial copies pointer tables instead of
-//!   O(n_ops) payloads, so the cost of a survivor stops growing with
-//!   DAG size.
-//! * **O(1) tie-break.** [`IdleTops`] memoizes each parent's two
-//!   largest per-container idle contributions once per reduction; a
-//!   candidate's tie-break value is a constant-time combine instead of
-//!   an O(containers) rescan.
-//!
-//! # Lean steps (DESIGN §5i)
-//!
-//! * **One expansion kernel.** [`SkylineScheduler::expand_parent`]
-//!   serves the step loop and the tests. It reads each predecessor's
-//!   placement once per parent, and prices a used container with one
-//!   compare against its cached lease end: the op adds nothing when it
-//!   ends inside the lease; only an overrun divides, to count the
-//!   quanta past it.
-//! * **Money-level reduce, no sort, no search per candidate.** Pass 1
-//!   appends each distinct money value to a level list in first-seen
-//!   order (a handful per step), checking the previous candidate's
-//!   level first, and records each candidate's level index; a sweep
-//!   over a small money-sorted index list keeps a level only if it is
-//!   strictly faster than every cheaper one; pass 2 reads each
-//!   candidate's recorded level and folds the idle tie-break inside
-//!   each kept group in enumeration order.
-//! * **Survivors take their parent.** The last survivor of each parent
-//!   moves the parent out of the skyline and applies its delta in
-//!   place; earlier survivors of the same parent refill a retired spare
-//!   with `clone_from`. `sched.partial_clone_bytes` counts only the
-//!   copies actually made.
-//! * **Reused buffers, flat tables.** Candidates, money levels, groups,
-//!   the idle memo, the front and the next skyline live in one
-//!   [`StepBuffers`] per call. The per-predecessor transfer durations
-//!   are one flat [`XferTable`] aligned with the DAG's flat predecessor
-//!   array, built once per call.
+//! * **Cached objectives.** A partial schedule carries its billed quanta
+//!   and one 40-byte record per used container (span, free times, the
+//!   longest idle gap before the billing tail, the lease end), so
+//!   pricing an op is an add and a compare, and the idle tie-break
+//!   reads cached fields.
+//! * **The history is the placement table.** At step `k` every partial
+//!   holds the 24-byte placements (container, start, end) of the first
+//!   `k` ops of the topological order. The transfer table stores each
+//!   predecessor's step position, and expansion reads its container
+//!   and end time there. Full chunks of 32 placements are shared behind
+//!   `Rc`, so copying a partial copies a pointer table and a short
+//!   tail. Preemptible optional (build) ops are kept apart, tagged with
+//!   their interleave position; the assignments are rebuilt only for
+//!   the final skyline.
+//! * **Delta expansion.** `SkylineScheduler::expand_parent` turns one
+//!   parent into one 56-byte candidate per container: the parent's
+//!   index, the placement and the objectives. The reduction runs on
+//!   candidates; only its survivors become partial schedules.
+//! * **Money-level reduce over member chains.** Pass 1 files each
+//!   candidate under its money value and chains, in enumeration order,
+//!   the candidates at the level's fastest makespan. A sweep in
+//!   ascending money keeps the levels strictly faster than every
+//!   cheaper one; pass 2 walks only their chains, fastest first, and
+//!   folds the idle tie-break (memoized per parent as its two largest
+//!   per-container contributions) over each.
+//! * **Survivors take their parent.** The last survivor of a parent
+//!   moves it and applies its delta in place; earlier ones refill a
+//!   retired spare with `clone_from`. `sched.partial_clone_bytes`
+//!   counts only the copies made. All scratch lives in one buffer set
+//!   per call, cleared rather than freed between steps.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use flowtune_common::{CloudConfig, ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
@@ -159,92 +131,35 @@ fn lease_quanta(s: SimTime, e: SimTime, quantum: SimDuration) -> u64 {
     (lease_end(s, e, quantum) - s.quantum_floor(quantum)).as_millis() / quantum.as_millis()
 }
 
-/// Per-op placement record: end time of the op and the container it ran
-/// on (`u32::MAX` = unassigned).
+/// One dataflow placement of a partial's history. The op is the one at
+/// the same position of the topological order, and a dataflow op builds
+/// nothing, so [`Partial::into_schedule`] rebuilds the [`Assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OpSlot {
-    end: SimTime,
+struct Placed {
     container: u32,
+    start: SimTime,
+    end: SimTime,
 }
 
-impl OpSlot {
-    const UNASSIGNED: OpSlot = OpSlot {
-        end: SimTime::ZERO,
-        container: u32::MAX,
-    };
-}
+const _: () = assert!(size_of::<Placed>() == 24);
 
-/// Ops per shared [`OpState`] chunk. 64 slots × 16 bytes = 1 KiB — big
-/// enough to amortize the `Arc` bookkeeping, small enough that the
-/// copy-on-write clone of one chunk stays cheap.
-const OP_CHUNK: usize = 64;
+/// Placements per frozen [`History`] chunk.
+const HISTORY_CHUNK: usize = 32;
 
-/// Chunked copy-on-write per-op placement state. Cloning a [`Partial`]
-/// used to memcpy two dense `n_ops`-sized vectors; at 10k ops that is
-/// ~120 KiB per surviving candidate per step. Chunks behind `Arc`
-/// shrink the clone to a pointer table (`n_ops / 64` words) — an
-/// assignment touches exactly one chunk, so `Arc::make_mut` copies at
-/// most 1 KiB no matter how large the DAG is.
-#[derive(Debug)]
-struct OpState {
-    chunks: Vec<Arc<[OpSlot; OP_CHUNK]>>,
-}
-
-impl Clone for OpState {
-    fn clone(&self) -> Self {
-        OpState {
-            chunks: self.chunks.clone(),
-        }
-    }
-
-    /// Refill in place, reusing the chunk table's allocation.
-    fn clone_from(&mut self, source: &Self) {
-        self.chunks.clone_from(&source.chunks);
-    }
-}
-
-impl OpState {
-    fn new(n_ops: usize) -> Self {
-        // Every chunk starts as a handle on one shared zeroed chunk;
-        // construction is O(n_ops / 64), not O(n_ops).
-        let zero: Arc<[OpSlot; OP_CHUNK]> = Arc::new([OpSlot::UNASSIGNED; OP_CHUNK]);
-        OpState {
-            chunks: vec![zero; n_ops.div_ceil(OP_CHUNK)],
-        }
-    }
-
-    fn get(&self, i: usize) -> OpSlot {
-        self.chunks[i / OP_CHUNK][i % OP_CHUNK]
-    }
-
-    fn set(&mut self, i: usize, slot: OpSlot) {
-        Arc::make_mut(&mut self.chunks[i / OP_CHUNK])[i % OP_CHUNK] = slot;
-    }
-
-    /// Bytes a clone of this state memcpys (the pointer table only —
-    /// chunk payloads are shared until written).
-    fn heap_bytes(&self) -> usize {
-        size_of::<usize>() * self.chunks.len()
-    }
-}
-
-/// Assignments per frozen [`AsgList`] chunk.
-const ASG_CHUNK: usize = 32;
-
-/// Append-only assignment list with a frozen, structurally shared
-/// prefix. The dataflow history of a partial schedule is immutable —
-/// only appended to — so full chunks are frozen behind `Arc` and shared
-/// by every descendant; a clone copies the pointer table plus the small
-/// mutable tail instead of the whole history.
+/// Append-only placement history with a frozen, structurally shared
+/// prefix. The dataflow history of a partial schedule is only appended
+/// to, so full chunks are frozen behind `Rc` and shared by every
+/// descendant; a clone copies the pointer table plus the short open
+/// tail instead of the whole history.
 #[derive(Debug, Default)]
-struct AsgList {
-    frozen: Vec<Arc<[Assignment; ASG_CHUNK]>>,
-    tail: Vec<Assignment>,
+struct History {
+    frozen: Vec<Rc<[Placed; HISTORY_CHUNK]>>,
+    tail: Vec<Placed>,
 }
 
-impl Clone for AsgList {
+impl Clone for History {
     fn clone(&self) -> Self {
-        AsgList {
+        History {
             frozen: self.frozen.clone(),
             tail: self.tail.clone(),
         }
@@ -257,21 +172,31 @@ impl Clone for AsgList {
     }
 }
 
-impl AsgList {
+impl History {
     fn len(&self) -> usize {
-        self.frozen.len() * ASG_CHUNK + self.tail.len()
+        self.frozen.len() * HISTORY_CHUNK + self.tail.len()
     }
 
-    fn push(&mut self, a: Assignment) {
-        self.tail.push(a);
-        if self.tail.len() == ASG_CHUNK {
-            let chunk: [Assignment; ASG_CHUNK] = std::array::from_fn(|i| self.tail[i]);
-            self.frozen.push(Arc::new(chunk));
+    fn push(&mut self, placed: Placed) {
+        self.tail.push(placed);
+        if self.tail.len() == HISTORY_CHUNK {
+            let chunk: [Placed; HISTORY_CHUNK] = std::array::from_fn(|i| self.tail[i]);
+            self.frozen.push(Rc::new(chunk));
             self.tail.clear();
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Assignment> {
+    /// The placement made at step `k`.
+    fn get(&self, k: usize) -> Placed {
+        let frozen = self.frozen.len() * HISTORY_CHUNK;
+        if k < frozen {
+            self.frozen[k / HISTORY_CHUNK][k % HISTORY_CHUNK]
+        } else {
+            self.tail[k - frozen]
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Placed> {
         self.frozen
             .iter()
             .flat_map(|c| c.iter())
@@ -280,7 +205,7 @@ impl AsgList {
 
     /// Bytes a clone memcpys: the frozen pointer table plus the tail.
     fn heap_bytes(&self) -> usize {
-        self.frozen.len() * size_of::<usize>() + self.tail.len() * size_of::<Assignment>()
+        self.frozen.len() * size_of::<usize>() + self.tail.len() * size_of::<Placed>()
     }
 }
 
@@ -326,9 +251,10 @@ impl Container {
 
 #[derive(Debug)]
 pub(crate) struct Partial {
-    /// Dataflow assignments, in assignment (topological-step) order.
-    /// Append-only: preemption never touches this list.
-    dataflow: AsgList,
+    /// Dataflow placements, one per step: entry `k` places the `k`-th
+    /// op of the topological order. Append-only: preemption never
+    /// touches this list.
+    dataflow: History,
     /// Surviving optional (build) assignments, each tagged with the
     /// number of dataflow ops assigned before it was placed — its
     /// interleave position when the final assignment list is merged.
@@ -336,9 +262,6 @@ pub(crate) struct Partial {
     optional: Vec<(u32, Assignment)>,
     /// The used containers, by container id.
     containers: Vec<Container>,
-    /// Placement (end time, container) of each dataflow op assigned so
-    /// far, in chunked copy-on-write storage.
-    ops: OpState,
     makespan: SimDuration,
     /// Cache: total billed quanta across containers. Updated by the
     /// touched container's lease-contribution delta on each assignment;
@@ -355,7 +278,6 @@ impl Clone for Partial {
             dataflow: self.dataflow.clone(),
             optional: self.optional.clone(),
             containers: self.containers.clone(),
-            ops: self.ops.clone(),
             makespan: self.makespan,
             money: self.money,
             skeleton: self.skeleton,
@@ -371,7 +293,6 @@ impl Clone for Partial {
             dataflow,
             optional,
             containers,
-            ops,
             makespan,
             money,
             skeleton,
@@ -379,7 +300,6 @@ impl Clone for Partial {
         self.dataflow.clone_from(dataflow);
         self.optional.clone_from(optional);
         self.containers.clone_from(containers);
-        self.ops.clone_from(ops);
         self.makespan = *makespan;
         self.money = *money;
         self.skeleton = *skeleton;
@@ -387,9 +307,8 @@ impl Clone for Partial {
 }
 
 impl Partial {
-    pub(crate) fn new(n_ops: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Partial {
-            ops: OpState::new(n_ops),
             skeleton: 0xcbf2_9ce4_8422_2325,
             ..Partial::empty()
         }
@@ -400,10 +319,9 @@ impl Partial {
     /// at hand.
     fn empty() -> Self {
         Partial {
-            dataflow: AsgList::default(),
+            dataflow: History::default(),
             optional: Vec::new(),
             containers: Vec::new(),
-            ops: OpState { chunks: Vec::new() },
             makespan: SimDuration::ZERO,
             money: 0,
             skeleton: 0,
@@ -449,7 +367,7 @@ impl Partial {
     }
 
     /// Reference recomputation of the idle tie-break from the raw
-    /// dataflow assignments (the pre-cache algorithm); tests pin
+    /// dataflow placements (the pre-cache algorithm); tests pin
     /// `idle_cached` against it.
     #[cfg(test)]
     fn longest_sequential_idle(&self, quantum: SimDuration) -> SimDuration {
@@ -464,7 +382,7 @@ impl Partial {
             let mut ops: Vec<(SimTime, SimTime)> = self
                 .dataflow
                 .iter()
-                .filter(|a| a.container.index() == c)
+                .filter(|a| a.container as usize == c)
                 .map(|a| (a.start, a.end))
                 .collect();
             ops.sort_unstable();
@@ -483,15 +401,12 @@ impl Partial {
     }
 
     /// Approximate heap bytes a clone of this partial copies (for the
-    /// `sched.partial_clone_bytes` counter). With chunked
-    /// copy-on-write storage this is the pointer tables plus the small
-    /// mutable tails, not the full per-op history.
+    /// `sched.partial_clone_bytes` counter): the history's pointer
+    /// table and open tail, the optional list and the containers.
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.dataflow.heap_bytes()
             + self.optional.len() * size_of::<(u32, Assignment)>()
             + self.containers.len() * size_of::<Container>()
-            + self.ops.heap_bytes()
     }
 
     /// Number of surviving optional (build) assignments.
@@ -505,13 +420,14 @@ impl Partial {
         self.containers.len()
     }
 
-    /// Merge the split assignment lists back into the legacy insertion
+    /// Rebuild the assignments, with `order[k]` the op placed at step
+    /// `k`, and merge the split lists back into the legacy insertion
     /// order: each optional op re-enters just before the dataflow op
-    /// whose index equals its recorded interleave position.
-    pub(crate) fn into_schedule(self) -> Schedule {
+    /// whose step equals its recorded interleave position.
+    pub(crate) fn into_schedule(self, order: &[OpId]) -> Schedule {
         let mut out = Vec::with_capacity(self.dataflow.len() + self.optional.len());
         let mut opts = self.optional.iter().copied().peekable();
-        for (i, &a) in self.dataflow.iter().enumerate() {
+        for (i, (placed, &op)) in self.dataflow.iter().zip(order).enumerate() {
             while let Some((pos, oa)) = opts.peek().copied() {
                 if pos as usize > i {
                     break;
@@ -519,27 +435,40 @@ impl Partial {
                 out.push(oa);
                 opts.next();
             }
-            out.push(a);
+            out.push(Assignment {
+                op,
+                container: ContainerId(placed.container),
+                start: placed.start,
+                end: placed.end,
+                build: None,
+            });
         }
         out.extend(opts.map(|(_, oa)| oa));
         Schedule::from_assignments(out)
     }
+
+    /// [`Partial::into_schedule`] for a partial that placed op `k` at
+    /// step `k`, as the hand-built partials of the tests do.
+    #[cfg(test)]
+    pub(crate) fn into_schedule_by_id(self) -> Schedule {
+        let order = id_order(self.dataflow.len());
+        self.into_schedule(&order)
+    }
 }
 
-/// How a [`Cand`] differs from its parent partial.
+/// How a [`Cand`] differs from its parent partial. The op is the step's
+/// own: a dataflow step assigns one op, an offer places one optional op.
 #[derive(Debug, Clone, Copy)]
 enum Delta {
-    /// Assign dataflow op `op` to `container` over `[start, end)`.
+    /// Assign the step's dataflow op to `container` over `[start, end)`.
     Dataflow {
-        op: OpId,
-        container: usize,
+        container: u32,
         start: SimTime,
         end: SimTime,
     },
-    /// Place optional build op `op` on `container` over `[start, end)`.
+    /// Place the offered optional op on `container` over `[start, end)`.
     Optional {
-        op: OptionalOp,
-        container: usize,
+        container: u32,
         start: SimTime,
         end: SimTime,
     },
@@ -553,13 +482,19 @@ enum Delta {
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     /// Index of the parent in the current skyline.
-    parent: usize,
+    parent: u32,
+    /// Optional (build) ops the candidate keeps.
+    optional_count: u32,
     delta: Delta,
     makespan: SimDuration,
     money: u64,
     skeleton: u64,
-    optional_count: usize,
 }
+
+const _: () = assert!(size_of::<Cand>() == 56);
+
+/// End of a level's member chain in [`StepBuffers::link`].
+const NIL: u32 = u32::MAX;
 
 /// Scratch for the steps of one `schedule()` call. Every buffer is
 /// cleared, not freed, between steps, so each step reuses the
@@ -574,11 +509,11 @@ struct StepBuffers {
     /// The step's distinct candidate money values, in first-seen order.
     levels: Vec<Level>,
     /// `(money, index into levels)` of every level, ascending in money.
-    by_money: Vec<(u64, usize)>,
-    /// Per candidate, the index of its money level.
-    level_of: Vec<usize>,
-    /// One tie-break fold per non-dominated group, in ascending money.
-    groups: Vec<Group>,
+    by_money: Vec<(u64, u32)>,
+    /// Per candidate, the next member of its level's chain, or [`NIL`].
+    link: Vec<u32>,
+    /// The non-dominated levels, ascending in money.
+    kept: Vec<u32>,
     /// Per-parent idle memo, filled the first time a parent's candidate
     /// meets a tie.
     tops: Vec<Option<IdleTops>>,
@@ -592,55 +527,49 @@ struct StepBuffers {
     spares: Vec<Partial>,
 }
 
-/// `Level::slot` of a money level whose group is dominated.
-const DOMINATED: usize = usize::MAX;
-
-/// One distinct money value among a step's candidates.
+/// One distinct money value among a step's candidates, with the chain
+/// of candidates at its fastest makespan: its (makespan, money) group.
 #[derive(Debug, Clone, Copy)]
 struct Level {
     money: u64,
     /// Fastest makespan among the candidates at this money value.
     makespan: SimDuration,
-    /// Rank of the (makespan, money) group among the kept groups in
-    /// ascending money, or [`DOMINATED`] when a cheaper level is at
-    /// least as fast.
-    slot: usize,
-}
-
-/// The tie-break fold of one non-dominated (makespan, money) group.
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    /// The current winner's index in the step's candidates
-    /// (`usize::MAX` until the group's first member is seen).
-    win: usize,
-    /// The winner's idle tie-break value, once a tie needed it.
-    win_idle: Option<SimDuration>,
+    /// First and last member of the group, in enumeration order.
+    head: u32,
+    tail: u32,
 }
 
 /// Per-(op, predecessor) transfer durations, computed once per call
 /// into one flat table aligned with [`Dag::preds`]: op `i`'s entries
-/// are `items[off[i]..off[i + 1]]`. The division producing each
-/// duration is the same one a per-candidate recomputation would run, so
-/// every placement sees bit-identical times.
+/// are `items[off[i]..off[i + 1]]`, each the predecessor's step
+/// position in the assignment order and the transfer duration. The
+/// division producing each duration is the same one a per-candidate
+/// recomputation would run, so every placement sees bit-identical
+/// times.
 struct XferTable {
     off: Vec<usize>,
-    items: Vec<(OpId, SimDuration)>,
+    items: Vec<(u32, SimDuration)>,
 }
 
 impl XferTable {
-    fn new(sched: &SkylineScheduler, dag: &Dag) -> Self {
+    /// The table for assigning `dag`'s ops in `order`.
+    fn new(sched: &SkylineScheduler, dag: &Dag, order: &[OpId]) -> Self {
+        let mut step_of = vec![0u32; dag.len()];
+        for (k, op) in order.iter().enumerate() {
+            step_of[op.index()] = k as u32;
+        }
         let mut off = Vec::with_capacity(dag.len() + 1);
         let mut items = Vec::with_capacity(dag.edges().len());
         off.push(0);
         for i in 0..dag.len() {
             let preds = dag.preds_with_bytes(OpId::from_index(i));
-            items.extend(preds.map(|(p, b)| (p, sched.transfer_time(b))));
+            items.extend(preds.map(|(p, b)| (step_of[p.index()], sched.transfer_time(b))));
             off.push(items.len());
         }
         XferTable { off, items }
     }
 
-    fn of(&self, op: OpId) -> &[(OpId, SimDuration)] {
+    fn of(&self, op: OpId) -> &[(u32, SimDuration)] {
         &self.items[self.off[op.index()]..self.off[op.index() + 1]]
     }
 }
@@ -649,18 +578,25 @@ impl XferTable {
 struct StepOp<'a> {
     op: OpId,
     runtime: SimDuration,
-    /// Per-predecessor transfer durations (precomputed per call).
-    xfer: &'a [(OpId, SimDuration)],
+    /// Per-predecessor (step position, transfer duration).
+    xfer: &'a [(u32, SimDuration)],
 }
 
 impl<'a> StepOp<'a> {
-    fn new(dag: &Dag, op: OpId, xfer: &'a [(OpId, SimDuration)]) -> Self {
+    fn new(dag: &Dag, op: OpId, xfer: &'a [(u32, SimDuration)]) -> Self {
         StepOp {
             op,
             runtime: dag.op(op).runtime,
             xfer,
         }
     }
+}
+
+/// `n` op ids in id order: the assignment order of the tests'
+/// hand-built partials.
+#[cfg(test)]
+fn id_order(n: usize) -> Vec<OpId> {
+    (0..n).map(OpId::from_index).collect()
 }
 
 /// Cap the front at `cap` schedules, keeping the extremes and an even
@@ -743,10 +679,13 @@ impl SkylineScheduler {
             return vec![Schedule::new()];
         }
         let order = dag.topo_order();
-        let pred_xfer = XferTable::new(self, dag);
+        let pred_xfer = XferTable::new(self, dag, &order);
         let mut skyline = self.run_steps(dag, optional, &order, &pred_xfer);
         skyline.sort_by_key(|p| (p.makespan, p.money));
-        skyline.into_iter().map(Partial::into_schedule).collect()
+        skyline
+            .into_iter()
+            .map(|p| p.into_schedule(&order))
+            .collect()
     }
 
     /// Candidate containers for expanding `p`: every used container
@@ -770,7 +709,7 @@ impl SkylineScheduler {
         pred_xfer: &XferTable,
     ) -> Vec<Partial> {
         let n = order.len();
-        let mut skyline = vec![Partial::new(dag.len())];
+        let mut skyline = vec![Partial::new()];
         let mut buf = StepBuffers::default();
         // Offer optional ops evenly across the assignment steps.
         let mut next_opt = 0usize;
@@ -780,10 +719,10 @@ impl SkylineScheduler {
             // as cheap deltas, not clones.
             buf.cands.clear();
             for (pi, p) in skyline.iter().enumerate() {
-                self.expand_parent(p, pi, &assign, &mut buf.preds, &mut buf.cands);
+                self.expand_parent(p, pi as u32, &assign, &mut buf.preds, &mut buf.cands);
             }
             let generated = buf.cands.len();
-            self.advance(&mut skyline, &mut buf);
+            self.advance(&mut skyline, &mut buf, None);
             flowtune_obs::obs_event!(
                 "sched.step",
                 step = step,
@@ -819,23 +758,24 @@ impl SkylineScheduler {
     /// The expansion kernel: append to `out` one [`Cand`] per candidate
     /// container of `p` (skyline index `parent`), assigning `assign.op`
     /// there, without cloning anything. Placement times come from the
-    /// predecessors' placements, read into `preds` once per parent;
-    /// money from the touched container's lease; the skeleton hash is
-    /// folded forward; the optional-op count is taken after preemption.
-    /// The step loop and the tests both expand through here.
+    /// predecessors' placements, read from `p`'s history into `preds`
+    /// once per parent; money from the touched container's lease; the
+    /// skeleton hash is folded forward; the optional-op count is taken
+    /// after preemption. The step loop and the tests both expand
+    /// through here.
     fn expand_parent(
         &self,
         p: &Partial,
-        parent: usize,
+        parent: u32,
         assign: &StepOp<'_>,
         preds: &mut Vec<(u32, SimTime, SimTime)>,
         out: &mut Vec<Cand>,
     ) {
         let quantum = self.config.quantum;
         preds.clear();
-        preds.extend(assign.xfer.iter().map(|&(pred, dt)| {
-            let slot = p.ops.get(pred.index());
-            (slot.container, slot.end, slot.end + dt)
+        preds.extend(assign.xfer.iter().map(|&(k, dt)| {
+            let placed = p.dataflow.get(k as usize);
+            (placed.container, placed.end, placed.end + dt)
         }));
         for c in 0..self.candidate_containers(p) {
             // Data-ready: every predecessor done, plus transfer when remote.
@@ -878,16 +818,15 @@ impl SkylineScheduler {
                 .count();
             out.push(Cand {
                 parent,
+                optional_count: (p.optional.len() - dropped) as u32,
                 delta: Delta::Dataflow {
-                    op: assign.op,
-                    container: c,
+                    container: c as u32,
                     start,
                     end,
                 },
                 makespan: p.makespan.max(end - SimTime::ZERO),
                 money,
                 skeleton,
-                optional_count: p.optional.len() - dropped,
             });
         }
     }
@@ -933,8 +872,7 @@ impl SkylineScheduler {
                 container,
                 start,
                 end,
-                ..
-            } => (container, start, end),
+            } => (container as usize, start, end),
             // The parent's best contribution IS its `idle_cached` value.
             Delta::Optional { .. } | Delta::Keep => return tops.best,
         };
@@ -952,7 +890,13 @@ impl SkylineScheduler {
 
     /// Materialize a surviving candidate from a copy of its parent —
     /// refilling `spare` in place when one is given — plus the delta.
-    fn materialize(&self, parent: &Partial, cand: &Cand, spare: Option<Partial>) -> Partial {
+    fn materialize(
+        &self,
+        parent: &Partial,
+        cand: &Cand,
+        offer: Option<&OptionalOp>,
+        spare: Option<Partial>,
+    ) -> Partial {
         flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
         let mut q = match spare {
             Some(mut q) => {
@@ -961,21 +905,25 @@ impl SkylineScheduler {
             }
             None => parent.clone(),
         };
-        self.apply(&mut q, cand);
+        self.apply(&mut q, cand, offer);
         q
     }
 
     /// Apply a surviving candidate's delta in place to `q`, which holds
-    /// (a copy of, or the moved) parent.
-    fn apply(&self, q: &mut Partial, cand: &Cand) {
+    /// (a copy of, or the moved) parent. `offer` is the optional op of
+    /// an offer step, which an optional delta places.
+    fn apply(&self, q: &mut Partial, cand: &Cand, offer: Option<&OptionalOp>) {
         flowtune_obs::count("sched.partials_expanded", 1);
-        match cand.delta {
-            Delta::Dataflow {
-                op,
-                container: c,
-                start,
-                end,
-            } => {
+        match (cand.delta, offer) {
+            (
+                Delta::Dataflow {
+                    container,
+                    start,
+                    end,
+                },
+                _,
+            ) => {
+                let c = container as usize;
                 let touched = self.touched(q.containers.get(c), start, end);
                 if c == q.containers.len() {
                     q.containers.push(touched);
@@ -987,46 +935,41 @@ impl SkylineScheduler {
                 // the simulator's business.
                 q.optional
                     .retain(|(_, a)| !(a.container.index() == c && a.end > start));
-                q.dataflow.push(Assignment {
-                    op,
-                    container: ContainerId(c as u32),
+                q.dataflow.push(Placed {
+                    container,
                     start,
                     end,
-                    build: None,
                 });
-                q.ops.set(
-                    op.index(),
-                    OpSlot {
-                        end,
-                        container: c as u32,
-                    },
-                );
             }
-            Delta::Optional {
-                op,
-                container: c,
-                start,
-                end,
-            } => {
+            (
+                Delta::Optional {
+                    container,
+                    start,
+                    end,
+                },
+                Some(opt),
+            ) => {
                 q.optional.push((
                     q.dataflow.len() as u32,
                     Assignment {
-                        op: op.op,
-                        container: ContainerId(c as u32),
+                        op: opt.op,
+                        container: ContainerId(container),
                         start,
                         end,
-                        build: Some(op.build),
+                        build: Some(opt.build),
                     },
                 ));
-                q.containers[c].opt_free = end;
+                q.containers[container as usize].opt_free = end;
             }
-            Delta::Keep => {}
+            // Optional deltas come only from `offer_optional`, which
+            // passes its offer.
+            (Delta::Optional { .. }, None) | (Delta::Keep, _) => {}
         }
         q.makespan = cand.makespan;
         q.money = cand.money;
         q.skeleton = cand.skeleton;
         debug_assert_eq!(q.money, q.money_quanta(self.config.quantum));
-        debug_assert_eq!(q.optional_count(), cand.optional_count);
+        debug_assert_eq!(q.optional_count(), cand.optional_count as usize);
         // The lease-end pricing in `expand_parent` relies on this.
         debug_assert!(q.leases_match(self.config.quantum));
     }
@@ -1035,8 +978,14 @@ impl SkylineScheduler {
     /// survivors. The last survivor of each parent takes the parent
     /// itself and applies its delta in place; earlier survivors of that
     /// parent refill a spare with a copy. The retired partials become
-    /// spares for the next step.
-    fn advance(&self, parents: &mut Vec<Partial>, buf: &mut StepBuffers) {
+    /// spares for the next step. `offer` is the optional op of an offer
+    /// step, `None` on a dataflow step.
+    fn advance(
+        &self,
+        parents: &mut Vec<Partial>,
+        buf: &mut StepBuffers,
+        offer: Option<&OptionalOp>,
+    ) {
         self.reduce(parents, buf);
         let StepBuffers {
             front,
@@ -1048,16 +997,17 @@ impl SkylineScheduler {
         last_of.clear();
         last_of.resize(parents.len(), usize::MAX);
         for (i, cand) in front.iter().enumerate() {
-            last_of[cand.parent] = i;
+            last_of[cand.parent as usize] = i;
         }
         for (i, cand) in front.iter().enumerate() {
-            let q = if last_of[cand.parent] == i {
+            let parent = cand.parent as usize;
+            let q = if last_of[parent] == i {
                 let stand_in = spares.pop().unwrap_or_else(Partial::empty);
-                let mut q = std::mem::replace(&mut parents[cand.parent], stand_in);
-                self.apply(&mut q, cand);
+                let mut q = std::mem::replace(&mut parents[parent], stand_in);
+                self.apply(&mut q, cand, offer);
                 q
             } else {
-                self.materialize(&parents[cand.parent], cand, spares.pop())
+                self.materialize(&parents[parent], cand, offer, spares.pop())
             };
             next.push(q);
         }
@@ -1079,164 +1029,172 @@ impl SkylineScheduler {
                 let end = start + opt.duration;
                 if end <= u.lease_end {
                     cands.push(Cand {
-                        parent: pi,
+                        parent: pi as u32,
+                        optional_count: p.optional.len() as u32 + 1,
                         delta: Delta::Optional {
-                            op: *opt,
-                            container: c,
+                            container: c as u32,
                             start,
                             end,
                         },
                         makespan: p.makespan,
                         money: p.money,
                         skeleton: p.skeleton,
-                        optional_count: p.optional.len() + 1,
                     });
                 }
             }
         }
         for (pi, p) in skyline.iter().enumerate() {
             cands.push(Cand {
-                parent: pi,
+                parent: pi as u32,
+                optional_count: p.optional.len() as u32,
                 delta: Delta::Keep,
                 makespan: p.makespan,
                 money: p.money,
                 skeleton: p.skeleton,
-                optional_count: p.optional.len(),
             });
         }
-        self.advance(skyline, buf);
+        self.advance(skyline, buf, Some(opt));
     }
 
     /// Skyline reduction of `buf.cands` into `buf.front`, without a
     /// sort. Pass 1 records the fastest makespan at each distinct money
-    /// value. A sweep in ascending money keeps a level only if it is
-    /// strictly faster than every cheaper level: exactly the (time,
-    /// money) groups a scan sorted by (time, money) keeps when it drops
-    /// every group whose money is not below every faster group's. Pass
-    /// 2 collapses each kept group to one winner with the tie-break
-    /// (most sequential idle, then — between identical dataflow
-    /// skeletons — more optional operators), meeting the members in
-    /// enumeration order, as the sorted scan did; dominated candidates
-    /// never reach a tie-break. Then the width is capped. Runs entirely
-    /// on deltas.
+    /// value and chains, in enumeration order, the candidates at it. A
+    /// sweep in ascending money keeps a level only if it is strictly
+    /// faster than every cheaper level: exactly the (time, money) groups
+    /// a scan sorted by (time, money) keeps when it drops every group
+    /// whose money is not below every faster group's. Pass 2 walks each
+    /// kept level's chain and collapses the group to one winner with the
+    /// tie-break (most sequential idle, then — between identical
+    /// dataflow skeletons — more optional operators), meeting the
+    /// members in enumeration order, as the sorted scan did; dominated
+    /// candidates never reach a tie-break. Then the width is capped.
+    /// Runs entirely on deltas.
     fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
         let StepBuffers {
             cands,
             levels,
             by_money,
-            level_of,
-            groups,
+            link,
+            kept,
             tops,
             front,
             ..
         } = buf;
         levels.clear();
         by_money.clear();
-        level_of.clear();
+        link.clear();
         // Pass 1. A parent's candidates mostly share its money, so the
         // previous candidate's level is checked first; only a new money
         // value searches the (short) ascending index.
         let mut last = usize::MAX;
-        for c in cands.iter() {
+        for (k, c) in cands.iter().enumerate() {
+            let k = k as u32;
+            link.push(NIL);
             let i = match levels.get(last) {
                 Some(l) if l.money == c.money => last,
                 _ => match by_money.binary_search_by_key(&c.money, |&(m, _)| m) {
-                    Ok(k) => by_money[k].1,
-                    Err(k) => {
-                        by_money.insert(k, (c.money, levels.len()));
+                    Ok(j) => by_money[j].1 as usize,
+                    Err(j) => {
+                        by_money.insert(j, (c.money, levels.len() as u32));
                         levels.push(Level {
                             money: c.money,
                             makespan: c.makespan,
-                            slot: DOMINATED,
+                            head: k,
+                            tail: k,
                         });
-                        levels.len() - 1
+                        last = levels.len() - 1;
+                        continue;
                     }
                 },
             };
-            levels[i].makespan = levels[i].makespan.min(c.makespan);
-            level_of.push(i);
+            let level = &mut levels[i];
+            if c.makespan < level.makespan {
+                // A faster group at this money: restart the chain.
+                *level = Level {
+                    makespan: c.makespan,
+                    head: k,
+                    tail: k,
+                    ..*level
+                };
+            } else if c.makespan == level.makespan {
+                link[level.tail as usize] = k;
+                level.tail = k;
+            }
             last = i;
         }
+        kept.clear();
         let mut fastest: Option<SimDuration> = None;
-        let mut kept = 0;
         for &(_, i) in by_money.iter() {
-            let level = &mut levels[i];
-            if fastest.is_none_or(|f| level.makespan < f) {
-                fastest = Some(level.makespan);
-                level.slot = kept;
-                kept += 1;
+            let makespan = levels[i as usize].makespan;
+            if fastest.is_none_or(|f| makespan < f) {
+                fastest = Some(makespan);
+                kept.push(i);
             }
         }
-        groups.clear();
-        groups.resize(
-            kept,
-            Group {
-                win: usize::MAX,
-                win_idle: None,
-            },
-        );
         // Lazy per-parent top-2 idle memo: computed once for a parent
         // the first time one of its candidates hits a tie.
         tops.clear();
         tops.resize(skyline.len(), None);
         let mut idle_of = |c: &Cand| {
-            let t = *tops[c.parent].get_or_insert_with(|| IdleTops::of(&skyline[c.parent]));
-            self.cand_idle(t, &skyline[c.parent], &c.delta)
+            let parent = c.parent as usize;
+            let t = *tops[parent].get_or_insert_with(|| IdleTops::of(&skyline[parent]));
+            self.cand_idle(t, &skyline[parent], &c.delta)
         };
-        for (k, (p, &i)) in cands.iter().zip(level_of.iter()).enumerate() {
-            let level = levels[i];
-            if level.slot == DOMINATED || p.makespan != level.makespan {
-                continue;
-            }
-            let group = &mut groups[level.slot];
-            if group.win == usize::MAX {
-                group.win = k;
-                continue;
-            }
-            let win = &cands[group.win];
-            // Primary tie-break: most sequential idle over the dataflow
-            // skeleton (as the plain scheduler). Only between
-            // skeleton-equivalent candidates does the optional-operator
-            // count decide (§5.3.2).
-            let p_idle = idle_of(p);
-            let last_idle = *group.win_idle.get_or_insert_with(|| idle_of(win));
-            let better = match p_idle.cmp(&last_idle) {
-                std::cmp::Ordering::Greater => {
-                    flowtune_obs::count("sched.tiebreak_idle", 1);
-                    true
-                }
-                std::cmp::Ordering::Less => false,
-                // The operator count only decides between *identical*
-                // dataflow skeletons; across different skeletons we keep
-                // the incumbent exactly as the plain scheduler would, so
-                // offering optional ops never changes how the front
-                // evolves.
-                std::cmp::Ordering::Equal => {
-                    let wins = p.skeleton == win.skeleton && p.optional_count > win.optional_count;
-                    if wins {
-                        // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
-                        flowtune_obs::count("sched.tiebreak_optcount", 1);
-                    }
-                    wins
-                }
-            };
-            if better {
-                group.win = k;
-                group.win_idle = Some(p_idle);
-            }
-        }
-        // Kept levels get slower as they get cheaper; the front lists
-        // them fastest first.
+        // Pass 2. Kept levels get slower as they get cheaper; the front
+        // lists them fastest first.
         front.clear();
-        front.extend(groups.iter().rev().map(|g| cands[g.win]));
+        for &i in kept.iter().rev() {
+            let level = levels[i as usize];
+            let mut win = &cands[level.head as usize];
+            let mut win_idle: Option<SimDuration> = None;
+            let mut k = link[level.head as usize];
+            while k != NIL {
+                let p = &cands[k as usize];
+                k = link[k as usize];
+                // Primary tie-break: most sequential idle over the
+                // dataflow skeleton (as the plain scheduler). Only
+                // between skeleton-equivalent candidates does the
+                // optional-operator count decide (§5.3.2).
+                let p_idle = idle_of(p);
+                let last_idle = *win_idle.get_or_insert_with(|| idle_of(win));
+                let better = match p_idle.cmp(&last_idle) {
+                    std::cmp::Ordering::Greater => {
+                        flowtune_obs::count("sched.tiebreak_idle", 1);
+                        true
+                    }
+                    std::cmp::Ordering::Less => false,
+                    // The operator count only decides between *identical*
+                    // dataflow skeletons; across different skeletons we
+                    // keep the incumbent exactly as the plain scheduler
+                    // would, so offering optional ops never changes how
+                    // the front evolves.
+                    std::cmp::Ordering::Equal => {
+                        let wins =
+                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
+                        if wins {
+                            // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
+                            flowtune_obs::count("sched.tiebreak_optcount", 1);
+                        }
+                        wins
+                    }
+                };
+                if better {
+                    win = p;
+                    win_idle = Some(p_idle);
+                }
+            }
+            front.push(*win);
+        }
         cap_width(front, self.config.max_skyline);
     }
 
     /// The candidate assigning `op` to container `c` of `p`, from the
-    /// expansion kernel.
+    /// expansion kernel. Op `k` must be the one placed at step `k`:
+    /// the transfer table maps the ops in id order.
     #[cfg(test)]
     fn cand_for(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Cand {
-        let xfer = XferTable::new(self, dag);
+        assert_eq!(op.index(), p.dataflow.len(), "ops are assigned in id order");
+        let xfer = XferTable::new(self, dag, &id_order(dag.len()));
         let mut out = Vec::new();
         self.expand_parent(
             p,
@@ -1253,7 +1211,7 @@ impl SkylineScheduler {
     #[cfg(test)]
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
         let cand = self.cand_for(p, dag, op, c);
-        self.materialize(p, &cand, None)
+        self.materialize(p, &cand, None, None)
     }
 }
 
@@ -1487,7 +1445,7 @@ mod tests {
         // container with zero billed quanta.
         let sched = SkylineScheduler::new(cfg());
         let dag = Dag::new(vec![op(0, 0)], vec![]).unwrap();
-        let p = sched.assign_dataflow_op(&Partial::new(1), &dag, OpId(0), 0);
+        let p = sched.assign_dataflow_op(&Partial::new(), &dag, OpId(0), 0);
         assert_eq!(p.containers.len(), 1);
         assert_eq!(p.money_quanta(SimDuration::from_secs(60)), 1);
         assert_eq!(p.money, 1, "cached money must bill the zero-span lease");
@@ -1515,7 +1473,7 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut p = Partial::new(n);
+            let mut p = Partial::new();
             for i in 0..n {
                 let used = p.containers.len();
                 let c = rng.uniform_u64(0, used as u64 + 1) as usize;
@@ -1532,7 +1490,7 @@ mod tests {
                 p.money_quanta(quantum),
                 "cached money objective drifted from the span recomputation"
             );
-            let schedule = p.clone().into_schedule();
+            let schedule = p.clone().into_schedule_by_id();
             assert_eq!(
                 p.money_quanta(quantum),
                 schedule.leased_quanta(quantum),
@@ -1563,14 +1521,14 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut p = Partial::new(n);
+            let mut p = Partial::new();
             for i in 0..n {
                 let used = p.containers.len();
                 let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                 // The candidate's objectives must match what its
                 // materialization then caches.
                 let cand = sched.cand_for(&p, &dag, OpId(i as u32), c);
-                p = sched.materialize(&p, &cand, None);
+                p = sched.materialize(&p, &cand, None, None);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
                 for (c, u) in p.containers.iter().enumerate() {
                     assert!(u.start <= u.free, "round {round} step {i} container {c}");
@@ -1612,7 +1570,7 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut skyline = vec![Partial::new(n)];
+            let mut skyline = vec![Partial::new()];
             let mut buf = StepBuffers::default();
             let mut opt_id = 5000u32;
             for i in 0..n {
@@ -1622,9 +1580,9 @@ mod tests {
                     let used = p.containers.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                     let cand = sched.cand_for(p, &dag, OpId(i as u32), c);
-                    let q = sched.materialize(p, &cand, None);
+                    let q = sched.materialize(p, &cand, None, None);
                     assert_eq!(
-                        cand.optional_count,
+                        cand.optional_count as usize,
                         q.optional_count(),
                         "candidate preemption prediction drifted (round {round})"
                     );
@@ -1645,7 +1603,7 @@ mod tests {
                     sched.offer_optional(&mut skyline, &opt, &mut buf);
                 }
                 for p in skyline.iter() {
-                    let schedule = p.clone().into_schedule();
+                    let schedule = p.clone().into_schedule_by_id();
                     assert_eq!(
                         p.optional_count(),
                         schedule.build_assignments().count(),
@@ -1654,7 +1612,9 @@ mod tests {
                     for (_, b) in &p.optional {
                         for a in p.dataflow.iter() {
                             assert!(
-                                a.container != b.container || b.end <= a.start || a.end <= b.start,
+                                ContainerId(a.container) != b.container
+                                    || b.end <= a.start
+                                    || a.end <= b.start,
                                 "surviving build overlaps dataflow op (round {round})"
                             );
                         }
@@ -1681,7 +1641,7 @@ mod tests {
             })
             .collect();
         let dag = Dag::new(ops, edges).unwrap();
-        let mut p = Partial::new(n);
+        let mut p = Partial::new();
         for i in 0..n {
             p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), i % containers);
         }
@@ -1713,12 +1673,14 @@ mod tests {
             "the dirty spare carries no builds"
         );
         assert!(big.dataflow.tail.len() > small.dataflow.tail.len());
-        assert!(big.ops.chunks.len() > small.ops.chunks.len());
         for (spare, parent) in [(&big, &small), (&small, &big)] {
             let mut q = spare.clone();
             q.clone_from(parent);
             assert_eq!(format!("{q:?}"), format!("{:?}", parent.clone()));
-            assert_eq!(q.into_schedule(), parent.clone().into_schedule());
+            assert_eq!(
+                q.into_schedule_by_id(),
+                parent.clone().into_schedule_by_id()
+            );
         }
     }
 
@@ -1749,7 +1711,7 @@ mod tests {
         cands: &[Cand],
     ) -> (Vec<Cand>, u64, u64) {
         let idle = |c: &Cand| {
-            let p = &skyline[c.parent];
+            let p = &skyline[c.parent as usize];
             sched.cand_idle(IdleTops::of(p), p, &c.delta)
         };
         let mut keys: Vec<(SimDuration, u64, usize)> = (cands.iter().enumerate())
@@ -1807,7 +1769,7 @@ mod tests {
             let dag = random_dag(n, &mut rng);
             let skyline: Vec<Partial> = (0..1 + rng.uniform_u64(0, 5))
                 .map(|_| {
-                    let mut p = Partial::new(n);
+                    let mut p = Partial::new();
                     for i in 0..n - 1 {
                         let c = rng.uniform_u64(0, p.containers_used() as u64 + 1) as usize;
                         p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
@@ -1815,11 +1777,11 @@ mod tests {
                     p
                 })
                 .collect();
-            let xfer = XferTable::new(&sched, &dag);
+            let xfer = XferTable::new(&sched, &dag, &id_order(n));
             let assign = StepOp::new(&dag, OpId(n as u32 - 1), xfer.of(OpId(n as u32 - 1)));
             let mut real = Vec::new();
             for (pi, p) in skyline.iter().enumerate() {
-                sched.expand_parent(p, pi, &assign, &mut Vec::new(), &mut real);
+                sched.expand_parent(p, pi as u32, &assign, &mut Vec::new(), &mut real);
                 real.push(Cand {
                     delta: Delta::Keep,
                     ..real[real.len() - 1]
@@ -1844,7 +1806,7 @@ mod tests {
                         c.makespan = SimDuration::from_secs(10 * rng.uniform_u64(1, 5));
                     }
                     c.skeleton = rng.uniform_u64(1, 3);
-                    c.optional_count = rng.uniform_u64(0, 3) as usize;
+                    c.optional_count = rng.uniform_u64(0, 3) as u32;
                     c
                 })
                 .collect();

@@ -189,13 +189,13 @@ mod tests {
                 })
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
-            let mut p = crate::skyline::Partial::new(n);
+            let mut p = crate::skyline::Partial::new();
             for i in 0..n {
                 let c = rng.uniform_u64(0, p.containers_used() as u64 + 1) as usize;
                 p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), c);
             }
             let cached = p.idle_cached();
-            let schedule = p.into_schedule();
+            let schedule = p.into_schedule_by_id();
             assert_eq!(
                 cached,
                 longest_idle_slot(&schedule, q),

@@ -61,15 +61,15 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// zero-external-dependency policy).
 ///
 /// Four independent lanes each fold every fourth little-endian 64-bit
-/// word through [`mix`], so the CPU overlaps their multiply chains; the
-/// lanes, the byte length and any tail words are then folded into one
-/// value and finished with an avalanche. Every step is a bijection of
-/// the running state for a fixed input and of the input for a fixed
-/// state, so a change confined to one aligned 8-byte word (any single
-/// byte flip, and the fault injector's mid-page flip in particular)
-/// always changes the checksum; wider damage escapes only by a 64-bit
-/// collision. Truncation is caught before hashing by the page-size
-/// check.
+/// word through a multiply-rotate-multiply step (`mix`), so the CPU
+/// overlaps their multiply chains; the lanes, the byte length and any
+/// tail words are then folded into one value and finished with an
+/// avalanche. Every step is a bijection of the running state for a
+/// fixed input and of the input for a fixed state, so a change
+/// confined to one aligned 8-byte word (any single byte flip, and the
+/// fault injector's mid-page flip in particular) always changes the
+/// checksum; wider damage escapes only by a 64-bit collision.
+/// Truncation is caught before hashing by the page-size check.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
     let mut blocks = bytes.chunks_exact(32);

@@ -66,6 +66,25 @@ fn assert_agreement(svc: &QaasService, what: &str) {
         })
         .sum();
     assert_eq!(lc.pages().page_count(), image_pages, "{what}: page count");
+    // The catalog's running totals, which each round's timeline point
+    // reads, against the per-index walk.
+    let catalog = lc.catalog();
+    let indexes: BTreeSet<IndexId> = built.iter().map(|&(i, _)| i).collect();
+    let bytes: u64 = built
+        .iter()
+        .map(|&(i, p)| catalog.spec(i).partition_bytes(p as usize))
+        .sum();
+    assert_eq!(
+        catalog.built_index_count(),
+        indexes.len(),
+        "{what}: indexes"
+    );
+    assert_eq!(
+        catalog.built_partition_count(),
+        built.len(),
+        "{what}: parts"
+    );
+    assert_eq!(catalog.total_built_bytes(), bytes, "{what}: built bytes");
 }
 
 /// The CLI's defaults (phase workload), with a short horizon.
