@@ -29,14 +29,18 @@ RUSTDOCFLAGS="-D warnings" \
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> scheduler, DAG, simulator and cache suites with optimizations on"
+echo "==> scheduler, DAG, simulator, cache and experiment suites with optimizations on"
 # The skyline-vs-reference equivalence suites, the flat-adjacency DAG
-# oracle, the simulator's pinned report digests and the LRU
-# reference-model test run optimized too: the release build is what
-# every run and benchmark ships, and its larger DAG cases finish
-# quickly there.
+# oracle, the simulator's pinned report digests, the LRU
+# reference-model test and the experiment smoke goldens run optimized
+# too: the release build is what every run and benchmark ships, and its
+# larger DAG cases finish quickly there. crates/bench/tests/exp_goldens.rs
+# diffs every deterministic experiment's smoke report against
+# tests/golden/exp/<name>_smoke.txt. Regenerate one golden with
+#   cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
+#     <name> --smoke > tests/golden/exp/<name>_smoke.txt
 cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow \
-  -p flowtune-cloud -p flowtune-storage
+  -p flowtune-cloud -p flowtune-storage -p flowtune-bench
 
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism
@@ -121,22 +125,6 @@ for want in \
   fi
 done
 
-echo "==> exp_* --smoke reports (vs tests/golden/exp/)"
-# Every deterministic experiment binary diffs byte-for-byte against its
-# pinned smoke report; exp_fault_matrix is one of them. Two binaries are
-# not in this loop: exp_table6_composite has its own golden step below,
-# and exp_table6_speedups prints measured wall times, which differ on
-# every run, so its step below checks only the speedup ordering.
-# Regenerate one golden with
-#   cargo run -q --offline --release -p flowtune-bench --bin exp_<name> -- \
-#     --smoke > tests/golden/exp/<name>_smoke.txt
-for golden in tests/golden/exp/*_smoke.txt; do
-  name="$(basename "$golden" _smoke.txt)"
-  cargo run -q --offline --release -p flowtune-bench --bin "exp_$name" -- \
-    --smoke > "$scratch/exp_$name.txt"
-  diff -u "$golden" "$scratch/exp_$name.txt"
-done
-
 echo "==> bench_sched --smoke (scheduler perf baseline harness)"
 # Smoke-sized run into the scratch dir: verifies the optimized-vs-
 # reference harness end to end (exit nonzero on any benchmark error)
@@ -161,18 +149,13 @@ diff <(grep '"schema"' "$scratch/BENCH_sched.json") \
 diff <(grep '"schema"' "$scratch/BENCH_interleave.json") \
      <(grep '"schema"' BENCH_interleave.json)
 
-echo "==> exp_table6_composite --smoke (composite speedup matrix vs golden)"
-# The smoke report is fully deterministic (modelled costs and
-# touched-row counts, no wall times), so it diffs byte-for-byte.
-cargo run -q --offline --release -p flowtune-bench --bin exp_table6_composite -- \
-  --smoke > "$scratch/table6_composite.txt"
-diff -u tests/golden/table6_composite_smoke.txt "$scratch/table6_composite.txt"
-
-echo "==> exp_table6_speedups --smoke (measured speedup ordering)"
-# Wall times are not pinned. The binary exits non-zero unless the
-# median of three measurements keeps lookup > small range > large
-# range > 1 (EXPERIMENTS.md, Table 6); the table stays in the log.
-cargo run -q --offline --release -p flowtune-bench --bin exp_table6_speedups -- --smoke
+echo "==> flowtune-exp table6_speedups --smoke (measured speedup ordering)"
+# The one experiment without a smoke golden: it prints measured wall
+# times. It exits non-zero unless the median of three measurements
+# keeps lookup > small range > large range > 1 (EXPERIMENTS.md,
+# Table 6); the table stays in the log.
+cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
+  table6_speedups --smoke
 
 echo "==> observability golden trace (smoke)"
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \

@@ -18,8 +18,6 @@
 //!   present in the committed metrics golden.
 //! - **golden-coverage** — `tests/golden/` files and their references
 //!   match both ways.
-//! - **bin-hygiene** — `exp_*` binaries wire `obs_guard()` and accept
-//!   `--smoke`.
 //! - **waiver-audit** — stale/unknown/reason-less waivers are findings
 //!   themselves (severity `warn`).
 //!

@@ -15,7 +15,6 @@ use std::collections::BTreeSet;
 use crate::scan::SourceFile;
 use crate::workspace::{CrateInfo, Workspace};
 
-mod bin_hygiene;
 mod cast_discipline;
 mod dep_hygiene;
 mod golden_coverage;
@@ -23,7 +22,6 @@ mod newtype;
 mod obs_discipline;
 mod waiver_audit;
 
-pub use bin_hygiene::BinHygiene;
 pub use cast_discipline::CastDiscipline;
 pub use dep_hygiene::DepHygiene;
 pub use golden_coverage::GoldenCoverage;
@@ -158,7 +156,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(CastDiscipline),
         Box::new(ObsDiscipline),
         Box::new(GoldenCoverage),
-        Box::new(BinHygiene),
         Box::new(WaiverAudit),
     ]
 }

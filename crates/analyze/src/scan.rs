@@ -23,10 +23,8 @@ use crate::model::FileModel;
 /// by kind (e.g. cast-discipline skips integration tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// `src/**` excluding `src/bin/**` and `src/main.rs`.
+    /// `src/**`, binaries included.
     Lib,
-    /// `src/bin/**` or `src/main.rs` — CLI entry points.
-    Bin,
     /// `tests/**`, `benches/**`, `examples/**` (including workspace-level
     /// targets referenced from a crate manifest).
     Test,

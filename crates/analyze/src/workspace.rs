@@ -139,23 +139,9 @@ fn load_crate(root: &Path, dir: &Path) -> std::io::Result<CrateInfo> {
     let parsed = parse_manifest(&manifest);
 
     let mut files = Vec::new();
-    // src/: Lib, except src/bin/** and src/main.rs which are Bin.
-    collect_rs(&dir.join("src"), &mut |p| {
-        let kind = if p.components().any(|c| c.as_os_str() == "bin")
-            || p.file_name().is_some_and(|f| f == "main.rs")
-        {
-            FileKind::Bin
-        } else {
-            FileKind::Lib
-        };
-        (kind, p.to_path_buf())
-    })?
-    .into_iter()
-    .for_each(|f| files.push(f));
+    collect_rs(&dir.join("src"), FileKind::Lib, &mut files)?;
     for sub in ["tests", "benches", "examples"] {
-        collect_rs(&dir.join(sub), &mut |p| (FileKind::Test, p.to_path_buf()))?
-            .into_iter()
-            .for_each(|f| files.push(f));
+        collect_rs(&dir.join(sub), FileKind::Test, &mut files)?;
     }
     // Out-of-tree targets referenced by path (e.g. flowtune-core's
     // workspace-level tests/ and examples/).
@@ -183,15 +169,15 @@ fn load_crate(root: &Path, dir: &Path) -> std::io::Result<CrateInfo> {
     })
 }
 
-/// Recursively collect `.rs` files under `dir` (if it exists), skipping
-/// `fixtures` directories. Returns `(kind, path)` pairs via `classify`.
+/// Recursively collect the `.rs` files under `dir` (if it exists) into
+/// `out` as `kind`, skipping `fixtures` directories.
 fn collect_rs(
     dir: &Path,
-    classify: &mut dyn FnMut(&Path) -> (FileKind, PathBuf),
-) -> std::io::Result<Vec<(FileKind, PathBuf)>> {
-    let mut out = Vec::new();
+    kind: FileKind,
+    out: &mut Vec<(FileKind, PathBuf)>,
+) -> std::io::Result<()> {
     if !dir.is_dir() {
-        return Ok(out);
+        return Ok(());
     }
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -203,11 +189,11 @@ fn collect_rs(
                 }
                 stack.push(p);
             } else if p.extension().is_some_and(|e| e == "rs") {
-                out.push(classify(&p));
+                out.push((kind, p));
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Append every file under `dir` (if it exists) and its subdirectories

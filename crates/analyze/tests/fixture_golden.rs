@@ -32,11 +32,6 @@ fn fixture_findings_match_golden_list() {
         // other glob covers the golden in its subdirectory, which the
         // scan must reach for that glob not to dangle too.
         ("ci/check.sh", 12, "golden-coverage"),
-        // An experiment binary with neither obs_guard() nor --smoke —
-        // two findings on its fn main line. The waived sibling
-        // (crates/bench/src/bin/exp_waived.rs) is absent.
-        ("crates/bench/src/bin/exp_bare.rs", 3, "bin-hygiene"),
-        ("crates/bench/src/bin/exp_bare.rs", 3, "bin-hygiene"),
         // A raw `as f64` on a quanta ident; the waived cast (line 6)
         // and the #[cfg(test)] cast (line 15) are absent.
         ("crates/cloud/src/billing.rs", 4, "cast-discipline"),
@@ -173,21 +168,20 @@ fn cli_rule_filter_gates_on_the_selected_rule_only() {
 }
 
 #[test]
-fn cli_lists_all_seven_rules() {
+fn cli_lists_all_six_rules() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
         .arg("--list-rules")
         .output()
         .expect("spawn analyzer CLI");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("utf8");
-    assert_eq!(text.lines().count(), 7, "one line per rule:\n{text}");
+    assert_eq!(text.lines().count(), 6, "one line per rule:\n{text}");
     for rule in [
         "newtype-discipline",
         "dep-hygiene",
         "cast-discipline",
         "obs-discipline",
         "golden-coverage",
-        "bin-hygiene",
         "waiver-audit",
     ] {
         assert!(text.contains(rule), "missing rule {rule} in:\n{text}");

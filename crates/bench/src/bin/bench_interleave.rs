@@ -170,9 +170,12 @@ fn main() {
     } else {
         (18, 25, 100, 80, 10)
     };
-    flowtune_bench::banner(
-        "bench_interleave",
-        "DESIGN 5i: memoized-bound + dominance-pruning knapsack vs retained reference",
+    print!(
+        "{}",
+        flowtune_bench::banner(
+            "bench_interleave",
+            "DESIGN 5i: memoized-bound + dominance-pruning knapsack vs retained reference",
+        )
     );
     println!(
         "mode: {}   items/instance: <= {items}   instances/family: {instances}   samples/bench: {samples}",

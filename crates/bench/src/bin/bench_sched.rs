@@ -65,9 +65,12 @@ fn config(width: usize) -> SchedulerConfig {
 fn main() {
     let (smoke, out_path) = bench_args("bench_sched", "BENCH_sched.json");
     let (ops, opt_n, samples) = if smoke { (30, 8, 3) } else { (100, 32, 15) };
-    flowtune_bench::banner(
-        "bench_sched",
-        "DESIGN 5f/5i: incremental skyline search vs retained reference",
+    print!(
+        "{}",
+        flowtune_bench::banner(
+            "bench_sched",
+            "DESIGN 5f/5i: incremental skyline search vs retained reference",
+        )
     );
     println!(
         "mode: {}   dag ops: {ops}   samples/bench: {samples}",

@@ -211,8 +211,7 @@ pub fn parse_bench_args(args: &[String], default_out: &str) -> Result<(bool, Str
 /// argument prints the error and a usage line for `bin`, then exits
 /// with status 2 before any benchmark runs.
 pub fn bench_args(bin: &str, default_out: &str) -> (bool, String) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_bench_args(&args, default_out).unwrap_or_else(|e| {
+    parse_bench_args(&crate::command_line(), default_out).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         eprintln!("usage: {bin} [--smoke] [--out <path>]");
         std::process::exit(2);

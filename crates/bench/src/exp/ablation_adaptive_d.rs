@@ -9,29 +9,15 @@
 //! learner tracks each index's observed reuse interval and lands near
 //! the best of both.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Ablation: fading controller",
-        "global D vs per-index adaptive learning (§7 future work)",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag}, phase workload, Gain policy");
-    println!();
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, ", phase workload, Gain policy")?;
     let mut rows = vec![vec![
         "fading".to_string(),
         "#dataflows finished".to_string(),
@@ -40,23 +26,23 @@ fn main() {
         "indexes deleted".to_string(),
         "builds killed".to_string(),
     ]];
-    let mut configs: Vec<(String, f64, bool)> = vec![
-        ("global D=0.5".into(), 0.5, false),
-        ("global D=1 (Table 3)".into(), 1.0, false),
-        ("global D=4".into(), 4.0, false),
-        ("global D=16".into(), 16.0, false),
-        ("adaptive per-index".into(), 1.0, true),
+    let configs = [
+        ("global D=0.5", 0.5, false),
+        ("global D=1 (Table 3)", 1.0, false),
+        ("global D=4", 4.0, false),
+        ("global D=16", 16.0, false),
+        ("adaptive per-index", 1.0, true),
     ];
-    for (label, d, adaptive) in configs.drain(..) {
+    for (label, d, adaptive) in configs {
         let mut config = ServiceConfig::default();
         config.params.total_quanta = quanta;
         config.params.tuner.fading_d = d;
         config.policy = IndexPolicy::Gain { delete: true };
         config.workload = WorkloadKind::paper_phases();
         config.adaptive_fading = adaptive;
-        let r = QaasService::new(config).run().expect("service run failed");
+        let r = QaasService::new(config).run()?;
         rows.push(vec![
-            label,
+            label.to_string(),
             r.dataflows_finished.to_string(),
             format!("{:.3}", r.cost_per_dataflow()),
             format!("{:.2}", r.avg_makespan_quanta()),
@@ -64,5 +50,6 @@ fn main() {
             r.builds_killed.to_string(),
         ]);
     }
-    print!("{}", render_table(&rows));
+    write!(out, "{}", render_table(&rows))?;
+    Ok(())
 }

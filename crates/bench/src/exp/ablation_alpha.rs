@@ -7,29 +7,15 @@
 //! evaluated against a No-Index baseline of the same seed) is reported
 //! for each α.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{paired_objective, IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Ablation: α sweep",
-        "the Eq. 1 trade-off knob (paper fixes α = 0.5)",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag}, phase workload");
-    println!();
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, ", phase workload")?;
 
     let run = |policy: IndexPolicy, alpha: f64| {
         let mut config = ServiceConfig::default();
@@ -37,9 +23,9 @@ fn main() {
         config.params.tuner.alpha = alpha;
         config.policy = policy;
         config.workload = WorkloadKind::paper_phases();
-        QaasService::new(config).run().expect("service run failed")
+        QaasService::new(config).run()
     };
-    let baseline = run(IndexPolicy::NoIndex, 0.5);
+    let baseline = run(IndexPolicy::NoIndex, 0.5)?;
 
     let mut rows = vec![vec![
         "alpha".to_string(),
@@ -51,7 +37,7 @@ fn main() {
         "objective vs no-index ($)".to_string(),
     ]];
     for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let r = run(IndexPolicy::Gain { delete: true }, alpha);
+        let r = run(IndexPolicy::Gain { delete: true }, alpha)?;
         let vm = flowtune_common::Money::from_dollars(0.1);
         rows.push(vec![
             format!("{alpha:.2}"),
@@ -63,11 +49,12 @@ fn main() {
             format!("{:+.2}", paired_objective(&baseline, &r, alpha, vm)),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!(
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(
+        out,
         "no-index baseline: {} finished, {:.2} quanta avg",
         baseline.dataflows_finished,
         baseline.avg_makespan_quanta()
-    );
+    )?;
+    Ok(())
 }

@@ -11,11 +11,6 @@
 //!    partitioned builds are deliberately small enough to fit slots (the
 //!    paper's core premise), so deferral is expected to change nothing.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_common::{BuildOpId, IndexId, Money, SimDuration};
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
@@ -23,9 +18,13 @@ use flowtune_dataflow::WorkloadKind;
 use flowtune_interleave::{BuildOp, DeferredBuildQueue};
 use flowtune_sched::BuildRef;
 
-fn short_slot_scenario() {
-    println!("part 1: short-slot scenario (slots 8-20 s, builds 25-55 s)");
-    println!();
+use super::*;
+
+fn short_slot_scenario(out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    writeln!(
+        out,
+        "part 1: short-slot scenario (slots 8-20 s, builds 25-55 s)\n"
+    )?;
     let quantum = SimDuration::from_secs(60);
     let vm_price = Money::from_dollars(0.1);
     // Ten dataflow rounds, each exposing only short slots; one build op
@@ -49,7 +48,7 @@ fn short_slot_scenario() {
         let fits = slots_per_round
             .iter()
             .any(|&s| s >= op.duration.as_secs_f64() as u64);
-        assert!(!fits, "scenario must make slots too short");
+        ensure(!fits, "scenario must make slots too short")?;
         // Slot-only: the op is stranded forever.
         stranded_gain += op.gain;
         // Deferred: queue it; flush when profitable.
@@ -83,17 +82,17 @@ fn short_slot_scenario() {
             ),
         ],
     ];
-    print!("{}", render_table(&rows));
-    assert!(
-        batched_gain - batch_cost.as_dollars() > 0.0,
-        "batches must be net-positive"
-    );
-    println!();
+    write!(out, "{}", render_table(&rows))?;
+    writeln!(out)?;
+    let net = batched_gain - batch_cost.as_dollars();
+    ensure(net > 0.0, "batches must be net-positive")
 }
 
-fn service_sanity(quanta: u64) {
-    println!("part 2: service under paper defaults (builds fit slots by design)");
-    println!();
+fn service_sanity(quanta: u64, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    writeln!(
+        out,
+        "part 2: service under paper defaults (builds fit slots by design)\n"
+    )?;
     let mut rows = vec![vec![
         "variant".to_string(),
         "#dataflows finished".to_string(),
@@ -106,7 +105,7 @@ fn service_sanity(quanta: u64) {
         config.policy = IndexPolicy::Gain { delete: true };
         config.workload = WorkloadKind::paper_phases();
         config.deferred_builds = deferred;
-        let r = QaasService::new(config).run().expect("service run failed");
+        let r = QaasService::new(config).run()?;
         rows.push(vec![
             label.to_string(),
             r.dataflows_finished.to_string(),
@@ -114,25 +113,14 @@ fn service_sanity(quanta: u64) {
             r.builds_completed.to_string(),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("expected: near-identical — partitioned builds are sized to fit idle slots, which is the paper's whole point; deferral only matters when they don't (part 1)");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "expected: near-identical — partitioned builds are sized to fit idle slots, which is the paper's whole point; deferral only matters when they don't (part 1)")?;
+    Ok(())
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Ablation: deferred batch builds",
-        "slot-only interleaving vs gain-justified paid batches (§7)",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag}");
-    println!();
-    short_slot_scenario();
-    service_sanity(quanta);
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, "")?;
+    short_slot_scenario(out)?;
+    service_sanity(quanta, out)
 }

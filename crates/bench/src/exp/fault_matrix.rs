@@ -13,41 +13,24 @@
 //! partitions invalidated, rebuilds completed, and the compute wasted
 //! on discarded builds.
 //!
-//! `--smoke` shrinks the horizon (720 → 40 quanta) and the rate grids
-//! for CI.
-
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
+//! Smoke shrinks the horizon (720 → 40 quanta) and the rate grids for
+//! CI.
 
 use flowtune_cloud::FaultConfig;
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{QaasService, RecoveryConfig, RecoveryPolicyKind, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let smoke = flowtune_bench::smoke();
-    let quanta = if smoke {
-        40
-    } else {
-        flowtune_bench::horizon_quanta()
-    };
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = if smoke { 40 } else { horizon_quanta(false) };
     let rates: &[f64] = if smoke {
         &[0.0, 0.3]
     } else {
         &[0.0, 0.1, 0.2, 0.3, 0.5]
     };
-    flowtune_bench::banner(
-        "Fault matrix",
-        "robustness extension: fault rate x recovery policy",
-    );
-    println!(
-        "horizon: {quanta} quanta{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!();
+    write_horizon(out, quanta, smoke, "")?;
 
     let mut rows = vec![vec![
         "fault rate".to_string(),
@@ -68,7 +51,7 @@ fn main() {
                 ..Default::default()
             };
             config.params.total_quanta = quanta;
-            let report = QaasService::new(config).run().expect("service run failed");
+            let report = QaasService::new(config).run()?;
             rows.push(vec![
                 format!("{rate:.1}"),
                 policy.label().to_string(),
@@ -81,15 +64,16 @@ fn main() {
             ]);
         }
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
 
     // --- Page-level faults: crash-during-build + torn-page-write. ---
     // Only the two page kinds fire (all other shares zeroed) so the
     // table isolates the detect -> invalidate -> rebuild pipeline.
     let page_rates: &[f64] = if smoke { &[0.3] } else { &[0.1, 0.2, 0.4] };
-    println!("page-level faults (crash_build_share 0.5, torn_write_share 0.5, policy retry)");
-    println!();
+    writeln!(
+        out,
+        "page-level faults (crash_build_share 0.5, torn_write_share 0.5, policy retry)\n"
+    )?;
     let mut rows = vec![vec![
         "fault rate".to_string(),
         "crashed".to_string(),
@@ -115,7 +99,7 @@ fn main() {
             ..Default::default()
         };
         config.params.total_quanta = quanta;
-        let report = QaasService::new(config).run().expect("service run failed");
+        let report = QaasService::new(config).run()?;
         rows.push(vec![
             format!("{rate:.1}"),
             report.builds_crashed.to_string(),
@@ -127,7 +111,7 @@ fn main() {
             format!("{:.3}", report.wasted_cost.as_dollars()),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("finding: at rate 0 all policies coincide with the fault-free goldens; under faults, retry policies convert wasted quanta into finished dataflows and the gain penalty steers the tuner away from partitions that keep failing to build; page-level corruption is always caught by the post-commit scan — detected partitions are invalidated before any probe and rebuilt under throttle, with the discarded build time accounted as waste");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "finding: at rate 0 all policies coincide with the fault-free goldens; under faults, retry policies convert wasted quanta into finished dataflows and the gain penalty steers the tuner away from partitions that keep failing to build; page-level corruption is always caught by the post-commit scan — detected partitions are invalidated before any probe and rebuilt under throttle, with the discarded build time accounted as waste")?;
+    Ok(())
 }

@@ -11,6 +11,8 @@ use flowtune_common::Histogram;
 use flowtune_core::tablefmt::render_table;
 use flowtune_interleave::{graham_greedy, merged_upper_bound, solve_knapsack};
 
+use super::*;
+
 /// Idle segment sizes in quanta (Fig. 10 right: ~0.1–0.6 quanta each).
 const SLOTS_QUANTA: [f64; 8] = [0.55, 0.48, 0.40, 0.33, 0.28, 0.22, 0.15, 0.10];
 
@@ -44,28 +46,22 @@ fn lp_pack(slots: &[u64], sizes: &[u64], values: &[f64]) -> f64 {
     total
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figures 10-11",
-        "knapsack packing vs Graham baseline and upper bound",
-    );
-    // Fig. 10: histograms (--smoke packs half the operator pool).
-    let ops: &[f64] = if flowtune_bench::smoke() {
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    // Fig. 10: histograms (smoke packs half the operator pool).
+    let ops: &[f64] = if smoke {
         &OPS_QUANTA[..OPS_QUANTA.len() / 2]
     } else {
         &OPS_QUANTA
     };
-    println!("build-operator durations (quanta):");
+    writeln!(out, "build-operator durations (quanta):")?;
     let mut h = Histogram::new(0.0, 0.25, 5);
     for &op in ops {
         h.record(op);
     }
     for (lo, hi, n) in h.iter() {
-        println!("  [{lo:.2}, {hi:.2})  {}", "*".repeat(n as usize));
+        writeln!(out, "  [{lo:.2}, {hi:.2})  {}", "*".repeat(n as usize))?;
     }
-    println!("idle segments (quanta): {SLOTS_QUANTA:?}");
-    println!();
+    writeln!(out, "idle segments (quanta): {SLOTS_QUANTA:?}\n")?;
 
     let slots: Vec<u64> = SLOTS_QUANTA.iter().map(|&q| to_ms(q)).collect();
     let sizes: Vec<u64> = ops.iter().map(|&q| to_ms(q)).collect();
@@ -92,14 +88,11 @@ fn main() {
             format!("{:.1} %", value / upper * 100.0),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!(
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(
+        out,
         "LP within {:.1} % of the theoretical upper bound (paper: within 5 %)",
         (1.0 - lp / upper) * 100.0
-    );
-    assert!(
-        lp >= graham - 1e-9,
-        "LP must not lose to the greedy baseline"
-    );
+    )?;
+    ensure(lp >= graham - 1e-9, "LP must not lose to the greedy baseline")
 }

@@ -7,31 +7,17 @@
 //! * dataflows finished and average cost per dataflow (Fig. 12);
 //! * operators executed and killed (Table 7).
 //!
-//! `--smoke` shrinks the horizon to 60 quanta.
-
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
+//! Smoke shrinks the horizon to 60 quanta.
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Figure 12 / Table 7",
-        "phase workload: dataflows finished, cost per dataflow, killed ops",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag} (paper: 720)");
-    println!();
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, " (paper: 720)")?;
 
     let policies = [
         IndexPolicy::NoIndex,
@@ -56,7 +42,7 @@ fn main() {
         config.params.total_quanta = quanta;
         config.policy = policy;
         config.workload = WorkloadKind::paper_phases();
-        let report = QaasService::new(config).run().expect("service run failed");
+        let report = QaasService::new(config).run()?;
         fig12.push(vec![
             policy.label().to_string(),
             report.dataflows_finished.to_string(),
@@ -70,13 +56,13 @@ fn main() {
             format!("{:.1}", report.killed_percentage()),
         ]);
     }
-    println!("Figure 12:");
-    print!("{}", render_table(&fig12));
-    println!();
-    println!(
+    writeln!(out, "Figure 12:")?;
+    writeln!(out, "{}", render_table(&fig12))?;
+    writeln!(
+        out,
         "Table 7 (paper: No Index 22402/0, Random 25649/1143 = 4.4 %, Gain 49549/1418 = 2.8 %):"
-    );
-    print!("{}", render_table(&table7));
-    println!();
-    println!("paper finding: Gain roughly doubles the dataflows finished vs No Index and cuts cost/dataflow; Random inflates cost via untracked storage");
+    )?;
+    writeln!(out, "{}", render_table(&table7))?;
+    writeln!(out, "paper finding: Gain roughly doubles the dataflows finished vs No Index and cuts cost/dataflow; Random inflates cost via untracked storage")?;
+    Ok(())
 }

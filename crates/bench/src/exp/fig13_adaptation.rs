@@ -6,35 +6,21 @@
 //! deleted after the phase ends (their gain fades), and some CyberShake
 //! indexes are *recreated* when CyberShake returns in the final phase.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Figure 13",
-        "indexes built and storage cost over time (phase workload)",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag}");
-    println!();
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, "")?;
     let mut config = ServiceConfig::default();
     config.params.total_quanta = quanta;
     config.policy = IndexPolicy::Gain { delete: true };
     config.workload = WorkloadKind::paper_phases();
     let mut svc = QaasService::new(config);
-    let report = svc.run().expect("service run failed");
+    let report = svc.run()?;
 
     let mut rows = vec![vec![
         "time (quanta)".to_string(),
@@ -54,12 +40,13 @@ fn main() {
             format!("{:.3}", point.storage_cost.as_dollars()),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!(
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(
+        out,
         "indexes deleted during the run: {}; built at end: {}",
         report.indexes_deleted,
         report.timeline.last().map_or(0, |p| p.indexes_built)
-    );
-    println!("paper finding: the index set tracks the phases — created when a phase makes them beneficial, deleted when it ends, recreated when CyberShake returns");
+    )?;
+    writeln!(out, "paper finding: the index set tracks the phases — created when a phase makes them beneficial, deleted when it ends, recreated when CyberShake returns")?;
+    Ok(())
 }

@@ -5,29 +5,15 @@
 //! phased experiment: with a random mix, indexes essentially never stop
 //! being useful, so they are stored for much longer.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_core::tablefmt::render_table;
 use flowtune_core::{IndexPolicy, QaasService, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    let quanta = flowtune_bench::horizon_quanta();
-    flowtune_bench::banner(
-        "Figure 14",
-        "random workload: dataflows finished and cost per dataflow",
-    );
-    let smoke_tag = if flowtune_bench::smoke() {
-        " (smoke)"
-    } else {
-        ""
-    };
-    println!("horizon: {quanta} quanta{smoke_tag} (paper: 720)");
-    println!();
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let quanta = horizon_quanta(smoke);
+    write_horizon(out, quanta, smoke, " (paper: 720)")?;
     let policies = [
         IndexPolicy::NoIndex,
         IndexPolicy::Random,
@@ -46,7 +32,7 @@ fn main() {
         config.params.total_quanta = quanta;
         config.policy = policy;
         config.workload = WorkloadKind::Random;
-        let report = QaasService::new(config).run().expect("service run failed");
+        let report = QaasService::new(config).run()?;
         rows.push(vec![
             policy.label().to_string(),
             report.dataflows_finished.to_string(),
@@ -55,7 +41,7 @@ fn main() {
             report.indexes_deleted.to_string(),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("paper finding: Gain still finishes the most dataflows; the cost gap vs the phase workload narrows because random mixes keep indexes useful (few deletions)");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "paper finding: Gain still finishes the most dataflows; the cost gap vs the phase workload narrows because random mixes keep indexes useful (few deletions)")?;
+    Ok(())
 }

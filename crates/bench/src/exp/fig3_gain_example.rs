@@ -18,6 +18,8 @@ use flowtune_core::tablefmt::render_table;
 use flowtune_tuner::gain::GainContribution;
 use flowtune_tuner::GainModel;
 
+use super::*;
+
 /// Table 2: (issue time, gtd, gmd) per index.
 const DATAFLOWS_A: [(f64, f64, f64); 2] = [(50.0, 2.0, 8.0), (100.0, 3.0, 5.0)];
 const DATAFLOWS_B: [(f64, f64, f64); 3] = [(10.0, 1.0, 3.0), (30.0, 2.0, 5.0), (50.0, 3.0, 8.0)];
@@ -65,12 +67,7 @@ impl IndexTrack {
     }
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figure 3 / Table 2",
-        "gain over time of indexes A and B (§4)",
-    );
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let model = GainModel::new(
         TunerConfig {
             alpha: 0.5,
@@ -109,8 +106,8 @@ fn main() {
         "A built".to_string(),
         "B built".to_string(),
     ]];
-    // Full resolution for the figure; a coarse sweep under --smoke.
-    let step = if flowtune_bench::smoke() { 25 } else { 5 };
+    // Full resolution for the figure; a coarse sweep under smoke.
+    let step = if smoke { 25 } else { 5 };
     for t in (0..=200).step_by(step) {
         let t = t as f64;
         let ga = a.gain_at(&model, t);
@@ -125,17 +122,21 @@ fn main() {
             b.built.to_string(),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
     for idx in [&a, &b] {
-        println!(
+        writeln!(
+            out,
             "index {}: beneficial at t = {}, deleted at t = {}",
             idx.name,
             idx.became_beneficial
                 .map_or("never".into(), |t| format!("{t:.0}")),
             idx.deleted_at
                 .map_or("never (within 200)".into(), |t| format!("{t:.0}")),
-        );
+        )?;
     }
-    println!("paper: B becomes beneficial at t = 30 and is deleted around t = 125");
+    writeln!(
+        out,
+        "paper: B becomes beneficial at t = 30 and is deleted around t = 125"
+    )?;
+    Ok(())
 }

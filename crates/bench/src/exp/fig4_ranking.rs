@@ -12,6 +12,8 @@ use flowtune_core::tablefmt::render_table;
 use flowtune_tuner::gain::IndexGains;
 use flowtune_tuner::rank_indexes;
 
+use super::*;
+
 /// The figure's nine numbered points plus the four X points, as
 /// `(Mc·gt, gm)` dollar coordinates (time-gain-heavy points to the
 /// right, money-gain-heavy points up).
@@ -47,14 +49,12 @@ fn ranked_at(alpha: f64) -> Vec<&'static str> {
         .collect()
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner("Figure 4", "index ordering based on α (§5.1)");
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut rows = vec![vec![
         "alpha".to_string(),
         "ranking (best first)".to_string(),
     ]];
-    let alphas: &[f64] = if flowtune_bench::smoke() {
+    let alphas: &[f64] = if smoke {
         &[0.1, 0.5, 0.9]
     } else {
         &[0.1, 0.3, 0.5, 0.7, 0.9]
@@ -62,18 +62,16 @@ fn main() {
     for &alpha in alphas {
         rows.push(vec![format!("{alpha:.1}"), ranked_at(alpha).join(" > ")]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
     let at_07 = ranked_at(0.7);
-    println!(
-        "at α = 0.7 the best index is point {} (paper: point 1); X1..X4 never rank",
-        at_07[0]
-    );
-    assert_eq!(at_07[0], "1", "point 1 must win at α = 0.7");
-    assert!(
-        !at_07.iter().any(|p| p.starts_with('X')),
-        "non-beneficial points must be filtered"
-    );
+    let best = at_07.first().ok_or("no index ranks at α = 0.7")?;
+    writeln!(
+        out,
+        "at α = 0.7 the best index is point {best} (paper: point 1); X1..X4 never rank"
+    )?;
+    ensure(*best == "1", "point 1 must win at α = 0.7")?;
+    let filtered = !at_07.iter().any(|p| p.starts_with('X'));
+    ensure(filtered, "non-beneficial points must be filtered")?;
     // The ordering genuinely rotates with α.
-    assert_ne!(ranked_at(0.1), ranked_at(0.9));
+    ensure(ranked_at(0.1) != ranked_at(0.9), "the ranking must rotate with α")
 }

@@ -7,11 +7,6 @@
 //! monetary cost and fragmentation, averaged over dataflows of all
 //! three applications.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use std::collections::BTreeMap;
 
 use flowtune_cloud::{perturb_dag, IndexAvailability, Simulator};
@@ -20,12 +15,9 @@ use flowtune_core::experiment::ExperimentSetup;
 use flowtune_core::tablefmt::render_table;
 use flowtune_sched::{total_fragmentation, SkylineScheduler};
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figure 6",
-        "offline scheduler robustness to estimation errors",
-    );
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut setup = ExperimentSetup::new(ExperimentParams::default());
     let scheduler = SkylineScheduler::new(setup.scheduler_config(8));
     let quantum = setup.params.cloud.quantum;
@@ -41,7 +33,6 @@ fn main() {
         "Δfrag % (data err)".to_string(),
     ]];
     let dags = setup.one_dag_per_app(42);
-    let smoke = flowtune_bench::smoke();
     let grid: &[u32] = if smoke {
         &[0, 20, 80]
     } else {
@@ -66,15 +57,13 @@ fn main() {
                     let mut rng = SimRng::seed_from_u64(seed * 77 + error_pct as u64);
                     let actual = perturb_dag(dag, time_err, data_err, &mut rng);
                     let sim = Simulator::new(setup.params.cloud.clone(), &setup.filedb);
-                    let exec = sim
-                        .execute(
-                            &actual,
-                            &schedule,
-                            &[],
-                            &IndexAvailability::new(),
-                            &BTreeMap::new(),
-                        )
-                        .expect("simulation failed");
+                    let exec = sim.execute(
+                        &actual,
+                        &schedule,
+                        &[],
+                        &IndexAvailability::new(),
+                        &BTreeMap::new(),
+                    )?;
                     dt.push((exec.makespan.as_secs_f64() - est_time).abs() / est_time * 100.0);
                     let money = exec.compute_cost.as_dollars();
                     dm.push((money - est_money).abs() / est_money * 100.0);
@@ -89,7 +78,7 @@ fn main() {
         }
         rows.push(cells);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("paper finding: estimates are robust up to ~20 % error; very large errors degrade the offline plan");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "paper finding: estimates are robust up to ~20 % error; very large errors degrade the offline plan")?;
+    Ok(())
 }

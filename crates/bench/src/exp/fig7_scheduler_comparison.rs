@@ -10,19 +10,16 @@
 //! Uses CyberShake, as the paper does ("results are similar for the
 //! other dataflows").
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
-use flowtune_common::{ExperimentParams, SimRng};
+use flowtune_common::{ExperimentParams, FlowtuneError, SimRng};
 use flowtune_core::experiment::ExperimentSetup;
 use flowtune_core::tablefmt::render_table;
 use flowtune_dataflow::{App, Dag, Edge};
 use flowtune_sched::{OnlineLoadBalanceScheduler, SkylineScheduler};
 
+use super::*;
+
 // flowtune-allow(newtype-discipline): time_factor is a dimensionless scale factor, not a time
-fn scale_dag(dag: &Dag, time_factor: f64, data_factor: f64) -> Dag {
+fn scale_dag(dag: &Dag, time_factor: f64, data_factor: f64) -> Result<Dag, FlowtuneError> {
     let ops = dag
         .ops()
         .iter()
@@ -41,15 +38,10 @@ fn scale_dag(dag: &Dag, time_factor: f64, data_factor: f64) -> Dag {
             bytes: (e.bytes as f64 * data_factor).round() as u64,
         })
         .collect();
-    Dag::new(ops, edges).expect("scaling preserves structure")
+    Dag::new(ops, edges)
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figure 7",
-        "online load-balance vs offline skyline scheduler",
-    );
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let setup = ExperimentSetup::new(ExperimentParams::default());
     let quantum = setup.params.cloud.quantum;
     let vm_price = setup.params.cloud.vm_price_per_quantum;
@@ -59,7 +51,6 @@ fn main() {
         setup.params.cloud.network_bandwidth,
     );
     let mut rng = SimRng::seed_from_u64(7);
-    let smoke = flowtune_bench::smoke();
     let base = App::Cybershake.generate(if smoke { 30 } else { 100 }, &[], &mut rng);
 
     let compare = |dag: &Dag| -> (f64, f64) {
@@ -74,7 +65,7 @@ fn main() {
         (dt, dm)
     };
 
-    println!("CPU-intensive sweep (runtime x, data x0.01):");
+    writeln!(out, "CPU-intensive sweep (runtime x, data x0.01):")?;
     let mut rows = vec![vec![
         "cpu scale".to_string(),
         "Δtime %".to_string(),
@@ -86,7 +77,7 @@ fn main() {
         &[1.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     };
     for &scale in cpu_scales {
-        let dag = scale_dag(&base, scale, 0.01);
+        let dag = scale_dag(&base, scale, 0.01)?;
         let (dt, dm) = compare(&dag);
         rows.push(vec![
             format!("{scale:.0}x"),
@@ -94,10 +85,9 @@ fn main() {
             format!("{dm:+.1}"),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
 
-    println!("data-intensive sweep (data x, runtime x1):");
+    writeln!(out, "data-intensive sweep (data x, runtime x1):")?;
     let mut rows = vec![vec![
         "data scale".to_string(),
         "Δtime %".to_string(),
@@ -109,7 +99,7 @@ fn main() {
         &[1.0, 5.0, 10.0, 25.0, 50.0, 100.0]
     };
     for &scale in data_scales {
-        let dag = scale_dag(&base, 1.0, scale);
+        let dag = scale_dag(&base, 1.0, scale)?;
         let (dt, dm) = compare(&dag);
         rows.push(vec![
             format!("{scale:.0}x"),
@@ -117,7 +107,7 @@ fn main() {
             format!("{dm:+.1}"),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("paper finding: online is competitive on CPU-bound dataflows but up to ~2x slower and ~4x more expensive on data-intensive ones");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "paper finding: online is competitive on CPU-bound dataflows but up to ~2x slower and ~4x more expensive on data-intensive ones")?;
+    Ok(())
 }

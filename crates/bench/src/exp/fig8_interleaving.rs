@@ -12,20 +12,16 @@ use flowtune_dataflow::App;
 use flowtune_interleave::{BuildOp, LpInterleaver, OnlineInterleaver};
 use flowtune_sched::{BuildRef, SkylineScheduler};
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figure 8",
-        "indexes scheduled for the Montage dataflow (§6.4)",
-    );
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let setup = ExperimentSetup::new(ExperimentParams::default());
     let quantum = setup.params.cloud.quantum;
-    let smoke = flowtune_bench::smoke();
     let mut rng = SimRng::seed_from_u64(8);
     let dag = App::Montage.generate(if smoke { 30 } else { 100 }, &[], &mut rng);
 
     // A pool of pending build ops: 20 indexes x 4 partitions, 5-30 s
-    // (a quarter of that under --smoke).
+    // (a quarter of that under smoke).
     let pending: Vec<BuildOp> = (0..if smoke { 20u32 } else { 80 })
         .map(|i| BuildOp {
             id: BuildOpId(i),
@@ -68,14 +64,17 @@ fn main() {
             format!("{}", s.build_assignments().count()),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
     let lp_max = lp_placed.iter().map(Vec::len).max().unwrap_or(0);
     let online_max = online_skyline
         .iter()
         .map(|s| s.build_assignments().count())
         .max()
         .unwrap_or(0);
-    println!("max build ops placed: LP = {lp_max}, online = {online_max}");
-    println!("paper finding: LP schedules significantly more build operators because fragmentation is known before it runs");
+    writeln!(
+        out,
+        "max build ops placed: LP = {lp_max}, online = {online_max}"
+    )?;
+    writeln!(out, "paper finding: LP schedules significantly more build operators because fragmentation is known before it runs")?;
+    Ok(())
 }

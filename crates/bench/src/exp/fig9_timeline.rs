@@ -5,18 +5,15 @@
 //! Prints an ASCII timeline: one row per container, `#` for dataflow
 //! operators, `+` for build operators, `.` for idle leased time.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_common::{BuildOpId, ExperimentParams, IndexId, SimDuration, SimRng, SimTime};
 use flowtune_core::experiment::ExperimentSetup;
 use flowtune_dataflow::App;
 use flowtune_interleave::{BuildOp, LpInterleaver};
 use flowtune_sched::{total_fragmentation, BuildRef, Schedule, SkylineScheduler};
 
-fn render_timeline(schedule: &Schedule, quantum: SimDuration) -> String {
+use super::*;
+
+fn render_timeline(schedule: &Schedule, quantum: SimDuration) -> Result<String, Box<dyn Error>> {
     let mut out = String::new();
     let end = schedule
         .assignments()
@@ -29,7 +26,9 @@ fn render_timeline(schedule: &Schedule, quantum: SimDuration) -> String {
     let total = (end - SimTime::ZERO).as_millis().max(1);
     for c in schedule.containers() {
         let mut row = vec![' '; cols];
-        let (ls, le) = schedule.leased_span(c, quantum).expect("container leased");
+        let (ls, le) = schedule
+            .leased_span(c, quantum)
+            .ok_or("a container in the schedule holds no lease")?;
         let pos = |t: SimTime| {
             (((t - SimTime::ZERO).as_millis() as f64 / total as f64) * cols as f64) as usize
         };
@@ -49,18 +48,12 @@ fn render_timeline(schedule: &Schedule, quantum: SimDuration) -> String {
             row.iter().collect::<String>()
         ));
     }
-    out
+    Ok(out)
 }
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Figure 9",
-        "Montage timeline with build-index operators (green = '+')",
-    );
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let setup = ExperimentSetup::new(ExperimentParams::default());
     let quantum = setup.params.cloud.quantum;
-    let smoke = flowtune_bench::smoke();
     let mut rng = SimRng::seed_from_u64(9);
     let dag = App::Montage.generate(if smoke { 30 } else { 100 }, &[], &mut rng);
     let scheduler = SkylineScheduler::new(setup.scheduler_config(8));
@@ -81,13 +74,17 @@ fn main() {
     let placed = LpInterleaver::new(quantum).interleave(&mut schedule, &pending);
     let after = total_fragmentation(&schedule, quantum);
 
-    print!("{}", render_timeline(&schedule, quantum));
-    println!();
-    println!("legend: '#' dataflow op, '+' build op, '.' idle leased time");
-    println!(
+    writeln!(out, "{}", render_timeline(&schedule, quantum)?)?;
+    writeln!(
+        out,
+        "legend: '#' dataflow op, '+' build op, '.' idle leased time"
+    )?;
+    writeln!(
+        out,
         "build ops placed: {}; fragmentation: {:.2} quanta -> {:.2} quanta (paper: 7.14 -> 1.6)",
         placed.len(),
         before.as_quanta(quantum),
         after.as_quanta(quantum)
-    );
+    )?;
+    Ok(())
 }

@@ -6,22 +6,14 @@
 //! fronts: a mixed pool stretches the front at *both* ends — faster
 //! fastest schedules and cheaper cheapest schedules.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
 use flowtune_common::{Money, SimDuration, SimRng};
 use flowtune_core::tablefmt::render_table;
 use flowtune_dataflow::App;
 use flowtune_sched::{HeterogeneousScheduler, VmType};
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner(
-        "Exploration: heterogeneous pools",
-        "skyline scheduling over mixed VM types (§7 future work)",
-    );
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let q = SimDuration::from_secs(60);
     let homo = HeterogeneousScheduler::new(vec![VmType::standard()]);
     let mixed = HeterogeneousScheduler::new(vec![
@@ -37,7 +29,6 @@ fn main() {
         "cheapest ($)".to_string(),
         "cheapest time (quanta)".to_string(),
     ]];
-    let smoke = flowtune_bench::smoke();
     let apps: &[App] = if smoke { &App::ALL[..1] } else { &App::ALL };
     for app in apps {
         let dag = app.generate(
@@ -47,8 +38,8 @@ fn main() {
         );
         for (label, scheduler) in [("standard only", &homo), ("eco+std+fast", &mixed)] {
             let front = scheduler.schedule(&dag);
-            let fastest = front.first().expect("non-empty front");
-            let cheapest = front.last().expect("non-empty front");
+            let fastest = front.first().ok_or("empty Pareto front")?;
+            let cheapest = front.last().ok_or("empty Pareto front")?;
             rows.push(vec![
                 app.name().to_string(),
                 label.to_string(),
@@ -59,7 +50,7 @@ fn main() {
             ]);
         }
     }
-    print!("{}", render_table(&rows));
-    println!();
-    println!("a mixed pool stretches the Pareto front at both ends: fast VMs shorten the critical path, eco VMs cheapen the serial end");
+    writeln!(out, "{}", render_table(&rows))?;
+    writeln!(out, "a mixed pool stretches the Pareto front at both ends: fast VMs shorten the critical path, eco VMs cheapen the serial end")?;
+    Ok(())
 }

@@ -8,9 +8,9 @@ use flowtune_common::{OnlineStats, SimRng};
 use flowtune_core::tablefmt::render_table;
 use flowtune_dataflow::{App, FileDatabase};
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner("Table 4", "basic statistics of the scientific dataflows");
+use super::*;
+
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let mut rng = SimRng::seed_from_u64(4);
     let filedb = FileDatabase::generate(&mut rng);
 
@@ -24,8 +24,8 @@ fn main() {
         "stdev".to_string(),
         "paper (min/max/mean/stdev)".to_string(),
     ]];
-    // Runtime stats over 50 generated dataflows per app (8 for --smoke).
-    let samples = if flowtune_bench::smoke() { 8 } else { 50 };
+    // Runtime stats over 50 generated dataflows per app (8 under smoke).
+    let samples = if smoke { 8 } else { 50 };
     for app in App::ALL {
         let mut time = OnlineStats::new();
         for i in 0..samples {
@@ -65,13 +65,14 @@ fn main() {
             ),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
     let total_gb = filedb.total_bytes() as f64 / (1024.0f64).powi(3);
-    println!(
+    writeln!(
+        out,
         "file database: {} files, {:.2} GB, {} partitions (paper: 125 files, 76.69 GB, 713 partitions)",
         filedb.files().len(),
         total_gb,
         filedb.total_partitions()
-    );
+    )?;
+    Ok(())
 }

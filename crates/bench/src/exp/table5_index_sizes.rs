@@ -10,6 +10,8 @@ use flowtune_index::IndexCostModel;
 use flowtune_storage::lineitem::SF2_ROWS;
 use flowtune_storage::LineitemGenerator;
 
+use super::*;
+
 /// Paper's Table 5 rows: (column, size MB, % of table).
 const PAPER: [(&str, f64, f64); 4] = [
     ("comment", 422.30, 30.16),
@@ -18,19 +20,17 @@ const PAPER: [(&str, f64, f64); 4] = [
     ("orderkey", 146.99, 10.49),
 ];
 
-fn main() {
-    let _obs = flowtune_bench::obs_guard();
-    flowtune_bench::banner("Table 5", "indexes on table lineitem (SF 2, ~12 M rows)");
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let schema = LineitemGenerator::schema();
     let table_rec = schema.avg_row_bytes();
     let table_bytes = SF2_ROWS as f64 * table_rec;
-    println!(
-        "table: {} rows x {:.1} B/row = {:.2} GB (paper: 1.4 GB)",
+    writeln!(
+        out,
+        "table: {} rows x {:.1} B/row = {:.2} GB (paper: 1.4 GB)\n",
         SF2_ROWS,
         table_rec,
         table_bytes / (1024.0f64).powi(3)
-    );
-    println!();
+    )?;
     let mut rows = vec![vec![
         "column".to_string(),
         "size (MB)".to_string(),
@@ -38,17 +38,12 @@ fn main() {
         "paper MB".to_string(),
         "paper %".to_string(),
     ]];
-    // The model is analytic, so --smoke just trims the table to one row.
-    let columns: &[(&str, f64, f64)] = if flowtune_bench::smoke() {
-        &PAPER[..1]
-    } else {
-        &PAPER
-    };
+    // The model is analytic, so smoke just trims the table to one row.
+    let columns: &[(&str, f64, f64)] = if smoke { &PAPER[..1] } else { &PAPER };
     for &(column, paper_mb, paper_pct) in columns {
-        #[expect(clippy::panic, reason = "PAPER names lineitem schema columns")]
         let key_bytes = schema
             .column(column)
-            .unwrap_or_else(|| panic!("missing column {column}"))
+            .ok_or_else(|| format!("missing column {column}"))?
             .ty
             .avg_value_bytes();
         let model = IndexCostModel::new(key_bytes + 8.0, table_rec);
@@ -61,5 +56,6 @@ fn main() {
             format!("{paper_pct:.2} %"),
         ]);
     }
-    print!("{}", render_table(&rows));
+    write!(out, "{}", render_table(&rows))?;
+    Ok(())
 }

@@ -1,18 +1,26 @@
-//! Shared report builder for `exp_table6_composite` and its golden
-//! test: a Table-6-style speedup matrix over single-column, composite
-//! and covering plans on multi-predicate `lineitem` queries.
+//! Table 6 (composite): multi-predicate speedups from composite and
+//! covering indexes on synthetic `lineitem`.
+//!
+//! The paper's Table 6 measures single-column index speedups; its
+//! multi-predicate dataflows leave composite wins on the table. This
+//! experiment observes five query classes, runs the tuner's composite
+//! candidate generation (ESR order + leftmost-prefix subsumption),
+//! scores the survivors through the Eq. 3–5 gain model, and compares
+//! scan vs best-single vs best-composite plans both by modelled cost
+//! and by deterministic touched-row counts.
 //!
 //! The smoke report is fully deterministic — modelled costs and
 //! touched-row counts ([`flowtune_query::ExecCounts`]), never wall
-//! times — so CI diffs it byte-for-byte against
-//! `tests/golden/table6_composite_smoke.txt` and the golden test in
-//! `crates/bench/tests/table6_composite_golden.rs` re-derives it in
-//! process. Wall-clock numbers exist only in the binary's full
-//! (non-smoke) mode, outside the golden.
+//! times — so `tests/exp_goldens.rs` diffs it byte-for-byte like every
+//! other smoke golden, and `tests/table6_composite_golden.rs` asserts
+//! on the structured [`CompositeReport`]. The full run repeats the
+//! matrix at a larger table and adds measured wall times, outside the
+//! golden.
 
 use flowtune_common::{FileId, Money, Quanta, SimDuration, TunerConfig};
 use flowtune_core::tablefmt::render_table;
 use flowtune_index::{BPlusTree, IndexKind, TupleKey};
+use flowtune_query::timer::time_median;
 use flowtune_query::{
     build_composite, choose_composite, composite_select, scan_multi, ColPredicate, CompositePlan,
     CompositeStats, ExecResult, IndexDef, MultiTable, Predicate, QuerySpec,
@@ -25,8 +33,45 @@ use flowtune_tuner::{
 };
 use std::collections::BTreeSet;
 
+use super::*;
+
 /// Row count of the pinned smoke run (the golden's table size).
 pub const SMOKE_ROWS: usize = 60_000;
+
+/// Print the deterministic report; the full run adds measured wall
+/// times of the same plans (machine-dependent, so never pinned).
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    let rows = if smoke { SMOKE_ROWS } else { 600_000 };
+    let report = build_report(rows);
+    write!(out, "{}", report.text)?;
+    if smoke {
+        return Ok(());
+    }
+
+    writeln!(out, "\n-- measured wall times (median of 5) --")?;
+    let table = lineitem_table(rows);
+    for (name, q) in &query_classes() {
+        let scan_t = time_median(5, || scan_multi(&table, q));
+        let mut line = format!("{name:<24} scan {:>9.3} ms", scan_t.as_secs_f64() * 1e3);
+        for cand in &report.survivors {
+            let def = IndexDef {
+                columns: cand.columns.clone(),
+                kind: IndexKind::BTree,
+            };
+            let tree = build_composite(&table, &def.columns, TREE_ORDER);
+            if composite_select(&tree, &def, q, &table).is_some() {
+                let t = time_median(5, || composite_select(&tree, &def, q, &table));
+                line.push_str(&format!(
+                    "  ({}) {:>9.3} ms",
+                    def.columns.join(", "),
+                    t.as_secs_f64() * 1e3
+                ));
+            }
+        }
+        writeln!(out, "{line}")?;
+    }
+    Ok(())
+}
 
 /// B+Tree node order used for every index the experiment builds.
 const TREE_ORDER: usize = 64;
@@ -70,7 +115,8 @@ impl ClassOutcome {
 /// on.
 #[derive(Debug, Clone)]
 pub struct CompositeReport {
-    /// Rendered smoke report (what the binary prints under `--smoke`).
+    /// Rendered smoke report (what [`run`] prints under smoke, after
+    /// the registry's banner).
     pub text: String,
     /// Candidate pool before leftmost-prefix subsumption.
     pub pool: Vec<CompositeCandidate>,
@@ -105,7 +151,7 @@ const COLS: [&str; 3] = ["linenumber", "quantity", "shipdate"];
 
 /// Materialize the synthetic `lineitem` predicate columns as an `i64`
 /// column store.
-pub fn lineitem_table(rows: usize) -> MultiTable {
+fn lineitem_table(rows: usize) -> MultiTable {
     let gen = LineitemGenerator::new(LineitemParams {
         rows,
         ..Default::default()
@@ -122,7 +168,7 @@ pub fn lineitem_table(rows: usize) -> MultiTable {
 /// The observed multi-predicate query classes. The bare-range class is
 /// the deliberate leftmost-prefix *negative*: no composite whose first
 /// column is an equality can serve it.
-pub fn query_classes() -> Vec<(&'static str, QuerySpec)> {
+fn query_classes() -> Vec<(&'static str, QuerySpec)> {
     let eq = |c: &str, v: i64| ColPredicate::new(c, Predicate::Equals(v));
     let bt = |c: &str, lo: i64, hi: i64| ColPredicate::new(c, Predicate::Between(lo, hi));
     let out = |cols: &[&str]| cols.iter().map(|c| (*c).to_owned()).collect::<Vec<_>>();
@@ -260,8 +306,6 @@ pub fn build_report(rows: usize) -> CompositeReport {
         .collect();
 
     let mut text = String::new();
-    text.push_str("=== Table 6 (composite) ===\n");
-    text.push_str("reproduces: multi-predicate speedups, single vs composite vs covering\n\n");
     text.push_str(&format!("table rows: {rows}\n"));
     let d = |c: &str| stats.distinct.get(c).copied().unwrap_or(0);
     text.push_str(&format!(

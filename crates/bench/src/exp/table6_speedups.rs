@@ -6,20 +6,15 @@
 //! structures, not model numbers. Absolute times differ from the
 //! paper's DBMS/hardware; the ordering and magnitudes reproduce.
 //!
-//! The table has 2 M rows (the paper uses ~12 M); `--smoke` shrinks it
-//! to 200 k. The run exits non-zero when the selectivity ordering that
+//! The table has 2 M rows (the paper uses ~12 M); smoke shrinks it to
+//! 200 k. The run fails when the selectivity ordering that
 //! EXPERIMENTS.md records as reproduced (lookup > small range > large
 //! range > 1) does not hold.
 
-#![expect(
-    clippy::expect_used,
-    reason = "experiment binaries fail fast on a broken run"
-)]
-
-use std::process::ExitCode;
-
 use flowtune_core::tablefmt::render_table;
 use flowtune_query::measure_table6;
+
+use super::*;
 
 /// Paper's Table 6: (query, no-index s, index s, speedup).
 const PAPER: [(&str, f64, f64, f64); 4] = [
@@ -29,13 +24,9 @@ const PAPER: [(&str, f64, f64, f64); 4] = [
     ("Lookup", 4.393, 0.007, 627.14),
 ];
 
-fn main() -> ExitCode {
-    let _obs = flowtune_bench::obs_guard();
-    let smoke = flowtune_bench::smoke();
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let rows_n = if smoke { 200_000 } else { 2_000_000 };
-    flowtune_bench::banner("Table 6", "index speedup (measured on real B+Tree)");
-    println!("table rows: {rows_n} (paper: ~12 M at SF 2)");
-    println!();
+    writeln!(out, "table rows: {rows_n} (paper: ~12 M at SF 2)\n")?;
     // Each time is the median of three runs.
     let measured = if smoke {
         measure_table6(rows_n, 2, 3)
@@ -53,7 +44,7 @@ fn main() -> ExitCode {
         let paper = PAPER
             .iter()
             .find(|(q, ..)| *q == m.query)
-            .expect("query class present in paper table");
+            .ok_or_else(|| format!("query class {} missing from the paper table", m.query))?;
         rows.push(vec![
             m.query.to_string(),
             format!("{:.3} ms", m.no_index.as_secs_f64() * 1e3),
@@ -62,25 +53,17 @@ fn main() -> ExitCode {
             format!("{:.2}x", paper.3),
         ]);
     }
-    print!("{}", render_table(&rows));
-    println!();
+    writeln!(out, "{}", render_table(&rows))?;
     // The selectivity ordering, and every compared indexed path wins.
     // Order-by is left out: in this in-memory engine it lands above the
     // large range (EXPERIMENTS.md, Table 6).
     let speedup = |query: &str| {
-        measured
-            .iter()
-            .find(|m| m.query == query)
-            .expect("query class measured")
-            .speedup()
+        let m = measured.iter().find(|m| m.query == query);
+        m.map(|m| m.speedup()).ok_or("query class not measured")
     };
-    let holds = speedup("Lookup") > speedup("Select range (small)")
-        && speedup("Select range (small)") > speedup("Select range (large)")
-        && speedup("Select range (large)") > 1.0;
-    println!("ordering check (lookup > small > large > 1): {holds}");
-    if holds {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    let holds = speedup("Lookup")? > speedup("Select range (small)")?
+        && speedup("Select range (small)")? > speedup("Select range (large)")?
+        && speedup("Select range (large)")? > 1.0;
+    writeln!(out, "ordering check (lookup > small > large > 1): {holds}")?;
+    ensure(holds, "the Table 6 speedup ordering does not hold")
 }

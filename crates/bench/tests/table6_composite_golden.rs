@@ -1,44 +1,18 @@
-//! Pins the deterministic smoke report of `exp_table6_composite` to
-//! `tests/golden/table6_composite_smoke.txt` and asserts the ISSUE's
-//! acceptance properties on the structured report: a composite or
-//! covering plan beats the best single-column plan on at least one
-//! multi-predicate class, and leftmost-prefix subsumption never keeps
-//! both `(a)` and `(a, b)`.
+//! Asserts the acceptance properties of the Table 6 (composite)
+//! experiment on its structured report: a composite or covering plan
+//! beats the best single-column plan on at least one multi-predicate
+//! class, and leftmost-prefix subsumption never keeps both `(a)` and
+//! `(a, b)`. The rendered smoke report is diffed with every other
+//! experiment's in `tests/exp_goldens.rs`.
 
-#![expect(
-    clippy::expect_used,
-    reason = "test helpers fail fast on a broken fixture"
-)]
-
-use flowtune_bench::table6_composite::{build_report, CompositeReport, SMOKE_ROWS};
-use std::path::{Path, PathBuf};
+use flowtune_bench::exp::table6_composite::{build_report, CompositeReport, SMOKE_ROWS};
 use std::sync::OnceLock;
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("bench crate sits two levels below the workspace root")
-        .to_path_buf()
-}
 
 /// The report is deterministic but not free to build (five B+Trees);
 /// share one across the assertions.
 fn report() -> &'static CompositeReport {
     static REPORT: OnceLock<CompositeReport> = OnceLock::new();
     REPORT.get_or_init(|| build_report(SMOKE_ROWS))
-}
-
-#[test]
-fn smoke_report_matches_golden() {
-    let golden_path = workspace_root().join("tests/golden/table6_composite_smoke.txt");
-    let golden = std::fs::read_to_string(&golden_path).unwrap();
-    assert_eq!(
-        report().text,
-        golden,
-        "regenerate with: cargo run --release -p flowtune-bench --bin \
-         exp_table6_composite -- --smoke > tests/golden/table6_composite_smoke.txt"
-    );
 }
 
 #[test]

@@ -60,20 +60,6 @@ impl ObsOutputs {
     fn active(&self) -> bool {
         self.trace.is_some() || self.metrics.is_some()
     }
-
-    /// Take the recorder off the thread and write the requested files.
-    fn write(&self) -> Result<(), String> {
-        let Some(rec) = flowtune_obs::uninstall() else {
-            return Ok(());
-        };
-        if let Some(path) = &self.trace {
-            std::fs::write(path, rec.trace_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-        }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, rec.metrics_json()).map_err(|e| format!("{path}: {e}"))?;
-        }
-        Ok(())
-    }
 }
 
 /// The value following flag `name` on the command line, parsed.
@@ -188,7 +174,7 @@ fn run() -> Result<(), String> {
     eprintln!("running {} for {} quanta...", policy.label(), quanta);
     let report = QaasService::new(config).run().map_err(|e| e.to_string())?;
     if obs.active() {
-        obs.write()?;
+        flowtune_obs::write_outputs(obs.trace.as_deref(), obs.metrics.as_deref())?;
     }
 
     println!("policy:              {}", policy.label());

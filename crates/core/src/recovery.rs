@@ -3,7 +3,7 @@
 //! When the simulated cloud kills dataflow operators (container
 //! revocation, see `flowtune_cloud::fault`), the service must decide
 //! what to do with the remnant. The policies here implement the three
-//! behaviours swept by `exp_fault_matrix`:
+//! behaviours swept by the `fault_matrix` experiment:
 //!
 //! * **NoRetry** — the dataflow is abandoned; its partial work is
 //!   wasted money.

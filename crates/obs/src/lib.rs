@@ -36,5 +36,5 @@ mod recorder;
 pub use event::{Event, Value};
 pub use metrics::{Distribution, MetricsRegistry};
 pub use recorder::{
-    count, emit, gauge, install, is_enabled, observe, set_now, uninstall, Recorder,
+    count, emit, gauge, install, is_enabled, observe, set_now, uninstall, write_outputs, Recorder,
 };

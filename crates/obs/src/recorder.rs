@@ -82,6 +82,23 @@ pub fn uninstall() -> Option<Recorder> {
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
+/// Take the recorder off this thread and write its trace (JSONL) to
+/// `trace` and its metrics summary (JSON) to `metrics`, where given:
+/// the last step of every binary that takes `--trace-out` /
+/// `--metrics-out`.
+pub fn write_outputs(trace: Option<&str>, metrics: Option<&str>) -> Result<(), String> {
+    let Some(rec) = uninstall() else {
+        return Ok(());
+    };
+    if let Some(path) = trace {
+        std::fs::write(path, rec.trace_jsonl()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    if let Some(path) = metrics {
+        std::fs::write(path, rec.metrics_json()).map_err(|e| format!("{path}: {e}"))?;
+    }
+    Ok(())
+}
+
 fn with_recorder(f: impl FnOnce(&mut Recorder)) {
     RECORDER.with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {

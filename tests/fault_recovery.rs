@@ -5,7 +5,7 @@
 //!   every EXPERIMENTS.md figure is unchanged by default.
 //! * With faults on, Retry+GainPenalty completes strictly more
 //!   dataflows at a lower cost-per-dataflow than NoRetry (the
-//!   `exp_fault_matrix` acceptance criterion).
+//!   `fault_matrix` experiment's acceptance criterion).
 
 #![expect(
     clippy::expect_used,
