@@ -125,37 +125,30 @@ for want in \
   fi
 done
 
-echo "==> bench_sched --smoke (scheduler perf baseline harness)"
-# Smoke-sized run into the scratch dir: verifies the optimized-vs-
-# reference harness end to end (exit nonzero on any benchmark error)
-# without touching the committed full-run BENCH_sched.json baseline.
-cargo run -q --offline --release -p flowtune-bench --bin bench_sched -- \
-  --smoke --out "$scratch/BENCH_sched.json"
-test -s "$scratch/BENCH_sched.json"
+echo "==> flowtune-exp smoke runs of the timed experiments"
+# The registry entries that print wall times and have no smoke golden:
+# Table 6 exits non-zero unless the measured speedups keep lookup >
+# small range > large range > 1 (EXPERIMENTS.md, Table 6); the two perf
+# baselines run the optimized-vs-reference harness end to end, equivalence
+# re-checks included. A smoke run writes no file, so the committed
+# BENCH_*.json must come out of the loop unchanged.
+baselines_before="$(cksum BENCH_*.json)"
+for name in table6_speedups bench_sched bench_interleave; do
+  cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- "$name" --smoke
+done
+if [ "$(cksum BENCH_*.json)" != "$baselines_before" ]; then
+  echo "a smoke run wrote into the committed BENCH_*.json" >&2
+  exit 1
+fi
 
-echo "==> bench_interleave --smoke (interleaver perf baseline harness)"
-cargo run -q --offline --release -p flowtune-bench --bin bench_interleave -- \
-  --smoke --out "$scratch/BENCH_interleave.json"
-test -s "$scratch/BENCH_interleave.json"
-
-echo "==> committed perf baselines match the harness schemas"
-# The smoke runs above just wrote fresh documents; their schema lines
-# must agree with the committed full-run baselines, so a harness schema
-# bump cannot land without regenerating BENCH_sched.json and
-# BENCH_interleave.json (the speedup bars over the committed files live
-# in crates/bench/tests/bench_baselines.rs, under plain `cargo test`).
-diff <(grep '"schema"' "$scratch/BENCH_sched.json") \
-     <(grep '"schema"' BENCH_sched.json)
-diff <(grep '"schema"' "$scratch/BENCH_interleave.json") \
-     <(grep '"schema"' BENCH_interleave.json)
-
-echo "==> flowtune-exp table6_speedups --smoke (measured speedup ordering)"
-# The one experiment without a smoke golden: it prints measured wall
-# times. It exits non-zero unless the median of three measurements
-# keeps lookup > small range > large range > 1 (EXPERIMENTS.md,
-# Table 6); the table stays in the log.
+echo "==> flowtune-exp has no --out flag"
+# The full bench runs write BENCH_*.json into the working directory;
+# there is no flag to point them elsewhere, so a typo cannot either.
+out_status=0
 cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
-  table6_speedups --smoke
+  bench_sched --out x 2> "$scratch/out_flag.err" || out_status=$?
+test "$out_status" -eq 2
+grep -q 'unknown flag' "$scratch/out_flag.err"
 
 echo "==> observability golden trace (smoke)"
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \

@@ -4,6 +4,7 @@
 //! ```bash
 //! flowtune-exp fig12_phase_workload --smoke
 //! flowtune-exp fault_matrix --trace-out trace.jsonl --metrics-out metrics.json
+//! flowtune-exp bench_sched          # regenerates ./BENCH_sched.json
 //! ```
 //!
 //! Exit status: 0 on success; 1 when the run breaks, one of its checks
@@ -70,7 +71,12 @@ fn path_after<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Resu
 }
 
 fn main() -> ExitCode {
-    let inv = match parse_args(&flowtune_bench::command_line()) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the command line is the binary's input boundary"
+    )]
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let inv = match parse_args(&args) {
         Ok(inv) => inv,
         Err(e) => {
             eprintln!("error: {e}");

@@ -2,13 +2,14 @@
 //! knapsack solver vs the retained pre-optimization reference.
 //!
 //! Runs both implementations on the same seeded workloads in the same
-//! process and writes `BENCH_interleave.json` (schema
-//! `flowtune.bench_interleave.v1`, documented in `EXPERIMENTS.md`). The
-//! committed full-run file at the repository root pins the DESIGN §5i
-//! acceptance criterion (enforced by `tests/bench_baselines.rs`). The
-//! golden equivalence suite in `flowtune-interleave` separately proves
-//! both solvers produce element-wise identical solutions; this binary
-//! re-asserts that on every instance it times, then measures.
+//! process. A full run writes `BENCH_interleave.json` (schema
+//! [`SCHEMA`], documented in `EXPERIMENTS.md`) into the working
+//! directory; a smoke run (small instances, few samples, every code
+//! path in seconds) writes no file. The committed full-run file at the
+//! repository root pins the DESIGN §5i acceptance criterion (enforced
+//! by `tests/bench_baselines.rs`). The golden equivalence suite in `flowtune-interleave` separately proves
+//! both solvers produce element-wise identical solutions; this run
+//! re-checks that on every instance it times, then measures.
 //!
 //! Scenario families:
 //!
@@ -25,25 +26,21 @@
 //!   polynomial.
 //! * `pack/montage` — end-to-end Algorithm 2: `LpInterleaver` over a
 //!   real scheduled skyline vs the reference packer.
-//!
-//! Flags:
-//!
-//! * `--smoke` — small instances and few samples; exercises every code
-//!   path in seconds for CI. Smoke numbers are not a baseline.
-//! * `--out <path>` — where to write the JSON (default
-//!   `BENCH_interleave.json` in the current directory).
-//!
-//! Any other argument, or `--out` without a path, exits 2 with a usage
-//! line before anything runs. Exits 1 if the scheduler yields no
-//! skyline to pack or the reference implementation was never
-//! exercised.
 
-use flowtune_bench::compare::{bench_args, compare, render_json};
 use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
 use flowtune_dataflow::App;
 use flowtune_interleave::{reference, solve_knapsack, BuildOp, LpInterleaver};
 use flowtune_sched::{BuildRef, SchedulerConfig, SkylineScheduler};
 use std::hint::black_box;
+
+use super::*;
+use crate::compare::{compare, render_json};
+
+/// The `schema` field of `BENCH_interleave.json`.
+pub const SCHEMA: &str = "flowtune.bench_interleave.v1";
+
+/// Where a full run writes its document.
+const FILE: &str = "BENCH_interleave.json";
 
 const Q: SimDuration = SimDuration::from_secs(60);
 
@@ -127,22 +124,19 @@ fn solve_all_reference(instances: &[Instance]) -> u64 {
     acc
 }
 
-/// Element-wise equivalence re-assertion over a whole family (the
+/// Element-wise equivalence re-check over a whole family (the
 /// debug-mode golden suite covers the same ground; this run covers the
 /// exact instances being timed).
-fn assert_family_equivalent(name: &str, instances: &[Instance]) {
+fn check_family_equivalent(name: &str, instances: &[Instance]) -> Result<(), Box<dyn Error>> {
     for (i, inst) in instances.iter().enumerate() {
         let got = solve_knapsack(inst.capacity, &inst.sizes, &inst.values);
         let want = reference::solve_knapsack(inst.capacity, &inst.sizes, &inst.values);
-        assert_eq!(got.chosen, want.chosen, "{name}[{i}]: chosen sets differ");
-        assert!(
-            got.value == want.value,
-            "{name}[{i}]: values differ ({} vs {})",
-            got.value,
-            want.value
-        );
-        assert_eq!(got.size, want.size, "{name}[{i}]: packed sizes differ");
+        ensure(
+            got.chosen == want.chosen && got.value == want.value && got.size == want.size,
+            &format!("{name}[{i}]: optimized and reference solutions differ"),
+        )?;
     }
+    Ok(())
 }
 
 fn build_ops(n: u32, seed: u64) -> Vec<BuildOp> {
@@ -160,8 +154,7 @@ fn build_ops(n: u32, seed: u64) -> Vec<BuildOp> {
         .collect()
 }
 
-fn main() {
-    let (smoke, out_path) = bench_args("bench_interleave", "BENCH_interleave.json");
+pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     // Item counts stay <= 18 so the reference's worst case (< 2^19
     // nodes) finishes far under the node budget: every timed row is a
     // complete, equivalence-checked search on both sides.
@@ -170,18 +163,11 @@ fn main() {
     } else {
         (18, 25, 100, 80, 10)
     };
-    print!(
-        "{}",
-        flowtune_bench::banner(
-            "bench_interleave",
-            "DESIGN 5i: memoized-bound + dominance-pruning knapsack vs retained reference",
-        )
-    );
-    println!(
-        "mode: {}   items/instance: <= {items}   instances/family: {instances}   samples/bench: {samples}",
-        if smoke { "smoke" } else { "full" }
-    );
-    println!();
+    let mode = if smoke { "smoke" } else { "full" };
+    writeln!(
+        out,
+        "mode: {mode}   items/instance: <= {items}   instances/family: {instances}   samples/bench: {samples}\n"
+    )?;
 
     let mut comparisons = Vec::new();
 
@@ -200,87 +186,71 @@ fn main() {
         ),
     ];
     for (name, insts) in &families {
-        assert_family_equivalent(name, insts);
-        compare(
+        check_family_equivalent(name, insts)?;
+        comparisons.push(compare(
             "interleave",
             name,
             samples,
-            || {
-                black_box(solve_all_optimized(black_box(insts)));
-            },
-            || {
-                black_box(solve_all_reference(black_box(insts)));
-            },
-            &mut comparisons,
-        );
+            || solve_all_optimized(black_box(insts)),
+            || solve_all_reference(black_box(insts)),
+            out,
+        )?);
     }
 
     // End-to-end Algorithm 2 pack over a real scheduled skyline.
-    {
-        let mut rng = SimRng::seed_from_u64(0xB13);
-        let dag = App::Montage.generate(dag_ops, &[], &mut rng);
-        let scheduler = SkylineScheduler::new(SchedulerConfig::default());
-        let skyline = scheduler.schedule(&dag);
-        let pending = build_ops(builds, 0xB14);
-        let interleaver = LpInterleaver::new(Q);
-        // Equivalence of the full pack on every schedule in the skyline.
-        for (i, s) in skyline.iter().enumerate() {
-            let mut opt = s.clone();
-            let opt_placed = interleaver.interleave(&mut opt, &pending);
-            let mut rf = s.clone();
-            let ref_placed = reference::pack_reference(Q, &mut rf, &pending);
-            assert_eq!(opt_placed, ref_placed, "pack[{i}]: placed ops differ");
-            assert_eq!(opt, rf, "pack[{i}]: packed schedules differ");
-        }
-        let Some(base) = skyline.first().cloned() else {
-            eprintln!("error: scheduler produced an empty skyline");
-            std::process::exit(1);
-        };
-        compare(
-            "interleave",
-            &format!("pack/montage/{dag_ops}ops_{builds}builds"),
-            samples,
-            || {
-                let mut s = base.clone();
-                black_box(interleaver.interleave(&mut s, black_box(&pending)));
-            },
-            || {
-                let mut s = base.clone();
-                black_box(reference::pack_reference(Q, &mut s, black_box(&pending)));
-            },
-            &mut comparisons,
-        );
+    let mut rng = SimRng::seed_from_u64(0xB13);
+    let dag = App::Montage.generate(dag_ops, &[], &mut rng);
+    let skyline = SkylineScheduler::new(SchedulerConfig::default()).schedule(&dag);
+    let pending = build_ops(builds, 0xB14);
+    let interleaver = LpInterleaver::new(Q);
+    // Equivalence of the full pack on every schedule in the skyline.
+    for (i, s) in skyline.iter().enumerate() {
+        let mut opt = s.clone();
+        let opt_placed = interleaver.interleave(&mut opt, &pending);
+        let mut rf = s.clone();
+        let ref_placed = reference::pack_reference(Q, &mut rf, &pending);
+        ensure(opt_placed == ref_placed, &format!("pack[{i}]: placed ops differ"))?;
+        ensure(opt == rf, &format!("pack[{i}]: packed schedules differ"))?;
     }
+    let base = skyline
+        .first()
+        .ok_or("scheduler produced an empty skyline")?;
+    comparisons.push(compare(
+        "interleave",
+        &format!("pack/montage/{dag_ops}ops_{builds}builds"),
+        samples,
+        || interleaver.interleave(&mut base.clone(), black_box(&pending)),
+        || reference::pack_reference(Q, &mut base.clone(), black_box(&pending)),
+        out,
+    )?);
 
-    if comparisons.is_empty() {
-        eprintln!("error: the reference implementation was never exercised");
-        std::process::exit(1);
+    ensure(
+        !comparisons.is_empty(),
+        "the reference implementation was never exercised",
+    )?;
+    let solve: Vec<f64> = comparisons
+        .iter()
+        .filter(|c| c.name.starts_with("solve/"))
+        .map(|c| c.speedup())
+        .collect();
+    let min_solve = solve.iter().copied().fold(f64::INFINITY, f64::min);
+    writeln!(
+        out,
+        "\nsolve speedups: min {min_solve:.2}x across {} rows   reference rows: {}",
+        solve.len(),
+        comparisons.len()
+    )?;
+    if smoke {
+        return Ok(());
     }
-
     let json = render_json(
-        "flowtune.bench_interleave.v1",
-        if smoke { "smoke" } else { "full" },
+        SCHEMA,
+        mode,
         &[("knapsack_items", items.to_string())],
         &comparisons,
         &[],
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("error: writing {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!();
-    let min_solve = comparisons
-        .iter()
-        .filter(|c| c.name.starts_with("solve/"))
-        .map(|c| c.speedup())
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "solve speedups: min {min_solve:.2}x across {} rows   reference rows: {}",
-        comparisons
-            .iter()
-            .filter(|c| c.name.starts_with("solve/"))
-            .count(),
-        comparisons.len()
-    );
-    println!("wrote {out_path}");
+    std::fs::write(FILE, json).map_err(|e| format!("writing {FILE}: {e}"))?;
+    writeln!(out, "wrote {FILE}")?;
+    Ok(())
 }

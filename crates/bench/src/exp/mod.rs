@@ -1,6 +1,6 @@
 //! The paper's evaluation (§6) as a library: one module per table or
-//! figure, each exposing `run(smoke, out)`, and the [`REGISTRY`] that
-//! names them. The `flowtune-exp` binary runs one entry by name, and
+//! figure, plus the two pinned perf baselines, each exposing
+//! `run(smoke, out)`, and the [`REGISTRY`] that names them. The `flowtune-exp` binary runs one entry by name, and
 //! `tests/exp_goldens.rs` runs every [`Golden::Smoke`] entry in process
 //! and diffs its report against `tests/golden/exp/<name>_smoke.txt`.
 //!
@@ -45,7 +45,11 @@ pub struct Experiment {
 impl Experiment {
     /// The banner, then the experiment's own report, flushed.
     pub fn report(&self, smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-        write!(out, "{}", crate::banner(self.title, self.reproduces))?;
+        write!(
+            out,
+            "=== {} ===\nreproduces: {}\n\n",
+            self.title, self.reproduces
+        )?;
         (self.run)(smoke, out)?;
         Ok(out.flush()?)
     }
@@ -79,7 +83,8 @@ macro_rules! registry {
     ($($name:ident: $title:literal, $reproduces:literal, $golden:expr;)+) => {
         $(pub mod $name;)+
 
-        /// Every experiment, in the paper's order, then the extensions.
+        /// Every experiment, in the paper's order, then the extensions and
+        /// the perf baselines.
         pub const REGISTRY: &[Experiment] = &[$(Experiment {
             name: stringify!($name),
             title: $title,
@@ -125,4 +130,10 @@ registry! {
         Golden::Smoke;
     hetero_pool: "Exploration: heterogeneous pools",
         "skyline scheduling over mixed VM types (§7 future work)", Golden::Smoke;
+    bench_sched: "bench_sched",
+        "DESIGN 5f/5i: incremental skyline search vs retained reference",
+        Golden::WallTime("a perf baseline: prints measured times and speedups");
+    bench_interleave: "bench_interleave",
+        "DESIGN 5i: memoized-bound + dominance-pruning knapsack vs retained reference",
+        Golden::WallTime("a perf baseline: prints measured times and speedups");
 }

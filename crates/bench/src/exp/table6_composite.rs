@@ -20,7 +20,6 @@
 use flowtune_common::{FileId, Money, Quanta, SimDuration, TunerConfig};
 use flowtune_core::tablefmt::render_table;
 use flowtune_index::{BPlusTree, IndexKind, TupleKey};
-use flowtune_query::timer::time_median;
 use flowtune_query::{
     build_composite, choose_composite, composite_select, scan_multi, ColPredicate, CompositePlan,
     CompositeStats, ExecResult, IndexDef, MultiTable, Predicate, QuerySpec,
@@ -34,6 +33,7 @@ use flowtune_tuner::{
 use std::collections::BTreeSet;
 
 use super::*;
+use crate::compare::{format_ns, measure};
 
 /// Row count of the pinned smoke run (the golden's table size).
 pub const SMOKE_ROWS: usize = 60_000;
@@ -51,8 +51,8 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     writeln!(out, "\n-- measured wall times (median of 5) --")?;
     let table = lineitem_table(rows);
     for (name, q) in &query_classes() {
-        let scan_t = time_median(5, || scan_multi(&table, q));
-        let mut line = format!("{name:<24} scan {:>9.3} ms", scan_t.as_secs_f64() * 1e3);
+        let scan_t = measure(name, 5, || scan_multi(&table, q));
+        let mut line = format!("{name:<24} scan {:>9}", format_ns(scan_t.median_ns));
         for cand in &report.survivors {
             let def = IndexDef {
                 columns: cand.columns.clone(),
@@ -60,11 +60,11 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
             };
             let tree = build_composite(&table, &def.columns, TREE_ORDER);
             if composite_select(&tree, &def, q, &table).is_some() {
-                let t = time_median(5, || composite_select(&tree, &def, q, &table));
+                let t = measure(name, 5, || composite_select(&tree, &def, q, &table));
                 line.push_str(&format!(
-                    "  ({}) {:>9.3} ms",
+                    "  ({}) {:>9}",
                     def.columns.join(", "),
-                    t.as_secs_f64() * 1e3
+                    format_ns(t.median_ns)
                 ));
             }
         }

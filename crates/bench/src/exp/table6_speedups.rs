@@ -3,8 +3,9 @@
 //! Runs the paper's four query classes (order-by, large range select,
 //! small range select, point lookup) over the synthetic `lineitem` with
 //! and without a B+Tree index — real executions on real data
-//! structures, not model numbers. Absolute times differ from the
-//! paper's DBMS/hardware; the ordering and magnitudes reproduce.
+//! structures, not model numbers — each timed by the calibrated loop of
+//! [`crate::compare::measure`]. Absolute times differ from the paper's
+//! DBMS/hardware; the ordering and magnitudes reproduce.
 //!
 //! The table has 2 M rows (the paper uses ~12 M); smoke shrinks it to
 //! 200 k. The run fails when the selectivity ordering that
@@ -12,9 +13,10 @@
 //! range > 1) does not hold.
 
 use flowtune_core::tablefmt::render_table;
-use flowtune_query::measure_table6;
+use flowtune_query::{Table6Query, Table6Workload};
 
 use super::*;
+use crate::compare::{format_ns, measure, Comparison};
 
 /// Paper's Table 6: (query, no-index s, index s, speedup).
 const PAPER: [(&str, f64, f64, f64); 4] = [
@@ -24,15 +26,25 @@ const PAPER: [(&str, f64, f64, f64); 4] = [
     ("Lookup", 4.393, 0.007, 627.14),
 ];
 
+/// Time both paths of every query class over a `rows`-row table: the
+/// indexed path is the comparison's optimized side, the scan its
+/// reference, each the median of three calibrated samples.
+pub fn measure_speedups(rows: usize, seed: u64) -> Vec<Comparison> {
+    let workload = Table6Workload::generate(rows, seed);
+    Table6Query::ALL
+        .into_iter()
+        .map(|q| Comparison {
+            name: q.name().to_owned(),
+            optimized: measure(q.name(), 3, || workload.with_index(q)),
+            reference: measure(q.name(), 3, || workload.no_index(q)),
+        })
+        .collect()
+}
+
 pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let rows_n = if smoke { 200_000 } else { 2_000_000 };
     writeln!(out, "table rows: {rows_n} (paper: ~12 M at SF 2)\n")?;
-    // Each time is the median of three runs.
-    let measured = if smoke {
-        measure_table6(rows_n, 2, 3)
-    } else {
-        measure_table6(rows_n, 6, 3)
-    };
+    let measured = measure_speedups(rows_n, if smoke { 2 } else { 6 });
     let mut rows = vec![vec![
         "query".to_string(),
         "no-index".to_string(),
@@ -43,27 +55,30 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     for m in &measured {
         let paper = PAPER
             .iter()
-            .find(|(q, ..)| *q == m.query)
-            .ok_or_else(|| format!("query class {} missing from the paper table", m.query))?;
+            .find(|(q, ..)| *q == m.name)
+            .ok_or_else(|| format!("query class {} missing from the paper table", m.name))?;
         rows.push(vec![
-            m.query.to_string(),
-            format!("{:.3} ms", m.no_index.as_secs_f64() * 1e3),
-            format!("{:.3} ms", m.with_index.as_secs_f64() * 1e3),
+            m.name.clone(),
+            format_ns(m.reference.median_ns),
+            format_ns(m.optimized.median_ns),
             format!("{:.2}x", m.speedup()),
             format!("{:.2}x", paper.3),
         ]);
     }
     writeln!(out, "{}", render_table(&rows))?;
     // The selectivity ordering, and every compared indexed path wins.
-    // Order-by is left out: in this in-memory engine it lands above the
-    // large range (EXPERIMENTS.md, Table 6).
-    let speedup = |query: &str| {
-        let m = measured.iter().find(|m| m.query == query);
-        m.map(|m| m.speedup()).ok_or("query class not measured")
+    // Order-by is left out: in this in-memory engine it lands near the
+    // large range, on either side of it (EXPERIMENTS.md, Table 6).
+    let speedup = |query: Table6Query| {
+        let m = measured.iter().find(|m| m.name == query.name());
+        m.map(Comparison::speedup).ok_or("query class not measured")
     };
-    let holds = speedup("Lookup")? > speedup("Select range (small)")?
-        && speedup("Select range (small)")? > speedup("Select range (large)")?
-        && speedup("Select range (large)")? > 1.0;
+    let (large, small, lookup) = (
+        speedup(Table6Query::LargeRange)?,
+        speedup(Table6Query::SmallRange)?,
+        speedup(Table6Query::Lookup)?,
+    );
+    let holds = lookup > small && small > large && large > 1.0;
     writeln!(out, "ordering check (lookup > small > large > 1): {holds}")?;
     ensure(holds, "the Table 6 speedup ordering does not hold")
 }

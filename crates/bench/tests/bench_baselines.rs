@@ -1,16 +1,17 @@
 //! Regression bars over the committed perf baselines.
 //!
 //! `BENCH_sched.json` and `BENCH_interleave.json` at the repository
-//! root are full-mode runs of `bench_sched` / `bench_interleave`
+//! root are full runs of `flowtune-exp bench_sched` / `bench_interleave`
 //! (regen commands in `EXPERIMENTS.md`). These tests parse the
 //! committed files and enforce the DESIGN §5f/§5i speedup bars, so a
-//! committed baseline that regresses below a bar — or a schema drift
-//! in either file — fails plain `cargo test`. The bars are set well
+//! committed baseline that regresses below a bar — or a file whose
+//! `schema` differs from its module's `SCHEMA` — fails plain
+//! `cargo test`. The bars are set well
 //! below measured medians (e.g. 2x vs a measured ~76–138x headline) so
 //! container timer noise between regen runs cannot trip them.
 //!
-//! The smoke-mode runs in `ci/check.sh` exercise the harness itself;
-//! only the committed full-mode files carry bars.
+//! The smoke runs in `ci/check.sh` exercise the harness itself; only
+//! the committed full-mode files carry bars.
 
 #![expect(
     clippy::expect_used,
@@ -19,6 +20,7 @@
 )]
 
 use flowtune_analyze::json::{parse, Json};
+use flowtune_bench::exp::{bench_interleave, bench_sched};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -61,7 +63,7 @@ fn assert_full_mode(doc: &Json, file: &str, schema: &str) {
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some(schema),
-        "{file}: schema field drifted"
+        "{file}: schema differs from the harness's SCHEMA; regenerate it"
     );
     assert_eq!(
         doc.get("mode").and_then(Json::as_str),
@@ -80,7 +82,7 @@ fn assert_full_mode(doc: &Json, file: &str, schema: &str) {
 #[test]
 fn sched_baseline_meets_speedup_bars() {
     let doc = load("BENCH_sched.json");
-    assert_full_mode(&doc, "BENCH_sched.json", "flowtune.bench_sched.v1");
+    assert_full_mode(&doc, "BENCH_sched.json", bench_sched::SCHEMA);
     // DESIGN §5f acceptance bar: >= 2x on every 100-op headline row.
     for app in ["Montage", "Ligo", "Cybershake"] {
         let s = speedup(&doc, &format!("schedule/{app}"));
@@ -121,11 +123,7 @@ fn sched_baseline_carries_the_scale_grid() {
 #[test]
 fn interleave_baseline_meets_speedup_bars() {
     let doc = load("BENCH_interleave.json");
-    assert_full_mode(
-        &doc,
-        "BENCH_interleave.json",
-        "flowtune.bench_interleave.v1",
-    );
+    assert_full_mode(&doc, "BENCH_interleave.json", bench_interleave::SCHEMA);
     // DESIGN §5i bar: the state table must collapse the equal-density
     // adversary by at least 5x (measured ~18–27x; the reference tree is
     // ~64x larger at n=18). The random/correlated/pack rows share the

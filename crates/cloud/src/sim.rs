@@ -796,8 +796,14 @@ mod tests {
         let pid = db.files()[0].partitions[0].id;
         let dag = Dag::new(
             vec![
-                OpSpec::new(OpId(0), "r1", SimDuration::from_secs(5)).with_reads(vec![pid]),
-                OpSpec::new(OpId(1), "r2", SimDuration::from_secs(5)).with_reads(vec![pid]),
+                OpSpec {
+                    reads: vec![pid],
+                    ..OpSpec::new(OpId(0), "r1", SimDuration::from_secs(5))
+                },
+                OpSpec {
+                    reads: vec![pid],
+                    ..OpSpec::new(OpId(1), "r2", SimDuration::from_secs(5))
+                },
             ],
             vec![Edge {
                 from: OpId(0),

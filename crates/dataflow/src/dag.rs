@@ -204,6 +204,7 @@ impl Dag {
     }
 
     /// Operators with no predecessors (entry nodes).
+    #[cfg(test)]
     pub fn roots(&self) -> Vec<OpId> {
         (0..self.ops.len())
             .map(OpId::from_index)

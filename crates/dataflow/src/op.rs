@@ -43,18 +43,11 @@ impl OpSpec {
             reads: Vec::new(),
         }
     }
-
-    /// Builder-style: set the partitions this operator reads.
-    pub fn with_reads(mut self, reads: Vec<PartitionId>) -> Self {
-        self.reads = reads;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtune_common::FileId;
 
     #[test]
     fn construction_defaults() {
@@ -62,12 +55,5 @@ mod tests {
         assert_eq!(op.id, OpId(3));
         assert_eq!(op.cpu, 1.0);
         assert!(op.reads.is_empty());
-    }
-
-    #[test]
-    fn with_reads_attaches_partitions() {
-        let p = PartitionId::new(FileId(1), 0);
-        let op = OpSpec::new(OpId(0), "scan", SimDuration::from_secs(5)).with_reads(vec![p]);
-        assert_eq!(op.reads, vec![p]);
     }
 }

@@ -3,9 +3,10 @@
 //! Physical query operators executed against real data, with and without
 //! indexes. The paper grounds its index-speedup model in four measured
 //! query classes on TPC-H `lineitem` (Table 6: order-by 7.44×, large
-//! range 94×, small range 307×, lookup 627×); this crate reproduces those
-//! measurements on the synthetic `lineitem` of `flowtune-storage` and the
-//! bulk-built B+Trees of `flowtune-index`.
+//! range 94×, small range 307×, lookup 627×); this crate runs those
+//! query classes on the synthetic `lineitem` of `flowtune-storage` and the
+//! bulk-built B+Trees of `flowtune-index`. It reads no clock: the
+//! `flowtune-bench` harness times the calls.
 //!
 //! The operators cover Table 6's three categories:
 //!
@@ -25,7 +26,6 @@ pub mod lookup;
 pub mod multi;
 pub mod sort;
 pub mod table6;
-pub mod timer;
 
 pub use composite::{
     choose_composite, prefix_match, AccessPath, ColPredicate, CompositePlan, CompositeStats,
@@ -34,4 +34,4 @@ pub use composite::{
 pub use multi::{
     build_composite, composite_select, scan_multi, ExecCounts, ExecResult, MultiTable,
 };
-pub use table6::{measure_table6, SpeedupRow};
+pub use table6::{Table6Query, Table6Workload};

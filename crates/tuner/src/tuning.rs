@@ -72,6 +72,7 @@ impl OnlineTuner {
     /// Gains of one index at `now`, over the history window plus the
     /// estimated gains of the queued and currently *running* dataflows
     /// (`extras`, each at `δT = 0` per Eq. 4/5).
+    #[cfg(test)]
     pub fn gains_of(
         &self,
         idx: IndexId,
@@ -91,9 +92,10 @@ impl OnlineTuner {
     /// dataflow — all contribute at `δT = 0` (empty when triggered
     /// periodically with nothing queued or running).
     ///
-    /// Every index gets exactly the contributions [`Self::gains_of`]
-    /// would give it, in the same order, but the history window is
-    /// walked once per decision rather than once per index.
+    /// Every index gets exactly the contributions the test-only
+    /// per-index `gains_of` would give it, in the same order, but the
+    /// history window is walked once per decision rather than once per
+    /// index.
     pub fn decide(
         &self,
         now: SimTime,

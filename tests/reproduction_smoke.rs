@@ -7,7 +7,6 @@ use flowtune_core::experiment::ExperimentSetup;
 use flowtune_dataflow::App;
 use flowtune_index::IndexCostModel;
 use flowtune_interleave::{graham_greedy, merged_upper_bound, solve_knapsack};
-use flowtune_query::measure_table6;
 use flowtune_sched::{OnlineLoadBalanceScheduler, SkylineScheduler};
 use flowtune_storage::lineitem::SF2_ROWS;
 use flowtune_storage::LineitemGenerator;
@@ -31,25 +30,6 @@ fn table5_index_size_ordering_reproduces() {
     assert!(comment > shipinstruct && shipinstruct > commitdate && commitdate > orderkey);
     assert!((25.0..35.0).contains(&comment), "comment {comment:.1}%");
     assert!((8.0..13.0).contains(&orderkey), "orderkey {orderkey:.1}%");
-}
-
-/// Table 6's selectivity ordering: lookup > small range > large range,
-/// and every indexed path wins. (The paper's DBMS also has order-by <
-/// large range; in a purely in-memory engine the scan side of the large
-/// range is cheap relative to result materialisation, which compresses
-/// that particular gap — see EXPERIMENTS.md.)
-#[test]
-fn table6_speedup_ordering_reproduces() {
-    let rows = measure_table6(400_000, 66, 3);
-    let s = |name: &str| rows.iter().find(|r| r.query == name).unwrap().speedup();
-    let order_by = s("Order by");
-    let large = s("Select range (large)");
-    let small = s("Select range (small)");
-    let lookup = s("Lookup");
-    assert!(order_by > 1.0, "order-by {order_by:.1}");
-    assert!(large > 1.0, "large {large:.1}");
-    assert!(small > large, "small {small:.1} <= large {large:.1}");
-    assert!(lookup > small, "lookup {lookup:.1} <= small {small:.1}");
 }
 
 /// Fig. 7's data-intensive finding: load balancing ignores placement,
