@@ -30,7 +30,8 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline
 
 echo "==> scheduler, DAG, simulator, cache and experiment suites with optimizations on"
-# The skyline-vs-reference equivalence suites, the flat-adjacency DAG
+# The skyline-vs-reference equivalence suites, the online interleaver's
+# plain-skyline equality test, the flat-adjacency DAG
 # oracle, the simulator's pinned report digests, the LRU
 # reference-model test and the experiment smoke goldens run optimized
 # too: the release build is what every run and benchmark ships, and its
@@ -39,8 +40,8 @@ echo "==> scheduler, DAG, simulator, cache and experiment suites with optimizati
 # tests/golden/exp/<name>_smoke.txt. Regenerate one golden with
 #   cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
 #     <name> --smoke > tests/golden/exp/<name>_smoke.txt
-cargo test -q --offline --release -p flowtune-sched -p flowtune-dataflow \
-  -p flowtune-cloud -p flowtune-storage -p flowtune-bench
+cargo test -q --offline --release -p flowtune-sched -p flowtune-interleave \
+  -p flowtune-dataflow -p flowtune-cloud -p flowtune-storage -p flowtune-bench
 
 echo "==> fault determinism suite"
 cargo test -q --offline -p flowtune-cloud --test fault_determinism
@@ -160,8 +161,8 @@ diff -u tests/golden/metrics_smoke.json "$scratch/metrics.json"
 
 echo "==> online interleaver report under faults (vs golden)"
 # The smoke trace above plans with the LP interleaver; this pins the
-# online interleaver (which reruns the skyline search with optional
-# build ops) end to end. The report is deterministic, so it diffs
+# online interleaver (the skyline search with optional build ops
+# offered between its steps) end to end. The report is deterministic, so it diffs
 # byte-for-byte.
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
   --interleaver online --fault-rate 0.3 --crash-share 0.3 --torn-share 0.3 \

@@ -182,8 +182,10 @@ fn waiver_budget_is_pinned() {
         // and eviction counters left with the B+Tree's buffer pool. +2
         // obs-discipline: `storage.page_reads` left the smoke golden when
         // the partition-image scan stopped counting it (the B+Tree's two
-        // read sites now carry it alone).
-        ("obs-discipline", 14),
+        // read sites now carry it alone). -1 obs-discipline:
+        // `sched.tiebreak_optcount` left with the skyline's optional-count
+        // tie-break, which no step could reach.
+        ("obs-discipline", 13),
         // Clippy lints. The wall-clock ban is waived only in the bench
         // harness (`flowtune_bench::compare`, the one clock reader), and
         // the env ban in three command-line reads (the `flowtune` and

@@ -50,17 +50,23 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
 
     writeln!(out, "\n-- measured wall times (median of 5) --")?;
     let table = lineitem_table(rows);
-    for (name, q) in &query_classes() {
-        let scan_t = measure(name, 5, || scan_multi(&table, q));
-        let mut line = format!("{name:<24} scan {:>9}", format_ns(scan_t.median_ns));
-        for cand in &report.survivors {
+    // One tree per survivor, built once and probed by every class.
+    let trees: Vec<_> = (report.survivors.iter())
+        .map(|cand| {
             let def = IndexDef {
                 columns: cand.columns.clone(),
                 kind: IndexKind::BTree,
             };
             let tree = build_composite(&table, &def.columns, TREE_ORDER);
-            if composite_select(&tree, &def, q, &table).is_some() {
-                let t = measure(name, 5, || composite_select(&tree, &def, q, &table));
+            (def, tree)
+        })
+        .collect();
+    for (name, q) in &query_classes() {
+        let scan_t = measure(name, 5, || scan_multi(&table, q));
+        let mut line = format!("{name:<24} scan {:>9}", format_ns(scan_t.median_ns));
+        for (def, tree) in &trees {
+            if composite_select(tree, def, q, &table).is_some() {
+                let t = measure(name, 5, || composite_select(tree, def, q, &table));
                 line.push_str(&format!(
                     "  ({}) {:>9}",
                     def.columns.join(", "),

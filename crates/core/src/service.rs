@@ -131,6 +131,13 @@ impl ServiceConfig {
                 "estimation error must be in [0,1), got ({time_err}, {data_err})"
             )));
         }
+        // A policy that builds indexes with no build operator to offer
+        // would run as No Index under another name.
+        if self.max_pending_build_ops == 0 && self.policy != IndexPolicy::NoIndex {
+            return Err(FlowtuneError::config(
+                "max_pending_build_ops must be at least 1 unless the policy is No Index",
+            ));
+        }
         // Online interleaving is the skyline search with optional build
         // operators (§5.3.2); it has no load-balance form.
         if (self.scheduler, self.interleaver)
@@ -800,6 +807,19 @@ mod tests {
         assert!(c.validate().is_err());
         assert!(QaasService::new(c.clone()).run().is_err());
         c.interleaver = InterleaverKind::Lp;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_zero_pending_builds_under_an_indexing_policy() {
+        for policy in [IndexPolicy::Random, IndexPolicy::Gain { delete: true }] {
+            let mut c = short_config(policy);
+            c.max_pending_build_ops = 0;
+            assert!(c.validate().is_err(), "accepted under {policy:?}");
+            assert!(QaasService::new(c).run().is_err());
+        }
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.max_pending_build_ops = 0;
         assert!(c.validate().is_ok());
     }
 

@@ -2,11 +2,12 @@
 //!
 //! A thin orchestration layer over
 //! [`SkylineScheduler::schedule_with_optional`]: build operators are
-//! marked *optional* and scheduled together with the dataflow operators.
+//! marked *optional* and offered between the dataflow operators' steps.
 //! Compared with LP interleaving, the fragmentation information is not
-//! available up front, so fewer build operators get placed (Fig. 8) —
-//! but the optional operators participate in skyline tie-breaking, which
-//! can steer the search to different (sometimes cheaper) schedules.
+//! available up front, so fewer build operators get placed (Fig. 8).
+//! Each offer places the build on a schedule's first container whose
+//! lease still fits it, so the dataflow placements are exactly those of
+//! plain skyline scheduling.
 
 use flowtune_dataflow::Dag;
 use flowtune_sched::{OptionalOp, Schedule, SkylineScheduler};
@@ -59,9 +60,11 @@ impl OnlineInterleaver {
 mod tests {
     use super::*;
     use crate::lp::LpInterleaver;
-    use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
-    use flowtune_dataflow::App;
-    use flowtune_sched::BuildRef;
+    use flowtune_common::{
+        BuildOpId, CloudConfig, DataflowId, IndexId, SimDuration, SimRng, SimTime,
+    };
+    use flowtune_dataflow::{App, DataflowFactory, FileDatabase};
+    use flowtune_sched::{BuildRef, SchedulerConfig};
 
     fn pending(n: u32) -> Vec<BuildOp> {
         (0..n)
@@ -127,14 +130,31 @@ mod tests {
 
     #[test]
     fn empty_pending_degenerates_to_plain_scheduling() {
+        // Offers only add builds: with them stripped, the online skyline
+        // is the plain one, schedule for schedule and assignment for
+        // assignment, from no pending build up to the service's full
+        // queue of 192. Service-shaped DAGs at the service's width 8.
         let mut rng = SimRng::seed_from_u64(8);
-        let dag = App::Ligo.generate(60, &[], &mut rng);
-        let il = OnlineInterleaver::default();
-        let a = il.schedule(&dag, &[]);
-        let b = il.scheduler.schedule(&dag);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.makespan(), y.makespan());
+        let filedb = FileDatabase::generate(&mut rng);
+        let mut factory = DataflowFactory::new(filedb, 100, rng.fork());
+        let config = SchedulerConfig::for_cloud(&CloudConfig::default(), 8);
+        let il = OnlineInterleaver::new(SkylineScheduler::new(config));
+        let mut placed = 0;
+        for (i, app) in App::ALL.into_iter().cycle().take(60).enumerate() {
+            let df = factory.make(DataflowId(i as u32), app, SimTime::ZERO);
+            let plain = il.scheduler.schedule(&df.dag);
+            for n in [0, 8, 24, 64, 192] {
+                let online = il.schedule(&df.dag, &pending(n));
+                let label = format!("{} dataflow {i}, {n} offers", app.name());
+                assert_eq!(online.len(), plain.len(), "{label}: widths differ");
+                for (k, (s, want)) in online.iter().zip(&plain).enumerate() {
+                    placed += s.build_assignments().count();
+                    let dataflow = s.dataflow_assignments().copied().collect();
+                    let got = Schedule::from_assignments(dataflow);
+                    assert_eq!(&got, want, "{label}: schedule {k} differs");
+                }
+            }
         }
+        assert!(placed > 0, "no offer placed a build");
     }
 }

@@ -99,26 +99,34 @@ fn equivalent_on_all_apps_at_100_ops() {
 fn equivalent_on_service_shaped_dataflows() {
     // DAGs as the service builds them: `DataflowFactory::make` over a
     // generated file database (operators carry partition reads), for
-    // every app, planned at the service's cloud config and width 8.
+    // every app, planned at the service's cloud config and width 8,
+    // with no offers, 24, and the service's full 192.
     let mut rng = SimRng::seed_from_u64(0xE9);
     let filedb = FileDatabase::generate(&mut rng);
     let mut factory = DataflowFactory::new(filedb, 100, rng.fork());
     let config = SchedulerConfig::for_cloud(&CloudConfig::default(), 8);
     let optional = optional_ops(24, 0xEE);
+    let full_queue = optional_ops(192, 0xEF);
     for (i, app) in App::ALL.into_iter().cycle().take(6).enumerate() {
         let df = factory.make(DataflowId(i as u32), app, SimTime::ZERO);
         assert!(df.dag.ops().iter().any(|op| !op.reads.is_empty()));
         let label = format!("{}:service{i}", app.name());
         assert_identical(&df.dag, &config, &[], &format!("{label}:plain"));
         assert_identical(&df.dag, &config, &optional, &format!("{label}:optional"));
+        assert_identical(
+            &df.dag,
+            &config,
+            &full_queue,
+            &format!("{label}:optional192"),
+        );
     }
 }
 
 #[test]
 fn equivalent_at_default_width_with_heavy_optional_load() {
     // The default 24-wide skyline with more optional ops than slots:
-    // stresses tie-collapse between skeleton-equivalent partials and
-    // preemption of placed tails.
+    // stresses first-fit placement on full leases and preemption of
+    // placed tails.
     let config = SchedulerConfig::default();
     let dag = app_dag(App::Montage, 60, 0xE4);
     let optional = optional_ops(48, 0xE5);

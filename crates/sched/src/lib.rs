@@ -14,9 +14,9 @@
 //! schedule with the *most sequential idle time*, because long idle
 //! slots are where index builds go.
 //!
-//! The skyline search keeps its objectives (`money`, the idle
-//! tie-break, the skeleton hash) as incrementally maintained caches and
-//! expands candidates as cheap deltas, materializing full partial
+//! The skyline search keeps its objectives (`money` and the idle
+//! tie-break) as incrementally maintained caches and expands
+//! candidates as cheap deltas, materializing full partial
 //! schedules only for reduction survivors (DESIGN §5f). The
 //! pre-optimization implementation is retained in `reference`
 //! (`cfg(test)` or the `reference` cargo feature) and golden tests pin

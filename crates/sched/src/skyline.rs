@@ -4,9 +4,11 @@
 //! set of non-dominated partial schedules over (execution time, monetary
 //! cost) is recomputed. Between schedules equal in both objectives, the
 //! one with the most sequential idle compute time wins (idle slots are
-//! where index builds go); when optional build operators are offered
-//! (§5.3.2, online interleaving), schedules with more operators win ties
-//! instead.
+//! where index builds go). Optional build operators (§5.3.2, online
+//! interleaving) are offered between steps: each partial places one on
+//! its first container whose lease still fits it, which moves neither
+//! objective, so the offers never change the search's dataflow
+//! placements.
 //!
 //! Two pragmatic bounds keep the exponential search tractable, both
 //! standard for this scheduler family: candidate containers are the
@@ -35,9 +37,11 @@
 //!   their interleave position; the assignments are rebuilt only for
 //!   the final skyline.
 //! * **Delta expansion.** `SkylineScheduler::expand_parent` turns one
-//!   parent into one 56-byte candidate per container: the parent's
+//!   parent into one 40-byte candidate per container: the parent's
 //!   index, the placement and the objectives. The reduction runs on
 //!   candidates; only its survivors become partial schedules.
+//! * **First-fit offers.** An offer is no search step: it places the
+//!   optional op on each partial in place, without candidates.
 //! * **Money-level reduce over member chains.** Pass 1 files each
 //!   candidate under its money value and chains, in enumeration order,
 //!   the candidates at the level's fastest makespan. A sweep in
@@ -267,9 +271,6 @@ pub(crate) struct Partial {
     /// touched container's lease-contribution delta on each assignment;
     /// always equals [`Partial::money_quanta`] recomputed from spans.
     money: u64,
-    /// Order-sensitive hash of the dataflow assignments; equal hashes =>
-    /// identical dataflow skeletons (optional ops excluded).
-    skeleton: u64,
 }
 
 impl Clone for Partial {
@@ -280,7 +281,6 @@ impl Clone for Partial {
             containers: self.containers.clone(),
             makespan: self.makespan,
             money: self.money,
-            skeleton: self.skeleton,
         }
     }
 
@@ -295,36 +295,26 @@ impl Clone for Partial {
             containers,
             makespan,
             money,
-            skeleton,
         } = source;
         self.dataflow.clone_from(dataflow);
         self.optional.clone_from(optional);
         self.containers.clone_from(containers);
         self.makespan = *makespan;
         self.money = *money;
-        self.skeleton = *skeleton;
     }
 }
 
 impl Partial {
+    /// A partial that has placed nothing and owns no allocation: the
+    /// search's root, and the stand-in left in a parent's slot when a
+    /// survivor takes the parent and no spare is at hand.
     pub(crate) fn new() -> Self {
-        Partial {
-            skeleton: 0xcbf2_9ce4_8422_2325,
-            ..Partial::empty()
-        }
-    }
-
-    /// A partial that owns no allocation: the stand-in left in a
-    /// parent's slot when a survivor takes the parent and no spare is
-    /// at hand.
-    fn empty() -> Self {
         Partial {
             dataflow: History::default(),
             optional: Vec::new(),
             containers: Vec::new(),
             makespan: SimDuration::ZERO,
             money: 0,
-            skeleton: 0,
         }
     }
 
@@ -409,11 +399,6 @@ impl Partial {
             + self.containers.len() * size_of::<Container>()
     }
 
-    /// Number of surviving optional (build) assignments.
-    fn optional_count(&self) -> usize {
-        self.optional.len()
-    }
-
     /// Number of containers leased so far.
     #[cfg(test)]
     pub(crate) fn containers_used(&self) -> usize {
@@ -456,42 +441,22 @@ impl Partial {
     }
 }
 
-/// How a [`Cand`] differs from its parent partial. The op is the step's
-/// own: a dataflow step assigns one op, an offer places one optional op.
-#[derive(Debug, Clone, Copy)]
-enum Delta {
-    /// Assign the step's dataflow op to `container` over `[start, end)`.
-    Dataflow {
-        container: u32,
-        start: SimTime,
-        end: SimTime,
-    },
-    /// Place the offered optional op on `container` over `[start, end)`.
-    Optional {
-        container: u32,
-        start: SimTime,
-        end: SimTime,
-    },
-    /// Keep the parent unchanged (offer-optional identity candidate).
-    Keep,
-}
-
-/// A candidate expansion: a delta against a parent partial plus the
-/// objective values reduction needs. No partial is cloned until a
-/// candidate survives the reduction.
+/// A candidate expansion: the step's op placed on one container of a
+/// parent partial, plus the objective values reduction needs. No
+/// partial is cloned until a candidate survives the reduction.
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     /// Index of the parent in the current skyline.
     parent: u32,
-    /// Optional (build) ops the candidate keeps.
-    optional_count: u32,
-    delta: Delta,
+    /// The container the op runs on, over `[start, end)`.
+    container: u32,
+    start: SimTime,
+    end: SimTime,
     makespan: SimDuration,
     money: u64,
-    skeleton: u64,
 }
 
-const _: () = assert!(size_of::<Cand>() == 56);
+const _: () = assert!(size_of::<Cand>() == 40);
 
 /// End of a level's member chain in [`StepBuffers::link`].
 const NIL: u32 = u32::MAX;
@@ -576,7 +541,6 @@ impl XferTable {
 
 /// The op one step assigns, with what each expansion of it reads.
 struct StepOp<'a> {
-    op: OpId,
     runtime: SimDuration,
     /// Per-predecessor (step position, transfer duration).
     xfer: &'a [(u32, SimDuration)],
@@ -585,7 +549,6 @@ struct StepOp<'a> {
 impl<'a> StepOp<'a> {
     fn new(dag: &Dag, op: OpId, xfer: &'a [(u32, SimDuration)]) -> Self {
         StepOp {
-            op,
             runtime: dag.op(op).runtime,
             xfer,
         }
@@ -613,6 +576,50 @@ fn cap_width(front: &mut Vec<Cand>, cap: usize) {
             }
         }
         front.truncate(cap);
+    }
+}
+
+/// Offer `opt` to every partial of `skyline`: place it on the first
+/// container whose lease still fits it after the container's last op,
+/// dataflow or optional, or leave the partial as it is.
+///
+/// This keeps what a search step over the offer would keep, without
+/// building candidates. Placing a build moves neither objective, and
+/// the skyline is a strict front (asserted below), so each partial is
+/// its own money level and every level is kept. Within a level every
+/// placement ties with the parent on idle time, and the one keeping
+/// the most builds, the first fit, wins. An offer therefore never
+/// changes the search's dataflow placements.
+fn offer_optional(skyline: &mut [Partial], opt: &OptionalOp) {
+    debug_assert!(
+        skyline
+            .windows(2)
+            .all(|w| w[0].makespan < w[1].makespan && w[0].money > w[1].money),
+        "an offer needs a strict front: faster and dearer first"
+    );
+    for p in skyline.iter_mut() {
+        flowtune_obs::count("sched.partials_expanded", 1);
+        for (c, u) in p.containers.iter_mut().enumerate() {
+            if u.free <= u.start {
+                continue;
+            }
+            let start = u.opt_free.max(u.free);
+            let end = start + opt.duration;
+            if end <= u.lease_end {
+                u.opt_free = end;
+                p.optional.push((
+                    p.dataflow.len() as u32,
+                    Assignment {
+                        op: opt.op,
+                        container: ContainerId(c as u32),
+                        start,
+                        end,
+                        build: Some(opt.build),
+                    },
+                ));
+                break;
+            }
+        }
     }
 }
 
@@ -671,9 +678,10 @@ impl SkylineScheduler {
 
     /// Schedule a dataflow while opportunistically placing optional
     /// build operators (the online interleaving algorithm of §5.3.2).
-    /// Optional operators never delay dataflow operators in surviving
-    /// schedules: a schedule where one did is dominated by its sibling
-    /// without the operator.
+    /// Optional operators never delay dataflow operators: one is placed
+    /// only inside a container's paid lease, after its last op, and a
+    /// later dataflow op that starts before it ends drops it. The dataflow
+    /// placements are those of [`SkylineScheduler::schedule`].
     pub fn schedule_with_optional(&self, dag: &Dag, optional: &[OptionalOp]) -> Vec<Schedule> {
         if dag.is_empty() {
             return vec![Schedule::new()];
@@ -699,8 +707,8 @@ impl SkylineScheduler {
         }
     }
 
-    /// The assignment main loop: expand, reduce, materialize,
-    /// interleave optional offers.
+    /// The assignment main loop: expand, reduce, materialize, then
+    /// offer the step's share of the optional ops.
     fn run_steps(
         &self,
         dag: &Dag,
@@ -722,7 +730,7 @@ impl SkylineScheduler {
                 self.expand_parent(p, pi as u32, &assign, &mut buf.preds, &mut buf.cands);
             }
             let generated = buf.cands.len();
-            self.advance(&mut skyline, &mut buf, None);
+            self.advance(&mut skyline, &mut buf);
             flowtune_obs::obs_event!(
                 "sched.step",
                 step = step,
@@ -739,14 +747,13 @@ impl SkylineScheduler {
             flowtune_obs::observe("sched.skyline_width", skyline.len() as f64);
             // Offer a proportional share of the optional queue.
             let opt_until = optional.len() * (step + 1) / n;
-            while next_opt < opt_until {
-                self.offer_optional(&mut skyline, &optional[next_opt], &mut buf);
-                next_opt += 1;
+            for opt in &optional[next_opt..opt_until] {
+                offer_optional(&mut skyline, opt);
             }
+            next_opt = opt_until;
         }
-        while next_opt < optional.len() {
-            self.offer_optional(&mut skyline, &optional[next_opt], &mut buf);
-            next_opt += 1;
+        for opt in &optional[next_opt..] {
+            offer_optional(&mut skyline, opt);
         }
         skyline
     }
@@ -756,13 +763,11 @@ impl SkylineScheduler {
     }
 
     /// The expansion kernel: append to `out` one [`Cand`] per candidate
-    /// container of `p` (skyline index `parent`), assigning `assign.op`
-    /// there, without cloning anything. Placement times come from the
-    /// predecessors' placements, read from `p`'s history into `preds`
-    /// once per parent; money from the touched container's lease; the
-    /// skeleton hash is folded forward; the optional-op count is taken
-    /// after preemption. The step loop and the tests both expand
-    /// through here.
+    /// container of `p` (skyline index `parent`), assigning the step's
+    /// op there, without cloning anything. Placement times come from
+    /// the predecessors' placements, read from `p`'s history into
+    /// `preds` once per parent; money from the touched container's
+    /// lease. The step loop and the tests both expand through here.
     fn expand_parent(
         &self,
         p: &Partial,
@@ -805,28 +810,13 @@ impl SkylineScheduler {
                             .div_ceil(quantum.as_millis())
                 }
             };
-            let mut skeleton = p.skeleton;
-            for word in [assign.op.0 as u64, c as u64, start.as_millis()] {
-                skeleton ^= word;
-                skeleton = skeleton.wrapping_mul(0x1000_0000_01b3);
-            }
-            // Optional tail ops on `c` that this dataflow op would preempt.
-            let dropped = p
-                .optional
-                .iter()
-                .filter(|(_, a)| a.container.index() == c && a.end > start)
-                .count();
             out.push(Cand {
                 parent,
-                optional_count: (p.optional.len() - dropped) as u32,
-                delta: Delta::Dataflow {
-                    container: c as u32,
-                    start,
-                    end,
-                },
+                container: c as u32,
+                start,
+                end,
                 makespan: p.makespan.max(end - SimTime::ZERO),
                 money,
-                skeleton,
             });
         }
     }
@@ -863,21 +853,13 @@ impl SkylineScheduler {
     /// The candidate's idle tie-break value, from the parent's
     /// memoized top-2 per-container idle contributions with the touched
     /// container's entry (and a possible fresh container) overridden —
-    /// O(1) per candidate instead of O(containers). Optional placements
-    /// and identity candidates inherit the parent's value unchanged:
-    /// the tie-break only sees dataflow ops.
-    fn cand_idle(&self, tops: IdleTops, p: &Partial, delta: &Delta) -> SimDuration {
-        let (oc, ostart, oend) = match *delta {
-            Delta::Dataflow {
-                container,
-                start,
-                end,
-            } => (container as usize, start, end),
-            // The parent's best contribution IS its `idle_cached` value.
-            Delta::Optional { .. } | Delta::Keep => return tops.best,
-        };
+    /// O(1) per candidate instead of O(containers).
+    fn cand_idle(&self, tops: IdleTops, p: &Partial, cand: &Cand) -> SimDuration {
+        let oc = cand.container as usize;
         // Contribution of the touched container after the assignment.
-        let touched = self.touched(p.containers.get(oc), ostart, oend).idle();
+        let touched = self
+            .touched(p.containers.get(oc), cand.start, cand.end)
+            .idle();
         // Max over the untouched containers: the parent's best, unless
         // the touched container held it — then the runner-up.
         let others = if oc == tops.best_c {
@@ -890,13 +872,7 @@ impl SkylineScheduler {
 
     /// Materialize a surviving candidate from a copy of its parent —
     /// refilling `spare` in place when one is given — plus the delta.
-    fn materialize(
-        &self,
-        parent: &Partial,
-        cand: &Cand,
-        offer: Option<&OptionalOp>,
-        spare: Option<Partial>,
-    ) -> Partial {
+    fn materialize(&self, parent: &Partial, cand: &Cand, spare: Option<Partial>) -> Partial {
         flowtune_obs::count("sched.partial_clone_bytes", parent.heap_bytes() as u64);
         let mut q = match spare {
             Some(mut q) => {
@@ -905,71 +881,40 @@ impl SkylineScheduler {
             }
             None => parent.clone(),
         };
-        self.apply(&mut q, cand, offer);
+        self.apply(&mut q, cand);
         q
     }
 
-    /// Apply a surviving candidate's delta in place to `q`, which holds
-    /// (a copy of, or the moved) parent. `offer` is the optional op of
-    /// an offer step, which an optional delta places.
-    fn apply(&self, q: &mut Partial, cand: &Cand, offer: Option<&OptionalOp>) {
+    /// Apply a surviving candidate in place to `q`, which holds (a copy
+    /// of, or the moved) parent.
+    fn apply(&self, q: &mut Partial, cand: &Cand) {
         flowtune_obs::count("sched.partials_expanded", 1);
-        match (cand.delta, offer) {
-            (
-                Delta::Dataflow {
-                    container,
-                    start,
-                    end,
-                },
-                _,
-            ) => {
-                let c = container as usize;
-                let touched = self.touched(q.containers.get(c), start, end);
-                if c == q.containers.len() {
-                    q.containers.push(touched);
-                } else {
-                    q.containers[c] = touched;
-                }
-                // Preempt optional tail ops that would overlap: drop the
-                // ones not yet started, truncation of a running one is
-                // the simulator's business.
-                q.optional
-                    .retain(|(_, a)| !(a.container.index() == c && a.end > start));
-                q.dataflow.push(Placed {
-                    container,
-                    start,
-                    end,
-                });
-            }
-            (
-                Delta::Optional {
-                    container,
-                    start,
-                    end,
-                },
-                Some(opt),
-            ) => {
-                q.optional.push((
-                    q.dataflow.len() as u32,
-                    Assignment {
-                        op: opt.op,
-                        container: ContainerId(container),
-                        start,
-                        end,
-                        build: Some(opt.build),
-                    },
-                ));
-                q.containers[container as usize].opt_free = end;
-            }
-            // Optional deltas come only from `offer_optional`, which
-            // passes its offer.
-            (Delta::Optional { .. }, None) | (Delta::Keep, _) => {}
+        let Cand {
+            container,
+            start,
+            end,
+            ..
+        } = *cand;
+        let c = container as usize;
+        let touched = self.touched(q.containers.get(c), start, end);
+        if c == q.containers.len() {
+            q.containers.push(touched);
+        } else {
+            q.containers[c] = touched;
         }
+        // Preempt optional tail ops that would overlap: drop the ones not
+        // yet started, truncation of a running one is the simulator's
+        // business.
+        q.optional
+            .retain(|(_, a)| !(a.container.index() == c && a.end > start));
+        q.dataflow.push(Placed {
+            container,
+            start,
+            end,
+        });
         q.makespan = cand.makespan;
         q.money = cand.money;
-        q.skeleton = cand.skeleton;
         debug_assert_eq!(q.money, q.money_quanta(self.config.quantum));
-        debug_assert_eq!(q.optional_count(), cand.optional_count as usize);
         // The lease-end pricing in `expand_parent` relies on this.
         debug_assert!(q.leases_match(self.config.quantum));
     }
@@ -978,14 +923,8 @@ impl SkylineScheduler {
     /// survivors. The last survivor of each parent takes the parent
     /// itself and applies its delta in place; earlier survivors of that
     /// parent refill a spare with a copy. The retired partials become
-    /// spares for the next step. `offer` is the optional op of an offer
-    /// step, `None` on a dataflow step.
-    fn advance(
-        &self,
-        parents: &mut Vec<Partial>,
-        buf: &mut StepBuffers,
-        offer: Option<&OptionalOp>,
-    ) {
+    /// spares for the next step.
+    fn advance(&self, parents: &mut Vec<Partial>, buf: &mut StepBuffers) {
         self.reduce(parents, buf);
         let StepBuffers {
             front,
@@ -1002,58 +941,17 @@ impl SkylineScheduler {
         for (i, cand) in front.iter().enumerate() {
             let parent = cand.parent as usize;
             let q = if last_of[parent] == i {
-                let stand_in = spares.pop().unwrap_or_else(Partial::empty);
+                let stand_in = spares.pop().unwrap_or_else(Partial::new);
                 let mut q = std::mem::replace(&mut parents[parent], stand_in);
-                self.apply(&mut q, cand, offer);
+                self.apply(&mut q, cand);
                 q
             } else {
-                self.materialize(&parents[parent], cand, offer, spares.pop())
+                self.materialize(&parents[parent], cand, spares.pop())
             };
             next.push(q);
         }
         std::mem::swap(parents, next);
         spares.append(next);
-    }
-
-    /// Union each partial with versions that place `opt` on some
-    /// container's free tail inside the current leased span.
-    fn offer_optional(&self, skyline: &mut Vec<Partial>, opt: &OptionalOp, buf: &mut StepBuffers) {
-        let cands = &mut buf.cands;
-        cands.clear();
-        for (pi, p) in skyline.iter().enumerate() {
-            for (c, u) in p.containers.iter().enumerate() {
-                if u.free <= u.start {
-                    continue;
-                }
-                let start = u.opt_free.max(u.free);
-                let end = start + opt.duration;
-                if end <= u.lease_end {
-                    cands.push(Cand {
-                        parent: pi as u32,
-                        optional_count: p.optional.len() as u32 + 1,
-                        delta: Delta::Optional {
-                            container: c as u32,
-                            start,
-                            end,
-                        },
-                        makespan: p.makespan,
-                        money: p.money,
-                        skeleton: p.skeleton,
-                    });
-                }
-            }
-        }
-        for (pi, p) in skyline.iter().enumerate() {
-            cands.push(Cand {
-                parent: pi as u32,
-                optional_count: p.optional.len() as u32,
-                delta: Delta::Keep,
-                makespan: p.makespan,
-                money: p.money,
-                skeleton: p.skeleton,
-            });
-        }
-        self.advance(skyline, buf, Some(opt));
     }
 
     /// Skyline reduction of `buf.cands` into `buf.front`, without a
@@ -1064,11 +962,10 @@ impl SkylineScheduler {
     /// a scan sorted by (time, money) keeps when it drops every group
     /// whose money is not below every faster group's. Pass 2 walks each
     /// kept level's chain and collapses the group to one winner with the
-    /// tie-break (most sequential idle, then — between identical
-    /// dataflow skeletons — more optional operators), meeting the
-    /// members in enumeration order, as the sorted scan did; dominated
-    /// candidates never reach a tie-break. Then the width is capped.
-    /// Runs entirely on deltas.
+    /// idle tie-break (most sequential idle; the first member wins an
+    /// equal value), meeting the members in enumeration order, as the
+    /// sorted scan did; dominated candidates never reach a tie-break.
+    /// Then the width is capped. Runs entirely on deltas.
     fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
         let StepBuffers {
             cands,
@@ -1138,7 +1035,7 @@ impl SkylineScheduler {
         let mut idle_of = |c: &Cand| {
             let parent = c.parent as usize;
             let t = *tops[parent].get_or_insert_with(|| IdleTops::of(&skyline[parent]));
-            self.cand_idle(t, &skyline[parent], &c.delta)
+            self.cand_idle(t, &skyline[parent], c)
         };
         // Pass 2. Kept levels get slower as they get cheaper; the front
         // lists them fastest first.
@@ -1151,34 +1048,14 @@ impl SkylineScheduler {
             while k != NIL {
                 let p = &cands[k as usize];
                 k = link[k as usize];
-                // Primary tie-break: most sequential idle over the
-                // dataflow skeleton (as the plain scheduler). Only
-                // between skeleton-equivalent candidates does the
-                // optional-operator count decide (§5.3.2).
+                // An equal value keeps the incumbent. No further key is
+                // needed: no two members share a placement history (the
+                // parents form a strict front, and one parent's members
+                // differ in container).
                 let p_idle = idle_of(p);
                 let last_idle = *win_idle.get_or_insert_with(|| idle_of(win));
-                let better = match p_idle.cmp(&last_idle) {
-                    std::cmp::Ordering::Greater => {
-                        flowtune_obs::count("sched.tiebreak_idle", 1);
-                        true
-                    }
-                    std::cmp::Ordering::Less => false,
-                    // The operator count only decides between *identical*
-                    // dataflow skeletons; across different skeletons we
-                    // keep the incumbent exactly as the plain scheduler
-                    // would, so offering optional ops never changes how
-                    // the front evolves.
-                    std::cmp::Ordering::Equal => {
-                        let wins =
-                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
-                        if wins {
-                            // flowtune-allow(obs-discipline): needs an optional-count tiebreak win, which the smoke workload never produces
-                            flowtune_obs::count("sched.tiebreak_optcount", 1);
-                        }
-                        wins
-                    }
-                };
-                if better {
+                if p_idle > last_idle {
+                    flowtune_obs::count("sched.tiebreak_idle", 1);
                     win = p;
                     win_idle = Some(p_idle);
                 }
@@ -1211,7 +1088,7 @@ impl SkylineScheduler {
     #[cfg(test)]
     pub(crate) fn assign_dataflow_op(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Partial {
         let cand = self.cand_for(p, dag, op, c);
-        self.materialize(p, &cand, None, None)
+        self.materialize(p, &cand, None)
     }
 }
 
@@ -1528,7 +1405,7 @@ mod tests {
                 // The candidate's objectives must match what its
                 // materialization then caches.
                 let cand = sched.cand_for(&p, &dag, OpId(i as u32), c);
-                p = sched.materialize(&p, &cand, None, None);
+                p = sched.materialize(&p, &cand, None);
                 assert_eq!(p.money, p.money_quanta(quantum), "round {round} step {i}");
                 for (c, u) in p.containers.iter().enumerate() {
                     assert!(u.start <= u.free, "round {round} step {i} container {c}");
@@ -1550,11 +1427,12 @@ mod tests {
     #[test]
     fn preemption_keeps_optional_accounting_consistent() {
         // Seeded random expansion sequences interleaving dataflow
-        // assignments with optional offers: after `assign_dataflow_op`
-        // drops overlapping optional tails, the candidate's predicted
-        // `optional_count` and the partial's accounting must both match
-        // the surviving build assignments, and no surviving build may
-        // overlap a dataflow op on its container.
+        // assignments with optional offers: a materialized candidate
+        // keeps exactly its parent's builds minus those on its
+        // container that end after its op starts, in order; the
+        // partial's accounting matches the surviving build assignments,
+        // and no surviving build overlaps a dataflow op on its
+        // container.
         let sched = SkylineScheduler::new(cfg());
         let mut rng = SimRng::seed_from_u64(0x0FF3);
         for round in 0..30 {
@@ -1571,7 +1449,6 @@ mod tests {
                 .collect();
             let dag = Dag::new(ops, edges).unwrap();
             let mut skyline = vec![Partial::new()];
-            let mut buf = StepBuffers::default();
             let mut opt_id = 5000u32;
             for i in 0..n {
                 // Expand one random container choice per partial.
@@ -1580,12 +1457,12 @@ mod tests {
                     let used = p.containers.len();
                     let c = rng.uniform_u64(0, used as u64 + 1) as usize;
                     let cand = sched.cand_for(p, &dag, OpId(i as u32), c);
-                    let q = sched.materialize(p, &cand, None, None);
-                    assert_eq!(
-                        cand.optional_count as usize,
-                        q.optional_count(),
-                        "candidate preemption prediction drifted (round {round})"
-                    );
+                    let q = sched.materialize(p, &cand, None);
+                    let kept: Vec<(u32, Assignment)> = (p.optional.iter())
+                        .filter(|(_, b)| b.container.index() != c || b.end <= cand.start)
+                        .copied()
+                        .collect();
+                    assert_eq!(q.optional, kept, "preemption drifted (round {round})");
                     next.push(q);
                 }
                 skyline = next;
@@ -1600,12 +1477,12 @@ mod tests {
                         },
                     };
                     opt_id += 1;
-                    sched.offer_optional(&mut skyline, &opt, &mut buf);
+                    offer_optional(&mut skyline, &opt);
                 }
                 for p in skyline.iter() {
                     let schedule = p.clone().into_schedule_by_id();
                     assert_eq!(
-                        p.optional_count(),
+                        p.optional.len(),
                         schedule.build_assignments().count(),
                         "optional accounting drifted (round {round})"
                     );
@@ -1646,7 +1523,6 @@ mod tests {
             p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), i % containers);
         }
         let mut skyline = vec![p];
-        let mut buf = StepBuffers::default();
         for i in 0..optional {
             let opt = OptionalOp {
                 op: OpId(9000 + i),
@@ -1656,7 +1532,7 @@ mod tests {
                     part: i,
                 },
             };
-            sched.offer_optional(&mut skyline, &opt, &mut buf);
+            offer_optional(&mut skyline, &opt);
         }
         skyline.remove(0)
     }
@@ -1669,7 +1545,7 @@ mod tests {
         let big = chain_partial(&sched, 150, 7, 4);
         let small = chain_partial(&sched, 5, 2, 0);
         assert!(
-            big.optional_count() > 0,
+            !big.optional.is_empty(),
             "the dirty spare carries no builds"
         );
         assert!(big.dataflow.tail.len() > small.dataflow.tail.len());
@@ -1702,23 +1578,22 @@ mod tests {
 
     /// The reduction `reduce` replaced: sort `(makespan, money, index)`,
     /// keep a (makespan, money) group only if its money is below every
-    /// faster group's, fold the tie-break over the group in sorted
-    /// order, cap the width. Returns the front and the idle and
-    /// optional-count tie-break wins.
+    /// faster group's, fold the idle tie-break over the group in sorted
+    /// order, cap the width. Returns the front and the tie-break wins.
     fn sorted_reduce(
         sched: &SkylineScheduler,
         skyline: &[Partial],
         cands: &[Cand],
-    ) -> (Vec<Cand>, u64, u64) {
+    ) -> (Vec<Cand>, u64) {
         let idle = |c: &Cand| {
             let p = &skyline[c.parent as usize];
-            sched.cand_idle(IdleTops::of(p), p, &c.delta)
+            sched.cand_idle(IdleTops::of(p), p, c)
         };
         let mut keys: Vec<(SimDuration, u64, usize)> = (cands.iter().enumerate())
             .map(|(k, c)| (c.makespan, c.money, k))
             .collect();
         keys.sort_unstable();
-        let (mut front, mut idle_wins, mut opt_wins) = (Vec::new(), 0, 0);
+        let (mut front, mut idle_wins) = (Vec::new(), 0);
         let mut best_money = u64::MAX;
         for group in keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             if group[0].1 >= best_money {
@@ -1728,38 +1603,26 @@ mod tests {
             let mut win = cands[group[0].2];
             for &(_, _, k) in &group[1..] {
                 let p = cands[k];
-                let better = match idle(&p).cmp(&idle(&win)) {
-                    std::cmp::Ordering::Greater => {
-                        idle_wins += 1;
-                        true
-                    }
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Equal => {
-                        let wins =
-                            p.skeleton == win.skeleton && p.optional_count > win.optional_count;
-                        opt_wins += u64::from(wins);
-                        wins
-                    }
-                };
-                if better {
+                if idle(&p) > idle(&win) {
+                    idle_wins += 1;
                     win = p;
                 }
             }
             front.push(win);
         }
         cap_width(&mut front, sched.config.max_skyline);
-        (front, idle_wins, opt_wins)
+        (front, idle_wins)
     }
 
     #[test]
     fn money_level_reduce_matches_a_sort_based_oracle() {
         // Synthetic candidate sets over real parents: few makespan and
         // money values (exact ties across parents, equal makespans at
-        // several money levels), skeletons from a two-value set
-        // (optional-count ties), single-candidate steps, steps with far
-        // more than 40 money levels, and widths 1, 2, 3 and 24.
+        // several money levels, repeated candidates with equal idle
+        // values), single-candidate steps, steps with far more than 40
+        // money levels, and widths 1, 2, 3 and 24.
         let mut rng = SimRng::seed_from_u64(0x5EED_0F00);
-        let (mut idle_total, mut opt_total) = (0, 0);
+        let mut idle_total = 0;
         for round in 0..400 {
             let sched = SkylineScheduler::new(SchedulerConfig {
                 max_skyline: [1, 2, 3, 24][round % 4],
@@ -1782,10 +1645,6 @@ mod tests {
             let mut real = Vec::new();
             for (pi, p) in skyline.iter().enumerate() {
                 sched.expand_parent(p, pi as u32, &assign, &mut Vec::new(), &mut real);
-                real.push(Cand {
-                    delta: Delta::Keep,
-                    ..real[real.len() - 1]
-                });
             }
             let many_levels = round % 5 == 1;
             let size = match round % 5 {
@@ -1805,8 +1664,6 @@ mod tests {
                         c.money = rng.uniform_u64(0, money_levels);
                         c.makespan = SimDuration::from_secs(10 * rng.uniform_u64(1, 5));
                     }
-                    c.skeleton = rng.uniform_u64(1, 3);
-                    c.optional_count = rng.uniform_u64(0, 3) as u32;
                     c
                 })
                 .collect();
@@ -1820,35 +1677,16 @@ mod tests {
             if many_levels {
                 assert!(buf.levels.len() > 40, "round {round}: too few money levels");
             }
-            let (want, idle_wins, opt_wins) = sorted_reduce(&sched, &skyline, &cands);
-            let fields = |c: &Cand| {
-                let delta = format!("{:?}", c.delta);
-                (
-                    c.parent,
-                    c.makespan,
-                    c.money,
-                    c.skeleton,
-                    c.optional_count,
-                    delta,
-                )
-            };
+            let (want, idle_wins) = sorted_reduce(&sched, &skyline, &cands);
+            let fields = |c: &Cand| (c.parent, c.container, c.start, c.end, c.makespan, c.money);
             let got: Vec<_> = buf.front.iter().map(fields).collect();
             let want: Vec<_> = want.iter().map(fields).collect();
             assert_eq!(got, want, "round {round}: fronts differ");
             let counter = |name| rec.metrics().counter(name);
             assert_eq!(counter("sched.tiebreak_idle"), idle_wins, "round {round}");
-            assert_eq!(
-                counter("sched.tiebreak_optcount"),
-                opt_wins,
-                "round {round}"
-            );
             idle_total += idle_wins;
-            opt_total += opt_wins;
         }
-        assert!(
-            idle_total > 0 && opt_total > 0,
-            "a tie-break kind never ran"
-        );
+        assert!(idle_total > 0, "the tie-break never ran");
     }
 
     #[test]
