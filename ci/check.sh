@@ -30,8 +30,9 @@ echo "==> cargo test -q --offline"
 cargo test -q --offline
 
 echo "==> scheduler, DAG, simulator, cache and experiment suites with optimizations on"
-# The skyline-vs-reference equivalence suites, the online interleaver's
-# plain-skyline equality test, the flat-adjacency DAG
+# The skyline-vs-reference equivalence suites (the online interleaver's
+# offer pass against the reference's in-search offers among them), the
+# online interleaver's plain-skyline equality test, the flat-adjacency DAG
 # oracle, the simulator's pinned report digests, the LRU
 # reference-model test and the experiment smoke goldens run optimized
 # too: the release build is what every run and benchmark ships, and its
@@ -161,8 +162,8 @@ diff -u tests/golden/metrics_smoke.json "$scratch/metrics.json"
 
 echo "==> online interleaver report under faults (vs golden)"
 # The smoke trace above plans with the LP interleaver; this pins the
-# online interleaver (the skyline search with optional build ops
-# offered between its steps) end to end. The report is deterministic, so it diffs
+# online interleaver (build ops offered along each finished skyline
+# schedule, step by step) end to end. The report is deterministic, so it diffs
 # byte-for-byte.
 cargo run -q --offline --release -p flowtune-core --bin flowtune -- \
   --interleaver online --fault-rate 0.3 --crash-share 0.3 --torn-share 0.3 \
@@ -181,8 +182,9 @@ diff -u tests/golden/calibrate_io_smoke.txt "$scratch/calibrate_io.txt"
 echo "==> flowtune rejects a bad config before announcing the run"
 # ServiceConfig::validate must refuse each of these in parse_args: exit
 # 1, an error line, no banner. The online interleaver has no
-# load-balance form, an estimation error must lie in [0, 1), and a zero
-# horizon would run as nothing.
+# load-balance form, an estimation error must lie in [0, 1), a zero
+# horizon would run as nothing, and online interleaving under No Index
+# would run as plain No Index (the policy builds nothing).
 reject_config() {
   local status=0
   cargo run -q --offline --release -p flowtune-core --bin flowtune -- "$@" \
@@ -197,6 +199,7 @@ reject_config() {
 reject_config --scheduler online-lb --interleaver online --quanta 4
 reject_config --error 1.5 --quanta 10 --seed 1 --concurrency 1
 reject_config --quanta 0
+reject_config --policy no-index --interleaver online --quanta 4
 
 echo "==> perfbench builds and its tests pass"
 # perfbench/ is a workspace of its own, so the root build and tests

@@ -41,8 +41,9 @@ pub struct AuxFile {
 pub struct Workspace {
     pub root: PathBuf,
     pub crates: Vec<CrateInfo>,
-    /// Files under `<root>/tests/golden/` and its subdirectories,
-    /// sorted by path.
+    /// Files directly under `<root>/tests/golden/`, sorted by path. A
+    /// subdirectory belongs to the test that owns it (`tests/golden/exp/`:
+    /// `crates/bench/tests/exp_goldens.rs`), which checks it both ways.
     pub goldens: Vec<AuxFile>,
     /// Committed perf baselines: `<root>/BENCH_*.json`, sorted by path.
     pub baselines: Vec<AuxFile>,
@@ -71,8 +72,16 @@ impl Workspace {
             crates.push(load_crate(root, &dir)?);
         }
 
+        let golden_dir = root.join("tests/golden");
         let mut golden_paths = Vec::new();
-        collect_files(&root.join("tests/golden"), &mut golden_paths)?;
+        if golden_dir.is_dir() {
+            for entry in std::fs::read_dir(&golden_dir)? {
+                let p = entry?.path();
+                if p.is_file() {
+                    golden_paths.push(p);
+                }
+            }
+        }
         golden_paths.sort();
         let mut goldens = Vec::new();
         for p in golden_paths {
@@ -191,23 +200,6 @@ fn collect_rs(
             } else if p.extension().is_some_and(|e| e == "rs") {
                 out.push((kind, p));
             }
-        }
-    }
-    Ok(())
-}
-
-/// Append every file under `dir` (if it exists) and its subdirectories
-/// to `out`, in no particular order.
-fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let p = entry?.path();
-        if p.is_dir() {
-            collect_files(&p, out)?;
-        } else if p.is_file() {
-            out.push(p);
         }
     }
     Ok(())

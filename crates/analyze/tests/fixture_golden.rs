@@ -28,10 +28,6 @@ fn fixture_findings_match_golden_list() {
         // that do not exist.
         ("ci/check.sh", 6, "golden-coverage"),
         ("ci/check.sh", 8, "golden-coverage"),
-        // ... and a golden directory (a glob) that holds no golden. The
-        // other glob covers the golden in its subdirectory, which the
-        // scan must reach for that glob not to dangle too.
-        ("ci/check.sh", 12, "golden-coverage"),
         // A raw `as f64` on a quanta ident; the waived cast (line 6)
         // and the #[cfg(test)] cast (line 15) are absent.
         ("crates/cloud/src/billing.rs", 4, "cast-discipline"),

@@ -8,9 +8,12 @@
 //! file. The committed full-run file at the repository root pins the
 //! DESIGN §5f acceptance criterion: >= 2x median speedup on the 100-op
 //! scientific-DAG `schedule()` benchmark (enforced by
-//! `tests/bench_baselines.rs`). The golden equivalence suite in
-//! `flowtune-sched` separately proves both implementations produce
-//! byte-identical skylines, so this run only measures time — except at
+//! `tests/bench_baselines.rs`). The golden equivalence suites in
+//! `flowtune-sched` and `flowtune-interleave` separately prove both
+//! implementations produce byte-identical skylines (the
+//! `schedule_with_optional` row races the online interleaver, a pass
+//! over the plain skyline, against the reference's in-search offers),
+//! so this run only measures time — except at
 //! the 1k-op scale row, where the debug-mode suite cannot afford the
 //! reference and equivalence is re-checked here in release mode before
 //! timing (DESIGN §5i).
@@ -19,10 +22,10 @@
 //! 5k/10k rows (the reference needs tens of seconds *per run* at 1k
 //! and would need hours beyond it).
 
-use flowtune_common::{IndexId, OpId, SimDuration, SimRng};
+use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
 use flowtune_dataflow::{App, Dag};
-use flowtune_sched::reference::ReferenceSkylineScheduler;
-use flowtune_sched::skyline::OptionalOp;
+use flowtune_interleave::{BuildOp, OnlineInterleaver};
+use flowtune_sched::reference::{OptionalOp, ReferenceSkylineScheduler};
 use flowtune_sched::{BuildRef, SchedulerConfig, SkylineScheduler};
 use std::hint::black_box;
 
@@ -35,16 +38,19 @@ pub const SCHEMA: &str = "flowtune.bench_sched.v1";
 /// Where a full run writes its document.
 const FILE: &str = "BENCH_sched.json";
 
-fn optional_ops(n: u32, seed: u64) -> Vec<OptionalOp> {
+/// `n` pending builds of equal gain, so the online interleaver offers
+/// them in queue order.
+fn build_ops(n: u32, seed: u64) -> Vec<BuildOp> {
     let mut rng = SimRng::seed_from_u64(seed);
     (0..n)
-        .map(|i| OptionalOp {
-            op: OpId(100_000 + i),
-            duration: SimDuration::from_secs(1 + rng.uniform_u64(0, 120)),
+        .map(|i| BuildOp {
+            id: BuildOpId(i),
             build: BuildRef {
                 index: IndexId(i / 4),
                 part: i % 4,
             },
+            duration: SimDuration::from_secs(1 + rng.uniform_u64(0, 120)),
+            gain: 1.0,
         })
         .collect()
 }
@@ -83,17 +89,25 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         )?);
     }
 
-    // Optional build operators: stresses preemption + tie-collapse.
+    // Online interleaving: the plain skyline plus the offer pass,
+    // against the reference's in-search offers (preemption included).
     {
         let dag = app_dag(App::Montage, ops);
-        let optional = optional_ops(opt_n, 7);
-        let fast = SkylineScheduler::new(config(8));
+        let pending = build_ops(opt_n, 7);
+        let optional: Vec<OptionalOp> = (pending.iter())
+            .map(|b| OptionalOp {
+                op: b.schedule_op_id(),
+                duration: b.duration,
+                build: b.build,
+            })
+            .collect();
+        let fast = OnlineInterleaver::new(SkylineScheduler::new(config(8)));
         let slow = ReferenceSkylineScheduler::new(config(8));
         comparisons.push(compare(
             "sched",
             "schedule_with_optional/montage",
             samples,
-            || fast.schedule_with_optional(black_box(&dag), black_box(&optional)),
+            || fast.schedule(black_box(&dag), black_box(&pending)),
             || slow.schedule_with_optional(black_box(&dag), black_box(&optional)),
             out,
         )?);

@@ -147,6 +147,28 @@ impl ServiceConfig {
                 "online interleaving needs the skyline scheduler",
             ));
         }
+        // No Index builds nothing and Random never runs the tuner's
+        // decision, so these knobs would leave the report byte-identical:
+        // plain No Index or Random under another name.
+        let no_index = self.policy == IndexPolicy::NoIndex;
+        let tuned = matches!(self.policy, IndexPolicy::Gain { .. });
+        let inert = [
+            (
+                no_index && self.interleaver == InterleaverKind::Online,
+                "interleaver = online",
+            ),
+            (no_index && self.deferred_builds, "deferred_builds"),
+            (no_index && self.calibrate_index_io, "calibrate_index_io"),
+            (!tuned && self.adaptive_fading, "adaptive_fading"),
+        ]
+        .into_iter()
+        .find(|&(set, _)| set);
+        if let Some((_, knob)) = inert {
+            return Err(FlowtuneError::config(format!(
+                "{knob} has no effect under the {} policy",
+                self.policy.label()
+            )));
+        }
         Ok(())
     }
 }
@@ -801,7 +823,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_online_interleaving_under_load_balance() {
-        let mut c = short_config(IndexPolicy::NoIndex);
+        let mut c = short_config(IndexPolicy::Gain { delete: true });
         c.scheduler = SchedulerKind::OnlineLoadBalance;
         c.interleaver = InterleaverKind::Online;
         assert!(c.validate().is_err());
@@ -821,6 +843,44 @@ mod tests {
         let mut c = short_config(IndexPolicy::NoIndex);
         c.max_pending_build_ops = 0;
         assert!(c.validate().is_ok());
+    }
+
+    /// `knob` is rejected under `policy` and accepted under Gain.
+    fn assert_inert_under(policy: IndexPolicy, knob: impl Fn(&mut ServiceConfig)) {
+        let mut c = short_config(policy);
+        knob(&mut c);
+        assert!(c.validate().is_err(), "accepted under {policy:?}");
+        assert!(QaasService::new(c).run().is_err());
+        let mut c = short_config(IndexPolicy::Gain { delete: true });
+        knob(&mut c);
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_online_interleaving_under_no_index() {
+        assert_inert_under(IndexPolicy::NoIndex, |c| {
+            c.interleaver = InterleaverKind::Online;
+        });
+    }
+
+    #[test]
+    fn validate_rejects_deferred_builds_under_no_index() {
+        assert_inert_under(IndexPolicy::NoIndex, |c| c.deferred_builds = true);
+    }
+
+    #[test]
+    fn validate_rejects_adaptive_fading_under_no_index() {
+        assert_inert_under(IndexPolicy::NoIndex, |c| c.adaptive_fading = true);
+    }
+
+    #[test]
+    fn validate_rejects_io_calibration_under_no_index() {
+        assert_inert_under(IndexPolicy::NoIndex, |c| c.calibrate_index_io = true);
+    }
+
+    #[test]
+    fn validate_rejects_adaptive_fading_under_random() {
+        assert_inert_under(IndexPolicy::Random, |c| c.adaptive_fading = true);
     }
 
     #[test]

@@ -6,21 +6,31 @@
 //! built on it must place the same build operators into the same slots
 //! (DESIGN §5i).
 //!
-//! Any behavioural drift in the state-table rework shows up here as a
-//! precise solution diff, not as a downstream gain anomaly.
+//! The online interleaver, a pass over the finished plain skyline, must
+//! return **byte-identical** skylines to the retained in-search offers
+//! of `flowtune_sched::reference` (`schedule_with_optional`): same
+//! schedules, same assignment order, same front order, for every `App`
+//! workload across sizes, offer counts and skyline widths.
+//!
+//! Any behavioural drift in the state-table rework or the offer replay
+//! shows up here as a precise diff, not as a downstream gain anomaly.
 
 // Redundant with the `#[cfg(test)]` on the module declaration, but
 // carries the gate in-file where flowtune-analyze's per-file scan
 // (its test-region exemptions) can see it.
 #![cfg(test)]
 
-use flowtune_common::{BuildOpId, IndexId, SimDuration, SimRng};
-use flowtune_dataflow::App;
+use flowtune_common::{
+    BuildOpId, CloudConfig, DataflowId, IndexId, OpId, SimDuration, SimRng, SimTime,
+};
+use flowtune_dataflow::{App, Dag, DataflowFactory, FileDatabase};
+use flowtune_sched::reference::{OptionalOp, ReferenceSkylineScheduler};
 use flowtune_sched::{BuildRef, Schedule, SchedulerConfig, SkylineScheduler};
 
 use crate::buildop::BuildOp;
 use crate::knapsack::{solve_knapsack_budgeted, KnapsackSolution};
 use crate::lp::LpInterleaver;
+use crate::online::OnlineInterleaver;
 use crate::reference;
 
 const Q: SimDuration = SimDuration::from_secs(60);
@@ -207,4 +217,162 @@ fn pack_equivalent_on_real_schedules() {
             assert_eq!(got, want, "{label}: pack diverged");
         }
     }
+}
+
+/// `n` pending builds of 1–120 s. Gains take few values, so the ranking
+/// meets ties and must keep them in queue order.
+fn offers(n: u32, seed: u64) -> Vec<BuildOp> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| BuildOp {
+            id: BuildOpId(i),
+            build: BuildRef {
+                index: IndexId(i / 4),
+                part: i % 4,
+            },
+            duration: SimDuration::from_secs(1 + rng.uniform_u64(0, 120)),
+            gain: rng.uniform_u64(0, 8) as f64,
+        })
+        .collect()
+}
+
+/// The online interleaver against the reference's in-search offers of
+/// the same builds in decreasing gain order. Returns the builds placed.
+fn assert_online_identical(
+    dag: &Dag,
+    config: &SchedulerConfig,
+    pending: &[BuildOp],
+    label: &str,
+) -> usize {
+    let mut ranked = pending.to_vec();
+    ranked.sort_by(|a, b| b.gain.total_cmp(&a.gain));
+    let optional: Vec<OptionalOp> = ranked
+        .iter()
+        .map(|b| OptionalOp {
+            op: b.schedule_op_id(),
+            duration: b.duration,
+            build: b.build,
+        })
+        .collect();
+    let got = OnlineInterleaver::new(SkylineScheduler::new(config.clone())).schedule(dag, pending);
+    let want =
+        ReferenceSkylineScheduler::new(config.clone()).schedule_with_optional(dag, &optional);
+    assert_eq!(got.len(), want.len(), "{label}: skyline widths differ");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g, w, "{label}: schedule {i} differs");
+    }
+    got.iter().map(|s| s.build_assignments().count()).sum()
+}
+
+fn app_dag(app: App, ops: usize, seed: u64) -> Dag {
+    let mut rng = SimRng::seed_from_u64(seed);
+    app.generate(ops, &[], &mut rng)
+}
+
+fn width(max_skyline: usize) -> SchedulerConfig {
+    SchedulerConfig {
+        max_skyline,
+        ..SchedulerConfig::default()
+    }
+}
+
+#[test]
+fn equivalent_on_all_apps_at_60_ops() {
+    let mut placed = 0;
+    for app in App::ALL {
+        let dag = app_dag(app, 60, 0xE0);
+        let label = format!("{}:60:optional", app.name());
+        placed += assert_online_identical(&dag, &width(8), &offers(24, 0xE1), &label);
+    }
+    assert!(placed > 0, "no offer placed a build");
+}
+
+#[test]
+fn equivalent_on_all_apps_at_100_ops() {
+    let mut placed = 0;
+    for app in App::ALL {
+        let dag = app_dag(app, 100, 0xE2);
+        let label = format!("{}:100:optional", app.name());
+        placed += assert_online_identical(&dag, &width(8), &offers(32, 0xE3), &label);
+    }
+    assert!(placed > 0, "no offer placed a build");
+}
+
+#[test]
+fn equivalent_on_service_shaped_dataflows() {
+    // DAGs as the service builds them: `DataflowFactory::make` over a
+    // generated file database (operators carry partition reads), for
+    // every app, planned at the service's cloud config and width 8,
+    // with 24 offers and the service's full queue of 192.
+    let mut rng = SimRng::seed_from_u64(0xE9);
+    let filedb = FileDatabase::generate(&mut rng);
+    let mut factory = DataflowFactory::new(filedb, 100, rng.fork());
+    let config = SchedulerConfig::for_cloud(&CloudConfig::default(), 8);
+    let (some, full_queue) = (offers(24, 0xEE), offers(192, 0xEF));
+    let mut placed = 0;
+    for (i, app) in App::ALL.into_iter().cycle().take(6).enumerate() {
+        let df = factory.make(DataflowId(i as u32), app, SimTime::ZERO);
+        assert!(df.dag.ops().iter().any(|op| !op.reads.is_empty()));
+        let label = format!("{}:service{i}", app.name());
+        placed += assert_online_identical(&df.dag, &config, &some, &format!("{label}:optional"));
+        placed += assert_online_identical(
+            &df.dag,
+            &config,
+            &full_queue,
+            &format!("{label}:optional192"),
+        );
+    }
+    assert!(placed > 0, "no offer placed a build");
+}
+
+#[test]
+fn equivalent_at_default_width_with_heavy_optional_load() {
+    // The default 24-wide skyline with more builds than slots:
+    // stresses first-fit placement on full leases and preemption of
+    // placed tails.
+    let dag = app_dag(App::Montage, 60, 0xE4);
+    let config = SchedulerConfig::default();
+    let placed = assert_online_identical(&dag, &config, &offers(48, 0xE5), "montage:60:wide");
+    assert!(placed > 0, "no offer placed a build");
+}
+
+#[test]
+fn equivalent_across_skyline_widths_including_one() {
+    // Width 1 exercises the fixed division-by-zero cap in both
+    // implementations; widths 2/4 exercise the even-spread keep list.
+    let dag = app_dag(App::Cybershake, 60, 0xE6);
+    for w in [1usize, 2, 4, 16] {
+        let label = format!("cybershake:width{w}:optional");
+        assert_online_identical(&dag, &width(w), &offers(12, 0xE7), &label);
+    }
+}
+
+#[test]
+fn equivalent_on_zero_duration_and_tight_quantum_edge_cases() {
+    // Zero-duration ops produce (s, s) container spans, which take no
+    // build, and a 7s quantum misaligns every lease boundary.
+    use flowtune_dataflow::{Edge, OpSpec};
+    let ops: Vec<OpSpec> = (0..12)
+        .map(|i| {
+            OpSpec::new(
+                OpId(i),
+                format!("op{i}"),
+                SimDuration::from_secs((i as u64 * 5) % 3),
+            )
+        })
+        .collect();
+    let edges: Vec<Edge> = (1..12)
+        .map(|i| Edge {
+            from: OpId((i / 2) as u32),
+            to: OpId(i as u32),
+            bytes: (i as u64 % 3) * 800_000_000,
+        })
+        .collect();
+    let dag = Dag::new(ops, edges).unwrap();
+    let config = SchedulerConfig {
+        quantum: SimDuration::from_secs(7),
+        max_skyline: 6,
+        ..SchedulerConfig::default()
+    };
+    assert_online_identical(&dag, &config, &offers(10, 0xE8), "edge:optional");
 }

@@ -12,8 +12,9 @@
 //!   branch and bound) to pick the build operators that maximise total
 //!   gain.
 //! * **Online interleaving** ([`online::OnlineInterleaver`], §5.3.2) —
-//!   extend the skyline scheduler with *optional* operators scheduled
-//!   along the dataflow.
+//!   offer *optional* build operators along the skyline scheduler's
+//!   steps, replayed over each finished plain schedule; the skyline
+//!   search itself schedules dataflow operators only.
 //!
 //! Plus the evaluation baselines of §6.4: a Graham-style greedy packer
 //! and the merged-slot knapsack upper bound.
@@ -21,7 +22,9 @@
 //! The knapsack search is accelerated by memoized Dantzig bounds and
 //! dominance pruning (DESIGN §5i); the pre-optimization solver is
 //! retained in `reference` (`cfg(test)` or the `reference` cargo
-//! feature) and golden tests pin element-wise identical solutions.
+//! feature) and golden tests pin element-wise identical solutions. The
+//! same suite pins the online interleaver against the in-search offers
+//! of `flowtune_sched::reference`.
 
 pub mod buildop;
 pub mod deferred;

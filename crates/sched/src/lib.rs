@@ -17,10 +17,13 @@
 //! The skyline search keeps its objectives (`money` and the idle
 //! tie-break) as incrementally maintained caches and expands
 //! candidates as cheap deltas, materializing full partial
-//! schedules only for reduction survivors (DESIGN §5f). The
+//! schedules only for reduction survivors (DESIGN §5f). It schedules
+//! dataflow operators only: placing build operators is
+//! `flowtune-interleave`'s job, for both interleavers. The
 //! pre-optimization implementation is retained in `reference`
 //! (`cfg(test)` or the `reference` cargo feature) and golden tests pin
-//! the two byte-identical.
+//! the two byte-identical; its `schedule_with_optional` is the oracle
+//! of the online interleaver.
 
 #[cfg(test)]
 mod equivalence_tests;
@@ -35,5 +38,5 @@ pub mod slots;
 pub use hetero::{HeteroSchedule, HeterogeneousScheduler, VmType};
 pub use online_lb::OnlineLoadBalanceScheduler;
 pub use schedule::{Assignment, BuildRef, Schedule};
-pub use skyline::{OptionalOp, SchedulerConfig, SkylineScheduler};
+pub use skyline::{SchedulerConfig, SkylineScheduler};
 pub use slots::{idle_slots, total_fragmentation, IdleSlot};

@@ -5,8 +5,12 @@
 //! observability instrumentation) as the behavioural baseline for the
 //! incremental scheduler (DESIGN §5f):
 //!
-//! * the golden equivalence tests in `skyline.rs` run it side-by-side
+//! * the golden equivalence tests of this crate run it side-by-side
 //!   with the optimized scheduler and assert byte-identical skylines;
+//! * its [`ReferenceSkylineScheduler::schedule_with_optional`], which
+//!   offers build operators between the search steps as §5.3.2
+//!   describes, is the oracle of `flowtune-interleave`'s online
+//!   interleaver, a pass over the finished plain skyline;
 //! * `bench_sched` (crate `flowtune-bench`, feature `reference`) times
 //!   both in the same process and records the speedup in
 //!   `BENCH_sched.json`.
@@ -27,8 +31,20 @@
 use flowtune_common::{ContainerId, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
 
-use crate::schedule::{Assignment, Schedule};
-use crate::skyline::{OptionalOp, SchedulerConfig};
+use crate::schedule::{Assignment, BuildRef, Schedule};
+use crate::skyline::SchedulerConfig;
+
+/// An optional build-index operator offered to
+/// [`ReferenceSkylineScheduler::schedule_with_optional`].
+#[derive(Debug, Clone, Copy)]
+pub struct OptionalOp {
+    /// Synthetic id (must not collide with dataflow op ids).
+    pub op: OpId,
+    /// Estimated build duration.
+    pub duration: SimDuration,
+    /// What it builds.
+    pub build: BuildRef,
+}
 
 /// The reference (pre-optimization) skyline scheduler.
 #[derive(Debug, Clone, Default)]

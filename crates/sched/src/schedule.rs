@@ -19,6 +19,14 @@ pub struct BuildRef {
     pub part: u32,
 }
 
+/// End of the lease billed for a container's dataflow span `[s, e]`:
+/// the quantum boundary at or after `e`, and at least one quantum past
+/// the boundary at or before `s`.
+pub fn lease_end(s: SimTime, e: SimTime, quantum: SimDuration) -> SimTime {
+    e.quantum_ceil(quantum)
+        .max(s.quantum_floor(quantum) + quantum)
+}
+
 /// One operator-to-container assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
@@ -147,9 +155,10 @@ impl Schedule {
         if first == SimTime::MAX {
             return None;
         }
-        let lease_start = first.quantum_floor(quantum);
-        let lease_end = last.quantum_ceil(quantum).max(lease_start + quantum);
-        Some((lease_start, lease_end))
+        Some((
+            first.quantum_floor(quantum),
+            lease_end(first, last, quantum),
+        ))
     }
 
     /// Total leased quanta across containers.

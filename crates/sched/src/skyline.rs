@@ -4,11 +4,9 @@
 //! set of non-dominated partial schedules over (execution time, monetary
 //! cost) is recomputed. Between schedules equal in both objectives, the
 //! one with the most sequential idle compute time wins (idle slots are
-//! where index builds go). Optional build operators (§5.3.2, online
-//! interleaving) are offered between steps: each partial places one on
-//! its first container whose lease still fits it, which moves neither
-//! objective, so the offers never change the search's dataflow
-//! placements.
+//! where index builds go). The search places dataflow operators only:
+//! online interleaving (§5.3.2) is a pass over the finished skyline in
+//! `flowtune-interleave`, next to LP interleaving.
 //!
 //! Two pragmatic bounds keep the exponential search tractable, both
 //! standard for this scheduler family: candidate containers are the
@@ -23,7 +21,7 @@
 //! pinned by the golden tests in `equivalence_tests`.
 //!
 //! * **Cached objectives.** A partial schedule carries its billed quanta
-//!   and one 40-byte record per used container (span, free times, the
+//!   and one 32-byte record per used container (span, free time, the
 //!   longest idle gap before the billing tail, the lease end), so
 //!   pricing an op is an add and a compare, and the idle tie-break
 //!   reads cached fields.
@@ -33,15 +31,11 @@
 //!   predecessor's step position, and expansion reads its container
 //!   and end time there. Full chunks of 32 placements are shared behind
 //!   `Rc`, so copying a partial copies a pointer table and a short
-//!   tail. Preemptible optional (build) ops are kept apart, tagged with
-//!   their interleave position; the assignments are rebuilt only for
-//!   the final skyline.
+//!   tail. The assignments are rebuilt only for the final skyline.
 //! * **Delta expansion.** `SkylineScheduler::expand_parent` turns one
 //!   parent into one 40-byte candidate per container: the parent's
 //!   index, the placement and the objectives. The reduction runs on
 //!   candidates; only its survivors become partial schedules.
-//! * **First-fit offers.** An offer is no search step: it places the
-//!   optional op on each partial in place, without candidates.
 //! * **Money-level reduce over member chains.** Pass 1 files each
 //!   candidate under its money value and chains, in enumeration order,
 //!   the candidates at the level's fastest makespan. A sweep in
@@ -60,7 +54,7 @@ use std::rc::Rc;
 use flowtune_common::{CloudConfig, ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
 
-use crate::schedule::{Assignment, BuildRef, Schedule};
+use crate::schedule::{lease_end, Assignment, Schedule};
 
 /// Scheduler parameters.
 #[derive(Debug, Clone)]
@@ -103,31 +97,11 @@ impl SchedulerConfig {
     }
 }
 
-/// An optional build-index operator offered to the online interleaving
-/// variant of the scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct OptionalOp {
-    /// Synthetic id (must not collide with dataflow op ids).
-    pub op: OpId,
-    /// Estimated build duration.
-    pub duration: SimDuration,
-    /// What it builds.
-    pub build: BuildRef,
-}
-
 /// The skyline dataflow scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct SkylineScheduler {
     /// Configuration.
     pub config: SchedulerConfig,
-}
-
-/// End of the lease billed for one container's dataflow span `[s, e]`:
-/// the quantum boundary at or after `e`, and at least one quantum past
-/// the boundary at or before `s`.
-fn lease_end(s: SimTime, e: SimTime, quantum: SimDuration) -> SimTime {
-    e.quantum_ceil(quantum)
-        .max(s.quantum_floor(quantum) + quantum)
 }
 
 /// Billed quanta for one container's dataflow span.
@@ -177,6 +151,7 @@ impl Clone for History {
 }
 
 impl History {
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.frozen.len() * HISTORY_CHUNK + self.tail.len()
     }
@@ -213,7 +188,7 @@ impl History {
     }
 }
 
-/// One used container of a [`Partial`]: five words, 40 bytes (pinned
+/// One used container of a [`Partial`]: four words, 32 bytes (pinned
 /// by the assertion below), which is what `sched.partial_clone_bytes`
 /// charges per container of a copied partial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,8 +201,6 @@ struct Container {
     /// End of the container's last dataflow op: its next free time and
     /// the end of its billed span.
     free: SimTime,
-    /// Next free time counting optional (build) tail ops.
-    opt_free: SimTime,
     /// The longest idle gap strictly before the billing tail — the
     /// head gap from the lease start to the first dataflow op plus
     /// every gap between consecutive dataflow ops. Established on first
@@ -239,7 +212,7 @@ struct Container {
     lease_end: SimTime,
 }
 
-const _: () = assert!(size_of::<Container>() == 40);
+const _: () = assert!(size_of::<Container>() == 32);
 
 impl Container {
     /// The container's contribution to the idle tie-break: its longest
@@ -256,14 +229,8 @@ impl Container {
 #[derive(Debug)]
 pub(crate) struct Partial {
     /// Dataflow placements, one per step: entry `k` places the `k`-th
-    /// op of the topological order. Append-only: preemption never
-    /// touches this list.
+    /// op of the topological order. Append-only.
     dataflow: History,
-    /// Surviving optional (build) assignments, each tagged with the
-    /// number of dataflow ops assigned before it was placed — its
-    /// interleave position when the final assignment list is merged.
-    /// Positions are non-decreasing along the list.
-    optional: Vec<(u32, Assignment)>,
     /// The used containers, by container id.
     containers: Vec<Container>,
     makespan: SimDuration,
@@ -277,7 +244,6 @@ impl Clone for Partial {
     fn clone(&self) -> Self {
         Partial {
             dataflow: self.dataflow.clone(),
-            optional: self.optional.clone(),
             containers: self.containers.clone(),
             makespan: self.makespan,
             money: self.money,
@@ -291,13 +257,11 @@ impl Clone for Partial {
     fn clone_from(&mut self, source: &Self) {
         let Partial {
             dataflow,
-            optional,
             containers,
             makespan,
             money,
         } = source;
         self.dataflow.clone_from(dataflow);
-        self.optional.clone_from(optional);
         self.containers.clone_from(containers);
         self.makespan = *makespan;
         self.money = *money;
@@ -311,7 +275,6 @@ impl Partial {
     pub(crate) fn new() -> Self {
         Partial {
             dataflow: History::default(),
-            optional: Vec::new(),
             containers: Vec::new(),
             makespan: SimDuration::ZERO,
             money: 0,
@@ -392,11 +355,9 @@ impl Partial {
 
     /// Approximate heap bytes a clone of this partial copies (for the
     /// `sched.partial_clone_bytes` counter): the history's pointer
-    /// table and open tail, the optional list and the containers.
+    /// table and open tail, and the containers.
     fn heap_bytes(&self) -> usize {
-        self.dataflow.heap_bytes()
-            + self.optional.len() * size_of::<(u32, Assignment)>()
-            + self.containers.len() * size_of::<Container>()
+        self.dataflow.heap_bytes() + self.containers.len() * size_of::<Container>()
     }
 
     /// Number of containers leased so far.
@@ -405,30 +366,18 @@ impl Partial {
         self.containers.len()
     }
 
-    /// Rebuild the assignments, with `order[k]` the op placed at step
-    /// `k`, and merge the split lists back into the legacy insertion
-    /// order: each optional op re-enters just before the dataflow op
-    /// whose step equals its recorded interleave position.
+    /// Rebuild the assignments in step order, with `order[k]` the op
+    /// placed at step `k`.
     pub(crate) fn into_schedule(self, order: &[OpId]) -> Schedule {
-        let mut out = Vec::with_capacity(self.dataflow.len() + self.optional.len());
-        let mut opts = self.optional.iter().copied().peekable();
-        for (i, (placed, &op)) in self.dataflow.iter().zip(order).enumerate() {
-            while let Some((pos, oa)) = opts.peek().copied() {
-                if pos as usize > i {
-                    break;
-                }
-                out.push(oa);
-                opts.next();
-            }
-            out.push(Assignment {
+        let out = (self.dataflow.iter().zip(order))
+            .map(|(placed, &op)| Assignment {
                 op,
                 container: ContainerId(placed.container),
                 start: placed.start,
                 end: placed.end,
                 build: None,
-            });
-        }
-        out.extend(opts.map(|(_, oa)| oa));
+            })
+            .collect();
         Schedule::from_assignments(out)
     }
 
@@ -579,50 +528,6 @@ fn cap_width(front: &mut Vec<Cand>, cap: usize) {
     }
 }
 
-/// Offer `opt` to every partial of `skyline`: place it on the first
-/// container whose lease still fits it after the container's last op,
-/// dataflow or optional, or leave the partial as it is.
-///
-/// This keeps what a search step over the offer would keep, without
-/// building candidates. Placing a build moves neither objective, and
-/// the skyline is a strict front (asserted below), so each partial is
-/// its own money level and every level is kept. Within a level every
-/// placement ties with the parent on idle time, and the one keeping
-/// the most builds, the first fit, wins. An offer therefore never
-/// changes the search's dataflow placements.
-fn offer_optional(skyline: &mut [Partial], opt: &OptionalOp) {
-    debug_assert!(
-        skyline
-            .windows(2)
-            .all(|w| w[0].makespan < w[1].makespan && w[0].money > w[1].money),
-        "an offer needs a strict front: faster and dearer first"
-    );
-    for p in skyline.iter_mut() {
-        flowtune_obs::count("sched.partials_expanded", 1);
-        for (c, u) in p.containers.iter_mut().enumerate() {
-            if u.free <= u.start {
-                continue;
-            }
-            let start = u.opt_free.max(u.free);
-            let end = start + opt.duration;
-            if end <= u.lease_end {
-                u.opt_free = end;
-                p.optional.push((
-                    p.dataflow.len() as u32,
-                    Assignment {
-                        op: opt.op,
-                        container: ContainerId(c as u32),
-                        start,
-                        end,
-                        build: Some(opt.build),
-                    },
-                ));
-                break;
-            }
-        }
-    }
-}
-
 /// Per-parent memo for the idle tie-break: the two largest
 /// per-container idle contributions plus the container holding the
 /// largest. A dataflow delta changes exactly one container's
@@ -671,24 +576,16 @@ impl SkylineScheduler {
     }
 
     /// Schedule a dataflow, returning the skyline of non-dominated
-    /// schedules sorted by ascending execution time.
+    /// schedules sorted by ascending execution time. Each schedule lists
+    /// its assignments in step order: the topological order the search
+    /// assigned the ops in.
     pub fn schedule(&self, dag: &Dag) -> Vec<Schedule> {
-        self.schedule_with_optional(dag, &[])
-    }
-
-    /// Schedule a dataflow while opportunistically placing optional
-    /// build operators (the online interleaving algorithm of §5.3.2).
-    /// Optional operators never delay dataflow operators: one is placed
-    /// only inside a container's paid lease, after its last op, and a
-    /// later dataflow op that starts before it ends drops it. The dataflow
-    /// placements are those of [`SkylineScheduler::schedule`].
-    pub fn schedule_with_optional(&self, dag: &Dag, optional: &[OptionalOp]) -> Vec<Schedule> {
         if dag.is_empty() {
             return vec![Schedule::new()];
         }
         let order = dag.topo_order();
         let pred_xfer = XferTable::new(self, dag, &order);
-        let mut skyline = self.run_steps(dag, optional, &order, &pred_xfer);
+        let mut skyline = self.run_steps(dag, &order, &pred_xfer);
         skyline.sort_by_key(|p| (p.makespan, p.money));
         skyline
             .into_iter()
@@ -707,20 +604,10 @@ impl SkylineScheduler {
         }
     }
 
-    /// The assignment main loop: expand, reduce, materialize, then
-    /// offer the step's share of the optional ops.
-    fn run_steps(
-        &self,
-        dag: &Dag,
-        optional: &[OptionalOp],
-        order: &[OpId],
-        pred_xfer: &XferTable,
-    ) -> Vec<Partial> {
-        let n = order.len();
+    /// The assignment main loop: expand, reduce, materialize.
+    fn run_steps(&self, dag: &Dag, order: &[OpId], pred_xfer: &XferTable) -> Vec<Partial> {
         let mut skyline = vec![Partial::new()];
         let mut buf = StepBuffers::default();
-        // Offer optional ops evenly across the assignment steps.
-        let mut next_opt = 0usize;
         for (step, &op) in order.iter().enumerate() {
             let assign = StepOp::new(dag, op, pred_xfer.of(op));
             // Expand every partial with every candidate container —
@@ -745,15 +632,6 @@ impl SkylineScheduler {
                 generated.saturating_sub(skyline.len()) as u64,
             );
             flowtune_obs::observe("sched.skyline_width", skyline.len() as f64);
-            // Offer a proportional share of the optional queue.
-            let opt_until = optional.len() * (step + 1) / n;
-            for opt in &optional[next_opt..opt_until] {
-                offer_optional(&mut skyline, opt);
-            }
-            next_opt = opt_until;
-        }
-        for opt in &optional[next_opt..] {
-            offer_optional(&mut skyline, opt);
         }
         skyline
     }
@@ -788,9 +666,6 @@ impl SkylineScheduler {
             for &(on, local, remote) in preds.iter() {
                 ready = ready.max(if on == c as u32 { local } else { remote });
             }
-            // Dataflow ops see only other dataflow ops: an optional build
-            // op occupying the container is preempted (priority -1 in the
-            // execution model), so it never delays the dataflow.
             let used = p.containers.get(c);
             let start = ready.max(used.map_or(SimTime::ZERO, |u| u.free));
             let end = start + assign.runtime;
@@ -832,14 +707,12 @@ impl SkylineScheduler {
             None => Container {
                 start,
                 free: end,
-                opt_free: end,
                 gap: start - start.quantum_floor(quantum),
                 lease_end: lease_end(start, end, quantum),
             },
             Some(u) => Container {
                 start: u.start,
                 free: end,
-                opt_free: u.opt_free.max(end),
                 gap: u.gap.max(start - u.free),
                 lease_end: if end <= u.lease_end {
                     u.lease_end
@@ -902,11 +775,6 @@ impl SkylineScheduler {
         } else {
             q.containers[c] = touched;
         }
-        // Preempt optional tail ops that would overlap: drop the ones not
-        // yet started, truncation of a running one is the simulator's
-        // business.
-        q.optional
-            .retain(|(_, a)| !(a.container.index() == c && a.end > start));
         q.dataflow.push(Placed {
             container,
             start,
@@ -1095,7 +963,6 @@ impl SkylineScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtune_common::IndexId;
     use flowtune_common::SimRng;
     use flowtune_dataflow::{App, Edge, OpSpec};
 
@@ -1249,20 +1116,10 @@ mod tests {
         // The time extreme survives every reduction, so the single kept
         // schedule is the fastest: 10 + 30 + 10 = 50 s.
         assert_eq!(skyline[0].makespan(), SimDuration::from_secs(50));
-        // Larger seeded dataflow, with and without optional ops.
+        // A larger seeded dataflow.
         let mut rng = SimRng::seed_from_u64(11);
         let dag = App::Montage.generate(60, &[], &mut rng);
-        let optional: Vec<OptionalOp> = (0..8)
-            .map(|i| OptionalOp {
-                op: OpId(2000 + i),
-                duration: SimDuration::from_secs(5),
-                build: BuildRef {
-                    index: IndexId(i),
-                    part: 0,
-                },
-            })
-            .collect();
-        let skyline = sched.schedule_with_optional(&dag, &optional);
+        let skyline = sched.schedule(&dag);
         assert_eq!(skyline.len(), 1);
         skyline[0].validate(&dag).unwrap();
     }
@@ -1280,39 +1137,6 @@ mod tests {
                 assert!(s.makespan() >= dag.critical_path(), "{}", app.name());
             }
         }
-    }
-
-    #[test]
-    fn optional_ops_never_hurt_time_or_money() {
-        let sched = SkylineScheduler::new(cfg());
-        let dag = fork_join();
-        let baseline = sched.schedule(&dag);
-        let optional: Vec<OptionalOp> = (0..6)
-            .map(|i| OptionalOp {
-                op: OpId(1000 + i),
-                duration: SimDuration::from_secs(8),
-                build: BuildRef {
-                    index: IndexId(i),
-                    part: 0,
-                },
-            })
-            .collect();
-        let with_opt = sched.schedule_with_optional(&dag, &optional);
-        // Pareto front must not regress.
-        let q = SimDuration::from_secs(60);
-        for b in &baseline {
-            let covered = with_opt
-                .iter()
-                .any(|s| s.makespan() <= b.makespan() && s.leased_quanta(q) <= b.leased_quanta(q));
-            assert!(covered, "optional ops regressed the skyline");
-        }
-        // And at least one schedule carries build ops.
-        let built: usize = with_opt
-            .iter()
-            .map(|s| s.build_assignments().count())
-            .max()
-            .unwrap();
-        assert!(built > 0, "no optional op was ever placed");
     }
 
     #[test]
@@ -1424,91 +1248,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn preemption_keeps_optional_accounting_consistent() {
-        // Seeded random expansion sequences interleaving dataflow
-        // assignments with optional offers: a materialized candidate
-        // keeps exactly its parent's builds minus those on its
-        // container that end after its op starts, in order; the
-        // partial's accounting matches the surviving build assignments,
-        // and no surviving build overlaps a dataflow op on its
-        // container.
-        let sched = SkylineScheduler::new(cfg());
-        let mut rng = SimRng::seed_from_u64(0x0FF3);
-        for round in 0..30 {
-            let n = 3 + rng.uniform_u64(1, 10) as usize;
-            let ops: Vec<OpSpec> = (0..n)
-                .map(|i| op(i as u32, 5 + rng.uniform_u64(0, 50)))
-                .collect();
-            let edges: Vec<Edge> = (1..n)
-                .map(|i| Edge {
-                    from: OpId(rng.uniform_u64(0, i as u64) as u32),
-                    to: OpId(i as u32),
-                    bytes: 0,
-                })
-                .collect();
-            let dag = Dag::new(ops, edges).unwrap();
-            let mut skyline = vec![Partial::new()];
-            let mut opt_id = 5000u32;
-            for i in 0..n {
-                // Expand one random container choice per partial.
-                let mut next = Vec::new();
-                for p in skyline.iter() {
-                    let used = p.containers.len();
-                    let c = rng.uniform_u64(0, used as u64 + 1) as usize;
-                    let cand = sched.cand_for(p, &dag, OpId(i as u32), c);
-                    let q = sched.materialize(p, &cand, None);
-                    let kept: Vec<(u32, Assignment)> = (p.optional.iter())
-                        .filter(|(_, b)| b.container.index() != c || b.end <= cand.start)
-                        .copied()
-                        .collect();
-                    assert_eq!(q.optional, kept, "preemption drifted (round {round})");
-                    next.push(q);
-                }
-                skyline = next;
-                // Randomly offer an optional op between steps.
-                if rng.uniform_u64(0, 2) == 0 {
-                    let opt = OptionalOp {
-                        op: OpId(opt_id),
-                        duration: SimDuration::from_secs(1 + rng.uniform_u64(0, 90)),
-                        build: BuildRef {
-                            index: IndexId(opt_id),
-                            part: 0,
-                        },
-                    };
-                    opt_id += 1;
-                    offer_optional(&mut skyline, &opt);
-                }
-                for p in skyline.iter() {
-                    let schedule = p.clone().into_schedule_by_id();
-                    assert_eq!(
-                        p.optional.len(),
-                        schedule.build_assignments().count(),
-                        "optional accounting drifted (round {round})"
-                    );
-                    for (_, b) in &p.optional {
-                        for a in p.dataflow.iter() {
-                            assert!(
-                                ContainerId(a.container) != b.container
-                                    || b.end <= a.start
-                                    || a.end <= b.start,
-                                "surviving build overlaps dataflow op (round {round})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// A partial of an `n`-op chain with op `i` on container
-    /// `i % containers`, then offered `optional` build ops.
-    fn chain_partial(
-        sched: &SkylineScheduler,
-        n: usize,
-        containers: usize,
-        optional: u32,
-    ) -> Partial {
+    /// `i % containers`.
+    fn chain_partial(sched: &SkylineScheduler, n: usize, containers: usize) -> Partial {
         let ops: Vec<OpSpec> = (0..n).map(|i| op(i as u32, 10)).collect();
         let edges: Vec<Edge> = (1..n)
             .map(|i| Edge {
@@ -1522,19 +1264,7 @@ mod tests {
         for i in 0..n {
             p = sched.assign_dataflow_op(&p, &dag, OpId(i as u32), i % containers);
         }
-        let mut skyline = vec![p];
-        for i in 0..optional {
-            let opt = OptionalOp {
-                op: OpId(9000 + i),
-                duration: SimDuration::from_secs(5),
-                build: BuildRef {
-                    index: IndexId(i),
-                    part: i,
-                },
-            };
-            offer_optional(&mut skyline, &opt);
-        }
-        skyline.remove(0)
+        p
     }
 
     #[test]
@@ -1542,12 +1272,9 @@ mod tests {
         // Recycling refills retired partials with `clone_from`; a field
         // it forgot would leak the spare's old state into the search.
         let sched = SkylineScheduler::new(cfg());
-        let big = chain_partial(&sched, 150, 7, 4);
-        let small = chain_partial(&sched, 5, 2, 0);
-        assert!(
-            !big.optional.is_empty(),
-            "the dirty spare carries no builds"
-        );
+        let big = chain_partial(&sched, 150, 7);
+        let small = chain_partial(&sched, 5, 2);
+        assert!(big.containers.len() > small.containers.len());
         assert!(big.dataflow.tail.len() > small.dataflow.tail.len());
         for (spare, parent) in [(&big, &small), (&small, &big)] {
             let mut q = spare.clone();
