@@ -16,8 +16,6 @@
 //! - **cast-discipline** — no lossy `as` casts on money/time values.
 //! - **obs-discipline** — obs names are dotted snake_case, unique, and
 //!   present in the committed metrics golden.
-//! - **golden-coverage** — `tests/golden/` files and their references
-//!   match both ways.
 //! - **waiver-audit** — stale/unknown/reason-less waivers are findings
 //!   themselves (severity `warn`).
 //!

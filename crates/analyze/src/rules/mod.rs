@@ -3,8 +3,8 @@
 //! A rule is a stateless checker over the loaded workspace. File-level
 //! rules implement [`Rule::check_file`] and are invoked once per source
 //! file; crate-level rules (dep-hygiene) implement [`Rule::check_crate`];
-//! rules that need cross-crate context (obs-discipline, golden-coverage)
-//! implement [`Rule::check_workspace`]. Waivers are honoured by the
+//! rules that need cross-crate context (obs-discipline) implement
+//! [`Rule::check_workspace`]. Waivers are honoured by the
 //! engine: a rule reports a candidate via [`Emitter::emit`], which drops
 //! it silently when the line carries a
 //! `// flowtune-allow(<rule>): <reason>` waiver — and records the waiver
@@ -17,14 +17,12 @@ use crate::workspace::{CrateInfo, Workspace};
 
 mod cast_discipline;
 mod dep_hygiene;
-mod golden_coverage;
 mod newtype;
 mod obs_discipline;
 mod waiver_audit;
 
 pub use cast_discipline::CastDiscipline;
 pub use dep_hygiene::DepHygiene;
-pub use golden_coverage::GoldenCoverage;
 pub use newtype::NewtypeDiscipline;
 pub use obs_discipline::ObsDiscipline;
 pub use waiver_audit::WaiverAudit;
@@ -144,7 +142,7 @@ pub trait Rule {
 
     fn check_crate(&self, _krate: &CrateInfo, _em: &mut Emitter<'_>) {}
 
-    /// Cross-crate checks (duplicate detection, golden cross-refs).
+    /// Cross-crate checks (duplicate detection, metrics-golden membership).
     fn check_workspace(&self, _ws: &Workspace, _em: &mut Emitter<'_>) {}
 }
 
@@ -155,7 +153,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(DepHygiene),
         Box::new(CastDiscipline),
         Box::new(ObsDiscipline),
-        Box::new(GoldenCoverage),
         Box::new(WaiverAudit),
     ]
 }

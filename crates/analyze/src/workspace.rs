@@ -26,29 +26,11 @@ pub struct CrateInfo {
     pub files: Vec<SourceFile>,
 }
 
-/// A non-Rust file the rules cross-reference (golden fixtures, the CI
-/// driver script).
-#[derive(Debug)]
-pub struct AuxFile {
-    /// Path relative to the workspace root, `/`-separated.
-    pub rel: String,
-    pub text: String,
-}
-
-/// The scanned workspace: every member crate under `<root>/crates/`,
-/// plus the auxiliary files rules cross-reference.
+/// The scanned workspace: every member crate under `<root>/crates/`.
 #[derive(Debug)]
 pub struct Workspace {
     pub root: PathBuf,
     pub crates: Vec<CrateInfo>,
-    /// Files directly under `<root>/tests/golden/`, sorted by path. A
-    /// subdirectory belongs to the test that owns it (`tests/golden/exp/`:
-    /// `crates/bench/tests/exp_goldens.rs`), which checks it both ways.
-    pub goldens: Vec<AuxFile>,
-    /// Committed perf baselines: `<root>/BENCH_*.json`, sorted by path.
-    pub baselines: Vec<AuxFile>,
-    /// `<root>/ci/check.sh`, when present.
-    pub check_script: Option<AuxFile>,
 }
 
 impl Workspace {
@@ -72,73 +54,10 @@ impl Workspace {
             crates.push(load_crate(root, &dir)?);
         }
 
-        let golden_dir = root.join("tests/golden");
-        let mut golden_paths = Vec::new();
-        if golden_dir.is_dir() {
-            for entry in std::fs::read_dir(&golden_dir)? {
-                let p = entry?.path();
-                if p.is_file() {
-                    golden_paths.push(p);
-                }
-            }
-        }
-        golden_paths.sort();
-        let mut goldens = Vec::new();
-        for p in golden_paths {
-            goldens.push(AuxFile {
-                rel: rel_to(root, &p),
-                text: std::fs::read_to_string(&p)?,
-            });
-        }
-        let mut baselines = Vec::new();
-        let mut bench_paths: Vec<PathBuf> = std::fs::read_dir(root)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| {
-                p.is_file()
-                    && p.file_name().is_some_and(|f| {
-                        let f = f.to_string_lossy();
-                        f.starts_with("BENCH_") && f.ends_with(".json")
-                    })
-            })
-            .collect();
-        bench_paths.sort();
-        for p in bench_paths {
-            baselines.push(AuxFile {
-                rel: rel_to(root, &p),
-                text: std::fs::read_to_string(&p)?,
-            });
-        }
-
-        let check_path = root.join("ci/check.sh");
-        let check_script = if check_path.is_file() {
-            Some(AuxFile {
-                rel: rel_to(root, &check_path),
-                text: std::fs::read_to_string(&check_path)?,
-            })
-        } else {
-            None
-        };
-
         Ok(Workspace {
             root: root.to_path_buf(),
             crates,
-            goldens,
-            baselines,
-            check_script,
         })
-    }
-
-    /// The golden file with this root-relative path, if present.
-    pub fn golden(&self, rel: &str) -> Option<&AuxFile> {
-        self.goldens.iter().find(|g| g.rel == rel)
-    }
-
-    /// The committed perf baseline with this root-relative name, if
-    /// present.
-    pub fn baseline(&self, rel: &str) -> Option<&AuxFile> {
-        self.baselines.iter().find(|b| b.rel == rel)
     }
 }
 

@@ -20,14 +20,6 @@ fn fixture_findings_match_golden_list() {
         .map(|d| (d.file.clone(), d.line, d.rule))
         .collect();
     let want: Vec<(String, usize, &str)> = [
-        // A committed perf baseline nothing reads (the scratch-copy
-        // mention in the fixture check script must not count).
-        // flowtune-allow(golden-coverage): fixture-tree path literal, not a reference to a repo baseline
-        ("BENCH_orphan.json", 1, "golden-coverage"),
-        // The fixture check script names a golden and a perf baseline
-        // that do not exist.
-        ("ci/check.sh", 6, "golden-coverage"),
-        ("ci/check.sh", 8, "golden-coverage"),
         // A raw `as f64` on a quanta ident; the waived cast (line 6)
         // and the #[cfg(test)] cast (line 15) are absent.
         ("crates/cloud/src/billing.rs", 4, "cast-discipline"),
@@ -62,9 +54,6 @@ fn fixture_findings_match_golden_list() {
         // the flowtune-common fixture and inside #[cfg(test)] (line 12)
         // produces nothing.
         ("crates/tuner/src/lib.rs", 4, "newtype-discipline"),
-        // A committed golden no test or check-script step reads.
-        // flowtune-allow(golden-coverage): fixture-tree path literal, not a reference to a repo golden
-        ("tests/golden/orphan.json", 1, "golden-coverage"),
     ]
     .into_iter()
     .map(|(f, l, r)| (f.to_owned(), l, r))
@@ -78,8 +67,7 @@ fn diagnostics_render_as_file_line_rule() {
     let first = diags.first().expect("fixture has findings");
     let rendered = first.to_string();
     assert!(
-        // flowtune-allow(golden-coverage): fixture-tree path literal, not a reference to a repo baseline
-        rendered.starts_with("BENCH_orphan.json:1: [golden-coverage]"),
+        rendered.starts_with("crates/cloud/src/billing.rs:4: [cast-discipline]"),
         "unexpected rendering: {rendered}"
     );
 }
@@ -164,20 +152,19 @@ fn cli_rule_filter_gates_on_the_selected_rule_only() {
 }
 
 #[test]
-fn cli_lists_all_six_rules() {
+fn cli_lists_all_five_rules() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
         .arg("--list-rules")
         .output()
         .expect("spawn analyzer CLI");
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8(out.stdout).expect("utf8");
-    assert_eq!(text.lines().count(), 6, "one line per rule:\n{text}");
+    assert_eq!(text.lines().count(), 5, "one line per rule:\n{text}");
     for rule in [
         "newtype-discipline",
         "dep-hygiene",
         "cast-discipline",
         "obs-discipline",
-        "golden-coverage",
         "waiver-audit",
     ] {
         assert!(text.contains(rule), "missing rule {rule} in:\n{text}");

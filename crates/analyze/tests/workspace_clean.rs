@@ -2,8 +2,8 @@
 //!
 //! Because this is an ordinary integration test, plain `cargo test`
 //! (the tier-1 gate) fails the moment anyone introduces a raw
-//! money/time `f64` or `as` cast, a dead dependency, a malformed obs
-//! name or an unpinned golden. Waivers
+//! money/time `f64` or `as` cast, a dead dependency or a malformed obs
+//! name. Waivers
 //! (`// flowtune-allow(<rule>): <reason>`) are the escape hatch and
 //! leave an audit trail in the diff.
 //!
@@ -171,7 +171,6 @@ fn waiver_budget_is_pinned() {
     );
     let want: std::collections::BTreeMap<String, usize> = [
         ("cast-discipline", 1),
-        ("golden-coverage", 3),
         ("newtype-discipline", 2),
         // +2 obs-discipline: the composite-candidate metrics in
         // crates/tuner/src/candidates.rs fire outside the pinned smoke
@@ -190,10 +189,10 @@ fn waiver_budget_is_pinned() {
         // harness (`flowtune_bench::compare`, the one clock reader), and
         // the env ban in three command-line reads (the `flowtune` and
         // `flowtune-exp` binaries and the analyzer CLI); the hash-order
-        // ban in three order-free library maps (the container cache,
-        // the storage service, a dataflow's seen-file set).
+        // ban in two order-free library maps (the container cache and a
+        // dataflow's seen-file set).
         ("expect(clippy::disallowed_methods)", 3),
-        ("expect(clippy::disallowed_types)", 4),
+        ("expect(clippy::disallowed_types)", 3),
         // 20 library sites whose invariant cannot fail (analyzer
         // panic-hygiene waivers until that rule moved to clippy), three
         // bench and test helper sites, and one `#![expect]` in each of

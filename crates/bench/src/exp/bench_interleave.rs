@@ -39,8 +39,9 @@ use crate::compare::{compare, render_json};
 /// The `schema` field of `BENCH_interleave.json`.
 pub const SCHEMA: &str = "flowtune.bench_interleave.v1";
 
-/// Where a full run writes its document.
-const FILE: &str = "BENCH_interleave.json";
+/// Where a full run writes its document, relative to the working
+/// directory.
+pub const FILE: &str = "BENCH_interleave.json";
 
 const Q: SimDuration = SimDuration::from_secs(60);
 

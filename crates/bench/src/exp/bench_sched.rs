@@ -35,8 +35,9 @@ use crate::compare::{compare, measure_standalone, render_json};
 /// The `schema` field of `BENCH_sched.json`.
 pub const SCHEMA: &str = "flowtune.bench_sched.v1";
 
-/// Where a full run writes its document.
-const FILE: &str = "BENCH_sched.json";
+/// Where a full run writes its document, relative to the working
+/// directory.
+pub const FILE: &str = "BENCH_sched.json";
 
 /// `n` pending builds of equal gain, so the online interleaver offers
 /// them in queue order.

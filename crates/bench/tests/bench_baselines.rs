@@ -11,7 +11,9 @@
 //! container timer noise between regen runs cannot trip them.
 //!
 //! The smoke runs in `ci/check.sh` exercise the harness itself; only
-//! the committed full-mode files carry bars.
+//! the committed full-mode files carry bars. The root holds exactly the
+//! two baselines the harnesses write, and no flag can point a full run
+//! at any other file.
 
 #![expect(
     clippy::expect_used,
@@ -145,4 +147,38 @@ fn interleave_baseline_meets_speedup_bars() {
             "{row} speedup {s:.2}x: small-search overhead regression"
         );
     }
+}
+
+#[test]
+fn root_holds_exactly_the_baselines_the_harnesses_write() {
+    let on_disk: std::collections::BTreeSet<String> = std::fs::read_dir(workspace_root())
+        .expect("workspace root is readable")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into()
+        })
+        .filter(|name: &String| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    let written = [bench_sched::FILE, bench_interleave::FILE]
+        .into_iter()
+        .map(String::from)
+        .collect();
+    assert_eq!(
+        on_disk, written,
+        "the root's BENCH_*.json must be exactly the files bench_sched and bench_interleave write"
+    );
+}
+
+#[test]
+fn full_runs_have_no_out_flag() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-exp"))
+        .args(["bench_sched", "--out", "x"])
+        .output()
+        .expect("spawn flowtune-exp");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
 }

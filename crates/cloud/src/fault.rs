@@ -62,8 +62,6 @@ pub struct FaultConfig {
     /// Per-completed-build torn-page-write probability share. Defaults
     /// to 0 so pre-existing fault streams replay byte-identically.
     pub torn_write_share: f64,
-    /// Runtime inflation factor for straggling operators (≥ 1).
-    pub straggler_factor: f64,
 }
 
 impl Default for FaultConfig {
@@ -77,7 +75,6 @@ impl Default for FaultConfig {
             build_failure_share: 0.5,
             crash_build_share: 0.0,
             torn_write_share: 0.0,
-            straggler_factor: 3.0,
         }
     }
 }
@@ -119,12 +116,6 @@ impl FaultConfig {
                     "fault {name} must be in [0,1], got {share}"
                 )));
             }
-        }
-        if self.straggler_factor.is_nan() || self.straggler_factor < 1.0 {
-            return Err(FlowtuneError::config(format!(
-                "straggler factor must be >= 1, got {}",
-                self.straggler_factor
-            )));
         }
         Ok(())
     }
@@ -240,7 +231,11 @@ impl FaultInjector {
         retries
     }
 
-    /// Runtime inflation factor for one operator (1.0 = no straggling).
+    /// Runtime inflation factor of a straggling operator.
+    const STRAGGLER_FACTOR: f64 = 3.0;
+
+    /// Runtime inflation factor for one operator (1.0 = no straggling,
+    /// else `STRAGGLER_FACTOR`).
     pub fn straggler_factor(&mut self) -> f64 {
         if !self.is_active() {
             return 1.0;
@@ -249,7 +244,7 @@ impl FaultInjector {
             .rng
             .chance(self.config.probability(self.config.straggler_share))
         {
-            self.config.straggler_factor
+            Self::STRAGGLER_FACTOR
         } else {
             1.0
         }
@@ -399,11 +394,10 @@ mod tests {
         let config = FaultConfig {
             rate: 1.0,
             straggler_share: 1.0,
-            straggler_factor: 4.5,
             ..Default::default()
         };
         let mut inj = FaultPlan::new(config).injector(0, 0);
-        assert_eq!(inj.straggler_factor(), 4.5);
+        assert_eq!(inj.straggler_factor(), FaultInjector::STRAGGLER_FACTOR);
     }
 
     #[test]
@@ -423,12 +417,6 @@ mod tests {
     fn config_validation_rejects_bad_ranges() {
         assert!(FaultConfig::default().validate().is_ok());
         assert!(FaultConfig::with_rate(1.5, 0).validate().is_err());
-        assert!(FaultConfig {
-            straggler_factor: 0.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
         assert!(FaultConfig {
             storage_share: -0.1,
             ..Default::default()
@@ -451,7 +439,7 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_nan() {
-        for field in 0..8 {
+        for field in 0..7 {
             let mut c = FaultConfig::with_rate(0.3, 0);
             let slot = match field {
                 0 => &mut c.rate,
@@ -460,8 +448,7 @@ mod tests {
                 3 => &mut c.straggler_share,
                 4 => &mut c.build_failure_share,
                 5 => &mut c.crash_build_share,
-                6 => &mut c.torn_write_share,
-                _ => &mut c.straggler_factor,
+                _ => &mut c.torn_write_share,
             };
             *slot = f64::NAN;
             assert!(c.validate().is_err(), "NaN in field {field} accepted");

@@ -32,6 +32,7 @@ use flowtune_common::{
     SimDuration, SimTime,
 };
 use flowtune_dataflow::{Dag, FileDatabase, IndexUse};
+use flowtune_sched::schedule::lease_end;
 use flowtune_sched::{Assignment, BuildRef, Schedule};
 use flowtune_storage::LruCache;
 
@@ -393,8 +394,7 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|span| {
                 let (s, e) = (*span)?;
-                let ls = s.quantum_floor(quantum);
-                let le = e.quantum_ceil(quantum).max(ls + quantum);
+                let (ls, le) = (s.quantum_floor(quantum), lease_end(s, e, quantum));
                 report.leased_quanta += (le - ls).as_millis() / quantum.as_millis();
                 Some((ls, le))
             })
@@ -1016,7 +1016,6 @@ mod tests {
             storage_share: 0.0,
             straggler_share: 1.0,
             build_failure_share: 0.0,
-            straggler_factor: 2.0,
             ..Default::default()
         };
         let mut inj = FaultPlan::new(config).injector(0, 0);
@@ -1030,10 +1029,10 @@ mod tests {
                 &mut inj,
             )
             .unwrap();
-        // Everything straggles ×2: a 0-10/0-40/40-50 plan becomes
-        // 0-20/0-80/80-100.
+        // Everything straggles ×3: a 0-10/0-40/40-50 plan becomes
+        // 0-30/0-120/120-150.
         assert_eq!(r.straggler_ops, 3);
-        assert_eq!(r.makespan, SimDuration::from_secs(100));
+        assert_eq!(r.makespan, SimDuration::from_secs(150));
         assert!(r.completed());
     }
 

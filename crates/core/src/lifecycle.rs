@@ -238,11 +238,10 @@ mod tests {
         assert_eq!(landed, SimTime::from_secs(900));
         let late = SimTime::from_secs(7200);
         lc.commit(build(id, 1), BuildImage::Clean(late));
+        // The put landed at the horizon: a put settles the meter to its
+        // instant, and the meter stopped there.
         assert_eq!(lc.storage().settled_to(), lc.horizon());
-        assert_eq!(
-            lc.storage().object_created(&ObjectKey::IndexPart(id, 1)),
-            Some(lc.horizon())
-        );
+        assert_eq!(traced(&lc, id, 1), [true; 3]);
         lc.settle(SimTime::from_secs(60));
         assert_eq!(lc.storage().settled_to(), lc.horizon());
     }

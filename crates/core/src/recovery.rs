@@ -82,12 +82,6 @@ pub struct RecoveryConfig {
     /// Maximum re-execution attempts per dataflow before it is
     /// abandoned.
     pub max_retries: u32,
-    /// First backoff delay (sim time).
-    pub backoff_base: SimDuration,
-    /// Multiplier applied per attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on any single backoff delay.
-    pub backoff_cap: SimDuration,
     /// Magnitude of the negative gain evidence recorded per failed
     /// build (in the same per-dataflow quanta units as `gtd`/`gmd`).
     pub gain_penalty: f64,
@@ -98,9 +92,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             policy: RecoveryPolicyKind::Retry,
             max_retries: 3,
-            backoff_base: SimDuration::from_secs(5),
-            backoff_factor: 2.0,
-            backoff_cap: SimDuration::from_secs(60),
             gain_penalty: 1.0,
         }
     }
@@ -115,26 +106,23 @@ impl RecoveryConfig {
         }
     }
 
+    /// First backoff delay (sim time).
+    const BACKOFF_BASE: SimDuration = SimDuration::from_secs(5);
+    /// Multiplier applied per attempt.
+    const BACKOFF_FACTOR: f64 = 2.0;
+    /// Ceiling on any single backoff delay.
+    const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
+
     /// Backoff before re-execution attempt `attempt` (1-based):
-    /// `base × factor^(attempt−1)`, capped.
+    /// `BACKOFF_BASE × BACKOFF_FACTOR^(attempt−1)`, capped at
+    /// `BACKOFF_CAP`.
     pub fn backoff_delay(&self, attempt: u32) -> SimDuration {
-        let factor = self.backoff_factor.powi(attempt.saturating_sub(1) as i32);
-        self.backoff_base.mul_f64(factor).min(self.backoff_cap)
+        let factor = Self::BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
+        Self::BACKOFF_BASE.mul_f64(factor).min(Self::BACKOFF_CAP)
     }
 
     /// Validate parameter ranges. NaN fails every check.
     pub fn validate(&self) -> Result<()> {
-        if self.backoff_factor.is_nan() || self.backoff_factor < 1.0 {
-            return Err(FlowtuneError::config(format!(
-                "backoff factor must be >= 1, got {}",
-                self.backoff_factor
-            )));
-        }
-        if self.backoff_cap < self.backoff_base {
-            return Err(FlowtuneError::config(
-                "backoff cap must be >= backoff base".to_owned(),
-            ));
-        }
         if self.gain_penalty.is_nan() || self.gain_penalty < 0.0 {
             return Err(FlowtuneError::config(format!(
                 "gain penalty must be >= 0, got {}",
@@ -282,18 +270,6 @@ mod tests {
     fn config_validation_rejects_bad_ranges() {
         assert!(RecoveryConfig::default().validate().is_ok());
         assert!(RecoveryConfig {
-            backoff_factor: 0.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RecoveryConfig {
-            backoff_cap: SimDuration::from_secs(1),
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RecoveryConfig {
             gain_penalty: -1.0,
             ..Default::default()
         }
@@ -303,11 +279,6 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_nan() {
-        let nan_factor = RecoveryConfig {
-            backoff_factor: f64::NAN,
-            ..Default::default()
-        };
-        assert!(nan_factor.validate().is_err());
         let nan_penalty = RecoveryConfig {
             gain_penalty: f64::NAN,
             ..Default::default()

@@ -951,7 +951,7 @@ mod tests {
         c.faults.rate = 1.5;
         assert!(c.validate().is_err());
         let mut c = short_config(IndexPolicy::NoIndex);
-        c.recovery.backoff_factor = 0.5;
+        c.recovery.gain_penalty = -1.0;
         assert!(c.validate().is_err());
         let mut c = short_config(IndexPolicy::NoIndex);
         c.params.tuner.alpha = 2.0;

@@ -13,7 +13,7 @@
 use flowtune_common::{ContainerId, Money, OpId, SimDuration, SimTime};
 use flowtune_dataflow::Dag;
 
-use crate::schedule::{Assignment, Schedule};
+use crate::schedule::{lease_end, Assignment, Schedule};
 
 /// One VM type on offer.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,8 +244,7 @@ impl Partial {
             .zip(&self.container_type)
             .filter(|((s, e), _)| e > s)
             .map(|((s, e), &ty)| {
-                let ls = s.quantum_floor(quantum);
-                let le = e.quantum_ceil(quantum).max(ls + quantum);
+                let (ls, le) = (s.quantum_floor(quantum), lease_end(*s, *e, quantum));
                 let quanta = ((le - ls).as_millis() / quantum.as_millis()) as i64;
                 sched.types[ty].price_per_quantum * quanta
             })

@@ -1,57 +1,46 @@
 //! The cloud storage service.
 //!
-//! Holds persistent objects (table/file partitions and index partitions)
-//! and meters the two quantities the provider charges for: **occupancy**
-//! (byte·quanta, priced per MB per quantum) and **transfer volume**. The
-//! paper computes the storage bill "by counting the number of bytes
-//! transferred and charging appropriately over time".
+//! Holds the index partitions the tuner builds and meters what the
+//! provider charges for them: **occupancy** (byte·quanta, priced per MB
+//! per quantum). The paper computes the storage bill "by counting the
+//! number of bytes transferred and charging appropriately over time".
 
-use flowtune_common::{pricing, IndexId, Money, PartitionId, SimDuration, SimTime};
+use std::collections::BTreeMap;
+
+use flowtune_common::{pricing, IndexId, Money, SimDuration, SimTime};
 
 /// Key of an object in the storage service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObjectKey {
-    /// A table/file partition.
-    Partition(PartitionId),
     /// One partition of an index (`index`, table-partition ordinal).
     IndexPart(IndexId, u32),
-}
-
-#[derive(Debug, Clone)]
-struct StoredObject {
-    bytes: u64,
-    created: SimTime,
 }
 
 /// The storage service: object registry plus cost meter.
 #[derive(Debug)]
 pub struct StorageService {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "probed by key and folded by integer sums; only `iter` exposes hash order, and its doc says so"
-    )]
-    objects: std::collections::HashMap<ObjectKey, StoredObject>,
+    /// Size in bytes of every stored object.
+    objects: BTreeMap<ObjectKey, u64>,
+    /// Sum of `objects`' sizes, kept so `settle` reads it in O(1).
+    stored: u64,
     price_per_mb_quantum: Money,
     quantum: SimDuration,
     /// Cost accrued by `settle` so far.
     accrued: Money,
     /// Time up to which occupancy has been billed.
     settled_to: SimTime,
-    bytes_uploaded: u64,
-    bytes_downloaded: u64,
 }
 
 impl StorageService {
     /// Create an empty storage service with the given pricing.
     pub fn new(price_per_mb_quantum: Money, quantum: SimDuration) -> Self {
         StorageService {
-            objects: Default::default(),
+            objects: BTreeMap::new(),
+            stored: 0,
             price_per_mb_quantum,
             quantum,
             accrued: Money::ZERO,
             settled_to: SimTime::ZERO,
-            bytes_uploaded: 0,
-            bytes_downloaded: 0,
         }
     }
 
@@ -63,36 +52,23 @@ impl StorageService {
             return;
         }
         let span_quanta = (now - self.settled_to).as_quanta(self.quantum);
-        let bytes = self.stored_bytes();
-        self.accrued += pricing::storage_cost(bytes, span_quanta, self.price_per_mb_quantum);
+        self.accrued += pricing::storage_cost(self.stored, span_quanta, self.price_per_mb_quantum);
         self.settled_to = now;
     }
 
     /// Store (or replace) an object of `bytes` bytes at time `now`.
     pub fn put(&mut self, key: ObjectKey, bytes: u64, now: SimTime) {
         self.settle(now);
-        self.bytes_uploaded += bytes;
-        self.objects.insert(
-            key,
-            StoredObject {
-                bytes,
-                created: now,
-            },
-        );
-    }
-
-    /// Record a download of an object (for transfer accounting); returns
-    /// its size, or `None` when the object does not exist.
-    pub fn get(&mut self, key: &ObjectKey) -> Option<u64> {
-        let bytes = self.objects.get(key)?.bytes;
-        self.bytes_downloaded += bytes;
-        Some(bytes)
+        let old = self.objects.insert(key, bytes).unwrap_or(0);
+        self.stored = self.stored - old + bytes;
     }
 
     /// Remove an object at time `now`; returns its size if it existed.
     pub fn delete(&mut self, key: &ObjectKey, now: SimTime) -> Option<u64> {
         self.settle(now);
-        self.objects.remove(key).map(|o| o.bytes)
+        let bytes = self.objects.remove(key)?;
+        self.stored -= bytes;
+        Some(bytes)
     }
 
     /// True when the object exists.
@@ -100,14 +76,9 @@ impl StorageService {
         self.objects.contains_key(key)
     }
 
-    /// Creation time of an object, if present.
-    pub fn object_created(&self, key: &ObjectKey) -> Option<SimTime> {
-        self.objects.get(key).map(|o| o.created)
-    }
-
     /// Total bytes currently stored.
     pub fn stored_bytes(&self) -> u64 {
-        self.objects.values().map(|o| o.bytes).sum()
+        self.stored
     }
 
     /// Number of stored objects.
@@ -125,29 +96,15 @@ impl StorageService {
         self.accrued
     }
 
-    /// Total bytes uploaded since creation.
-    pub fn bytes_uploaded(&self) -> u64 {
-        self.bytes_uploaded
-    }
-
-    /// Total bytes downloaded since creation.
-    pub fn bytes_downloaded(&self) -> u64 {
-        self.bytes_downloaded
-    }
-
-    /// Iterate over stored objects as `(key, bytes)`, in hash order:
-    /// the order is unspecified and can differ between runs, so a caller
-    /// must collect into an ordered collection (or fold order-free)
-    /// before the result reaches any output.
+    /// Iterate over stored objects as `(key, bytes)`, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&ObjectKey, u64)> {
-        self.objects.iter().map(|(k, o)| (k, o.bytes))
+        self.objects.iter().map(|(k, &bytes)| (k, bytes))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowtune_common::FileId;
 
     const MB: u64 = 1024 * 1024;
 
@@ -156,7 +113,7 @@ mod tests {
     }
 
     fn pkey(part: u32) -> ObjectKey {
-        ObjectKey::Partition(PartitionId::new(FileId(0), part))
+        ObjectKey::IndexPart(IndexId(0), part)
     }
 
     #[test]
@@ -188,17 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_accounting() {
-        let mut s = service();
-        s.put(pkey(0), 5 * MB, SimTime::ZERO);
-        assert_eq!(s.get(&pkey(0)), Some(5 * MB));
-        assert_eq!(s.get(&pkey(0)), Some(5 * MB));
-        assert_eq!(s.get(&pkey(9)), None);
-        assert_eq!(s.bytes_uploaded(), 5 * MB);
-        assert_eq!(s.bytes_downloaded(), 10 * MB);
-    }
-
-    #[test]
     fn replace_updates_size() {
         let mut s = service();
         s.put(pkey(0), MB, SimTime::ZERO);
@@ -208,13 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn index_and_partition_keys_are_distinct() {
+    fn index_part_keys_are_distinct() {
         let mut s = service();
         s.put(pkey(0), MB, SimTime::ZERO);
-        s.put(ObjectKey::IndexPart(IndexId(0), 0), 2 * MB, SimTime::ZERO);
+        s.put(ObjectKey::IndexPart(IndexId(1), 0), 2 * MB, SimTime::ZERO);
         assert_eq!(s.object_count(), 2);
         assert_eq!(s.stored_bytes(), 3 * MB);
-        assert!(s.contains(&ObjectKey::IndexPart(IndexId(0), 0)));
-        assert_eq!(s.object_created(&pkey(0)), Some(SimTime::ZERO));
+        assert!(s.contains(&ObjectKey::IndexPart(IndexId(1), 0)));
+        assert_eq!(s.delete(&pkey(0), SimTime::ZERO), Some(MB));
+        assert_eq!(s.stored_bytes(), 2 * MB);
     }
 }

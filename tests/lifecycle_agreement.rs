@@ -41,10 +41,7 @@ fn views(lc: &IndexLifecycle) -> [Parts; 3] {
     let billed = lc
         .storage()
         .iter()
-        .filter_map(|(key, _)| match *key {
-            ObjectKey::IndexPart(i, p) => Some((i, p)),
-            ObjectKey::Partition(_) => None,
-        })
+        .map(|(&ObjectKey::IndexPart(i, p), _)| (i, p))
         .collect();
     [built, billed, lc.pages().partitions().collect()]
 }

@@ -1,17 +1,15 @@
-//! Golden determinism tests for the observability subsystem.
+//! Determinism tests for the observability subsystem.
 //!
-//! Three contracts pinned here:
+//! Two contracts pinned here:
 //!
 //! 1. Two runs with the same seed produce byte-identical traces and
 //!    metrics — the event log is as reproducible as the simulation.
-//! 2. The smoke trace matches the committed golden files, so any
-//!    schema or instrumentation change is a reviewed diff, never
-//!    silent drift.
-//! 3. Recording is an observer, not a participant: the `RunReport` of
+//! 2. Recording is an observer, not a participant: the `RunReport` of
 //!    an instrumented run renders byte-identical to an uninstrumented
 //!    one.
 //!
-//! The smoke configuration mirrors the CLI invocation in `ci/check.sh`:
+//! The smoke configuration mirrors the CLI invocation whose trace and
+//! metrics `tests/cli_goldens.rs` diffs against the committed goldens:
 //! `flowtune --quanta 4 --seed 1 --concurrency 1`.
 
 #![expect(
@@ -43,11 +41,6 @@ fn recorded_run() -> (String, String, String) {
     (format!("{report:?}"), rec.trace_jsonl(), rec.metrics_json())
 }
 
-const REGEN: &str = "regenerate with: cargo run -p flowtune-core --bin flowtune -- \
-     --quanta 4 --seed 1 --concurrency 1 \
-     --trace-out tests/golden/trace_smoke.jsonl \
-     --metrics-out tests/golden/metrics_smoke.json";
-
 #[test]
 fn identical_seeds_produce_byte_identical_observability() {
     let (_, trace_a, metrics_a) = recorded_run();
@@ -59,19 +52,6 @@ fn identical_seeds_produce_byte_identical_observability() {
     assert!(
         metrics_a == metrics_b,
         "identical seeds produced different metrics"
-    );
-}
-
-#[test]
-fn trace_and_metrics_match_committed_goldens() {
-    let (_, trace, metrics) = recorded_run();
-    assert!(
-        trace == include_str!("golden/trace_smoke.jsonl"),
-        "trace drifted from tests/golden/trace_smoke.jsonl; {REGEN}"
-    );
-    assert!(
-        metrics == include_str!("golden/metrics_smoke.json"),
-        "metrics drifted from tests/golden/metrics_smoke.json; {REGEN}"
     );
 }
 
