@@ -8,14 +8,16 @@
 # network and no registry cache must build, test, and verify cleanly.
 # A step that would touch the network is itself a policy violation.
 #
-# Plain `cargo test` owns every golden: the test that reads it diffs it
-# (tests/cli_goldens.rs the CLI's reports, trace and metrics, next to
-# the CLI's reject contract; tests/fault_crash_recovery.rs the
-# crash-recovery counters; crates/bench/tests/exp_goldens.rs
-# tests/golden/exp/). This script diffs no golden itself. It runs only
-# what `cargo test` cannot: rustfmt, clippy and its planted-violation
-# check, rustdoc, the optimized test run, the timed experiments' smoke
-# runs, perfbench, and the analyzer's JSON report against its baseline.
+# Plain `cargo test` owns every golden and the workspace analyzer: the
+# test that reads a golden diffs it (tests/cli_goldens.rs the CLI's
+# reports, trace and metrics, next to the CLI's reject contract;
+# tests/fault_crash_recovery.rs the crash-recovery counters;
+# crates/bench/tests/exp_goldens.rs tests/golden/exp/), and
+# crates/analyze/tests/workspace_clean.rs fails on any flowtune-analyze
+# finding. This script diffs no golden and runs no analyzer itself. It
+# runs only what `cargo test` cannot: rustfmt, clippy and its
+# planted-violation check, rustdoc, the optimized test run, the timed
+# experiments' smoke runs, and perfbench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -178,12 +180,5 @@ for workload in gain_phases noindex_phases faults_online; do
     exit 1
   }
 done
-
-echo "==> flowtune-analyze (workspace invariants, JSON report vs baseline)"
-# The machine-readable report gates the tree against the committed
-# baseline: only findings absent from ANALYZE_baseline.json fail the
-# run, so a deliberately accepted finding never blocks CI twice.
-cargo run -q --offline -p flowtune-analyze -- \
-  --format json --baseline ANALYZE_baseline.json > "$scratch/analyze.json"
 
 echo "All checks passed."

@@ -1,14 +1,12 @@
-//! A minimal JSON value, writer, and parser — zero dependencies.
+//! A minimal JSON value and parser — zero dependencies.
 //!
-//! The writer is *canonical*: objects keep insertion order, nesting is
-//! two-space indented, and strings use the shortest escape form. The
-//! parser accepts any standard JSON and preserves object key order, so
-//! `render(parse(render(v))) == render(v)` byte-for-byte — the property
-//! `tests/workspace_clean.rs` pins for the `--format json` output, and
-//! what makes committed baselines diff cleanly.
+//! The parser accepts any standard JSON and keeps object keys in
+//! document order. Its readers are the obs-discipline rule (the
+//! committed metrics golden) and the tests that check the benchmark
+//! baselines and reports; the workspace writes its JSON with `format!`.
 
-/// A JSON value. Integers and floats are kept apart so that whole
-/// numbers round-trip without a trailing `.0`.
+/// A JSON value. Integers and floats are kept apart, so a count reads
+/// back as an `Int` and a measurement as a `Float`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -17,7 +15,7 @@ pub enum Json {
     Float(f64),
     Str(String),
     Arr(Vec<Json>),
-    /// Insertion-ordered key/value pairs.
+    /// Key/value pairs in document order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -57,92 +55,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Canonical pretty rendering (two-space indent, trailing newline
-    /// left to the caller).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::Float(f) => {
-                if f.is_finite() {
-                    out.push_str(&f.to_string());
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn push_indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse a JSON document. Errors carry a byte offset and description.
@@ -334,34 +246,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_and_rerenders_byte_identically() {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("flowtune.analyze.v1".into())),
+    fn parses_pretty_nested_documents_in_key_order() {
+        let text = "{\n  \"schema\": \"flowtune.bench.v1\",\n  \"rows\": [\n    {\n      \"file\": \"a/b.rs\",\n      \"line\": 7\n    }\n  ],\n  \"empty\": [],\n  \"none\": {}\n}\n";
+        let want = Json::Obj(vec![
+            ("schema".into(), Json::Str("flowtune.bench.v1".into())),
             (
-                "findings".into(),
+                "rows".into(),
                 Json::Arr(vec![Json::Obj(vec![
                     ("file".into(), Json::Str("a/b.rs".into())),
                     ("line".into(), Json::Int(7)),
                 ])]),
             ),
             ("empty".into(), Json::Arr(vec![])),
+            ("none".into(), Json::Obj(vec![])),
         ]);
-        let rendered = doc.render();
-        let reparsed = parse(&rendered).expect("own output parses");
-        assert_eq!(reparsed.render(), rendered);
-        assert_eq!(reparsed, doc);
+        assert_eq!(parse(text).expect("parses"), want);
     }
 
     #[test]
     fn parses_compact_and_nested_input() {
         let v = parse(r#"{"a":[1,2.5,true,null],"b":{"c":"d\ne"}}"#).expect("parses");
         assert_eq!(
-            v.get("a").and_then(|a| a.as_arr()).map(<[Json]>::len),
-            Some(4)
-        );
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
-            Some("d\ne")
+            v,
+            Json::Obj(vec![
+                (
+                    "a".into(),
+                    Json::Arr(vec![
+                        Json::Int(1),
+                        Json::Float(2.5),
+                        Json::Bool(true),
+                        Json::Null
+                    ])
+                ),
+                (
+                    "b".into(),
+                    Json::Obj(vec![("c".into(), Json::Str("d\ne".into()))])
+                ),
+            ])
         );
     }
 
@@ -378,10 +299,21 @@ mod tests {
     }
 
     #[test]
-    fn escapes_round_trip() {
-        let s = Json::Str("quote \" slash \\ nl \n tab \t ctrl \u{1}".into());
-        let rendered = s.render();
-        assert_eq!(parse(&rendered).expect("parses"), s);
+    fn parses_every_escape() {
+        let v = parse(
+            r#""quote \" slash \\ solidus \/ nl \n tab \t cr \r bs \b ff \f ctrl \u0001 e \u00e9""#,
+        )
+        .expect("parses");
+        assert_eq!(
+            v,
+            Json::Str(
+                "quote \" slash \\ solidus / nl \n tab \t cr \r bs \u{8} ff \u{c} ctrl \u{1} e \u{e9}"
+                    .into()
+            )
+        );
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\u00g1""#).is_err());
+        assert!(parse(r#""open"#).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! - **obs-discipline** — obs names are dotted snake_case, unique, and
 //!   present in the committed metrics golden.
 //! - **waiver-audit** — stale/unknown/reason-less waivers are findings
-//!   themselves (severity `warn`).
+//!   themselves.
 //!
 //! False positives are silenced in place with a mandatory-reason waiver
 //! (a plain `//` comment — doc comments and strings don't count):
@@ -26,13 +26,10 @@
 //! // flowtune-allow(cast-discipline): leased-quanta counts stay far below 2^53
 //! ```
 //!
-//! The pass runs three ways: as a CLI (`cargo run -p flowtune-analyze`,
-//! non-zero exit on violations, `--format json` for the stable
-//! `flowtune.analyze.v1` schema), from `ci/check.sh` (JSON + baseline
-//! mode), and as a library from the integration test
-//! `tests/workspace_clean.rs`, which makes plain `cargo test` the
-//! enforcement point for these rules — a new violation anywhere in the
-//! workspace fails the tier-1 gate.
+//! The pass is a library with one gate: the integration test
+//! `tests/workspace_clean.rs` runs it over the live tree, so plain
+//! `cargo test` fails on any finding, a stale waiver included, with
+//! each finding's file:line in the message.
 
 pub mod json;
 pub mod lexer;
@@ -41,11 +38,16 @@ pub mod rules;
 pub mod scan;
 pub mod workspace;
 
-pub use rules::{all_rules, Diagnostic, Emitter, Rule, Severity, Sink};
+pub use rules::{all_rules, Diagnostic, Emitter, Rule, Sink};
 pub use scan::{FileKind, SourceFile};
 pub use workspace::{CrateInfo, Workspace};
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+/// The rule [`check`] runs after [`all_rules`], over the waivers they
+/// used.
+pub const WAIVER_AUDIT: &str = "waiver-audit";
 
 /// Run every rule over the workspace rooted at `root`.
 ///
@@ -61,16 +63,16 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     let mut sink = Sink::default();
     for rule in all_rules() {
-        let (name, sev) = (rule.name(), rule.severity());
+        let name = rule.name();
         {
-            let mut em = Emitter::new(name, sev, &mut sink);
+            let mut em = Emitter::new(name, &mut sink);
             rule.check_workspace(ws, &mut em);
         }
         for krate in &ws.crates {
-            let mut em = Emitter::new(name, sev, &mut sink);
+            let mut em = Emitter::new(name, &mut sink);
             rule.check_crate(krate, &mut em);
             for file in &krate.files {
-                let mut em = Emitter::new(name, sev, &mut sink);
+                let mut em = Emitter::new(name, &mut sink);
                 rule.check_file(krate, file, &mut em);
             }
         }
@@ -81,19 +83,26 @@ pub fn check(ws: &Workspace) -> Vec<Diagnostic> {
     diags
 }
 
-/// The waiver-audit post-pass: every declared waiver must name a known
-/// rule, carry a reason, and have suppressed at least one finding this
-/// run. Runs in two sub-passes so a `waiver-audit` waiver that
+/// The waiver-audit post-pass. A `flowtune-allow(rule)` waiver is a
+/// standing exception, and standing exceptions rot, so every declared
+/// waiver must name a known rule (a typo means the intended waiver is
+/// dead), carry a reason (scan.rs requires one, so a reason-less waiver
+/// never suppressed anything), and have suppressed at least one finding
+/// this run (a stale waiver hides nothing and would mask a future
+/// regression). Runs in two sub-passes so a `waiver-audit` waiver that
 /// suppresses an audit finding is itself counted as used before being
 /// judged.
 fn audit_waivers(ws: &Workspace, sink: &mut Sink) {
-    let known: std::collections::BTreeSet<&'static str> =
-        all_rules().iter().map(|r| r.name()).collect();
+    let known: BTreeSet<&str> = all_rules()
+        .iter()
+        .map(|r| r.name())
+        .chain([WAIVER_AUDIT])
+        .collect();
     for pass_audit_waivers in [false, true] {
         for krate in &ws.crates {
             for file in &krate.files {
                 for decl in &file.waiver_decls {
-                    if (decl.rule == "waiver-audit") != pass_audit_waivers {
+                    if (decl.rule == WAIVER_AUDIT) != pass_audit_waivers {
                         continue;
                     }
                     let used = sink.used_waivers.contains(&(
@@ -101,7 +110,7 @@ fn audit_waivers(ws: &Workspace, sink: &mut Sink) {
                         decl.rule.clone(),
                         decl.line,
                     ));
-                    let mut em = Emitter::new("waiver-audit", Severity::Warn, sink);
+                    let mut em = Emitter::new(WAIVER_AUDIT, sink);
                     if !known.contains(decl.rule.as_str()) {
                         em.emit(
                             file,
@@ -138,7 +147,7 @@ fn audit_waivers(ws: &Workspace, sink: &mut Sink) {
 }
 
 /// The workspace root this crate was built from: `CARGO_MANIFEST_DIR`'s
-/// grandparent. Tests and the CLI default to analyzing the live tree.
+/// grandparent, the live tree the tests analyze.
 pub fn workspace_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest

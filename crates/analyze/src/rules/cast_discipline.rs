@@ -44,10 +44,6 @@ impl Rule for CastDiscipline {
         "cast-discipline"
     }
 
-    fn description(&self) -> &'static str {
-        "flag lossy `as` casts on money/time quantities; convert via the newtypes"
-    }
-
     fn check_file(&self, krate: &CrateInfo, file: &SourceFile, em: &mut Emitter<'_>) {
         if !CORE_CRATES.contains(&krate.name.as_str())
             || krate.name == "flowtune-common"

@@ -18,10 +18,6 @@ impl Rule for DepHygiene {
         "dep-hygiene"
     }
 
-    fn description(&self) -> &'static str {
-        "every declared dependency must be used by the crate's sources"
-    }
-
     fn check_crate(&self, krate: &CrateInfo, em: &mut Emitter<'_>) {
         for dep in &krate.deps {
             if !used_anywhere(krate, dep, false) {

@@ -19,31 +19,11 @@ mod cast_discipline;
 mod dep_hygiene;
 mod newtype;
 mod obs_discipline;
-mod waiver_audit;
 
 pub use cast_discipline::CastDiscipline;
 pub use dep_hygiene::DepHygiene;
 pub use newtype::NewtypeDiscipline;
 pub use obs_discipline::ObsDiscipline;
-pub use waiver_audit::WaiverAudit;
-
-/// How a finding gates the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory: reported, but never fails the run.
-    Warn,
-    /// A violation: fails the run unless baselined or waived.
-    Deny,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-}
 
 /// One reported violation, pointing at a workspace-relative file:line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +32,6 @@ pub struct Diagnostic {
     /// 1-based.
     pub line: usize,
     pub rule: &'static str,
-    pub severity: Severity,
     pub message: String,
 }
 
@@ -80,17 +59,12 @@ pub struct Sink {
 #[derive(Debug)]
 pub struct Emitter<'a> {
     rule: &'static str,
-    severity: Severity,
     sink: &'a mut Sink,
 }
 
 impl<'a> Emitter<'a> {
-    pub fn new(rule: &'static str, severity: Severity, sink: &'a mut Sink) -> Emitter<'a> {
-        Emitter {
-            rule,
-            severity,
-            sink,
-        }
+    pub fn new(rule: &'static str, sink: &'a mut Sink) -> Emitter<'a> {
+        Emitter { rule, sink }
     }
 
     /// Report a violation at 0-based `line_idx` of `file`, unless waived.
@@ -109,7 +83,6 @@ impl<'a> Emitter<'a> {
             file: file.rel.clone(),
             line: line_idx + 1,
             rule: self.rule,
-            severity: self.severity,
             message,
         });
     }
@@ -120,7 +93,6 @@ impl<'a> Emitter<'a> {
             file,
             line,
             rule: self.rule,
-            severity: self.severity,
             message,
         });
     }
@@ -130,14 +102,6 @@ impl<'a> Emitter<'a> {
 pub trait Rule {
     fn name(&self) -> &'static str;
 
-    /// One-line description shown by `flowtune-analyze --list-rules`.
-    fn description(&self) -> &'static str;
-
-    /// Default gate level for this rule's findings.
-    fn severity(&self) -> Severity {
-        Severity::Deny
-    }
-
     fn check_file(&self, _krate: &CrateInfo, _file: &SourceFile, _em: &mut Emitter<'_>) {}
 
     fn check_crate(&self, _krate: &CrateInfo, _em: &mut Emitter<'_>) {}
@@ -146,13 +110,14 @@ pub trait Rule {
     fn check_workspace(&self, _ws: &Workspace, _em: &mut Emitter<'_>) {}
 }
 
-/// The full rule registry, in reporting order.
+/// The rule registry. The fifth rule, [`crate::WAIVER_AUDIT`], is no
+/// entry here: it judges the waivers these rules used, so [`crate::check`]
+/// runs it after them.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NewtypeDiscipline),
         Box::new(DepHygiene),
         Box::new(CastDiscipline),
         Box::new(ObsDiscipline),
-        Box::new(WaiverAudit),
     ]
 }

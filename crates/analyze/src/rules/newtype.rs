@@ -34,10 +34,6 @@ impl Rule for NewtypeDiscipline {
         "newtype-discipline"
     }
 
-    fn description(&self) -> &'static str {
-        "flag raw `f64` money/time bindings; use Money/SimTime/Quanta newtypes"
-    }
-
     fn check_file(&self, krate: &CrateInfo, file: &SourceFile, em: &mut Emitter<'_>) {
         if EXEMPT_CRATES.contains(&krate.name.as_str()) || file.kind == FileKind::Test {
             return;

@@ -47,10 +47,6 @@ impl Rule for ObsDiscipline {
         "obs-discipline"
     }
 
-    fn description(&self) -> &'static str {
-        "obs names must be dotted snake_case, unique, and present in the metrics golden"
-    }
-
     fn check_workspace(&self, ws: &Workspace, em: &mut Emitter<'_>) {
         let mut sites: Vec<Site<'_>> = Vec::new();
         for krate in &ws.crates {

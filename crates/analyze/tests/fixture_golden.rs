@@ -73,113 +73,25 @@ fn diagnostics_render_as_file_line_rule() {
 }
 
 #[test]
-fn cli_exits_nonzero_on_fixture_violations() {
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .arg(fixture_root())
-        .status()
-        .expect("spawn analyzer CLI");
+fn check_workspace_errs_on_a_missing_root() {
+    assert!(flowtune_analyze::check_workspace(&fixture_root().join("no-such-dir")).is_err());
+}
+
+#[test]
+fn the_registry_and_the_waiver_audit_name_the_five_rules() {
+    let mut names: Vec<&str> = flowtune_analyze::all_rules()
+        .iter()
+        .map(|r| r.name())
+        .collect();
+    names.push(flowtune_analyze::WAIVER_AUDIT);
     assert_eq!(
-        status.code(),
-        Some(1),
-        "CLI must fail on a tree with violations"
-    );
-}
-
-#[test]
-fn cli_json_is_v1_schema_and_its_output_round_trips_as_baseline() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .args(["--format", "json"])
-        .arg(fixture_root())
-        .output()
-        .expect("spawn analyzer CLI");
-    assert_eq!(out.status.code(), Some(1), "fixtures have deny findings");
-    let text = String::from_utf8(out.stdout).expect("utf8 json");
-    let doc = flowtune_analyze::json::parse(&text).expect("valid json");
-    assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("flowtune.analyze.v1")
-    );
-    let findings = doc
-        .get("findings")
-        .and_then(|f| f.as_arr())
-        .expect("findings");
-    assert!(!findings.is_empty());
-    for f in findings {
-        for key in ["file", "rule", "severity", "message"] {
-            assert!(
-                f.get(key).and_then(|v| v.as_str()).is_some(),
-                "missing {key}"
-            );
-        }
-        assert!(f.get("line").and_then(|v| v.as_int()).is_some());
-    }
-
-    // A clean run's JSON doubles as a baseline: feeding the report back
-    // suppresses every finding, so the same tree now exits 0.
-    let baseline = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fixture_base.json");
-    std::fs::write(&baseline, &text).expect("write baseline");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .arg("--baseline")
-        .arg(&baseline)
-        .arg(fixture_root())
-        .status()
-        .expect("spawn analyzer CLI");
-    assert_eq!(status.code(), Some(0), "fully baselined tree must pass");
-}
-
-#[test]
-fn cli_rule_filter_gates_on_the_selected_rule_only() {
-    // waiver-audit findings are warn severity: filtered alone they never
-    // fail the run, while a deny rule still does.
-    let warn_only = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .args(["--rule", "waiver-audit"])
-        .arg(fixture_root())
-        .status()
-        .expect("spawn analyzer CLI");
-    assert_eq!(warn_only.code(), Some(0));
-    let deny = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .args(["--rule", "cast-discipline"])
-        .arg(fixture_root())
-        .status()
-        .expect("spawn analyzer CLI");
-    assert_eq!(deny.code(), Some(1));
-    let unknown = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .args(["--rule", "no-such-rule"])
-        .arg(fixture_root())
-        .status()
-        .expect("spawn analyzer CLI");
-    assert_eq!(unknown.code(), Some(2), "unknown rule is a usage error");
-}
-
-#[test]
-fn cli_lists_all_five_rules() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .arg("--list-rules")
-        .output()
-        .expect("spawn analyzer CLI");
-    assert_eq!(out.status.code(), Some(0));
-    let text = String::from_utf8(out.stdout).expect("utf8");
-    assert_eq!(text.lines().count(), 5, "one line per rule:\n{text}");
-    for rule in [
-        "newtype-discipline",
-        "dep-hygiene",
-        "cast-discipline",
-        "obs-discipline",
-        "waiver-audit",
-    ] {
-        assert!(text.contains(rule), "missing rule {rule} in:\n{text}");
-    }
-}
-
-#[test]
-fn cli_exits_two_on_missing_root() {
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_flowtune-analyze"))
-        .arg(fixture_root().join("no-such-dir"))
-        .status()
-        .expect("spawn analyzer CLI");
-    assert_eq!(
-        status.code(),
-        Some(2),
-        "CLI must report I/O errors distinctly"
+        names,
+        [
+            "newtype-discipline",
+            "dep-hygiene",
+            "cast-discipline",
+            "obs-discipline",
+            "waiver-audit",
+        ]
     );
 }

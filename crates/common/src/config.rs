@@ -146,9 +146,14 @@ impl Default for ExperimentParams {
 }
 
 impl ExperimentParams {
-    /// The simulated horizon as a duration.
+    /// The simulated horizon as a duration, saturating at
+    /// [`SimDuration::MAX`]; a horizon that does not fit fails
+    /// `ServiceConfig::validate`.
     pub fn horizon(&self) -> SimDuration {
-        self.cloud.quantum * self.total_quanta
+        self.cloud
+            .quantum
+            .checked_mul(self.total_quanta)
+            .unwrap_or(SimDuration::MAX)
     }
 }
 

@@ -154,6 +154,12 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
+    /// `self * n`, or `None` if the product does not fit.
+    #[inline]
+    pub fn checked_mul(self, n: u64) -> Option<SimDuration> {
+        self.0.checked_mul(n).map(SimDuration)
+    }
+
     /// Scale by a non-negative factor, rounding to the nearest millisecond.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "duration scale must be non-negative");

@@ -123,6 +123,14 @@ impl ServiceConfig {
         if self.params.total_quanta == 0 {
             return Err(FlowtuneError::config("total_quanta must be at least 1"));
         }
+        // A horizon past `SimDuration::MAX` would wrap to a short run
+        // (or panic in a debug build).
+        let (quantum, quanta) = (self.params.cloud.quantum, self.params.total_quanta);
+        if quantum.checked_mul(quanta).is_none() {
+            return Err(FlowtuneError::config(format!(
+                "a horizon of {quanta} quanta of {quantum} overflows the simulated clock"
+            )));
+        }
         // Execution scales each estimate by a factor drawn from
         // `1 ± error`, which must stay positive.
         let (time_err, data_err) = self.estimation_error;
@@ -943,6 +951,23 @@ mod tests {
         c.params.total_quanta = 0;
         assert!(c.validate().is_err());
         assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_horizon_that_overflows() {
+        // u64::MAX / 60_000 one-minute quanta is the longest horizon a
+        // SimDuration holds. 307_445_734_561_825_861 quanta would wrap
+        // to a 44-second horizon.
+        let longest = u64::MAX / 60_000;
+        for quanta in [u64::MAX, 307_445_734_561_825_861, longest + 1] {
+            let mut c = short_config(IndexPolicy::NoIndex);
+            c.params.total_quanta = quanta;
+            assert!(c.validate().is_err(), "accepted {quanta} quanta");
+            assert!(QaasService::new(c).run().is_err());
+        }
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.total_quanta = longest;
+        assert!(c.validate().is_ok());
     }
 
     #[test]
