@@ -45,14 +45,15 @@ echo "==> scheduler, DAG, simulator, cache and experiment suites with optimizati
 # offer pass against the reference's in-search offers among them), the
 # online interleaver's plain-skyline equality test, the flat-adjacency DAG
 # oracle, the simulator's pinned report digests, the LRU
-# reference-model test and the experiment smoke goldens run optimized
-# too: the release build is what every run and benchmark ships, and its
+# reference-model test, the random generator's golden streams and
+# log-normal bit-identity test and the experiment smoke goldens run
+# optimized too: the release build is what every run and benchmark ships, and its
 # larger DAG cases finish quickly there. crates/bench/tests/exp_goldens.rs
 # diffs every deterministic experiment's smoke report against
 # tests/golden/exp/<name>_smoke.txt. Regenerate one golden with
 #   cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
 #     <name> --smoke > tests/golden/exp/<name>_smoke.txt
-cargo test -q --offline --release -p flowtune-sched -p flowtune-interleave \
+cargo test -q --offline --release -p flowtune-common -p flowtune-sched -p flowtune-interleave \
   -p flowtune-dataflow -p flowtune-cloud -p flowtune-storage -p flowtune-bench
 
 # All throwaway output from the smoke steps below lands in one scratch

@@ -131,14 +131,13 @@ fn waiver_budget_is_pinned() {
         // `sched.tiebreak_optcount` left with the skyline's optional-count
         // tie-break, which no step could reach.
         ("obs-discipline", 13),
-        // Clippy lints. The wall-clock ban is waived only in the bench
-        // harness (`flowtune_bench::compare`, the one clock reader), and
-        // the env ban in two command-line reads (the `flowtune` and
-        // `flowtune-exp` binaries); the hash-order
-        // ban in two order-free library maps (the container cache and a
-        // dataflow's seen-file set).
+        // Clippy lints. The env ban is waived in two command-line reads
+        // (the `flowtune` and `flowtune-exp` binaries). The type bans
+        // (wall clocks and hash-ordered collections) are waived only in
+        // the bench harness (`flowtune_bench::compare`, the one clock
+        // reader); no library code holds a hash map.
         ("expect(clippy::disallowed_methods)", 2),
-        ("expect(clippy::disallowed_types)", 3),
+        ("expect(clippy::disallowed_types)", 1),
         // 20 library sites whose invariant cannot fail (analyzer
         // panic-hygiene waivers until that rule moved to clippy), three
         // bench and test helper sites, and one `#![expect]` in each of

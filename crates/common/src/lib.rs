@@ -26,6 +26,6 @@ pub use error::{FlowtuneError, Result};
 pub use histogram::Histogram;
 pub use ids::{BuildOpId, ContainerId, DataflowId, FileId, IndexId, OpId, PageId, PartitionId};
 pub use money::Money;
-pub use rng::SimRng;
+pub use rng::{LogNormal, SimRng};
 pub use stats::OnlineStats;
 pub use time::{Quanta, SimDuration, SimTime};

@@ -129,25 +129,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Log-normal variate parameterised by the *target* mean and standard
-    /// deviation of the resulting distribution (not of the underlying
-    /// normal), clamped to `[min, max]`.
-    ///
-    /// This is how operator runtimes are sampled to match the published
-    /// per-application statistics (Table 4): heavy-tailed like real
-    /// workflow tasks but bounded by the observed extremes.
-    pub fn lognormal_clamped(&mut self, mean: f64, stdev: f64, min: f64, max: f64) -> f64 {
-        debug_assert!(mean > 0.0 && min <= max, "invalid lognormal parameters");
-        if stdev <= 0.0 {
-            return mean.clamp(min, max);
-        }
-        let variance = stdev * stdev;
-        let mu = (mean * mean / (variance + mean * mean).sqrt()).ln();
-        let sigma = (1.0 + variance / (mean * mean)).ln().sqrt();
-        let x = (mu + sigma * self.standard_normal()).exp();
-        x.clamp(min, max)
-    }
-
     /// Pick one element of a non-empty slice uniformly at random.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot choose from an empty slice");
@@ -160,6 +141,54 @@ impl SimRng {
             let j = self.uniform_u64(0, i as u64 + 1) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// A log-normal distribution parameterised by the *target* mean and
+/// standard deviation of its variates (not of the underlying normal),
+/// clamped to `[min, max]`.
+///
+/// This is how operator runtimes are sampled to match the published
+/// per-application statistics (Table 4): heavy-tailed like real
+/// workflow tasks but bounded by the observed extremes. The underlying
+/// normal's μ and σ are computed once, in [`LogNormal::new`]; every
+/// [`LogNormal::sample`] is one normal draw and one `exp`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    /// The underlying normal's (μ, σ); `None` for a non-positive
+    /// standard deviation, which always yields the clamped mean.
+    shape: Option<(f64, f64)>,
+    mean: f64,
+    min: f64,
+    max: f64,
+}
+
+impl LogNormal {
+    /// The distribution with the given target mean and standard
+    /// deviation, clamped to `[min, max]`.
+    pub fn new(mean: f64, stdev: f64, min: f64, max: f64) -> Self {
+        debug_assert!(mean > 0.0 && min <= max, "invalid lognormal parameters");
+        let shape = (stdev > 0.0).then(|| {
+            let variance = stdev * stdev;
+            let mu = (mean * mean / (variance + mean * mean).sqrt()).ln();
+            let sigma = (1.0 + variance / (mean * mean)).ln().sqrt();
+            (mu, sigma)
+        });
+        LogNormal {
+            shape,
+            mean,
+            min,
+            max,
+        }
+    }
+
+    /// One clamped variate. A degenerate distribution draws nothing.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        let Some((mu, sigma)) = self.shape else {
+            return self.mean.clamp(self.min, self.max);
+        };
+        let x = (mu + sigma * rng.standard_normal()).exp();
+        x.clamp(self.min, self.max)
     }
 }
 
@@ -253,9 +282,8 @@ mod tests {
     fn lognormal_matches_target_moments() {
         let mut rng = SimRng::seed_from_u64(1);
         let n = 40_000;
-        let xs: Vec<f64> = (0..n)
-            .map(|_| rng.lognormal_clamped(22.97, 25.08, 0.0, f64::INFINITY))
-            .collect();
+        let dist = LogNormal::new(22.97, 25.08, 0.0, f64::INFINITY);
+        let xs: Vec<f64> = (0..n).map(|_| dist.sample(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 22.97).abs() < 1.0, "mean {mean}");
@@ -265,9 +293,59 @@ mod tests {
     #[test]
     fn lognormal_respects_clamp() {
         let mut rng = SimRng::seed_from_u64(3);
+        let dist = LogNormal::new(10.0, 30.0, 2.0, 50.0);
         for _ in 0..1000 {
-            let x = rng.lognormal_clamped(10.0, 30.0, 2.0, 50.0);
+            let x = dist.sample(&mut rng);
             assert!((2.0..=50.0).contains(&x));
+        }
+    }
+
+    /// The per-draw form `LogNormal` replaced: μ and σ recomputed from
+    /// the target moments on every draw.
+    fn lognormal_per_draw(rng: &mut SimRng, mean: f64, stdev: f64, min: f64, max: f64) -> f64 {
+        if stdev <= 0.0 {
+            return mean.clamp(min, max);
+        }
+        let variance = stdev * stdev;
+        let mu = (mean * mean / (variance + mean * mean).sqrt()).ln();
+        let sigma = (1.0 + variance / (mean * mean)).ln().sqrt();
+        let x = (mu + sigma * rng.standard_normal()).exp();
+        x.clamp(min, max)
+    }
+
+    #[test]
+    fn lognormal_matches_the_per_draw_form_bit_for_bit() {
+        // Every (mean, stdev, min, max) the workload generators draw
+        // from (Table 4): each app's operator runtimes, input files
+        // (CyberShake's small-file body) and edges, plus the degenerate
+        // `stdev <= 0` forms, which must not draw at all.
+        let params: [(f64, f64, f64, f64); 12] = [
+            (11.32, 2.95, 3.82, 49.32),
+            (222.33, 241.42, 4.03, 689.39),
+            (22.97, 25.08, 0.55, 199.43),
+            (3.22, 1.65, 0.01, 4.02),
+            (14.24, 2.70, 0.86, 14.91),
+            (160.0, 300.0, 1.81, 2_000.0),
+            (3.0, 3.0, 3.0 * 0.05, 3.0 * 10.0),
+            (10.0, 10.0, 10.0 * 0.05, 10.0 * 10.0),
+            (120.0, 120.0, 120.0 * 0.05, 120.0 * 10.0),
+            (5.0, 0.0, 1.0, 4.0),
+            (5.0, -1.0, 6.0, 9.0),
+            (5.0, 0.0, 0.0, f64::INFINITY),
+        ];
+        for (i, &(mean, stdev, min, max)) in params.iter().enumerate() {
+            let dist = LogNormal::new(mean, stdev, min, max);
+            let (mut a, mut b) = (
+                SimRng::seed_from_u64(i as u64),
+                SimRng::seed_from_u64(i as u64),
+            );
+            for draw in 0..10_000 {
+                let got = dist.sample(&mut a);
+                let want = lognormal_per_draw(&mut b, mean, stdev, min, max);
+                assert_eq!(got.to_bits(), want.to_bits(), "params {i} draw {draw}");
+            }
+            // Both streams advanced alike, the degenerate ones not at all.
+            assert_eq!(a.next_u64(), b.next_u64(), "params {i}");
         }
     }
 

@@ -422,6 +422,8 @@ mod tests {
         assert_eq!(format!("{}", Quanta::new(1.25)), "1.250q");
     }
 
+    // The check is a `debug_assert!`, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "underflow")]
     fn debug_subtraction_underflow_panics() {

@@ -114,6 +114,15 @@ impl ServiceConfig {
         if self.params.cloud.max_containers == 0 {
             return Err(FlowtuneError::config("max_containers must be at least 1"));
         }
+        // Each running dataflow holds at least one container of the
+        // pool, so more lanes than containers can never all be busy.
+        let max_containers = self.params.cloud.max_containers;
+        if self.concurrency as u64 > u64::from(max_containers) {
+            return Err(FlowtuneError::config(format!(
+                "concurrency {} exceeds the pool of {max_containers} containers",
+                self.concurrency
+            )));
+        }
         // Billing, arrivals and the gain model all count in quanta.
         if self.params.cloud.quantum.is_zero() {
             return Err(FlowtuneError::config("quantum must be positive"));
@@ -207,8 +216,10 @@ struct Executed {
 #[derive(Debug)]
 pub struct QaasService {
     config: ServiceConfig,
-    /// Parameters of every skyline run: plans and retries.
-    sched_config: SchedulerConfig,
+    /// The one skyline scheduler of the run, inside the online
+    /// interleaver: every plan, online or not, and every retry, so its
+    /// step buffers serve the whole run.
+    planner: OnlineInterleaver,
     factory: DataflowFactory,
     tuner: OnlineTuner,
     rng: SimRng,
@@ -218,6 +229,13 @@ pub struct QaasService {
     /// Backoff gate for partitions the verification scan invalidated.
     throttle: RebuildThrottle,
 }
+
+// A service runs on whichever thread owns it; its kept scheduler
+// buffers must not pin it to one.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<QaasService>();
+};
 
 impl QaasService {
     /// Build the service: generate the file database, register every
@@ -248,7 +266,10 @@ impl QaasService {
         let storage = StorageService::new(cloud.storage_price_per_mb_quantum, cloud.quantum);
         let horizon = SimTime::ZERO + config.params.horizon();
         QaasService {
-            sched_config: SchedulerConfig::for_cloud(cloud, config.max_skyline),
+            planner: OnlineInterleaver::new(SkylineScheduler::new(SchedulerConfig::for_cloud(
+                cloud,
+                config.max_skyline,
+            ))),
             deferred: DeferredBuildQueue::new(cloud.quantum, cloud.vm_price_per_quantum),
             lifecycle: IndexLifecycle::new(catalog, storage, horizon),
             throttle: RebuildThrottle::new(),
@@ -391,15 +412,12 @@ impl QaasService {
     /// schedule (§5.2); with deferral on, builds left out wait for a batch.
     fn plan(&mut self, df: &Dataflow, pending: &[BuildOp]) -> Schedule {
         let cloud = &self.config.params.cloud;
-        let skyline = SkylineScheduler::new(self.sched_config.clone());
         let schedule = match (self.config.interleaver, self.config.scheduler) {
             // `validate` pairs online interleaving with the skyline only.
-            (InterleaverKind::Online, _) => OnlineInterleaver::new(skyline)
-                .schedule(&df.dag, pending)
-                .remove(0),
+            (InterleaverKind::Online, _) => self.planner.schedule(&df.dag, pending).remove(0),
             (InterleaverKind::Lp, scheduler) => {
                 let mut schedule = if scheduler == SchedulerKind::Skyline {
-                    skyline.schedule(&df.dag).remove(0)
+                    self.planner.scheduler.schedule(&df.dag).remove(0)
                 } else {
                     OnlineLoadBalanceScheduler::new(cloud.max_containers, cloud.network_bandwidth)
                         .schedule(&df.dag)
@@ -474,9 +492,7 @@ impl QaasService {
             // No builds are interleaved into retries: recovery capacity
             // is not donated to the tuner.
             let (remnant, _original) = remnant_dag(&remnant_src, &killed_ops)?;
-            let retry_schedule = SkylineScheduler::new(self.sched_config.clone())
-                .schedule(&remnant)
-                .remove(0);
+            let retry_schedule = self.planner.scheduler.schedule(&remnant).remove(0);
             let retry = attempt_run(&remnant, &retry_schedule, attempt)?;
             absorb_fault_stats(report, &retry, cloud.quantum);
             report.compute_cost += retry.compute_cost;
@@ -910,6 +926,19 @@ mod tests {
         c.concurrency = 0;
         assert!(c.validate().is_err());
         assert!(QaasService::new(c).run().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_more_lanes_than_containers() {
+        let mut c = short_config(IndexPolicy::NoIndex);
+        c.params.cloud.max_containers = 3;
+        c.concurrency = 4;
+        assert!(c.validate().is_err());
+        assert!(QaasService::new(c.clone()).run().is_err());
+        c.concurrency = usize::MAX;
+        assert!(c.validate().is_err());
+        c.concurrency = 3;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

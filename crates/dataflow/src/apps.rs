@@ -12,7 +12,7 @@
 //! | LIGO       | 100 | 4.03 / 689.39 / 222.33 / 241.42 | 53 | 0.86 / 14.91 / 14.24 / 2.70 |
 //! | CyberShake | 100 | 0.55 / 199.43 / 22.97 / 25.08 | 52   | 1.81 / 19169.75 / 1459.08 / 5091.69 |
 
-use flowtune_common::{OpId, PartitionId, SimDuration, SimRng};
+use flowtune_common::{LogNormal, OpId, PartitionId, SimDuration, SimRng};
 
 use crate::dag::{Dag, Edge};
 use crate::op::OpSpec;
@@ -80,12 +80,6 @@ impl App {
         }
     }
 
-    /// Sample one operator runtime from this app's distribution.
-    pub fn sample_runtime(self, rng: &mut SimRng) -> SimDuration {
-        let (min, max, mean, stdev) = self.stats().time;
-        SimDuration::from_secs_f64(rng.lognormal_clamped(mean, stdev, min, max))
-    }
-
     /// Sample one input-file size in bytes from this app's distribution.
     ///
     /// CyberShake's published statistics (mean 1459 MB, stdev 5092 MB,
@@ -100,18 +94,12 @@ impl App {
                 // The huge-SGT tail: ~15 % of files carry most bytes.
                 rng.uniform_range(2_500.0, max * 0.85)
             } else {
-                rng.lognormal_clamped(160.0, 300.0, min, 2_000.0)
+                LogNormal::new(160.0, 300.0, min, 2_000.0).sample(rng)
             }
         } else {
-            rng.lognormal_clamped(mean, stdev, min, max)
+            LogNormal::new(mean, stdev, min, max).sample(rng)
         };
         (mb * 1024.0 * 1024.0).round() as u64
-    }
-
-    fn sample_edge_bytes(self, rng: &mut SimRng) -> u64 {
-        let mean = self.stats().edge_mb;
-        (rng.lognormal_clamped(mean, mean, mean * 0.05, mean * 10.0) * 1024.0 * 1024.0).round()
-            as u64
     }
 
     /// Generate a DAG of approximately `target_ops` operators, reading
@@ -131,23 +119,30 @@ impl App {
 
 /// Incremental DAG builder used by the shape functions.
 struct Builder {
-    app: App,
     ops: Vec<OpSpec>,
     edges: Vec<Edge>,
+    /// The app's operator runtimes (s), set up once per DAG.
+    runtime: LogNormal,
+    /// The app's intermediate edge sizes (MB), set up once per DAG.
+    edge_mb: LogNormal,
 }
 
 impl Builder {
     fn new(app: App) -> Self {
+        let AppStats { time, edge_mb, .. } = app.stats();
+        let (min, max, mean, stdev) = time;
         Builder {
-            app,
             ops: Vec::new(),
             edges: Vec::new(),
+            runtime: LogNormal::new(mean, stdev, min, max),
+            edge_mb: LogNormal::new(edge_mb, edge_mb, edge_mb * 0.05, edge_mb * 10.0),
         }
     }
 
     fn add(&mut self, name: &'static str, rng: &mut SimRng) -> OpId {
         let id = OpId::from_index(self.ops.len());
-        let mut op = OpSpec::new(id, name, self.app.sample_runtime(rng));
+        let runtime = SimDuration::from_secs_f64(self.runtime.sample(rng));
+        let mut op = OpSpec::new(id, name, runtime);
         op.memory = rng.uniform_range(0.05, 0.5);
         op.cpu = 1.0;
         self.ops.push(op);
@@ -155,7 +150,7 @@ impl Builder {
     }
 
     fn connect(&mut self, from: OpId, to: OpId, rng: &mut SimRng) {
-        let bytes = self.app.sample_edge_bytes(rng);
+        let bytes = (self.edge_mb.sample(rng) * 1024.0 * 1024.0).round() as u64;
         self.edges.push(Edge { from, to, bytes });
     }
 

@@ -109,29 +109,28 @@ impl DataflowFactory {
         let dag = app.generate(self.ops_per_dataflow, &reads, &mut self.rng);
         // One useful index per chosen file: usually the file's primary
         // candidate (as a consistent index advisor would suggest),
-        // sometimes another column; dataflow-specific speedup.
+        // sometimes another column; dataflow-specific speedup. `reads`
+        // lists each chosen file's partitions together, in `chosen`
+        // order, so the files it reads are `chosen` minus any file with
+        // no partition.
         let mut index_uses = Vec::new();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "a membership test only; the map is never iterated"
-        )]
-        let mut seen: std::collections::HashMap<FileId, ()> = std::collections::HashMap::new();
-        for p in &reads {
-            if seen.insert(p.file, ()).is_none() {
-                let index = if self.rng.chance(0.9) {
-                    self.filedb.primary_index_of(p.file).id
-                } else {
-                    let candidates: Vec<_> = self.filedb.indexes_of(p.file).collect();
-                    let pick = self.rng.uniform_u64(0, candidates.len() as u64) as usize;
-                    candidates[pick].id
-                };
-                let speedup = *self.rng.choose(&TABLE6_SPEEDUPS);
-                index_uses.push(IndexUse {
-                    index,
-                    file: p.file,
-                    speedup,
-                });
+        for &file in &chosen {
+            if self.filedb.file(file).partitions.is_empty() {
+                continue;
             }
+            let index = if self.rng.chance(0.9) {
+                self.filedb.primary_index_of(file).id
+            } else {
+                let candidates: Vec<_> = self.filedb.indexes_of(file).collect();
+                let pick = self.rng.uniform_u64(0, candidates.len() as u64) as usize;
+                candidates[pick].id
+            };
+            let speedup = *self.rng.choose(&TABLE6_SPEEDUPS);
+            index_uses.push(IndexUse {
+                index,
+                file,
+                speedup,
+            });
         }
         Dataflow {
             id,

@@ -128,3 +128,91 @@ fn equivalent_on_zero_duration_and_tight_quantum_edge_cases() {
     };
     assert_identical(&dag, &config, "edge:plain");
 }
+
+#[test]
+fn equivalent_under_small_fleets() {
+    // Fleets of one to three containers leave no fresh container once
+    // they are used, so every candidate of a full partial fits, overruns
+    // or waits on a used lease: the fused step's best-fit and
+    // parent-point cuts decide alone. Service-shaped and 100-op DAGs,
+    // widths 1, 2 and 8.
+    let mut rng = SimRng::seed_from_u64(0xEA);
+    let filedb = FileDatabase::generate(&mut rng);
+    let mut factory = DataflowFactory::new(filedb, 100, rng.fork());
+    let mut dags: Vec<(String, Dag)> = (App::ALL.into_iter().enumerate())
+        .map(|(i, app)| {
+            let df = factory.make(DataflowId(i as u32), app, SimTime::ZERO);
+            (format!("{}:service", app.name()), df.dag)
+        })
+        .collect();
+    for app in App::ALL {
+        dags.push((format!("{}:100", app.name()), app_dag(app, 100, 0xEB)));
+    }
+    for max_containers in [1, 2, 3] {
+        for max_skyline in [1, 2, 8] {
+            let config = SchedulerConfig {
+                max_containers,
+                max_skyline,
+                ..SchedulerConfig::for_cloud(&CloudConfig::default(), 8)
+            };
+            for (name, dag) in &dags {
+                let label = format!("{name}:fleet{max_containers}:width{max_skyline}");
+                assert_identical(dag, &config, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn equivalent_on_wide_joins() {
+    // Joins of 40 or more predecessors spread over many containers, with
+    // data on every edge: the ready time of each container comes from
+    // the two largest remote-ready times and the local-ready scratch.
+    use flowtune_dataflow::{Edge, OpSpec};
+    let fan = 45u32;
+    let ops: Vec<OpSpec> = (0..fan + 3)
+        .map(|i| {
+            let secs = 5 + (u64::from(i) * 37) % 90;
+            OpSpec::new(OpId(i), format!("op{i}"), SimDuration::from_secs(secs))
+        })
+        .collect();
+    let mut edges = Vec::new();
+    for i in 1..=fan {
+        edges.push(Edge {
+            from: OpId(0),
+            to: OpId(i),
+            bytes: u64::from(i % 4) * 400_000_000,
+        });
+        for join in [fan + 1, fan + 2] {
+            edges.push(Edge {
+                from: OpId(i),
+                to: OpId(join),
+                bytes: u64::from((i + join) % 5) * 300_000_000,
+            });
+        }
+    }
+    let dag = Dag::new(ops, edges).unwrap();
+    assert!(dag.preds(OpId(fan + 1)).len() >= 40);
+    for (max_containers, max_skyline) in [(100, 8), (100, 2), (3, 8), (12, 24)] {
+        let config = SchedulerConfig {
+            max_containers,
+            max_skyline,
+            ..SchedulerConfig::default()
+        };
+        assert_identical(
+            &dag,
+            &config,
+            &format!("join{fan}:fleet{max_containers}:width{max_skyline}"),
+        );
+    }
+    let montage = app_dag(App::Montage, 100, 0xEC);
+    let widest = (0..montage.len())
+        .map(|i| montage.preds(OpId::from_index(i)).len())
+        .max();
+    assert!(widest >= Some(40), "Montage's widest join: {widest:?}");
+    let config = SchedulerConfig {
+        max_skyline: 8,
+        ..SchedulerConfig::default()
+    };
+    assert_identical(&montage, &config, "Montage:100:join");
+}

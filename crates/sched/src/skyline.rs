@@ -32,22 +32,32 @@
 //!   and end time there. Full chunks of 32 placements are shared behind
 //!   `Rc`, so copying a partial copies a pointer table and a short
 //!   tail. The assignments are rebuilt only for the final skyline.
-//! * **Delta expansion.** `SkylineScheduler::expand_parent` turns one
-//!   parent into one 40-byte candidate per container: the parent's
-//!   index, the placement and the objectives. The reduction runs on
-//!   candidates; only its survivors become partial schedules.
-//! * **Money-level reduce over member chains.** Pass 1 files each
-//!   candidate under its money value and chains, in enumeration order,
-//!   the candidates at the level's fastest makespan. A sweep in
-//!   ascending money keeps the levels strictly faster than every
-//!   cheaper one; pass 2 walks only their chains, fastest first, and
-//!   folds the idle tie-break (memoized per parent as its two largest
-//!   per-container contributions) over each.
+//! * **Fused step.** `SkylineScheduler::expand_parent` prices one
+//!   parent on every candidate container and files each 40-byte
+//!   candidate into its money level as soon as it is computed. Only a
+//!   candidate that opens, restarts or joins a level's fastest chain is
+//!   stored. Inside one parent, a candidate no faster than an earlier
+//!   fitting one (same money, or dearer) is skipped before its money
+//!   is priced, and the candidates at the parent's own (makespan,
+//!   money) point fold their idle tie-break inline: no other candidate
+//!   can reach that point, so its level is kept and holds them alone
+//!   (DESIGN §5i). Ready times cost O(preds + containers) per parent:
+//!   the two largest remote-ready times from distinct containers and a
+//!   per-container local-ready scratch.
+//! * **Money-level reduce over member chains.** A sweep in ascending
+//!   money keeps the levels strictly faster than every cheaper one;
+//!   pass 2 walks only their chains, fastest first, and folds the idle
+//!   tie-break (memoized per parent as its two largest per-container
+//!   contributions) over each.
 //! * **Survivors take their parent.** The last survivor of a parent
 //!   moves it and applies its delta in place; earlier ones refill a
 //!   retired spare with `clone_from`. `sched.partial_clone_bytes`
-//!   counts only the copies made. All scratch lives in one buffer set
-//!   per call, cleared rather than freed between steps.
+//!   counts only the copies made.
+//! * **Buffers kept across calls.** The step's plain buffers live in
+//!   the scheduler and are cleared, not freed, between steps and
+//!   between `schedule` calls. No partial is kept: the skyline and its
+//!   spares are per call, so a scheduler pins no dataflow's history
+//!   and stays `Send`.
 
 use std::rc::Rc;
 
@@ -102,6 +112,33 @@ impl SchedulerConfig {
 pub struct SkylineScheduler {
     /// Configuration.
     pub config: SchedulerConfig,
+    /// The step buffers, kept between `schedule` calls.
+    scratch: Scratch,
+}
+
+// The service moves its scheduler with it; the buffers must not stop that.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<SkylineScheduler>();
+};
+
+/// The [`StepBuffers`] a scheduler keeps between calls. A call takes
+/// them out and puts them back, so a nested call would only start
+/// from empty buffers. A clone starts empty too: buffers hold no
+/// state a result depends on.
+#[derive(Default)]
+struct Scratch(std::cell::Cell<StepBuffers>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Scratch")
+    }
 }
 
 /// Billed quanta for one container's dataflow span.
@@ -410,20 +447,22 @@ const _: () = assert!(size_of::<Cand>() == 40);
 /// End of a level's member chain in [`StepBuffers::link`].
 const NIL: u32 = u32::MAX;
 
-/// Scratch for the steps of one `schedule()` call. Every buffer is
-/// cleared, not freed, between steps, so each step reuses the
-/// allocations of the one before.
+/// Scratch for the skyline steps. Every buffer is cleared, not freed,
+/// between steps and between calls, so each step reuses the
+/// allocations of the one before. It holds plain values only, never a
+/// [`Partial`].
 #[derive(Default)]
 struct StepBuffers {
-    /// The step's candidates, in enumeration order.
+    /// The step's filed candidates, in enumeration order: each opened,
+    /// restarted or joined its level's fastest chain when filed.
     cands: Vec<Cand>,
-    /// `(container, end, end + transfer)` of each predecessor of the
-    /// op being assigned, read from the parent being expanded.
-    preds: Vec<(u32, SimTime, SimTime)>,
-    /// The step's distinct candidate money values, in first-seen order.
+    /// The step's distinct filed money values, in first-seen order.
     levels: Vec<Level>,
     /// `(money, index into levels)` of every level, ascending in money.
     by_money: Vec<(u64, u32)>,
+    /// The level the last candidate was filed under, checked first: a
+    /// parent's candidates mostly share its money.
+    last: usize,
     /// Per candidate, the next member of its level's chain, or [`NIL`].
     link: Vec<u32>,
     /// The non-dominated levels, ascending in money.
@@ -435,10 +474,66 @@ struct StepBuffers {
     front: Vec<Cand>,
     /// Per parent, the position in `front` of its last survivor.
     last_of: Vec<usize>,
-    /// The next skyline while it is built; swapped with the current one.
-    next: Vec<Partial>,
-    /// Retired partials, refilled by the survivors that copy a parent.
-    spares: Vec<Partial>,
+    /// Per container of the parent being expanded, the latest end of a
+    /// predecessor placed there: its data-ready time without transfer.
+    local: Vec<SimTime>,
+}
+
+impl StepBuffers {
+    /// Empty the per-step buffers before a step over `parents` parents.
+    fn start_step(&mut self, parents: usize) {
+        self.cands.clear();
+        self.levels.clear();
+        self.by_money.clear();
+        self.link.clear();
+        self.last = usize::MAX;
+        self.tops.clear();
+        self.tops.resize(parents, None);
+    }
+
+    /// File `c` under its money level: store it when it opens the
+    /// level, restarts its chain with a faster makespan or joins the
+    /// chain at the level's fastest makespan; drop it when slower.
+    fn file(&mut self, c: Cand) {
+        let k = self.cands.len() as u32;
+        let i = match self.levels.get(self.last) {
+            Some(l) if l.money == c.money => self.last,
+            _ => match self.by_money.binary_search_by_key(&c.money, |&(m, _)| m) {
+                Ok(j) => self.by_money[j].1 as usize,
+                Err(j) => {
+                    self.by_money.insert(j, (c.money, self.levels.len() as u32));
+                    self.levels.push(Level {
+                        money: c.money,
+                        makespan: c.makespan,
+                        head: k,
+                        tail: k,
+                    });
+                    self.last = self.levels.len() - 1;
+                    self.cands.push(c);
+                    self.link.push(NIL);
+                    return;
+                }
+            },
+        };
+        self.last = i;
+        let level = &mut self.levels[i];
+        if c.makespan < level.makespan {
+            // A faster group at this money: restart the chain.
+            *level = Level {
+                makespan: c.makespan,
+                head: k,
+                tail: k,
+                ..*level
+            };
+        } else if c.makespan == level.makespan {
+            self.link[level.tail as usize] = k;
+            level.tail = k;
+        } else {
+            return;
+        }
+        self.cands.push(c);
+        self.link.push(NIL);
+    }
 }
 
 /// One distinct money value among a step's candidates, with the chain
@@ -572,7 +667,10 @@ impl IdleTops {
 impl SkylineScheduler {
     /// Create a scheduler with the given configuration.
     pub fn new(config: SchedulerConfig) -> Self {
-        SkylineScheduler { config }
+        SkylineScheduler {
+            config,
+            scratch: Scratch::default(),
+        }
     }
 
     /// Schedule a dataflow, returning the skyline of non-dominated
@@ -585,7 +683,9 @@ impl SkylineScheduler {
         }
         let order = dag.topo_order();
         let pred_xfer = XferTable::new(self, dag, &order);
-        let mut skyline = self.run_steps(dag, &order, &pred_xfer);
+        let mut buf = self.scratch.0.take();
+        let mut skyline = self.run_steps(dag, &order, &pred_xfer, &mut buf);
+        self.scratch.0.set(buf);
         skyline.sort_by_key(|p| (p.makespan, p.money));
         skyline
             .into_iter()
@@ -604,20 +704,27 @@ impl SkylineScheduler {
         }
     }
 
-    /// The assignment main loop: expand, reduce, materialize.
-    fn run_steps(&self, dag: &Dag, order: &[OpId], pred_xfer: &XferTable) -> Vec<Partial> {
+    /// The assignment main loop: expand and file, reduce, materialize.
+    fn run_steps(
+        &self,
+        dag: &Dag,
+        order: &[OpId],
+        pred_xfer: &XferTable,
+        buf: &mut StepBuffers,
+    ) -> Vec<Partial> {
         let mut skyline = vec![Partial::new()];
-        let mut buf = StepBuffers::default();
+        let (mut next, mut spares) = (Vec::new(), Vec::new());
         for (step, &op) in order.iter().enumerate() {
             let assign = StepOp::new(dag, op, pred_xfer.of(op));
-            // Expand every partial with every candidate container —
-            // as cheap deltas, not clones.
-            buf.cands.clear();
+            // Expand every partial with every candidate container, as
+            // cheap deltas filed straight into their money levels.
+            buf.start_step(skyline.len());
+            let mut generated = 0;
             for (pi, p) in skyline.iter().enumerate() {
-                self.expand_parent(p, pi as u32, &assign, &mut buf.preds, &mut buf.cands);
+                generated += self.expand_parent(p, pi as u32, &assign, buf);
             }
-            let generated = buf.cands.len();
-            self.advance(&mut skyline, &mut buf);
+            self.reduce(&skyline, buf);
+            self.advance(&mut skyline, buf, &mut next, &mut spares);
             flowtune_obs::obs_event!(
                 "sched.step",
                 step = step,
@@ -640,60 +747,132 @@ impl SkylineScheduler {
         SimDuration::from_secs_f64(bytes as f64 / self.config.network_bandwidth)
     }
 
-    /// The expansion kernel: append to `out` one [`Cand`] per candidate
-    /// container of `p` (skyline index `parent`), assigning the step's
-    /// op there, without cloning anything. Placement times come from
-    /// the predecessors' placements, read from `p`'s history into
-    /// `preds` once per parent; money from the touched container's
-    /// lease. The step loop and the tests both expand through here.
+    /// The expansion kernel: price the step's op on every candidate
+    /// container of `p` (skyline index `parent`) and file each
+    /// candidate into `buf`'s money levels, cloning nothing. Returns
+    /// the number of candidates, skipped ones included.
+    ///
+    /// Three cuts inside the parent leave every kept level and chain as
+    /// filing all candidates would (DESIGN §5i):
+    ///
+    /// * a fitting candidate slower than an earlier fitting one, and an
+    ///   overrunning or fresh one no faster than it, is skipped: its
+    ///   level is either not kept or already faster than it;
+    /// * the fitting candidates that end by the parent's makespan sit
+    ///   at the parent's own (makespan, money) point. The parents form a
+    ///   strict front, so no other candidate reaches that money that
+    ///   fast: the level is kept and its chain is exactly these
+    ///   candidates. Their idle tie-break is folded here, with the
+    ///   comparisons `reduce` would make, and only the winner is filed;
+    /// * placement times come from the predecessors' placements, read
+    ///   from `p`'s history once per parent into the two largest
+    ///   remote-ready times from distinct containers and a
+    ///   per-container local-ready time.
     fn expand_parent(
         &self,
         p: &Partial,
         parent: u32,
         assign: &StepOp<'_>,
-        preds: &mut Vec<(u32, SimTime, SimTime)>,
-        out: &mut Vec<Cand>,
-    ) {
+        buf: &mut StepBuffers,
+    ) -> usize {
         let quantum = self.config.quantum;
-        preds.clear();
-        preds.extend(assign.xfer.iter().map(|&(k, dt)| {
+        // Data-ready on container `c`: the latest end of a predecessor
+        // on `c`, or of a remote one plus its transfer. `far` holds the
+        // largest remote-ready time and its container, `near` the
+        // largest over the other containers.
+        buf.local.clear();
+        buf.local.resize(p.containers.len(), SimTime::ZERO);
+        let (mut far, mut far_on, mut near) = (SimTime::ZERO, NIL, SimTime::ZERO);
+        for &(k, dt) in assign.xfer {
             let placed = p.dataflow.get(k as usize);
-            (placed.container, placed.end, placed.end + dt)
-        }));
-        for c in 0..self.candidate_containers(p) {
-            // Data-ready: every predecessor done, plus transfer when remote.
-            let mut ready = SimTime::ZERO;
-            for &(on, local, remote) in preds.iter() {
-                ready = ready.max(if on == c as u32 { local } else { remote });
+            let on = placed.container;
+            let local = &mut buf.local[on as usize];
+            *local = (*local).max(placed.end);
+            let remote = placed.end + dt;
+            if on == far_on {
+                far = far.max(remote);
+            } else if remote > far {
+                (near, far, far_on) = (far, remote, on);
+            } else {
+                near = near.max(remote);
             }
-            let used = p.containers.get(c);
-            let start = ready.max(used.map_or(SimTime::ZERO, |u| u.free));
+        }
+        // The fastest fitting makespan so far, and the point winner
+        // with its idle value once a tie computed it.
+        let mut best_fit: Option<SimDuration> = None;
+        let mut point: Option<(Cand, Option<SimDuration>)> = None;
+        for (c, u) in p.containers.iter().enumerate() {
+            let remote = if c as u32 == far_on { near } else { far };
+            let start = buf.local[c].max(remote).max(u.free);
             let end = start + assign.runtime;
-            // Only container `c`'s lease changes. A used container's span
-            // ends at `free <= start`, so the op only moves the span's
-            // end, and adds quanta only when it ends past the cached
-            // lease end — the one case that divides. The lease end is a
-            // quantum boundary, so the quanta past it are
+            let makespan = p.makespan.max(end - SimTime::ZERO);
+            // Only container `c`'s lease changes. Its span ends at
+            // `free <= start`, so the op only moves the span's end, and
+            // adds quanta only when it ends past the cached lease end —
+            // the one case that divides. The lease end is a quantum
+            // boundary, so the quanta past it are
             // `ceil((end - lease_end) / quantum)`.
-            let money = match used {
-                None => p.money + lease_quanta(start, end, quantum),
-                Some(u) if end <= u.lease_end => p.money,
-                Some(u) => {
-                    p.money
-                        + (end - u.lease_end)
-                            .as_millis()
-                            .div_ceil(quantum.as_millis())
+            let money = if end <= u.lease_end {
+                if best_fit.is_some_and(|f| makespan > f) {
+                    continue;
                 }
+                best_fit = Some(makespan);
+                p.money
+            } else if best_fit.is_some_and(|f| makespan >= f) {
+                continue;
+            } else {
+                let over = (end - u.lease_end).as_millis();
+                p.money + over.div_ceil(quantum.as_millis())
             };
-            out.push(Cand {
+            let cand = Cand {
                 parent,
                 container: c as u32,
                 start,
                 end,
-                makespan: p.makespan.max(end - SimTime::ZERO),
+                makespan,
                 money,
-            });
+            };
+            if (makespan, money) != (p.makespan, p.money) {
+                buf.file(cand);
+                continue;
+            }
+            // An equal value keeps the incumbent. No further key is
+            // needed: one parent's members differ in container.
+            match &mut point {
+                None => point = Some((cand, None)),
+                Some((win, win_idle)) => {
+                    let tops = *buf.tops[parent as usize].get_or_insert_with(|| IdleTops::of(p));
+                    let cand_idle = self.cand_idle(tops, p, &cand);
+                    let last_idle = *win_idle.get_or_insert_with(|| self.cand_idle(tops, p, win));
+                    if cand_idle > last_idle {
+                        flowtune_obs::count("sched.tiebreak_idle", 1);
+                        (*win, *win_idle) = (cand, Some(cand_idle));
+                    }
+                }
+            }
         }
+        let n = self.candidate_containers(p);
+        if n > p.containers.len() {
+            // The fresh container: no predecessor ran there, and its
+            // lease is the op's own.
+            let start = far;
+            let end = start + assign.runtime;
+            let makespan = p.makespan.max(end - SimTime::ZERO);
+            if best_fit.is_none_or(|f| makespan < f) {
+                buf.file(Cand {
+                    parent,
+                    container: p.containers.len() as u32,
+                    start,
+                    end,
+                    makespan,
+                    money: p.money + lease_quanta(start, end, quantum),
+                });
+            }
+        }
+        if let Some((win, _)) = point {
+            buf.file(win);
+        }
+        n
     }
 
     /// Container `used` (`None` = a fresh one) after a dataflow op runs
@@ -787,20 +966,19 @@ impl SkylineScheduler {
         debug_assert!(q.leases_match(self.config.quantum));
     }
 
-    /// Reduce `buf.cands` against `parents` and replace them with the
-    /// survivors. The last survivor of each parent takes the parent
-    /// itself and applies its delta in place; earlier survivors of that
-    /// parent refill a spare with a copy. The retired partials become
-    /// spares for the next step.
-    fn advance(&self, parents: &mut Vec<Partial>, buf: &mut StepBuffers) {
-        self.reduce(parents, buf);
-        let StepBuffers {
-            front,
-            last_of,
-            next,
-            spares,
-            ..
-        } = buf;
+    /// Replace `parents` with the survivors in `buf.front`. The last
+    /// survivor of each parent takes the parent itself and applies its
+    /// delta in place; earlier survivors of that parent refill a spare
+    /// with a copy. The retired partials become spares for the next
+    /// step.
+    fn advance(
+        &self,
+        parents: &mut Vec<Partial>,
+        buf: &mut StepBuffers,
+        next: &mut Vec<Partial>,
+        spares: &mut Vec<Partial>,
+    ) {
+        let StepBuffers { front, last_of, .. } = buf;
         last_of.clear();
         last_of.resize(parents.len(), usize::MAX);
         for (i, cand) in front.iter().enumerate() {
@@ -822,18 +1000,19 @@ impl SkylineScheduler {
         spares.append(next);
     }
 
-    /// Skyline reduction of `buf.cands` into `buf.front`, without a
-    /// sort. Pass 1 records the fastest makespan at each distinct money
-    /// value and chains, in enumeration order, the candidates at it. A
-    /// sweep in ascending money keeps a level only if it is strictly
-    /// faster than every cheaper level: exactly the (time, money) groups
-    /// a scan sorted by (time, money) keeps when it drops every group
-    /// whose money is not below every faster group's. Pass 2 walks each
-    /// kept level's chain and collapses the group to one winner with the
-    /// idle tie-break (most sequential idle; the first member wins an
-    /// equal value), meeting the members in enumeration order, as the
-    /// sorted scan did; dominated candidates never reach a tie-break.
-    /// Then the width is capped. Runs entirely on deltas.
+    /// Skyline reduction of the filed candidates into `buf.front`,
+    /// without a sort. Filing recorded the fastest makespan at each
+    /// distinct money value and chained, in enumeration order, the
+    /// candidates at it. A sweep in ascending money keeps a level only
+    /// if it is strictly faster than every cheaper level: exactly the
+    /// (time, money) groups a scan sorted by (time, money) keeps when it
+    /// drops every group whose money is not below every faster group's.
+    /// Pass 2 walks each kept level's chain and collapses the group to
+    /// one winner with the idle tie-break (most sequential idle; the
+    /// first member wins an equal value), meeting the members in
+    /// enumeration order, as the sorted scan did; dominated candidates
+    /// never reach a tie-break. Then the width is capped. Runs entirely
+    /// on deltas.
     fn reduce(&self, skyline: &[Partial], buf: &mut StepBuffers) {
         let StepBuffers {
             cands,
@@ -845,48 +1024,6 @@ impl SkylineScheduler {
             front,
             ..
         } = buf;
-        levels.clear();
-        by_money.clear();
-        link.clear();
-        // Pass 1. A parent's candidates mostly share its money, so the
-        // previous candidate's level is checked first; only a new money
-        // value searches the (short) ascending index.
-        let mut last = usize::MAX;
-        for (k, c) in cands.iter().enumerate() {
-            let k = k as u32;
-            link.push(NIL);
-            let i = match levels.get(last) {
-                Some(l) if l.money == c.money => last,
-                _ => match by_money.binary_search_by_key(&c.money, |&(m, _)| m) {
-                    Ok(j) => by_money[j].1 as usize,
-                    Err(j) => {
-                        by_money.insert(j, (c.money, levels.len() as u32));
-                        levels.push(Level {
-                            money: c.money,
-                            makespan: c.makespan,
-                            head: k,
-                            tail: k,
-                        });
-                        last = levels.len() - 1;
-                        continue;
-                    }
-                },
-            };
-            let level = &mut levels[i];
-            if c.makespan < level.makespan {
-                // A faster group at this money: restart the chain.
-                *level = Level {
-                    makespan: c.makespan,
-                    head: k,
-                    tail: k,
-                    ..*level
-                };
-            } else if c.makespan == level.makespan {
-                link[level.tail as usize] = k;
-                level.tail = k;
-            }
-            last = i;
-        }
         kept.clear();
         let mut fastest: Option<SimDuration> = None;
         for &(_, i) in by_money.iter() {
@@ -898,8 +1035,6 @@ impl SkylineScheduler {
         }
         // Lazy per-parent top-2 idle memo: computed once for a parent
         // the first time one of its candidates hits a tie.
-        tops.clear();
-        tops.resize(skyline.len(), None);
         let mut idle_of = |c: &Cand| {
             let parent = c.parent as usize;
             let t = *tops[parent].get_or_insert_with(|| IdleTops::of(&skyline[parent]));
@@ -933,22 +1068,52 @@ impl SkylineScheduler {
         cap_width(front, self.config.max_skyline);
     }
 
-    /// The candidate assigning `op` to container `c` of `p`, from the
-    /// expansion kernel. Op `k` must be the one placed at step `k`:
-    /// the transfer table maps the ops in id order.
+    /// Every candidate of `p`, one per candidate container in order,
+    /// priced the plain way: a scan of every predecessor per container,
+    /// and the touched container's billed quanta recomputed from its
+    /// span. The oracle the fused kernel's cuts and ready times are
+    /// checked against.
+    #[cfg(test)]
+    fn expand_all(&self, p: &Partial, parent: u32, assign: &StepOp<'_>) -> Vec<Cand> {
+        let quantum = self.config.quantum;
+        (0..self.candidate_containers(p))
+            .map(|c| {
+                let mut ready = SimTime::ZERO;
+                for &(k, dt) in assign.xfer {
+                    let placed = p.dataflow.get(k as usize);
+                    let local = placed.container == c as u32;
+                    ready = ready.max(if local { placed.end } else { placed.end + dt });
+                }
+                let used = p.containers.get(c);
+                let start = ready.max(used.map_or(SimTime::ZERO, |u| u.free));
+                let end = start + assign.runtime;
+                let money = match used {
+                    None => p.money + lease_quanta(start, end, quantum),
+                    Some(u) => {
+                        p.money + lease_quanta(u.start, end, quantum)
+                            - lease_quanta(u.start, u.free, quantum)
+                    }
+                };
+                Cand {
+                    parent,
+                    container: c as u32,
+                    start,
+                    end,
+                    makespan: p.makespan.max(end - SimTime::ZERO),
+                    money,
+                }
+            })
+            .collect()
+    }
+
+    /// The candidate assigning `op` to container `c` of `p`. Op `k`
+    /// must be the one placed at step `k`: the transfer table maps the
+    /// ops in id order.
     #[cfg(test)]
     fn cand_for(&self, p: &Partial, dag: &Dag, op: OpId, c: usize) -> Cand {
         assert_eq!(op.index(), p.dataflow.len(), "ops are assigned in id order");
         let xfer = XferTable::new(self, dag, &id_order(dag.len()));
-        let mut out = Vec::new();
-        self.expand_parent(
-            p,
-            0,
-            &StepOp::new(dag, op, xfer.of(op)),
-            &mut Vec::new(),
-            &mut out,
-        );
-        out[c]
+        self.expand_all(p, 0, &StepOp::new(dag, op, xfer.of(op)))[c]
     }
 
     /// Test-only convenience mirroring the legacy single-shot
@@ -1343,11 +1508,14 @@ mod tests {
 
     #[test]
     fn money_level_reduce_matches_a_sort_based_oracle() {
-        // Synthetic candidate sets over real parents: few makespan and
-        // money values (exact ties across parents, equal makespans at
-        // several money levels, repeated candidates with equal idle
-        // values), single-candidate steps, steps with far more than 40
-        // money levels, and widths 1, 2, 3 and 24.
+        // Synthetic candidate sets over real parents, filed one by one:
+        // few makespan and money values (exact ties across parents,
+        // equal makespans at several money levels, repeated candidates
+        // with equal idle values), single-candidate steps, steps with
+        // far more than 40 money levels, and widths 1, 2, 3 and 24.
+        // The parents need not form a front here: the cuts that rely on
+        // one live in `expand_parent`, which
+        // `fused_steps_match_the_oracle_on_real_fronts` checks.
         let mut rng = SimRng::seed_from_u64(0x5EED_0F00);
         let mut idle_total = 0;
         for round in 0..400 {
@@ -1369,10 +1537,9 @@ mod tests {
                 .collect();
             let xfer = XferTable::new(&sched, &dag, &id_order(n));
             let assign = StepOp::new(&dag, OpId(n as u32 - 1), xfer.of(OpId(n as u32 - 1)));
-            let mut real = Vec::new();
-            for (pi, p) in skyline.iter().enumerate() {
-                sched.expand_parent(p, pi as u32, &assign, &mut Vec::new(), &mut real);
-            }
+            let real: Vec<Cand> = (skyline.iter().enumerate())
+                .flat_map(|(pi, p)| sched.expand_all(p, pi as u32, &assign))
+                .collect();
             let many_levels = round % 5 == 1;
             let size = match round % 5 {
                 0 => 1,
@@ -1394,10 +1561,11 @@ mod tests {
                     c
                 })
                 .collect();
-            let mut buf = StepBuffers {
-                cands: cands.clone(),
-                ..StepBuffers::default()
-            };
+            let mut buf = StepBuffers::default();
+            buf.start_step(skyline.len());
+            for &c in &cands {
+                buf.file(c);
+            }
             flowtune_obs::install();
             sched.reduce(&skyline, &mut buf);
             let rec = flowtune_obs::uninstall().unwrap();
@@ -1405,15 +1573,178 @@ mod tests {
                 assert!(buf.levels.len() > 40, "round {round}: too few money levels");
             }
             let (want, idle_wins) = sorted_reduce(&sched, &skyline, &cands);
-            let fields = |c: &Cand| (c.parent, c.container, c.start, c.end, c.makespan, c.money);
-            let got: Vec<_> = buf.front.iter().map(fields).collect();
-            let want: Vec<_> = want.iter().map(fields).collect();
-            assert_eq!(got, want, "round {round}: fronts differ");
+            assert_eq!(
+                fields(&buf.front),
+                fields(&want),
+                "round {round}: fronts differ"
+            );
             let counter = |name| rec.metrics().counter(name);
             assert_eq!(counter("sched.tiebreak_idle"), idle_wins, "round {round}");
             idle_total += idle_wins;
         }
         assert!(idle_total > 0, "the tie-break never ran");
+    }
+
+    /// The placement and objectives of each candidate, for comparing
+    /// fronts.
+    fn fields(front: &[Cand]) -> Vec<(u32, u32, SimTime, SimTime, SimDuration, u64)> {
+        (front.iter())
+            .map(|c| (c.parent, c.container, c.start, c.end, c.makespan, c.money))
+            .collect()
+    }
+
+    /// The oracle step over `skyline`: every candidate expanded the
+    /// plain way, then `sorted_reduce`. Returns the candidate count,
+    /// the front and the tie-break wins.
+    fn oracle_step(
+        sched: &SkylineScheduler,
+        skyline: &[Partial],
+        assign: &StepOp<'_>,
+    ) -> (usize, Vec<Cand>, u64) {
+        let all: Vec<Cand> = (skyline.iter().enumerate())
+            .flat_map(|(pi, p)| sched.expand_all(p, pi as u32, assign))
+            .collect();
+        let (front, wins) = sorted_reduce(sched, skyline, &all);
+        (all.len(), front, wins)
+    }
+
+    /// The search with the oracle step in place of the fused one, with
+    /// the counters `schedule` emits (`sched.partials_expanded` through
+    /// `apply`, by way of `materialize`).
+    fn oracle_schedule(sched: &SkylineScheduler, dag: &Dag) -> Vec<Schedule> {
+        let order = dag.topo_order();
+        let xfer = XferTable::new(sched, dag, &order);
+        let mut skyline = vec![Partial::new()];
+        for &op in &order {
+            let assign = StepOp::new(dag, op, xfer.of(op));
+            let (generated, front, wins) = oracle_step(sched, &skyline, &assign);
+            flowtune_obs::count("sched.candidates", generated as u64);
+            flowtune_obs::count("sched.pruned", (generated - front.len()) as u64);
+            flowtune_obs::count("sched.tiebreak_idle", wins);
+            skyline = (front.iter())
+                .map(|c| sched.materialize(&skyline[c.parent as usize], c, None))
+                .collect();
+        }
+        skyline.sort_by_key(|p| (p.makespan, p.money));
+        (skyline.into_iter())
+            .map(|p| p.into_schedule(&order))
+            .collect()
+    }
+
+    /// The DAGs the parity tests run: every app at 60 and 100 ops
+    /// (Cybershake's and Montage's joins have 40 or more predecessors
+    /// at 100 ops), the random chains-with-data of `random_dag`, and
+    /// the edge-case DAGs above.
+    fn parity_dags() -> Vec<(String, Dag)> {
+        let mut rng = SimRng::seed_from_u64(0xF05E);
+        let mut dags = vec![("fork_join".to_owned(), fork_join())];
+        for app in App::ALL {
+            for ops in [60, 100] {
+                dags.push((
+                    format!("{}:{ops}", app.name()),
+                    app.generate(ops, &[], &mut rng),
+                ));
+            }
+        }
+        for i in 0..4 {
+            dags.push((format!("random{i}"), random_dag(40, &mut rng)));
+        }
+        let widest = (dags.iter())
+            .flat_map(|(_, d)| (0..d.len()).map(|i| d.preds(OpId::from_index(i)).len()))
+            .max();
+        assert!(widest >= Some(40), "no join of 40 predecessors: {widest:?}");
+        dags
+    }
+
+    /// The fleet caps and widths the parity tests run: fleets of one to
+    /// three containers leave no fresh container once they are used.
+    fn parity_configs() -> Vec<SchedulerConfig> {
+        let mut configs = Vec::new();
+        for max_containers in [1, 2, 3, 100] {
+            for max_skyline in [1, 2, 8, 24] {
+                configs.push(SchedulerConfig {
+                    max_containers,
+                    max_skyline,
+                    ..cfg()
+                });
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn fused_steps_match_the_oracle_on_real_fronts() {
+        // Each step of a real search runs on a real strict front. The
+        // fused step (cuts, inline point tie-breaks, ready scratch) must
+        // give the oracle step's front, candidate count and tie-break
+        // wins, step by step.
+        let mut wins_total = 0;
+        for config in parity_configs() {
+            let sched = SkylineScheduler::new(config.clone());
+            for (name, dag) in parity_dags() {
+                let order = dag.topo_order();
+                let xfer = XferTable::new(&sched, &dag, &order);
+                let mut skyline = vec![Partial::new()];
+                let mut buf = StepBuffers::default();
+                let (mut next, mut spares) = (Vec::new(), Vec::new());
+                for (step, &op) in order.iter().enumerate() {
+                    let label = format!(
+                        "{name} fleet {} width {} step {step}",
+                        config.max_containers, config.max_skyline
+                    );
+                    let assign = StepOp::new(&dag, op, xfer.of(op));
+                    let (want_n, want, want_wins) = oracle_step(&sched, &skyline, &assign);
+                    flowtune_obs::install();
+                    buf.start_step(skyline.len());
+                    let got_n: usize = (skyline.iter().enumerate())
+                        .map(|(pi, p)| sched.expand_parent(p, pi as u32, &assign, &mut buf))
+                        .sum();
+                    sched.reduce(&skyline, &mut buf);
+                    let rec = flowtune_obs::uninstall().unwrap();
+                    assert_eq!(got_n, want_n, "{label}: candidate count");
+                    assert_eq!(fields(&buf.front), fields(&want), "{label}: fronts differ");
+                    let wins = rec.metrics().counter("sched.tiebreak_idle");
+                    assert_eq!(wins, want_wins, "{label}: tie-break wins");
+                    wins_total += wins;
+                    sched.advance(&mut skyline, &mut buf, &mut next, &mut spares);
+                }
+            }
+        }
+        assert!(wins_total > 0, "the tie-break never ran");
+    }
+
+    #[test]
+    fn schedule_counters_match_the_oracle() {
+        // One scheduler per config, reused across every DAG: the kept
+        // buffers must carry nothing from one call into the next.
+        for config in parity_configs() {
+            let sched = SkylineScheduler::new(config.clone());
+            for (name, dag) in parity_dags() {
+                let label = format!(
+                    "{name} fleet {} width {}",
+                    config.max_containers, config.max_skyline
+                );
+                flowtune_obs::install();
+                let got = sched.schedule(&dag);
+                let got_rec = flowtune_obs::uninstall().unwrap();
+                flowtune_obs::install();
+                let want = oracle_schedule(&sched, &dag);
+                let want_rec = flowtune_obs::uninstall().unwrap();
+                assert_eq!(got, want, "{label}: skylines differ");
+                for counter in [
+                    "sched.candidates",
+                    "sched.pruned",
+                    "sched.partials_expanded",
+                    "sched.tiebreak_idle",
+                ] {
+                    assert_eq!(
+                        got_rec.metrics().counter(counter),
+                        want_rec.metrics().counter(counter),
+                        "{label}: {counter}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! cache per container and counts its own hits.
 //!
 //! Every lookup and insert takes a fresh tick, and an entry remembers
-//! the tick of its last use, so a hit is one hash lookup that rewrites
-//! the tick in place. Eviction scans the entries for the minimum tick.
-//! Ticks never collide, so that minimum is the unique LRU victim, and
-//! the hash map's iteration order cannot change which entry goes. The
-//! scan is `O(n)`, but the simulator evicts only when one container
+//! the tick of its last use. The entries are one flat `Vec` of (key,
+//! bytes, tick), probed linearly: a container holds a few dozen
+//! objects per dataflow, so a lookup compares a few dozen keys and
+//! hashes nothing, and a hit rewrites the tick in place. Eviction scans
+//! the entries for the minimum tick. Ticks never collide, so that
+//! minimum is the unique LRU victim, and the entries' order (removal
+//! swaps the last entry into the gap) cannot change which entry goes.
+//! The scan is `O(n)`, but the simulator evicts only when one container
 //! reads more than its disk holds within one dataflow, which is rare;
 //! hits are on every operator's path.
 
@@ -20,46 +23,47 @@
 pub struct LruCache<K> {
     capacity: u64,
     used: u64,
-    /// key -> (bytes, last-use tick); ticks are unique.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "probed by key only; eviction takes the unique minimum tick, so hash order never picks a victim"
-    )]
-    entries: std::collections::HashMap<K, (u64, u64)>,
+    /// (key, bytes, last-use tick), one per cached key, in no
+    /// particular order; ticks are unique.
+    entries: Vec<(K, u64, u64)>,
     tick: u64,
 }
 
-impl<K: std::hash::Hash + Eq + Clone> LruCache<K> {
+impl<K: Eq> LruCache<K> {
     /// Create a cache with the given capacity in bytes.
     pub fn new(capacity: u64) -> Self {
         LruCache {
             capacity,
             used: 0,
-            entries: Default::default(),
+            entries: Vec::new(),
             tick: 0,
         }
+    }
+
+    /// The position of `key`'s entry.
+    fn find(&self, key: &K) -> Option<usize> {
+        self.entries.iter().position(|(k, _, _)| k == key)
     }
 
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> bool {
         self.tick += 1;
-        let Some(entry) = self.entries.get_mut(key) else {
+        let Some(i) = self.find(key) else {
             return false;
         };
-        entry.1 = self.tick;
+        self.entries[i].2 = self.tick;
         true
     }
 
     /// Check presence without touching recency.
     pub fn contains(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+        self.find(key).is_some()
     }
 
-    /// Remove `key`, releasing its bytes.
-    fn take(&mut self, key: &K) {
-        if let Some((bytes, _)) = self.entries.remove(key) {
-            self.used -= bytes;
-        }
+    /// Remove the entry at `i`, releasing its bytes.
+    fn take(&mut self, i: usize) {
+        let (_, bytes, _) = self.entries.swap_remove(i);
+        self.used -= bytes;
     }
 
     /// Insert an object, evicting least-recently-used entries until it
@@ -67,7 +71,9 @@ impl<K: std::hash::Hash + Eq + Clone> LruCache<K> {
     /// and a stale entry they displace leaves the cache.
     pub fn insert(&mut self, key: K, bytes: u64) {
         self.tick += 1;
-        self.take(&key);
+        if let Some(i) = self.find(&key) {
+            self.take(i);
+        }
         if bytes > self.capacity {
             // Can't fit even in an empty cache; treat as uncacheable.
             return;
@@ -76,17 +82,15 @@ impl<K: std::hash::Hash + Eq + Clone> LruCache<K> {
             // Over budget with the new object not yet inserted: at
             // least one entry exists, and the one with the minimum
             // tick is the unique LRU victim.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, &(_, tick))| tick)
-                .map(|(k, _)| k.clone())
+            let Some(victim) = (self.entries.iter().enumerate())
+                .min_by_key(|(_, &(_, _, tick))| tick)
+                .map(|(i, _)| i)
             else {
                 break;
             };
-            self.take(&victim);
+            self.take(victim);
         }
-        self.entries.insert(key, (bytes, self.tick));
+        self.entries.push((key, bytes, self.tick));
         self.used += bytes;
     }
 

@@ -161,15 +161,17 @@ fn golden_dir_holds_exactly_the_goldens_tests_read() {
 fn bad_configs_are_rejected_before_the_run_is_announced() {
     // The online interleaver has no load-balance form, an estimation
     // error must lie in [0, 1), a zero horizon would run as nothing, a
-    // horizon past `SimDuration::MAX` would wrap, and online
-    // interleaving under No Index would run as plain No Index (the
-    // policy builds nothing).
+    // horizon past `SimDuration::MAX` would wrap, online interleaving
+    // under No Index would run as plain No Index (the policy builds
+    // nothing), and more lanes than the pool has containers could
+    // never all run (the lane vector once overflowed its capacity).
     for args in [
         "--scheduler online-lb --interleaver online --quanta 4",
         "--error 1.5 --quanta 10 --seed 1 --concurrency 1",
         "--quanta 0",
         "--quanta 18446744073709551615",
         "--policy no-index --interleaver online --quanta 4",
+        "--concurrency 18446744073709551615 --quanta 4",
     ] {
         let out = flowtune(args.split_whitespace()).expect("spawn flowtune");
         let (stdout, stderr) = (
