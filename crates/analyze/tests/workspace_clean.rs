@@ -118,9 +118,7 @@ fn waiver_budget_is_pinned() {
     let want: std::collections::BTreeMap<String, usize> = [
         ("cast-discipline", 1),
         ("newtype-discipline", 2),
-        // +2 obs-discipline: the composite-candidate metrics in
-        // crates/tuner/src/candidates.rs fire outside the pinned smoke
-        // trace. +1 obs-discipline: the pool-eviction counter left the
+        // +1 obs-discipline: the pool-eviction counter left the
         // smoke golden when the page-image store dropped its buffer
         // pool. -1 obs-discipline: `sched.parallel_steps` left with the
         // skyline's expand pool. -3 obs-discipline: the pool hit, miss
@@ -130,7 +128,7 @@ fn waiver_budget_is_pinned() {
         // read sites now carry it alone). -1 obs-discipline:
         // `sched.tiebreak_optcount` left with the skyline's optional-count
         // tie-break, which no step could reach.
-        ("obs-discipline", 13),
+        ("obs-discipline", 11),
         // Clippy lints. The env ban is waived in two command-line reads
         // (the `flowtune` and `flowtune-exp` binaries). The type bans
         // (wall clocks and hash-ordered collections) are waived only in
@@ -138,16 +136,15 @@ fn waiver_budget_is_pinned() {
         // reader); no library code holds a hash map.
         ("expect(clippy::disallowed_methods)", 2),
         ("expect(clippy::disallowed_types)", 1),
-        // 20 library sites whose invariant cannot fail (analyzer
-        // panic-hygiene waivers until that rule moved to clippy), three
-        // bench and test helper sites, and one `#![expect]` in each of
-        // 12 tests and examples that fail fast. The experiments return
-        // errors since they became a library.
-        ("expect(clippy::expect_used)", 35),
+        // 16 library sites whose invariant cannot fail (analyzer
+        // panic-hygiene waivers until that rule moved to clippy), one
+        // test helper site, and one `#![expect]` in each of 12 tests and
+        // examples that fail fast. The experiments return errors since
+        // they became a library.
+        ("expect(clippy::expect_used)", 29),
         // The lineitem generator's two documented column-name contracts
-        // (also former panic-hygiene waivers), one bench site and one
-        // baseline test.
-        ("expect(clippy::panic)", 4),
+        // (also former panic-hygiene waivers) and one baseline test.
+        ("expect(clippy::panic)", 3),
         ("expect(clippy::unwrap_used)", 3),
     ]
     .into_iter()

@@ -100,8 +100,6 @@ registry! {
     table5_index_sizes: "Table 5", "indexes on table lineitem (SF 2, ~12 M rows)", Golden::Smoke;
     table6_speedups: "Table 6", "index speedup (measured on real B+Tree)",
         Golden::WallTime("prints measured query times; checks only their ordering");
-    table6_composite: "Table 6 (composite)",
-        "multi-predicate speedups, single vs composite vs covering", Golden::Smoke;
     fig3_gain_example: "Figure 3 / Table 2", "gain over time of indexes A and B (§4)", Golden::Smoke;
     fig4_ranking: "Figure 4", "index ordering based on α (§5.1)", Golden::Smoke;
     fig6_estimation_errors: "Figure 6", "offline scheduler robustness to estimation errors",

@@ -165,7 +165,7 @@ impl IndexLifecycle {
 mod tests {
     use super::*;
     use flowtune_common::{FileId, Money, SimDuration};
-    use flowtune_index::{IndexCostModel, IndexKind, IndexSpec};
+    use flowtune_index::{IndexCostModel, IndexSpec};
 
     fn lifecycle() -> (IndexLifecycle, IndexId) {
         let mut catalog = IndexCatalog::new();
@@ -173,7 +173,6 @@ mod tests {
             IndexId(0),
             FileId(0),
             "orderkey",
-            IndexKind::BTree,
             IndexCostModel::new(12.0, 117.0),
             vec![100_000; 3],
         ));

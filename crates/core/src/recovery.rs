@@ -108,17 +108,17 @@ impl RecoveryConfig {
 
     /// First backoff delay (sim time).
     const BACKOFF_BASE: SimDuration = SimDuration::from_secs(5);
-    /// Multiplier applied per attempt.
-    const BACKOFF_FACTOR: f64 = 2.0;
     /// Ceiling on any single backoff delay.
     const BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
 
     /// Backoff before re-execution attempt `attempt` (1-based):
-    /// `BACKOFF_BASE × BACKOFF_FACTOR^(attempt−1)`, capped at
-    /// `BACKOFF_CAP`.
+    /// `BACKOFF_BASE` doubled `attempt − 1` times, saturating at
+    /// `BACKOFF_CAP`. Integer arithmetic throughout, so no attempt
+    /// number can wrap the delay below the cap.
     pub fn backoff_delay(&self, attempt: u32) -> SimDuration {
-        let factor = Self::BACKOFF_FACTOR.powi(attempt.saturating_sub(1) as i32);
-        Self::BACKOFF_BASE.mul_f64(factor).min(Self::BACKOFF_CAP)
+        1u64.checked_shl(attempt.saturating_sub(1))
+            .and_then(|factor| Self::BACKOFF_BASE.checked_mul(factor))
+            .map_or(Self::BACKOFF_CAP, |delay| delay.min(Self::BACKOFF_CAP))
     }
 
     /// Validate parameter ranges. NaN fails every check.
@@ -264,6 +264,9 @@ mod tests {
         assert_eq!(c.backoff_delay(4), SimDuration::from_secs(40));
         assert_eq!(c.backoff_delay(5), SimDuration::from_secs(60), "capped");
         assert_eq!(c.backoff_delay(20), SimDuration::from_secs(60), "capped");
+        // Attempt numbers past i32::MAX stay at the cap too.
+        assert_eq!(c.backoff_delay(u32::MAX), SimDuration::from_secs(60));
+        assert_eq!(c.backoff_delay((1 << 31) + 1), SimDuration::from_secs(60));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use flowtune_common::{
 use flowtune_dataflow::{
     filedb::ROW_BYTES, ArrivalClient, Dag, Dataflow, DataflowFactory, FileDatabase, WorkloadKind,
 };
-use flowtune_index::{measure_io, IndexCatalog, IndexCostModel, IndexKind, IndexSpec};
+use flowtune_index::{measure_io, IndexCatalog, IndexCostModel, IndexSpec};
 use flowtune_interleave::{BuildOp, DeferredBuildQueue, LpInterleaver, OnlineInterleaver};
 use flowtune_sched::{
     BuildRef, OnlineLoadBalanceScheduler, Schedule, SchedulerConfig, SkylineScheduler,
@@ -778,7 +778,6 @@ pub fn build_catalog(filedb: &FileDatabase) -> IndexCatalog {
             pi.id,
             pi.file,
             pi.column,
-            IndexKind::BTree,
             IndexCostModel::new(pi.rec_bytes(), ROW_BYTES),
             rows,
         ));

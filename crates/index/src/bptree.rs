@@ -1,6 +1,6 @@
 //! A from-scratch B+Tree, node-per-page over a paged store.
 //!
-//! Maps orderable keys to `u32` row ids, allows duplicate keys, supports
+//! Maps `i64` keys to `u32` row ids, allows duplicate keys, supports
 //! point lookup, ordered range scans and full in-order traversal — the
 //! access paths behind Table 6's query classes (lookup, range select,
 //! sorting).
@@ -22,7 +22,6 @@ use flowtune_common::{FlowtuneError, PageId, Result};
 use flowtune_storage::{MemPageStore, Page, PAGE_SIZE};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Debug;
 use std::rc::Rc;
 
 /// Decoded nodes a tree's memo holds (one per 4 KiB page, 16 MiB of
@@ -36,28 +35,6 @@ const KIND_LEAF: u8 = 1;
 const KIND_INTERNAL: u8 = 2;
 /// `next`-pointer sentinel for the last leaf in the chain.
 const NO_PAGE: u32 = u32::MAX;
-
-/// Keys a paged B+Tree can store: orderable, and encodable to/from the
-/// page payload byte format.
-pub trait NodeKey: Ord + Clone + Debug {
-    /// Append this key's encoding to `out`.
-    fn encode_key(&self, out: &mut Vec<u8>);
-    /// Decode one key starting at `*at`, advancing `*at` past it.
-    fn decode_key(bytes: &[u8], at: &mut usize) -> Result<Self>;
-}
-
-impl NodeKey for i64 {
-    fn encode_key(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode_key(bytes: &[u8], at: &mut usize) -> Result<Self> {
-        let raw = take(bytes, at, 8)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(raw);
-        Ok(i64::from_le_bytes(buf))
-    }
-}
 
 /// Slice `n` bytes at `*at`, advancing the cursor.
 fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Result<&'a [u8]> {
@@ -80,16 +57,22 @@ fn read_u32(bytes: &[u8], at: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
 }
 
+fn read_i64(bytes: &[u8], at: &mut usize) -> Result<i64> {
+    let mut buf = [0u8; 8];
+    buf.copy_from_slice(take(bytes, at, 8)?);
+    Ok(i64::from_le_bytes(buf))
+}
+
 /// Decoded in-memory view of one node page.
 #[derive(Debug, Clone)]
-enum Node<K> {
+enum Node {
     Internal {
         /// `keys[i]` is the smallest key reachable under `children[i+1]`.
-        keys: Vec<K>,
+        keys: Vec<i64>,
         children: Vec<PageId>,
     },
     Leaf {
-        keys: Vec<K>,
+        keys: Vec<i64>,
         rows: Vec<u32>,
         next: Option<PageId>,
     },
@@ -97,9 +80,10 @@ enum Node<K> {
 
 /// Encode a node into `(page kind, payload)`.
 ///
-/// Leaf payload: `n: u16 | next: u32 | n × row: u32 | n × key`.
-/// Internal payload: `n: u16 | (n+1) × child: u32 | n × key`.
-fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
+/// Leaf payload: `n: u16 | next: u32 | n × row: u32 | n × key: i64`.
+/// Internal payload: `n: u16 | (n+1) × child: u32 | n × key: i64`.
+/// Integers are little-endian.
+fn encode_node(node: &Node) -> (u8, Vec<u8>) {
     let mut out = Vec::new();
     match node {
         Node::Leaf { keys, rows, next } => {
@@ -114,7 +98,7 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
                 out.extend_from_slice(&row.to_le_bytes());
             }
             for key in keys {
-                key.encode_key(&mut out);
+                out.extend_from_slice(&key.to_le_bytes());
             }
             (KIND_LEAF, out)
         }
@@ -129,7 +113,7 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
                 out.extend_from_slice(&child.0.to_le_bytes());
             }
             for key in keys {
-                key.encode_key(&mut out);
+                out.extend_from_slice(&key.to_le_bytes());
             }
             (KIND_INTERNAL, out)
         }
@@ -137,7 +121,7 @@ fn encode_node<K: NodeKey>(node: &Node<K>) -> (u8, Vec<u8>) {
 }
 
 /// Decode a node page written by [`encode_node`].
-fn decode_node<K: NodeKey>(page: &Page) -> Result<Node<K>> {
+fn decode_node(page: &Page) -> Result<Node> {
     let bytes = &page.payload;
     let mut at = 0usize;
     let n = usize::from(read_u16(bytes, &mut at)?);
@@ -150,7 +134,7 @@ fn decode_node<K: NodeKey>(page: &Page) -> Result<Node<K>> {
             }
             let mut keys = Vec::with_capacity(n);
             for _ in 0..n {
-                keys.push(K::decode_key(bytes, &mut at)?);
+                keys.push(read_i64(bytes, &mut at)?);
             }
             Ok(Node::Leaf {
                 keys,
@@ -165,7 +149,7 @@ fn decode_node<K: NodeKey>(page: &Page) -> Result<Node<K>> {
             }
             let mut keys = Vec::with_capacity(n);
             for _ in 0..n {
-                keys.push(K::decode_key(bytes, &mut at)?);
+                keys.push(read_i64(bytes, &mut at)?);
             }
             Ok(Node::Internal { keys, children })
         }
@@ -192,7 +176,7 @@ pub struct TreeIo {
 /// B+Tree from keys to row ids; duplicates allowed. Nodes live in a
 /// private checksummed page store under a decoded-node memo.
 #[derive(Debug, Clone)]
-pub struct BPlusTree<K> {
+pub struct BPlusTree {
     store: MemPageStore,
     /// Decoded-node memo over the store: a load served from here is a
     /// shared-`Rc` clone, skipping the page read, checksum and key
@@ -204,7 +188,7 @@ pub struct BPlusTree<K> {
     /// buffered memory in the crash model — `drop_cache` and
     /// `tear_page` discard it — and is bounded at [`TREE_POOL_PAGES`]
     /// entries by a deterministic full flush.
-    memo: RefCell<BTreeMap<PageId, Rc<Node<K>>>>,
+    memo: RefCell<BTreeMap<PageId, Rc<Node>>>,
     io: Cell<TreeIo>,
     root: PageId,
     len: usize,
@@ -212,13 +196,13 @@ pub struct BPlusTree<K> {
     epoch: u32,
 }
 
-impl<K: NodeKey> BPlusTree<K> {
+impl BPlusTree {
     /// The only constructor: build from `(key, row)` pairs sorted by
     /// key, with `order` (≥ 3) max keys per node. Leaves are packed to
     /// `order` entries, then internal levels are stacked — O(n).
     ///
     /// Panics if the input is not sorted by key.
-    pub fn bulk_build(order: usize, pairs: &[(K, u32)]) -> Self {
+    pub fn bulk_build(order: usize, pairs: &[(i64, u32)]) -> Self {
         assert!(order >= 3, "B+Tree order must be at least 3");
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -244,33 +228,33 @@ impl<K: NodeKey> BPlusTree<K> {
             tree.store_node(tree.root, &leaf);
             return tree;
         }
-        let chunks: Vec<&[(K, u32)]> = pairs.chunks(order).collect();
+        let chunks: Vec<&[(i64, u32)]> = pairs.chunks(order).collect();
         let leaf_ids: Vec<PageId> = chunks.iter().map(|_| tree.store.allocate()).collect();
-        let mut level: Vec<(K, PageId)> = Vec::with_capacity(chunks.len());
+        let mut level: Vec<(i64, PageId)> = Vec::with_capacity(chunks.len());
         for (i, chunk) in chunks.iter().enumerate() {
             tree.store_node(
                 leaf_ids[i],
                 &Node::Leaf {
-                    keys: chunk.iter().map(|(k, _)| k.clone()).collect(),
+                    keys: chunk.iter().map(|(k, _)| *k).collect(),
                     rows: chunk.iter().map(|(_, r)| *r).collect(),
                     next: leaf_ids.get(i + 1).copied(),
                 },
             );
-            level.push((chunk[0].0.clone(), leaf_ids[i]));
+            level.push((chunk[0].0, leaf_ids[i]));
         }
         // Stack internal levels until a single root remains.
         while level.len() > 1 {
-            let mut upper: Vec<(K, PageId)> = Vec::new();
+            let mut upper: Vec<(i64, PageId)> = Vec::new();
             for chunk in level.chunks(order + 1) {
                 let id = tree.store.allocate();
                 tree.store_node(
                     id,
                     &Node::Internal {
-                        keys: chunk[1..].iter().map(|(k, _)| k.clone()).collect(),
+                        keys: chunk[1..].iter().map(|(k, _)| *k).collect(),
                         children: chunk.iter().map(|(_, c)| *c).collect(),
                     },
                 );
-                upper.push((chunk[0].0.clone(), id));
+                upper.push((chunk[0].0, id));
             }
             level = upper;
         }
@@ -287,7 +271,7 @@ impl<K: NodeKey> BPlusTree<K> {
 
     /// Decode the node stored at `id`, serving a shared handle from
     /// the decoded-node memo when possible.
-    fn load(&self, id: PageId) -> Rc<Node<K>> {
+    fn load(&self, id: PageId) -> Rc<Node> {
         if let Some(node) = self.memo.borrow().get(&id) {
             self.tally(|io| io.memo_hits += 1);
             return Rc::clone(node);
@@ -317,7 +301,7 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Shared handle to the leaf stored at `id`.
-    fn load_leaf(&self, id: PageId) -> Rc<Node<K>> {
+    fn load_leaf(&self, id: PageId) -> Rc<Node> {
         let node = self.load(id);
         debug_assert!(
             matches!(&*node, Node::Leaf { .. }),
@@ -327,14 +311,14 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Encode and persist a node to its page, refreshing the memo.
-    fn store_node(&mut self, id: PageId, node: &Node<K>) {
+    fn store_node(&mut self, id: PageId, node: &Node) {
         let (kind, payload) = encode_node(node);
         #[expect(
             clippy::expect_used,
-            reason = "an encoded node exceeding one page means the configured order is too large for the key width — a construction-time configuration error, not a runtime condition; every supported (order, key type) pair is pinned by tests"
+            reason = "an encoded node exceeding one page means the configured order is too large — a construction-time configuration error, not a runtime condition; oversized_node_is_a_construction_error pins it"
         )]
-        let page = Page::new(kind, self.epoch, payload)
-            .expect("node must fit one page: order too large for this key type");
+        let page =
+            Page::new(kind, self.epoch, payload).expect("node must fit one page: order too large");
         self.store.write(id, page.encode());
         self.tally(|io| io.page_writes += 1);
         flowtune_obs::count("storage.page_writes", 1);
@@ -344,7 +328,7 @@ impl<K: NodeKey> BPlusTree<K> {
     /// Insert a decoded node into the memo, flushing it wholesale when
     /// it reaches [`TREE_POOL_PAGES`] (deterministic; the persistent
     /// pages are intact).
-    fn memo_node(&self, id: PageId, node: Rc<Node<K>>) {
+    fn memo_node(&self, id: PageId, node: Rc<Node>) {
         let mut memo = self.memo.borrow_mut();
         if memo.len() >= TREE_POOL_PAGES && !memo.contains_key(&id) {
             memo.clear();
@@ -379,18 +363,18 @@ impl<K: NodeKey> BPlusTree<K> {
     /// leaf at position 0 — the single descent path shared by point
     /// lookups, range scans, and full traversal, so memo
     /// accounting counts every entry point identically.
-    fn seek(&self, key: Option<&K>) -> (PageId, usize) {
+    fn seek(&self, key: Option<i64>) -> (PageId, usize) {
         let mut node = self.root;
         loop {
             match &*self.load(node) {
                 Node::Internal { keys, children } => {
                     node = match key {
-                        Some(key) => children[keys.partition_point(|k| k < key)],
+                        Some(key) => children[keys.partition_point(|&k| k < key)],
                         None => children[0],
                     };
                 }
                 Node::Leaf { keys, .. } => {
-                    let pos = key.map_or(0, |key| keys.partition_point(|k| k < key));
+                    let pos = key.map_or(0, |key| keys.partition_point(|&k| k < key));
                     return (node, pos);
                 }
             }
@@ -398,23 +382,18 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Row ids of all entries equal to `key`, in build-input order.
-    pub fn get<'a>(&'a self, key: &K) -> impl Iterator<Item = u32> + 'a {
-        self.range(key.clone(), key.clone()).map(|(_, r)| r)
+    pub fn get(&self, key: i64) -> impl Iterator<Item = u32> + '_ {
+        self.range(key, key).map(|(_, r)| r)
     }
 
     /// First row id for `key`, if any.
-    pub fn get_first(&self, key: &K) -> Option<u32> {
+    pub fn get_first(&self, key: i64) -> Option<u32> {
         self.get(key).next()
     }
 
     /// Ordered iterator over all `(key, row)` with `lo ≤ key ≤ hi`.
-    ///
-    /// Bounds are taken by value: callers probing with computed
-    /// sentinel keys (e.g. [`crate::TupleKey`] prefix bounds) hand
-    /// them to the iterator instead of keeping a borrow alive for its
-    /// whole lifetime.
-    pub fn range(&self, lo: K, hi: K) -> RangeIter<'_, K> {
-        let (leaf, pos) = self.seek(Some(&lo));
+    pub fn range(&self, lo: i64, hi: i64) -> RangeIter<'_> {
+        let (leaf, pos) = self.seek(Some(lo));
         RangeIter {
             tree: self,
             leaf: Some(self.load_leaf(leaf)),
@@ -425,7 +404,7 @@ impl<K: NodeKey> BPlusTree<K> {
     }
 
     /// Ordered iterator over every `(key, row)` entry.
-    pub fn iter(&self) -> RangeIter<'_, K> {
+    pub fn iter(&self) -> RangeIter<'_> {
         let (leaf, pos) = self.seek(None);
         RangeIter {
             tree: self,
@@ -440,11 +419,11 @@ impl<K: NodeKey> BPlusTree<K> {
     /// chain order). Used by tests and fuzzing; O(n).
     pub fn check_invariants(&self) -> Result<()> {
         // Every leaf's keys sorted; chained leaves globally sorted.
-        let mut last: Option<K> = None;
+        let mut last: Option<i64> = None;
         let mut counted = 0usize;
         for (k, _) in self.iter() {
-            if let Some(prev) = &last {
-                if prev > &k {
+            if let Some(prev) = last {
+                if prev > k {
                     return Err(FlowtuneError::corrupt(format!(
                         "keys out of order: {prev:?} > {k:?}"
                     )));
@@ -462,13 +441,13 @@ impl<K: NodeKey> BPlusTree<K> {
         self.check_node(self.root, None, None)
     }
 
-    fn check_node(&self, node: PageId, lo: Option<&K>, hi: Option<&K>) -> Result<()> {
+    fn check_node(&self, node: PageId, lo: Option<i64>, hi: Option<i64>) -> Result<()> {
         match &*self.load(node) {
             Node::Leaf { keys, rows, .. } => {
                 if keys.len() != rows.len() {
                     return Err(FlowtuneError::corrupt("leaf keys/rows length mismatch"));
                 }
-                for k in keys {
+                for &k in keys {
                     if lo.is_some_and(|lo| k < lo) || hi.is_some_and(|hi| k > hi) {
                         return Err(FlowtuneError::corrupt(format!(
                             "leaf key {k:?} outside separator bounds"
@@ -485,8 +464,8 @@ impl<K: NodeKey> BPlusTree<K> {
                     return Err(FlowtuneError::corrupt("internal keys unsorted"));
                 }
                 for (i, &child) in children.iter().enumerate() {
-                    let child_lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
-                    let child_hi = if i == keys.len() { hi } else { Some(&keys[i]) };
+                    let child_lo = if i == 0 { lo } else { Some(keys[i - 1]) };
+                    let child_hi = if i == keys.len() { hi } else { Some(keys[i]) };
                     self.check_node(child, child_lo, child_hi)?;
                 }
                 Ok(())
@@ -530,17 +509,17 @@ impl<K: NodeKey> BPlusTree<K> {
 /// a shared handle to the decoded current leaf so iteration loads each
 /// leaf page once.
 #[derive(Debug)]
-pub struct RangeIter<'a, K: NodeKey> {
-    tree: &'a BPlusTree<K>,
+pub struct RangeIter<'a> {
+    tree: &'a BPlusTree,
     /// Decoded current leaf (always a [`Node::Leaf`]).
-    leaf: Option<Rc<Node<K>>>,
+    leaf: Option<Rc<Node>>,
     pos: usize,
-    lo: Option<K>,
-    hi: Option<K>,
+    lo: Option<i64>,
+    hi: Option<i64>,
 }
 
-impl<K: NodeKey> Iterator for RangeIter<'_, K> {
-    type Item = (K, u32);
+impl Iterator for RangeIter<'_> {
+    type Item = (i64, u32);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -548,20 +527,20 @@ impl<K: NodeKey> Iterator for RangeIter<'_, K> {
                 unreachable!("leaf chain points to internal node")
             };
             if self.pos < keys.len() {
-                let k = &keys[self.pos];
+                let k = keys[self.pos];
                 // A duplicates run can span leaves: entries below
                 // `lo` may still appear at the head of a chained
                 // leaf. Skip them (keys are globally sorted, so
                 // this terminates at the first in-range key).
-                if self.lo.as_ref().is_some_and(|lo| k < lo) {
+                if self.lo.is_some_and(|lo| k < lo) {
                     self.pos += 1;
                     continue;
                 }
-                if self.hi.as_ref().is_some_and(|hi| k > hi) {
+                if self.hi.is_some_and(|hi| k > hi) {
                     self.leaf = None;
                     return None;
                 }
-                let item = (k.clone(), rows[self.pos]);
+                let item = (k, rows[self.pos]);
                 self.pos += 1;
                 return Some(item);
             }
@@ -577,7 +556,7 @@ mod tests {
     use flowtune_common::SimRng;
 
     /// Levels from the root down to the leaves (1 for a lone leaf).
-    fn depth<K: NodeKey>(t: &BPlusTree<K>) -> usize {
+    fn depth(t: &BPlusTree) -> usize {
         let mut depth = 1;
         let mut node = t.root;
         while let Node::Internal { children, .. } = &*t.load(node) {
@@ -596,10 +575,10 @@ mod tests {
 
     #[test]
     fn empty_tree() {
-        let t: BPlusTree<i64> = BPlusTree::bulk_build(4, &[]);
+        let t = BPlusTree::bulk_build(4, &[]);
         assert!(t.is_empty());
         assert_eq!(depth(&t), 1);
-        assert_eq!(t.get_first(&1), None);
+        assert_eq!(t.get_first(1), None);
         assert_eq!(t.iter().count(), 0);
         assert_eq!(t.range(i64::MIN, i64::MAX).count(), 0);
         t.check_invariants().unwrap();
@@ -611,10 +590,10 @@ mod tests {
         let t = BPlusTree::bulk_build(4, &sorted_pairs((0..10).collect()));
         assert_eq!(t.len(), 10);
         for k in 0..10i64 {
-            assert_eq!(t.get_first(&k), Some(k as u32), "key {k}");
+            assert_eq!(t.get_first(k), Some(k as u32), "key {k}");
         }
-        assert_eq!(t.get_first(&42), None);
-        assert_eq!(t.get_first(&-1), None);
+        assert_eq!(t.get_first(42), None);
+        assert_eq!(t.get_first(-1), None);
         t.check_invariants().unwrap();
     }
 
@@ -626,9 +605,9 @@ mod tests {
         pairs.extend((0..20u32).map(|i| (7i64, i)));
         pairs.push((9, 101));
         let t = BPlusTree::bulk_build(4, &pairs);
-        assert_eq!(t.get(&7).collect::<Vec<_>>(), (0..20).collect::<Vec<_>>());
-        assert_eq!(t.get(&3).collect::<Vec<_>>(), [100]);
-        assert_eq!(t.get(&9).collect::<Vec<_>>(), [101]);
+        assert_eq!(t.get(7).collect::<Vec<_>>(), (0..20).collect::<Vec<_>>());
+        assert_eq!(t.get(3).collect::<Vec<_>>(), [100]);
+        assert_eq!(t.get(9).collect::<Vec<_>>(), [101]);
         assert_eq!(t.range(7, 9).count(), 21);
         t.check_invariants().unwrap();
     }
@@ -658,16 +637,16 @@ mod tests {
                 .filter(|(pk, _)| *pk == k)
                 .map(|(_, r)| *r)
                 .collect();
-            assert_eq!(t.get(&k).collect::<Vec<_>>(), want, "key {k}");
+            assert_eq!(t.get(k).collect::<Vec<_>>(), want, "key {k}");
         }
     }
 
     #[test]
     fn bulk_build_empty_and_single() {
-        let t: BPlusTree<i64> = BPlusTree::bulk_build(4, &[]);
+        let t = BPlusTree::bulk_build(4, &[]);
         assert!(t.is_empty());
         let t = BPlusTree::bulk_build(4, &[(9i64, 1)]);
-        assert_eq!(t.get_first(&9), Some(1));
+        assert_eq!(t.get_first(9), Some(1));
         assert_eq!(depth(&t), 1);
     }
 
@@ -715,8 +694,8 @@ mod tests {
 
     #[test]
     fn range_bounds_need_no_outliving_borrow() {
-        // Bounds computed in an inner scope hand ownership to the
-        // iterator — the regression the by-value API exists for.
+        // Bounds are taken by value, so ones computed in an inner
+        // scope need no borrow that outlives the iterator.
         let pairs: Vec<(i64, u32)> = (0..100).map(|i| (i, i as u32)).collect();
         let t = BPlusTree::bulk_build(8, &pairs);
         let iter = {
@@ -759,7 +738,7 @@ mod tests {
         let mut t = BPlusTree::bulk_build(64, &pairs);
         let before = t.io_stats();
         for k in (0..10_000i64).step_by(97) {
-            assert!(t.get_first(&k).is_some());
+            assert!(t.get_first(k).is_some());
         }
         let warm = t.io_stats();
         // The tree fits the memo, so probes after a bulk build are all
@@ -768,7 +747,7 @@ mod tests {
         assert_eq!(warm.page_reads, before.page_reads);
         // With the memo dropped, each node on the path is read once.
         t.drop_cache();
-        assert!(t.get_first(&0).is_some());
+        assert!(t.get_first(0).is_some());
         let cold = t.io_stats();
         assert_eq!(cold.load_misses - warm.load_misses, depth(&t) as u64);
         assert_eq!(cold.page_reads - warm.page_reads, depth(&t) as u64);
@@ -776,7 +755,7 @@ mod tests {
 
     #[test]
     fn check_invariants_returns_typed_errors() {
-        let t: BPlusTree<i64> = BPlusTree::bulk_build(4, &[]);
+        let t = BPlusTree::bulk_build(4, &[]);
         // A healthy tree verifies; the error type is FlowtuneError so
         // corruption composes with the workspace Result plumbing.
         let ok: Result<()> = t.check_invariants();

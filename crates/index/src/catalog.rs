@@ -12,15 +12,6 @@ use flowtune_common::{FileId, IndexId, SimDuration, SimTime};
 
 use crate::model::IndexCostModel;
 
-/// The physical shape of an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// B+Tree: supports lookup, range, sort, group, merge join.
-    BTree,
-    /// Hash: supports lookup and hash join only.
-    Hash,
-}
-
 /// Immutable description of one index `idx(t, C, T)`.
 #[derive(Debug, Clone)]
 pub struct IndexSpec {
@@ -28,13 +19,8 @@ pub struct IndexSpec {
     pub id: IndexId,
     /// The file/table the index is built over.
     pub file: FileId,
-    /// Indexed column names, in key order. One entry is the paper's
-    /// single-column case; composite indexes list their components
-    /// left to right, and the leftmost-prefix rule (see
-    /// [`crate::tuple`]) decides which predicate sets they serve.
-    pub columns: Vec<String>,
-    /// Physical kind.
-    pub kind: IndexKind,
+    /// The indexed column `C`.
+    pub column: String,
     /// Cost model (record sizes, fan-out, CPU constant).
     pub model: IndexCostModel,
     /// Rows of each table partition, in partition order; index partition
@@ -43,33 +29,21 @@ pub struct IndexSpec {
 }
 
 impl IndexSpec {
-    /// Convenience constructor for the common single-column case.
+    /// Constructor; every index keys one column.
     pub fn single_column(
         id: IndexId,
         file: FileId,
         column: impl Into<String>,
-        kind: IndexKind,
         model: IndexCostModel,
         partition_rows: Vec<u64>,
     ) -> Self {
         IndexSpec {
             id,
             file,
-            columns: vec![column.into()],
-            kind,
+            column: column.into(),
             model,
             partition_rows,
         }
-    }
-
-    /// Human-readable column list, e.g. `quantity+shipdate`.
-    pub fn display_columns(&self) -> String {
-        self.columns.join("+")
-    }
-
-    /// True when the index keys more than one column.
-    pub fn is_composite(&self) -> bool {
-        self.columns.len() > 1
     }
 
     /// Number of partitions.
@@ -363,7 +337,6 @@ mod tests {
             IndexId(0),
             FileId(file),
             "orderkey",
-            IndexKind::BTree,
             IndexCostModel::new(12.0, 117.0),
             vec![100_000; parts],
         )

@@ -34,7 +34,7 @@ pub fn measure_io(rows: u32, probes: u32, seed: u64) -> MeasuredIo {
     let rows = rows.max(1);
     let probes = probes.max(1);
     let pairs: Vec<(i64, u32)> = (0..rows).map(|i| (i64::from(i), i)).collect();
-    let mut tree: BPlusTree<i64> = BPlusTree::bulk_build(CALIBRATION_ORDER, &pairs);
+    let mut tree = BPlusTree::bulk_build(CALIBRATION_ORDER, &pairs);
 
     let built = tree.io_stats();
     let write_bytes_per_row = built.page_writes as f64 * PAGE_SIZE as f64 / f64::from(rows);
@@ -46,7 +46,7 @@ pub fn measure_io(rows: u32, probes: u32, seed: u64) -> MeasuredIo {
     for _ in 0..probes {
         tree.drop_cache();
         let key = rng.uniform_i64(0, i64::from(rows) - 1);
-        let _ = tree.get_first(&key);
+        let _ = tree.get_first(key);
     }
     let cold = tree.io_stats();
     let read_bytes_per_probe =
@@ -57,7 +57,7 @@ pub fn measure_io(rows: u32, probes: u32, seed: u64) -> MeasuredIo {
     let mut rng = SimRng::seed_from_u64(seed);
     for _ in 0..probes {
         let key = rng.uniform_i64(0, i64::from(rows) - 1);
-        let _ = tree.get_first(&key);
+        let _ = tree.get_first(key);
     }
     let warm = tree.io_stats();
     let hits = warm.memo_hits - cold.memo_hits;

@@ -15,23 +15,9 @@
 //! | Lookup       | full scan                  | B+Tree probe                  |
 //! | Range select | full scan with predicate   | B+Tree range scan             |
 //! | Sorting      | comparison argsort         | B+Tree in-order traversal     |
-//!
-//! `composite` is the one access-path planner, for one-column and
-//! composite keys alike (leftmost-prefix rule, covering detection);
-//! `multi` executes multi-predicate queries with deterministic
-//! touched-row accounting.
 
-pub mod composite;
 pub mod lookup;
-pub mod multi;
 pub mod sort;
 pub mod table6;
 
-pub use composite::{
-    choose_composite, prefix_match, AccessPath, ColPredicate, CompositePlan, CompositeStats,
-    IndexDef, Predicate, QuerySpec,
-};
-pub use multi::{
-    build_composite, composite_select, scan_multi, ExecCounts, ExecResult, MultiTable,
-};
 pub use table6::{Table6Query, Table6Workload};

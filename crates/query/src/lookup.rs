@@ -25,12 +25,12 @@ pub fn scan_range(col: &[i64], lo: i64, hi: i64) -> Vec<u32> {
 }
 
 /// B+Tree equality lookup.
-pub fn btree_eq(index: &BPlusTree<i64>, key: i64) -> Vec<u32> {
-    index.get(&key).collect()
+pub fn btree_eq(index: &BPlusTree, key: i64) -> Vec<u32> {
+    index.get(key).collect()
 }
 
 /// B+Tree range select: row ids with `lo <= key <= hi`, in key order.
-pub fn btree_range(index: &BPlusTree<i64>, lo: i64, hi: i64) -> Vec<u32> {
+pub fn btree_range(index: &BPlusTree, lo: i64, hi: i64) -> Vec<u32> {
     index.range(lo, hi).map(|(_, r)| r).collect()
 }
 
@@ -38,7 +38,7 @@ pub fn btree_range(index: &BPlusTree<i64>, lo: i64, hi: i64) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    fn fixture() -> (Vec<i64>, BPlusTree<i64>) {
+    fn fixture() -> (Vec<i64>, BPlusTree) {
         let col: Vec<i64> = vec![5, 3, 9, 3, 7, 1, 3, 9, 0, 4];
         let mut pairs: Vec<(i64, u32)> = col
             .iter()

@@ -14,7 +14,7 @@ pub fn sort_scan(col: &[i64]) -> Vec<u32> {
 }
 
 /// Row ids in key order via B+Tree in-order traversal.
-pub fn sort_index(index: &BPlusTree<i64>) -> Vec<u32> {
+pub fn sort_index(index: &BPlusTree) -> Vec<u32> {
     index.iter().map(|(_, r)| r).collect()
 }
 
@@ -22,7 +22,7 @@ pub fn sort_index(index: &BPlusTree<i64>) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    fn fixture() -> (Vec<i64>, BPlusTree<i64>) {
+    fn fixture() -> (Vec<i64>, BPlusTree) {
         let col: Vec<i64> = vec![50, 10, 40, 10, 30, 20];
         let mut pairs: Vec<(i64, u32)> = col
             .iter()
@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(sort_scan(&[]).is_empty());
-        let bt: BPlusTree<i64> = BPlusTree::bulk_build(4, &[]);
+        let bt = BPlusTree::bulk_build(4, &[]);
         assert!(sort_index(&bt).is_empty());
     }
 }

@@ -59,7 +59,7 @@ impl Table6Query {
 #[derive(Debug)]
 pub struct Table6Workload {
     pub orderkey: Vec<i64>,
-    pub index: BPlusTree<i64>,
+    pub index: BPlusTree,
     large: (i64, i64),
     small: (i64, i64),
     probe: i64,

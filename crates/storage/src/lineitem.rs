@@ -269,7 +269,9 @@ mod tests {
         });
         let data = g.generate_columns(&["orderkey", "commitdate"]);
         assert_eq!(data.rows(), 1000);
-        assert_eq!(data.columns().len(), 2);
+        // Exactly the two requested columns.
+        let requested = vec![data.column(0).clone(), data.column(1).clone()];
+        assert_eq!(data, PartitionData::new(requested));
     }
 
     #[test]

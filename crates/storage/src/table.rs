@@ -33,11 +33,6 @@ impl PartitionData {
     pub fn column(&self, i: usize) -> &ColumnData {
         &self.columns[i]
     }
-
-    /// All columns.
-    pub fn columns(&self) -> &[ColumnData] {
-        &self.columns
-    }
 }
 
 #[cfg(test)]
@@ -52,7 +47,6 @@ mod tests {
         ]);
         assert_eq!(d.rows(), 2);
         assert_eq!(d.column(1).as_str().unwrap(), ["a", "b"]);
-        assert_eq!(d.columns().len(), 2);
     }
 
     #[test]

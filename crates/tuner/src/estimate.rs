@@ -48,7 +48,7 @@ mod tests {
     use super::*;
     use flowtune_common::{DataflowId, SimRng, SimTime};
     use flowtune_dataflow::{App, DataflowFactory, FileDatabase};
-    use flowtune_index::{IndexCostModel, IndexKind, IndexSpec};
+    use flowtune_index::{IndexCostModel, IndexSpec};
 
     fn setup() -> (Dataflow, IndexCatalog, CloudConfig) {
         let mut rng = SimRng::seed_from_u64(21);
@@ -60,7 +60,6 @@ mod tests {
                 pi.id,
                 pi.file,
                 pi.column,
-                IndexKind::BTree,
                 IndexCostModel::new(pi.rec_bytes(), flowtune_dataflow::filedb::ROW_BYTES),
                 rows,
             ));

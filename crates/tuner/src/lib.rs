@@ -22,7 +22,6 @@
 //! time, build cost and storage cost over the window.
 
 pub mod adaptive;
-pub mod candidates;
 pub mod estimate;
 pub mod gain;
 pub mod history;
@@ -30,9 +29,6 @@ pub mod rank;
 pub mod tuning;
 
 pub use adaptive::AdaptiveFading;
-pub use candidates::{
-    candidate_saving, composite_candidates, esr_columns, CompositeCandidate, ObservedQuery,
-};
 pub use estimate::dataflow_index_gains;
 pub use gain::{GainModel, IndexGains};
 pub use history::{History, HistoryEntry};

@@ -185,7 +185,7 @@ mod tests {
     use super::*;
     use crate::history::HistoryEntry;
     use flowtune_common::{DataflowId, FileId, Money, SimDuration, TunerConfig};
-    use flowtune_index::{IndexCostModel, IndexKind, IndexSpec};
+    use flowtune_index::{IndexCostModel, IndexSpec};
 
     fn small_catalog(n: usize) -> IndexCatalog {
         let mut cat = IndexCatalog::new();
@@ -194,7 +194,6 @@ mod tests {
                 IndexId(0),
                 FileId(i as u32),
                 "orderkey",
-                IndexKind::BTree,
                 IndexCostModel::new(12.0, 117.0),
                 vec![200_000; 2],
             ));

@@ -7,6 +7,7 @@
     reason = "helpers outside #[test] fns fail fast on a broken fixture"
 )]
 
+use flowtune_cloud::FaultConfig;
 use flowtune_common::Money;
 use flowtune_core::{IndexPolicy, QaasService, RunReport, ServiceConfig};
 use flowtune_dataflow::WorkloadKind;
@@ -154,4 +155,76 @@ fn estimation_errors_do_not_break_the_service() {
     config.max_skyline = 4;
     let r = QaasService::new(config).run().expect("service run failed");
     assert!(r.dataflows_finished > 0);
+}
+
+/// The report's `Debug` rendering with every money field zeroed: what
+/// the run did, with what it cost left out.
+fn moneyless(report: &RunReport) -> String {
+    let mut r = report.clone();
+    r.compute_cost = Money::ZERO;
+    r.index_storage_cost = Money::ZERO;
+    r.wasted_cost = Money::ZERO;
+    for point in &mut r.timeline {
+        point.storage_cost = Money::ZERO;
+    }
+    format!("{r:?}")
+}
+
+#[test]
+fn doubling_both_prices_doubles_the_money_and_changes_nothing_else() {
+    // Scaling both prices by 2 must leave every decision alone and
+    // scale every bill: no decision adds dollars to seconds.
+    let runs = [
+        (IndexPolicy::NoIndex, 0.0),
+        (IndexPolicy::Random, 0.0),
+        (IndexPolicy::Gain { delete: true }, 0.0),
+        // Faults make `wasted_cost` non-zero.
+        (IndexPolicy::NoIndex, 0.3),
+        (IndexPolicy::Gain { delete: true }, 0.3),
+    ];
+    for seed in [1, 7] {
+        for (policy, fault_rate) in runs {
+            let run_at = |scale: i64| {
+                let mut config = ServiceConfig {
+                    workload: WorkloadKind::paper_phases(),
+                    policy,
+                    faults: FaultConfig::with_rate(fault_rate, seed),
+                    ..Default::default()
+                };
+                config.params.total_quanta = 40;
+                config.params.seed = seed;
+                let cloud = &mut config.params.cloud;
+                cloud.vm_price_per_quantum = cloud.vm_price_per_quantum * scale;
+                cloud.storage_price_per_mb_quantum = cloud.storage_price_per_mb_quantum * scale;
+                QaasService::new(config).run().expect("service run failed")
+            };
+            let (base, doubled) = (run_at(1), run_at(2));
+            let label = format!("{} seed {seed} fault rate {fault_rate}", policy.label());
+            assert_eq!(moneyless(&base), moneyless(&doubled), "{label}");
+            assert_eq!(doubled.compute_cost, base.compute_cost * 2, "{label}");
+            assert_eq!(doubled.wasted_cost, base.wasted_cost * 2, "{label}");
+            if fault_rate > 0.0 {
+                assert!(base.wasted_cost > Money::ZERO, "{label}: no waste");
+            }
+            // The storage meter rounds each accrual to the micro-dollar,
+            // and round(2x) is within 1 µ$ of 2·round(x). It accrues
+            // only when its clock moves: at a build commit, an index
+            // drop, a round's end (one round per issued dataflow) and
+            // the horizon.
+            let accruals = base.builds_completed + base.indexes_deleted + base.dataflows_issued + 1;
+            let slack = Money::from_micros(accruals as i64);
+            let storage = |r: &RunReport| {
+                let mut costs: Vec<Money> = r.timeline.iter().map(|p| p.storage_cost).collect();
+                costs.push(r.index_storage_cost);
+                costs
+            };
+            for (one, two) in storage(&base).into_iter().zip(storage(&doubled)) {
+                let drift = two - one * 2;
+                assert!(
+                    drift.max(-drift) <= slack,
+                    "{label}: storage {two} vs 2 x {one}, slack {slack}"
+                );
+            }
+        }
+    }
 }

@@ -31,10 +31,7 @@ use flowtune_core::{
     RunReport, ServiceConfig,
 };
 use flowtune_dataflow::WorkloadKind;
-use flowtune_index::{IndexCatalog, IndexCostModel, IndexKind, IndexSpec};
-use flowtune_query::{
-    build_composite, composite_select, ColPredicate, IndexDef, MultiTable, Predicate, QuerySpec,
-};
+use flowtune_index::{IndexCatalog, IndexCostModel, IndexSpec};
 use flowtune_sched::BuildRef;
 use flowtune_storage::StorageService;
 
@@ -207,7 +204,6 @@ fn unmark_built_double_invalidate_is_idempotent_against_storage() {
         IndexId(0),
         FileId(0),
         "orderkey",
-        IndexKind::BTree,
         IndexCostModel::new(12.0, 117.0),
         vec![100_000; 2],
     ));
@@ -238,79 +234,4 @@ fn unmark_built_double_invalidate_is_idempotent_against_storage() {
     assert!(lc.catalog().is_partition_built(id, 1));
     assert_eq!(lc.storage().object_count(), 1);
     assert!(lc.pages().has_partition(id, 1));
-}
-
-#[test]
-fn composite_partition_recovers_like_any_other() {
-    // A composite index partition is, at the page layer, just another
-    // partition image: torn writes are detected by the same
-    // verification scan, invalidated through the same lifecycle, and
-    // the rebuilt image verifies clean.
-    let mut cat = IndexCatalog::new();
-    let id = cat.add(IndexSpec {
-        id: IndexId(0),
-        file: FileId(0),
-        columns: vec!["quantity".into(), "shipdate".into()],
-        kind: IndexKind::BTree,
-        // Composite records carry both key columns: wider rec_bytes,
-        // same model shape.
-        model: IndexCostModel::new(24.0, 117.0),
-        partition_rows: vec![100_000; 2],
-    });
-    assert!(cat.spec(id).is_composite());
-    assert_eq!(cat.spec(id).display_columns(), "quantity+shipdate");
-
-    let mut lc = lifecycle(cat);
-    let build = BuildRef { index: id, part: 0 };
-
-    // The build lands torn; the verification scan must catch it.
-    let (_, bytes) = lc
-        .commit(build, BuildImage::Torn(SimTime::from_secs(60)))
-        .expect("commits");
-    let verdict = lc.pages().verify_partition(id, 0).expect("image exists");
-    assert!(!verdict.is_clean(), "torn composite image must not verify");
-
-    // Invalidate exactly as the service's recovery path does.
-    assert!(lc.invalidate(id, 0));
-    assert!(!lc.catalog().is_partition_built(id, 0));
-
-    // Rebuild: clean image, clean verdict, catalog current again.
-    lc.commit(build, BuildImage::Clean(SimTime::from_secs(120)))
-        .expect("rebuild commits");
-    assert!(lc
-        .pages()
-        .verify_partition(id, 0)
-        .expect("image exists")
-        .is_clean());
-    assert_eq!(lc.catalog().built_bytes(id), bytes);
-
-    // And the rebuilt composite actually serves prefix probes: the
-    // in-memory tree equivalent of the partition answers a
-    // multi-predicate query identically to a scan.
-    let quantity: Vec<i64> = (0..4000).map(|i| i % 50).collect();
-    let shipdate: Vec<i64> = (0..4000).map(|i| 8035 + (i * 37) % 2558).collect();
-    let table = MultiTable::new(vec![
-        ("quantity".to_owned(), quantity),
-        ("shipdate".to_owned(), shipdate),
-    ]);
-    let def = IndexDef::btree(&["quantity", "shipdate"]);
-    let tree = build_composite(&table, &def.columns, 64);
-    tree.verify_pages().expect("rebuilt tree pages verify");
-    let q = QuerySpec::new(
-        vec![
-            ColPredicate::new("quantity", Predicate::Equals(7)),
-            ColPredicate::new("shipdate", Predicate::Between(8100, 8400)),
-        ],
-        vec![],
-    );
-    let via_index = composite_select(&tree, &def, &q, &table).expect("prefix serves the query");
-    let mut got = via_index.rows.clone();
-    got.sort_unstable();
-    let want: Vec<u32> = (0..4000u32)
-        .filter(|&r| {
-            let i = i64::from(r);
-            i % 50 == 7 && (8100..=8400).contains(&(8035 + (i * 37) % 2558))
-        })
-        .collect();
-    assert_eq!(got, want);
 }
