@@ -40,14 +40,15 @@ RUSTDOCFLAGS="-D warnings" \
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> scheduler, DAG, simulator, cache, B+Tree, query and experiment suites with optimizations on"
+echo "==> scheduler, DAG, simulator, cache, B+Tree, query, tuner and experiment suites with optimizations on"
 # The skyline-vs-reference equivalence suites (the online interleaver's
 # offer pass against the reference's in-search offers among them), the
 # online interleaver's plain-skyline equality test, the flat-adjacency DAG
 # oracle, the simulator's pinned report digests, the LRU
 # reference-model test, the random generator's golden streams and
 # log-normal bit-identity test, the B+Tree and query-operator suites
-# (the tree `table6_speedups` measures) and the experiment smoke goldens run
+# (the tree `table6_speedups` measures), the tuner's bit-for-bit oracles
+# of the one-pass `decide` and the experiment smoke goldens run
 # optimized too: the release build is what every run and benchmark ships, and its
 # larger DAG cases finish quickly there. crates/bench/tests/exp_goldens.rs
 # diffs every deterministic experiment's smoke report against
@@ -56,7 +57,7 @@ echo "==> scheduler, DAG, simulator, cache, B+Tree, query and experiment suites 
 #     <name> --smoke > tests/golden/exp/<name>_smoke.txt
 cargo test -q --offline --release -p flowtune-common -p flowtune-sched -p flowtune-interleave \
   -p flowtune-dataflow -p flowtune-cloud -p flowtune-storage -p flowtune-index -p flowtune-query \
-  -p flowtune-bench
+  -p flowtune-tuner -p flowtune-bench
 
 # All throwaway output from the smoke steps below lands in one scratch
 # dir owned by a single cleanup handler. (Stacking per-step

@@ -1,5 +1,6 @@
-//! Pinned interleaver perf baseline: memoized-bound + dominance-pruning
-//! knapsack solver vs the retained pre-optimization reference.
+//! Pinned interleaver perf baseline: the knapsack solver (run cut over
+//! identical items, memoized bounds, dominance pruning) vs the retained
+//! pre-optimization reference.
 //!
 //! Runs both implementations on the same seeded workloads in the same
 //! process. A full run writes `BENCH_interleave.json` (schema
@@ -22,8 +23,14 @@
 //!   pruning to collapse.
 //! * `solve/equal_density` — identical items (the subset-sum-like
 //!   adversary of Algorithm 3's docs): equal densities defeat bound
-//!   pruning entirely; only the state table keeps the search
-//!   polynomial.
+//!   pruning entirely. The items form one run of identical items, so
+//!   the run cut solves them: the search tries each count of the run
+//!   once instead of every subset.
+//! * `solve/partition_runs` — the service's shape: every unbuilt
+//!   partition of an index is its own build op with the index's gain
+//!   and the same build time, so a slot's items are a few runs of
+//!   identical (size, gain) items. Bound pruning gets no traction
+//!   inside a run; the run cut removes the re-searched subsets.
 //! * `pack/montage` — end-to-end Algorithm 2: `LpInterleaver` over a
 //!   real scheduled skyline vs the reference packer.
 
@@ -96,8 +103,7 @@ fn correlated_instances(count: usize, items: u64, seed: u64) -> Vec<Instance> {
 /// root bound is integrally unreachable (the search cannot finish
 /// early) and bound pruning gets no traction. Three sizes around
 /// `items` for a stabler timing row — the reference tree grows ~4x per
-/// added item while the state table caps the optimized search at
-/// O(items x capacity).
+/// added item while the run cut leaves the optimized search O(items).
 fn equal_density_instances(items: usize) -> Vec<Instance> {
     [items, items - 1, items - 2]
         .into_iter()
@@ -105,6 +111,26 @@ fn equal_density_instances(items: usize) -> Vec<Instance> {
             capacity: (n as u64 / 2) * 3 + 1,
             sizes: vec![3; n],
             values: vec![7.0; n],
+        })
+        .collect()
+}
+
+/// Runs of identical build ops, shaped like the service's offers: all
+/// but three items are partitions of one index (4,330 ms, gain 1.868),
+/// the rest of another (3,919 ms, gain 1.642), and capacities hold
+/// about `items × 10 / 18` of them, with slack no item fills.
+fn partition_run_instances(items: usize) -> Vec<Instance> {
+    let mut sizes = vec![4_330; items - 3];
+    sizes.extend([3_919; 3]);
+    let mut values = vec![1.868; items - 3];
+    values.extend([1.642; 3]);
+    let k = items as u64 * 10 / 18;
+    [k * 4_330 + 2_000, k * 4_330 + 1_000, (k - 1) * 4_330 + 3_000]
+        .into_iter()
+        .map(|capacity| Instance {
+            capacity,
+            sizes: sizes.clone(),
+            values: values.clone(),
         })
         .collect()
 }
@@ -184,6 +210,10 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         (
             format!("solve/equal_density/n{items}"),
             equal_density_instances(items as usize),
+        ),
+        (
+            format!("solve/partition_runs/n{items}"),
+            partition_run_instances(items as usize),
         ),
     ];
     for (name, insts) in &families {

@@ -132,6 +132,6 @@ registry! {
         "DESIGN 5f/5i: incremental skyline search vs retained reference",
         Golden::WallTime("a perf baseline: prints measured times and speedups");
     bench_interleave: "bench_interleave",
-        "DESIGN 5i: memoized-bound + dominance-pruning knapsack vs retained reference",
+        "DESIGN 5i: run-cut, memoized-bound, dominance-pruning knapsack vs retained reference",
         Golden::WallTime("a perf baseline: prints measured times and speedups");
 }

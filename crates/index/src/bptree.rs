@@ -11,15 +11,15 @@
 //! Every node is one fixed-size, checksummed, epoch-stamped page in a
 //! private [`flowtune_storage::MemPageStore`] the tree owns. There is no
 //! separate in-memory arena: the page store is the *only* persistent
-//! representation, so the code path the fault-injection and recovery
-//! machinery verifies is the same one every query runs (DESIGN §5h).
-//! The one cache is a bounded memo of decoded nodes; a load it misses
-//! reads, verifies and decodes the page. Leaves are chained for range
-//! scans. The tree's page traffic ([`TreeIo`]) is what turns the cost
-//! model's asserted build/probe I/O into measured I/O.
+//! representation, so every query reads and checks the pages a build
+//! wrote (DESIGN §5h). The one cache is a bounded memo of decoded
+//! nodes; a load it misses reads, verifies and decodes the page.
+//! Leaves are chained for range scans. The tree's page traffic
+//! ([`TreeIo`]) is what turns the cost model's asserted build/probe
+//! I/O into measured I/O.
 
 use flowtune_common::{FlowtuneError, PageId, Result};
-use flowtune_storage::{MemPageStore, Page, PAGE_SIZE};
+use flowtune_storage::{MemPageStore, Page};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -185,9 +185,9 @@ pub struct BPlusTree {
     /// by [`Self::bulk_build`], so sharing is safe. `RefCell` because
     /// reads (`get`, `range`, `iter`) take `&self`; borrows never
     /// outlive a single node load, so they cannot overlap. The memo is
-    /// buffered memory in the crash model — `drop_cache` and
-    /// `tear_page` discard it — and is bounded at [`TREE_POOL_PAGES`]
-    /// entries by a deterministic full flush.
+    /// buffered memory in the crash model — `drop_cache` discards it —
+    /// and is bounded at [`TREE_POOL_PAGES`] entries by a deterministic
+    /// full flush.
     memo: RefCell<BTreeMap<PageId, Rc<Node>>>,
     io: Cell<TreeIo>,
     root: PageId,
@@ -284,7 +284,7 @@ impl BPlusTree {
         flowtune_obs::count("storage.page_reads", 1);
         #[expect(
             clippy::expect_used,
-            reason = "the tree owns its private page store; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer (external corruption is surfaced as a typed error by verify_pages, which recovery runs *before* serving queries)"
+            reason = "the tree owns its private page store and nothing else writes to it; a page it wrote failing read/decode is memory corruption, unrecoverable at this layer"
         )]
         let page = self
             .store
@@ -416,8 +416,9 @@ impl BPlusTree {
     }
 
     /// Verify structural invariants (sortedness, key/child arity, leaf
-    /// chain order). Used by tests and fuzzing; O(n).
-    pub fn check_invariants(&self) -> Result<()> {
+    /// chain order); O(n).
+    #[cfg(test)]
+    fn check_invariants(&self) -> Result<()> {
         // Every leaf's keys sorted; chained leaves globally sorted.
         let mut last: Option<i64> = None;
         let mut counted = 0usize;
@@ -441,6 +442,7 @@ impl BPlusTree {
         self.check_node(self.root, None, None)
     }
 
+    #[cfg(test)]
     fn check_node(&self, node: PageId, lo: Option<i64>, hi: Option<i64>) -> Result<()> {
         match &*self.load(node) {
             Node::Leaf { keys, rows, .. } => {
@@ -471,37 +473,6 @@ impl BPlusTree {
                 Ok(())
             }
         }
-    }
-
-    /// Verify every page in the backing store against its checksum and
-    /// this tree's epoch, bypassing the memo — the scan recovery runs
-    /// before a rebuilt or suspect tree is allowed to serve queries.
-    /// Returns the first defect found.
-    pub fn verify_pages(&self) -> Result<()> {
-        for id in self.store.ids() {
-            self.tally(|io| io.page_reads += 1);
-            // flowtune-allow(obs-discipline): only tree recovery scans its pages; the smoke run never does
-            flowtune_obs::count("storage.page_reads", 1);
-            let verdict = Page::check(self.store.read(id), self.epoch);
-            if !verdict.is_clean() {
-                return Err(FlowtuneError::corrupt(format!(
-                    "page {id} failed verification: {verdict:?}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Fault-injection hook: corrupt the `nth` stored page (modulo the
-    /// page count) in the *persistent* store and drop its memoized
-    /// node, modeling a torn write that survives a crash while the
-    /// builder's memory does not. Returns the damaged page id.
-    pub fn tear_page(&mut self, nth: usize) -> Option<PageId> {
-        let count = self.store.page_count();
-        let id = self.store.ids().nth(nth.checked_rem(count)?)?;
-        self.store.corrupt(id, PAGE_SIZE / 2);
-        self.memo.get_mut().remove(&id);
-        Some(id)
     }
 }
 
@@ -582,7 +553,6 @@ mod tests {
         assert_eq!(t.iter().count(), 0);
         assert_eq!(t.range(i64::MIN, i64::MAX).count(), 0);
         t.check_invariants().unwrap();
-        t.verify_pages().unwrap();
     }
 
     #[test]
@@ -710,26 +680,15 @@ mod tests {
     fn nodes_live_in_checksummed_pages() {
         let pairs: Vec<(i64, u32)> = (0..1000).map(|i| (i, i as u32)).collect();
         let t = BPlusTree::bulk_build(8, &pairs);
-        // One page per node, each written once, all verifiable.
+        // One page per node, each written once, each passing its
+        // checksum and epoch check.
         let pages = t.store.page_count();
         assert!(pages > 100);
-        t.verify_pages().unwrap();
-        let io = t.io_stats();
-        assert_eq!(io.page_writes as usize, pages);
-        assert_eq!(io.page_reads as usize, pages);
-    }
-
-    #[test]
-    fn torn_page_is_detected_and_never_served() {
-        let pairs: Vec<(i64, u32)> = (0..5000).map(|i| (i, i as u32)).collect();
-        let mut t = BPlusTree::bulk_build(16, &pairs);
-        t.verify_pages().unwrap();
-        let torn = t.tear_page(7).unwrap();
-        let err = t.verify_pages().unwrap_err();
-        assert!(
-            matches!(err, FlowtuneError::Corrupt(_)),
-            "torn page {torn} must surface as Corrupt, got {err:?}"
-        );
+        assert!(t
+            .store
+            .ids()
+            .all(|id| Page::check(t.store.read(id), t.epoch).is_clean()));
+        assert_eq!(t.io_stats().page_writes as usize, pages);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden equivalence suite: the memoized-bound + dominance-pruning
+//! Golden equivalence suite: the run-cut, memoized-bound, dominance-pruning
 //! knapsack solver must produce **element-wise identical** solutions to
 //! the retained pre-optimization implementation ([`crate::reference`])
 //! — same chosen index set, bit-identical value, same packed size —
@@ -96,17 +96,27 @@ fn dominance_pruning_never_changes_the_chosen_set() {
 
 #[test]
 fn dominance_collapses_equal_density_instances() {
-    // 16 identical items (size 3, value 7) with capacity 10: equal
-    // densities defeat bound pruning and the fractional root bound
-    // (23.33) is integrally unreachable, so the reference re-explores
-    // every C(16, k) prefix while the state table collapses them to
-    // O(n * capacity) states.
-    let sizes = [3u64; 16];
-    let values = [7.0f64; 16];
-    let got = solve_knapsack_budgeted(10, &sizes, &values, 2_000_000);
-    let want = reference::solve_knapsack_budgeted(10, &sizes, &values, 2_000_000);
+    // 16 distinct items of one density (size 3k, value 7k: every
+    // `7k / 3k` rounds to the same f64) with a capacity no subset
+    // fills: equal densities defeat bound pruning and the fractional
+    // root bound is integrally unreachable, so the reference
+    // re-explores every subset that fits, while the state table
+    // collapses the prefixes that reach one (depth, remaining) state.
+    // No two items are identical, so the run cut never applies and
+    // the search crosses the table's engagement threshold.
+    let sizes: Vec<u64> = (1..=16).map(|k| 3 * k).collect();
+    let values: Vec<f64> = (1..=16).map(|k| 7.0 * k as f64).collect();
+    assert!(
+        values
+            .iter()
+            .zip(&sizes)
+            .all(|(v, s)| (v / *s as f64).to_bits() == (7.0f64 / 3.0).to_bits()),
+        "the fixture's densities must tie"
+    );
+    let got = solve_knapsack_budgeted(181, &sizes, &values, 2_000_000);
+    let want = reference::solve_knapsack_budgeted(181, &sizes, &values, 2_000_000);
     assert_same(&got, &want, "equal-density");
-    assert!((got.value - 21.0).abs() < 1e-9, "optimum is 3 items");
+    assert_eq!(got.value, 420.0, "optimum fills 180 of 181");
     assert!(got.pruned > 0, "dominance never fired");
     assert!(
         got.nodes < want.nodes,
@@ -114,6 +124,87 @@ fn dominance_collapses_equal_density_instances() {
         got.nodes,
         want.nodes
     );
+}
+
+/// Both solvers, unbudgeted, on one instance: element-wise the same
+/// solution, and the run cut and the state table only remove nodes.
+fn assert_same_in_fewer_nodes(
+    capacity: u64,
+    sizes: &[u64],
+    values: &[f64],
+    label: &str,
+) -> (KnapsackSolution, KnapsackSolution) {
+    let got = solve_knapsack_budgeted(capacity, sizes, values, 2_000_000);
+    let want = reference::solve_knapsack_budgeted(capacity, sizes, values, 2_000_000);
+    assert_same(&got, &want, label);
+    assert!(
+        got.nodes <= want.nodes,
+        "{label}: optimized expanded more nodes ({} vs {})",
+        got.nodes,
+        want.nodes
+    );
+    (got, want)
+}
+
+/// `(count, size, value)` runs of identical items, flattened.
+fn runs(spec: &[(usize, u64, f64)]) -> (Vec<u64>, Vec<f64>) {
+    spec.iter()
+        .flat_map(|&(n, size, value)| std::iter::repeat_n((size, value), n))
+        .unzip()
+}
+
+#[test]
+fn run_cut_matches_the_reference_on_runs_of_identical_items() {
+    // Four runs, interleaved in the input, as the service offers the
+    // unbuilt partitions of several indexes.
+    let (mut sizes, mut values) = runs(&[(6, 5, 11.0), (5, 3, 6.5), (4, 7, 15.0), (3, 2, 4.25)]);
+    let mut rng = SimRng::seed_from_u64(0x1B08);
+    for i in (1..sizes.len()).rev() {
+        let j = rng.uniform_u64(0, i as u64 + 1) as usize;
+        sizes.swap(i, j);
+        values.swap(i, j);
+    }
+    let mut shrunk = 0;
+    for capacity in [0u64, 1, 10, 23, 37, 60, 89, 200] {
+        let (got, want) =
+            assert_same_in_fewer_nodes(capacity, &sizes, &values, &format!("cap={capacity}"));
+        shrunk += usize::from(got.nodes < want.nodes);
+    }
+    assert!(shrunk > 0, "the run cut never removed a node");
+}
+
+#[test]
+fn run_cut_keeps_equal_density_items_of_other_sizes() {
+    // A run of (3, 7.0) between items of the same density (7/3) but
+    // other sizes: they tie on density, so only size and value tell
+    // them apart.
+    let (sizes, values) = runs(&[(3, 6, 14.0), (8, 3, 7.0), (2, 9, 21.0), (2, 3, 7.0)]);
+    for capacity in [0u64, 2, 10, 16, 31, 47, 100] {
+        assert_same_in_fewer_nodes(capacity, &sizes, &values, &format!("cap={capacity}"));
+    }
+}
+
+#[test]
+fn run_cut_never_merges_values_one_ulp_apart() {
+    // 7.0 and the next f64 up divide by 3 to the same density, so the
+    // two size-3 items sort next to each other; the heavier one is the
+    // optimum, and only a search that keeps them apart takes it.
+    let heavier = 7.0f64.next_up();
+    assert_eq!((7.0f64 / 3.0).to_bits(), (heavier / 3.0).to_bits());
+    let sizes = [3u64, 3, 2];
+    let values = [7.0, heavier, 4.0];
+    let (got, _) = assert_same_in_fewer_nodes(4, &sizes, &values, "ulp");
+    assert_eq!(got.chosen, vec![1], "the heavier twin is the optimum");
+}
+
+#[test]
+fn run_cut_with_every_item_oversized_or_no_capacity() {
+    let (sizes, values) = runs(&[(5, 50, 9.0), (3, 60, 11.0), (4, 41, 2.0)]);
+    let (got, _) = assert_same_in_fewer_nodes(40, &sizes, &values, "oversized");
+    assert!(got.chosen.is_empty());
+    let (sizes, values) = runs(&[(6, 5, 11.0), (5, 3, 6.5), (4, 1, 0.5)]);
+    let (got, _) = assert_same_in_fewer_nodes(0, &sizes, &values, "capacity 0");
+    assert!(got.chosen.is_empty());
 }
 
 #[test]

@@ -19,10 +19,18 @@
 //! (the Dantzig bound is a pure function of the state, so it is
 //! computed once per state instead of once per node). The table
 //! engages lazily, only after the search crosses a node threshold, so
-//! tiny searches (the common per-slot case) pay nothing for it. Both
-//! techniques are exact: unbudgeted solves are element-wise identical
-//! to the retained pre-optimization solver in `crate::reference`,
-//! pinned by the golden equivalence suite in `equivalence_tests.rs`.
+//! tiny searches (the common per-slot case) pay nothing for it.
+//!
+//! A **run cut** handles identical items (same size, same value bits),
+//! which sort next to each other: the service offers every unbuilt
+//! partition of an index as its own build op with the index's gain.
+//! Skipping one item of such a run skips the rest of it, so the search
+//! tries each count of the run once instead of every subset.
+//!
+//! All three techniques are exact: unbudgeted solves are element-wise
+//! identical to the retained pre-optimization solver in
+//! `crate::reference`, pinned by the golden equivalence suite in
+//! `equivalence_tests.rs`.
 
 /// Result of a knapsack solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,13 +228,28 @@ pub fn solve_knapsack_budgeted(
                 return; // pruned by the (memoized) LP bound
             }
             let i = self.order[depth];
-            // Branch: take item i (if it fits), then skip it.
+            // Branch: take item i (if it fits), then skip it together
+            // with the rest of its run of identical items. A pattern
+            // that skips i and takes a later twin reaches the same
+            // value bits and remaining capacity as the pattern taking i
+            // instead, which this DFS visits first; incumbent updates
+            // need a strict improvement, so the later pattern can never
+            // change the result (exactness argument in DESIGN §5i).
             if self.sizes[i] <= remaining {
                 self.stack.push(i);
                 self.dfs(depth + 1, value + self.values[i], remaining - self.sizes[i]);
                 self.stack.pop();
             }
-            self.dfs(depth + 1, value, remaining);
+            let (size, bits) = (self.sizes[i], self.values[i].to_bits());
+            let mut next = depth + 1;
+            while self
+                .order
+                .get(next)
+                .is_some_and(|&j| self.sizes[j] == size && self.values[j].to_bits() == bits)
+            {
+                next += 1;
+            }
+            self.dfs(next, value, remaining);
         }
     }
 

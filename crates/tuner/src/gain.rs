@@ -133,11 +133,24 @@ impl GainModel {
             gt += f * c.gtd;
             gm_quanta += f * c.gmd;
         }
-        gt -= remaining_build_quanta.get();
+        self.finish(gt, gm_quanta, remaining_build_quanta, stored_bytes)
+    }
+
+    /// Eq. 3–5 from the faded sums `Σ dc·gtd` (`faded_gt`) and
+    /// `Σ dc·gmd` (`faded_gm`), both in quanta: subtracts the
+    /// build and storage costs and weights the two objectives.
+    pub fn finish(
+        &self,
+        faded_gt: f64,
+        faded_gm: f64,
+        remaining_build_quanta: Quanta,
+        stored_bytes: u64,
+    ) -> IndexGains {
+        let gt = faded_gt - remaining_build_quanta.get();
         // mi(idx): the build consumes compute time which is money at Mc
         // per quantum (even when prepaid, this is the conservative
         // charge the paper applies).
-        let gm = self.vm_price.as_dollars() * (gm_quanta - remaining_build_quanta.get())
+        let gm = self.vm_price.as_dollars() * (faded_gm - remaining_build_quanta.get())
             - self.window_storage_cost(stored_bytes).as_dollars();
         let g = self.tuner.alpha * self.vm_price.as_dollars() * gt + (1.0 - self.tuner.alpha) * gm;
         IndexGains { gt, gm, g }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use flowtune_common::{DataflowId, IndexId, SimDuration, SimTime};
+use flowtune_common::{DataflowId, IndexId, Quanta, SimDuration, SimTime};
 
 use crate::gain::GainContribution;
 
@@ -15,21 +15,6 @@ pub struct HistoryEntry {
     pub finished_at: SimTime,
     /// `idx -> (gtd, gmd)` in quanta, for every index the dataflow uses.
     pub index_gains: BTreeMap<IndexId, (f64, f64)>,
-}
-
-/// `entry`'s gain-model input at `now`.
-fn contribution(
-    entry: &HistoryEntry,
-    now: SimTime,
-    quantum: SimDuration,
-    gtd: f64,
-    gmd: f64,
-) -> GainContribution {
-    GainContribution {
-        quanta_ago: now.saturating_since(entry.finished_at).quanta(quantum),
-        gtd,
-        gmd,
-    }
 }
 
 /// The list of historical dataflows.
@@ -78,36 +63,33 @@ impl History {
         window: SimDuration,
         quantum: SimDuration,
     ) -> Vec<GainContribution> {
-        self.window(now, window)
-            .filter_map(|e| {
-                e.index_gains
-                    .get(&idx)
-                    .map(|&(gtd, gmd)| contribution(e, now, quantum, gtd, gmd))
+        self.windowed(now, window, quantum)
+            .filter_map(|(quanta_ago, gains)| {
+                gains.get(&idx).map(|&(gtd, gmd)| GainContribution {
+                    quanta_ago,
+                    gtd,
+                    gmd,
+                })
             })
             .collect()
     }
 
-    /// [`History::contributions`] for every index at once, from one walk
-    /// over the window: `buckets[i]` holds the contributions of
-    /// `IndexId(i)`, in the same newest-first order, so gain sums over
-    /// a bucket are bit-identical to sums over the per-index call.
-    /// Indexes no windowed dataflow used may lie past the end.
-    pub fn window_contributions(
+    /// The dataflows inside the window `[t − W, t]`, newest first, each
+    /// as its age `ΔT` in quanta and its per-index gains: one walk
+    /// serves every index, and an index's gains appear in the order
+    /// [`History::contributions`] yields them.
+    pub fn windowed(
         &self,
         now: SimTime,
         window: SimDuration,
         quantum: SimDuration,
-    ) -> Vec<Vec<GainContribution>> {
-        let mut buckets: Vec<Vec<GainContribution>> = Vec::new();
-        for e in self.window(now, window) {
-            for (&idx, &(gtd, gmd)) in &e.index_gains {
-                if buckets.len() <= idx.index() {
-                    buckets.resize_with(idx.index() + 1, Vec::new);
-                }
-                buckets[idx.index()].push(contribution(e, now, quantum, gtd, gmd));
-            }
-        }
-        buckets
+    ) -> impl Iterator<Item = (Quanta, &BTreeMap<IndexId, (f64, f64)>)> {
+        self.window(now, window).map(move |e| {
+            (
+                now.saturating_since(e.finished_at).quanta(quantum),
+                &e.index_gains,
+            )
+        })
     }
 
     /// Entries inside `[now − window, now]`, newest first.
@@ -184,7 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_window_matches_per_index_contributions() {
+    fn windowed_entries_match_per_index_contributions() {
+        // `contributions`, a filter over `windowed`, against a filter
+        // over every entry.
         let mut h = History::new();
         h.record(entry(0, 60, &[(1, 1.0, 2.0), (4, 0.5, 0.25)]));
         h.record(entry(1, 300, &[(1, 3.0, 4.0)]));
@@ -193,11 +177,29 @@ mod tests {
         h.record(entry(4, 900, &[(3, 8.0, 8.0)]));
         for (now, window) in [(540, Q * 5), (540, Q * 1000), (0, Q * 5), (2000, Q)] {
             let now = SimTime::from_secs(now);
-            let buckets = h.window_contributions(now, window, Q);
             for i in 0..6u32 {
-                let expected = h.contributions(IndexId(i), now, window, Q);
-                let got = buckets.get(i as usize).cloned().unwrap_or_default();
-                assert_eq!(got, expected, "index {i} at {now}");
+                let want: Vec<GainContribution> = h
+                    .entries()
+                    .iter()
+                    .rev()
+                    .filter(|e| {
+                        e.finished_at <= now && now.saturating_since(e.finished_at) <= window
+                    })
+                    .filter_map(|e| {
+                        e.index_gains
+                            .get(&IndexId(i))
+                            .map(|&(gtd, gmd)| GainContribution {
+                                quanta_ago: now.saturating_since(e.finished_at).quanta(Q),
+                                gtd,
+                                gmd,
+                            })
+                    })
+                    .collect();
+                assert_eq!(
+                    h.contributions(IndexId(i), now, window, Q),
+                    want,
+                    "index {i} at {now}"
+                );
             }
         }
     }

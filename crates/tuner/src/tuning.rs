@@ -8,11 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use flowtune_common::{IndexId, Quanta, SimDuration, SimTime};
+use flowtune_common::{IndexId, SimDuration, SimTime};
 use flowtune_index::IndexCatalog;
 
 use crate::adaptive::AdaptiveFading;
-use crate::gain::{GainContribution, GainModel, IndexGains};
+use crate::gain::{GainModel, IndexGains};
 use crate::history::History;
 use crate::rank::rank_indexes;
 
@@ -71,7 +71,8 @@ impl OnlineTuner {
 
     /// Gains of one index at `now`, over the history window plus the
     /// estimated gains of the queued and currently *running* dataflows
-    /// (`extras`, each at `δT = 0` per Eq. 4/5).
+    /// (`extras`, each at `δT = 0` per Eq. 4/5) — the per-index oracle
+    /// of [`OnlineTuner::decide`].
     #[cfg(test)]
     pub fn gains_of(
         &self,
@@ -80,11 +81,26 @@ impl OnlineTuner {
         catalog: &IndexCatalog,
         extras: &[(f64, f64)],
     ) -> IndexGains {
+        use crate::gain::GainContribution;
+        use flowtune_common::Quanta;
         let mut contributions =
             self.history
                 .contributions(idx, now, self.window(), self.model.quantum);
-        contributions.extend(extras.iter().map(|&(gtd, gmd)| running(gtd, gmd)));
-        self.evaluate(idx, catalog, &contributions)
+        contributions.extend(extras.iter().map(|&(gtd, gmd)| GainContribution {
+            quanta_ago: Quanta::ZERO,
+            gtd,
+            gmd,
+        }));
+        let d = self
+            .adaptive
+            .as_ref()
+            .map_or(self.model.tuner.fading_d, |a| a.d_for(idx));
+        self.model.evaluate_with_d(
+            &contributions,
+            catalog.remaining_build_time(idx).quanta(self.model.quantum),
+            catalog.total_bytes(idx),
+            d,
+        )
     }
 
     /// Run one tuning step (Alg. 1): `active` carries the per-index gain
@@ -92,32 +108,56 @@ impl OnlineTuner {
     /// dataflow — all contribute at `δT = 0` (empty when triggered
     /// periodically with nothing queued or running).
     ///
-    /// Every index gets exactly the contributions the test-only
-    /// per-index `gains_of` would give it, in the same order, but the
-    /// history window is walked once per decision rather than once per
-    /// index.
+    /// One pass sums every index's faded gains: the history window is
+    /// walked once, newest first, with one fading factor per dataflow
+    /// (per contribution under adaptive fading, whose `D` is the
+    /// index's), then each `active` map's own entries. Every index gets
+    /// the additions the test-only per-index `gains_of` makes, in the
+    /// same order from the same `0.0`, so every gain is bit-identical.
+    /// Ids past the catalog are skipped.
     pub fn decide(
         &self,
         now: SimTime,
         catalog: &IndexCatalog,
         active: &[&BTreeMap<IndexId, (f64, f64)>],
     ) -> TuningDecision {
-        let mut windowed =
-            self.history
-                .window_contributions(now, self.window(), self.model.quantum);
+        // (Σ dc·gtd, Σ dc·gmd) per catalog index.
+        let mut sums = vec![(0.0f64, 0.0f64); catalog.len()];
+        let global_d = self.model.tuner.fading_d;
+        for (quanta_ago, gains) in self
+            .history
+            .windowed(now, self.window(), self.model.quantum)
+        {
+            let fade = self.model.fading_with_d(quanta_ago, global_d);
+            for (&idx, &(gtd, gmd)) in gains {
+                let Some((gt, gm)) = sums.get_mut(idx.index()) else {
+                    continue;
+                };
+                let f = match &self.adaptive {
+                    Some(a) => self.model.fading_with_d(quanta_ago, a.d_for(idx)),
+                    None => fade,
+                };
+                *gt += f * gtd;
+                *gm += f * gmd;
+            }
+        }
+        // `δT = 0` fades by exactly `e^0 = 1`, so `1·gtd` is `gtd`.
+        for map in active {
+            for (&idx, &(gtd, gmd)) in *map {
+                if let Some((gt, gm)) = sums.get_mut(idx.index()) {
+                    *gt += gtd;
+                    *gm += gmd;
+                }
+            }
+        }
         let mut all: Vec<(IndexId, IndexGains)> = Vec::with_capacity(catalog.len());
-        for idx in catalog.ids() {
-            let mut contributions = windowed
-                .get_mut(idx.index())
-                .map(std::mem::take)
-                .unwrap_or_default();
-            contributions.extend(
-                active
-                    .iter()
-                    .filter_map(|m| m.get(&idx))
-                    .map(|&(gtd, gmd)| running(gtd, gmd)),
+        for (idx, &(gt, gm)) in catalog.ids().zip(&sums) {
+            let gains = self.model.finish(
+                gt,
+                gm,
+                catalog.remaining_build_time(idx).quanta(self.model.quantum),
+                catalog.total_bytes(idx),
             );
-            let gains = self.evaluate(idx, catalog, &contributions);
             // Eq. 5 (time gain), Eq. 4 (money gain), Eq. 3 (combined).
             flowtune_obs::obs_event!(
                 "tuner.gain",
@@ -152,31 +192,6 @@ impl OnlineTuner {
     /// The history window `W` as a duration.
     fn window(&self) -> SimDuration {
         self.model.quantum.mul_f64(self.model.tuner.window_w)
-    }
-
-    /// Eq. 3–5 for `idx` over the given contributions.
-    fn evaluate(
-        &self,
-        idx: IndexId,
-        catalog: &IndexCatalog,
-        contributions: &[GainContribution],
-    ) -> IndexGains {
-        let remaining_build = catalog.remaining_build_time(idx).quanta(self.model.quantum);
-        let d = self
-            .adaptive
-            .as_ref()
-            .map_or(self.model.tuner.fading_d, |a| a.d_for(idx));
-        self.model
-            .evaluate_with_d(contributions, remaining_build, catalog.total_bytes(idx), d)
-    }
-}
-
-/// A queued or running dataflow's contribution, at `δT = 0`.
-fn running(gtd: f64, gmd: f64) -> GainContribution {
-    GainContribution {
-        quanta_ago: Quanta::ZERO,
-        gtd,
-        gmd,
     }
 }
 
@@ -300,20 +315,15 @@ mod tests {
         assert!(g_adaptive.is_beneficial());
     }
 
-    #[test]
-    fn decide_matches_per_index_gains_bit_for_bit() {
-        // `decide` walks the window once and buckets; `gains_of` walks it
-        // per index. Same contributions in the same order, so every gain
-        // must agree to the bit, and so must ranking and deletions.
-        let mut t = tuner();
+    /// A 12-index catalog with three partly built indexes, and 60
+    /// random history entries whose ids reach 13, past the catalog.
+    fn oracle_fixture(t: &mut OnlineTuner) -> IndexCatalog {
         let mut cat = small_catalog(12);
         cat.mark_built(IndexId(3), 0, SimTime::ZERO, 0);
         cat.mark_built(IndexId(5), 1, SimTime::ZERO, 0);
         cat.mark_built(IndexId(9), 0, SimTime::ZERO, 0);
         let mut rng = flowtune_common::SimRng::seed_from_u64(5);
         for k in 0..60u32 {
-            // Ids up to 13 also exercise history entries for indexes the
-            // catalog does not hold.
             let index_gains = (0..4)
                 .map(|_| {
                     let idx = IndexId(rng.uniform_u64(0, 14) as u32);
@@ -329,9 +339,17 @@ mod tests {
                 index_gains,
             });
         }
-        let queued = BTreeMap::from([(IndexId(1), (2.0, 3.0)), (IndexId(7), (0.5, 0.25))]);
-        let on_lane = BTreeMap::from([(IndexId(7), (1.5, 1.0)), (IndexId(3), (0.1, 0.2))]);
-        let active = [&queued, &on_lane];
+        cat
+    }
+
+    /// Asserts that `decide` and the per-index `gains_of` agree to the
+    /// bit on every gain, the ranking and the deletions at several
+    /// times; returns how many beneficial indexes were ranked in all.
+    fn assert_decide_matches_gains_of(
+        t: &OnlineTuner,
+        cat: &IndexCatalog,
+        active: &[&BTreeMap<IndexId, (f64, f64)>],
+    ) -> usize {
         let bits = |gains: &[(IndexId, IndexGains)]| -> Vec<(IndexId, [u64; 3])> {
             gains
                 .iter()
@@ -341,13 +359,13 @@ mod tests {
         let mut beneficial_seen = 0;
         for secs in [0, 300, 700, 1200, 2000] {
             let now = SimTime::from_secs(secs);
-            let decision = t.decide(now, &cat, &active);
+            let decision = t.decide(now, cat, active);
             let per_index: Vec<(IndexId, IndexGains)> = cat
                 .ids()
                 .map(|idx| {
                     let extras: Vec<(f64, f64)> =
                         active.iter().filter_map(|m| m.get(&idx).copied()).collect();
-                    (idx, t.gains_of(idx, now, &cat, &extras))
+                    (idx, t.gains_of(idx, now, cat, &extras))
                 })
                 .collect();
             assert_eq!(
@@ -363,7 +381,53 @@ mod tests {
             assert_eq!(decision.deletions, deletions, "deletions at {secs} s");
             beneficial_seen += decision.beneficial.len();
         }
-        assert!(beneficial_seen > 5, "the fixture must rank something");
+        beneficial_seen
+    }
+
+    #[test]
+    fn decide_matches_per_index_gains_bit_for_bit() {
+        // `decide` sums every index's faded gains in one walk of the
+        // window; `gains_of` walks it per index. Same additions in the
+        // same order, so every gain must agree to the bit, and so must
+        // ranking and deletions.
+        let mut t = tuner();
+        let cat = oracle_fixture(&mut t);
+        let queued = BTreeMap::from([(IndexId(1), (2.0, 3.0)), (IndexId(7), (0.5, 0.25))]);
+        let on_lane = BTreeMap::from([(IndexId(7), (1.5, 1.0)), (IndexId(3), (0.1, 0.2))]);
+        let seen = assert_decide_matches_gains_of(&t, &cat, &[&queued, &on_lane]);
+        assert!(seen > 5, "the fixture must rank something");
+    }
+
+    #[test]
+    fn decide_matches_per_index_gains_under_adaptive_fading() {
+        // Per-index `D`: index `i` is reused every `i + 1` quanta, and
+        // every fourth index is never reused, so it keeps the default.
+        let mut t = OnlineTuner::with_adaptive_fading(tuner().model);
+        let cat = oracle_fixture(&mut t);
+        for k in 0..6u64 {
+            for i in (0..12u32).filter(|i| i % 4 != 0) {
+                t.observe_uses(
+                    &[IndexId(i)],
+                    SimTime::from_secs(60 * k * (u64::from(i) + 1)),
+                );
+            }
+        }
+        let ds: std::collections::BTreeSet<u64> = cat
+            .ids()
+            .filter_map(|i| t.adaptive.as_ref().map(|a| a.d_for(i).to_bits()))
+            .collect();
+        assert!(ds.len() >= 4, "fading controllers must differ: {ds:?}");
+        // Three overlapping active maps, one holding an id past the
+        // catalog.
+        let queued = BTreeMap::from([(IndexId(1), (2.0, 3.0)), (IndexId(7), (0.5, 0.25))]);
+        let lane_a = BTreeMap::from([(IndexId(7), (1.5, 1.0)), (IndexId(3), (0.1, 0.2))]);
+        let lane_b = BTreeMap::from([
+            (IndexId(1), (0.75, -0.5)),
+            (IndexId(3), (2.5, 1.25)),
+            (IndexId(13), (9.0, 9.0)),
+        ]);
+        let seen = assert_decide_matches_gains_of(&t, &cat, &[&queued, &lane_a, &lane_b]);
+        assert!(seen > 5, "the fixture must rank something");
     }
 
     #[test]
