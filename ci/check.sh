@@ -40,14 +40,15 @@ RUSTDOCFLAGS="-D warnings" \
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> scheduler, DAG, simulator, cache, B+Tree, query, tuner and experiment suites with optimizations on"
+echo "==> scheduler, DAG, simulator, cache, B+Tree, tuner and experiment suites (Table 6's query paths under flowtune-bench) with optimizations on"
 # The skyline-vs-reference equivalence suites (the online interleaver's
 # offer pass against the reference's in-search offers among them), the
 # online interleaver's plain-skyline equality test, the flat-adjacency DAG
 # oracle, the simulator's pinned report digests, the LRU
 # reference-model test, the random generator's golden streams and
-# log-normal bit-identity test, the B+Tree and query-operator suites
-# (the tree `table6_speedups` measures), the tuner's bit-for-bit oracles
+# log-normal bit-identity test, the B+Tree suite, the Table 6 query
+# paths' tests (the scans and tree walks `table6_speedups` measures, in
+# flowtune-bench's exp::table6_speedups), the tuner's bit-for-bit oracles
 # of the one-pass `decide` and the experiment smoke goldens run
 # optimized too: the release build is what every run and benchmark ships, and its
 # larger DAG cases finish quickly there. crates/bench/tests/exp_goldens.rs
@@ -56,7 +57,7 @@ echo "==> scheduler, DAG, simulator, cache, B+Tree, query, tuner and experiment 
 #   cargo run -q --offline --release -p flowtune-bench --bin flowtune-exp -- \
 #     <name> --smoke > tests/golden/exp/<name>_smoke.txt
 cargo test -q --offline --release -p flowtune-common -p flowtune-sched -p flowtune-interleave \
-  -p flowtune-dataflow -p flowtune-cloud -p flowtune-storage -p flowtune-index -p flowtune-query \
+  -p flowtune-dataflow -p flowtune-cloud -p flowtune-storage -p flowtune-index \
   -p flowtune-tuner -p flowtune-bench
 
 # All throwaway output from the smoke steps below lands in one scratch

@@ -20,7 +20,6 @@ const CORE_CRATES: &[&str] = &[
     "flowtune-common",
     "flowtune-storage",
     "flowtune-index",
-    "flowtune-query",
     "flowtune-dataflow",
     "flowtune-sched",
     "flowtune-interleave",

@@ -1,6 +1,7 @@
 //! The workspace's one bench harness: every wall-clock measurement
-//! goes through the calibrated loop in [`measure`] (no registry
-//! dependency — DESIGN §7).
+//! goes through the calibrated loop of [`measure`], or of
+//! [`measure_paired`] when two implementations are compared (no
+//! registry dependency — DESIGN §7).
 //!
 //! Its callers are the registry experiments that time real work: the
 //! pinned perf baselines `bench_sched` and `bench_interleave`, which
@@ -52,21 +53,69 @@ pub struct BenchStats {
 /// median, minimum and maximum collapse into one observation. Three is
 /// the smallest count where the median is a true middle order
 /// statistic.
-pub fn measure<R>(label: &str, samples: usize, mut f: impl FnMut() -> R) -> BenchStats {
-    let mut run = |iters: u64| {
+pub fn measure<R>(label: &str, samples: usize, f: impl FnMut() -> R) -> BenchStats {
+    let [per_iter] = sample_in_turn([&mut timer(f)], samples);
+    summarize(label, per_iter)
+}
+
+/// Time two implementations of one scenario as [`measure`] times one,
+/// interleaving their samples: both sides are calibrated first, then
+/// the samples alternate optimized, reference, optimized, and so on.
+/// Host drift during the run then lands on both sides alike instead of
+/// on whichever side ran second.
+pub fn measure_paired<R, S>(
+    name: &str,
+    optimized: &str,
+    reference: &str,
+    samples: usize,
+    fast: impl FnMut() -> R,
+    slow: impl FnMut() -> S,
+) -> Comparison {
+    let [fast_s, slow_s] = sample_in_turn([&mut timer(fast), &mut timer(slow)], samples);
+    Comparison {
+        name: name.to_owned(),
+        optimized: summarize(optimized, fast_s),
+        reference: summarize(reference, slow_s),
+    }
+}
+
+/// `f` as a function of an iteration count to the wall time of that
+/// many calls.
+fn timer<R>(mut f: impl FnMut() -> R) -> impl FnMut(u64) -> Duration {
+    move |iters| {
         let start = Instant::now();
         for _ in 0..iters {
             black_box(f());
         }
         start.elapsed()
-    };
-    let mut iters = 1u64;
-    while run(iters) < Duration::from_millis(1) && iters < 1 << 20 {
-        iters *= 4;
     }
-    let mut per_iter: Vec<f64> = (0..samples.max(3))
-        .map(|_| run(iters).as_secs_f64() / iters as f64)
-        .collect();
+}
+
+/// Calibrate each side as [`measure`] describes, then take `samples`
+/// (at least 3) samples of every side in turn: each side's
+/// per-iteration times, in seconds.
+fn sample_in_turn<const N: usize>(
+    mut sides: [&mut dyn FnMut(u64) -> Duration; N],
+    samples: usize,
+) -> [Vec<f64>; N] {
+    let iters = sides.each_mut().map(|run| {
+        let mut iters = 1u64;
+        while run(iters) < Duration::from_millis(1) && iters < 1 << 20 {
+            iters *= 4;
+        }
+        iters
+    });
+    let mut times = [(); N].map(|()| Vec::with_capacity(samples.max(3)));
+    for _ in 0..samples.max(3) {
+        for ((run, &n), t) in sides.iter_mut().zip(&iters).zip(&mut times) {
+            t.push(run(n).as_secs_f64() / n as f64);
+        }
+    }
+    times
+}
+
+/// Median, minimum and maximum of per-iteration times in seconds.
+fn summarize(label: &str, mut per_iter: Vec<f64>) -> BenchStats {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     BenchStats {
         name: label.to_owned(),
@@ -95,8 +144,8 @@ impl Comparison {
     }
 }
 
-/// Benchmark one scenario under both implementations and write its
-/// row to `out`.
+/// Benchmark one scenario under both implementations, their samples
+/// interleaved by [`measure_paired`], and write its row to `out`.
 pub fn compare<R, S>(
     prefix: &str,
     name: &str,
@@ -105,11 +154,14 @@ pub fn compare<R, S>(
     slow: impl FnMut() -> S,
     out: &mut dyn Write,
 ) -> std::io::Result<Comparison> {
-    let c = Comparison {
-        name: name.to_owned(),
-        optimized: measure(&format!("{prefix}/{name}"), samples, fast),
-        reference: measure(&format!("reference/{name}"), samples, slow),
-    };
+    let c = measure_paired(
+        name,
+        &format!("{prefix}/{name}"),
+        &format!("reference/{name}"),
+        samples,
+        fast,
+        slow,
+    );
     writeln!(
         out,
         "{:<44} optimized {:>10.1} us   reference {:>10.1} us   speedup {:>5.2}x",
@@ -227,6 +279,42 @@ mod tests {
         // Larger requests are untouched.
         let stats = measure("clamp", 5, || 1u64 + 1);
         assert_eq!(stats.samples, 5);
+    }
+
+    #[test]
+    fn paired_samples_alternate_after_both_sides_calibrate() {
+        use std::cell::Cell;
+        // Count the switches between the two sides: calibrating each
+        // side is one run of calls, and then every sample is another.
+        let (last, runs) = (Cell::new(None), Cell::new(0usize));
+        let call = |side: bool| {
+            if last.get() != Some(side) {
+                last.set(Some(side));
+                runs.set(runs.get() + 1);
+            }
+        };
+        for requested in [1usize, 3, 5] {
+            runs.set(0);
+            last.set(None);
+            let c = measure_paired(
+                "x",
+                "fast/x",
+                "reference/x",
+                requested,
+                || call(true),
+                || call(false),
+            );
+            let samples = requested.max(3);
+            assert_eq!(runs.get(), 2 + 2 * samples, "{requested} samples");
+            assert_eq!(
+                (c.optimized.samples, c.reference.samples),
+                (samples, samples)
+            );
+            assert_eq!(
+                (c.optimized.name.as_str(), c.reference.name.as_str()),
+                ("fast/x", "reference/x")
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! theoretical upper bound. The paper reports LP within 5 % of the
 //! bound.
 
-use flowtune_common::Histogram;
 use flowtune_core::tablefmt::render_table;
 use flowtune_interleave::{graham_greedy, merged_upper_bound, solve_knapsack};
 
@@ -54,12 +53,18 @@ pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         &OPS_QUANTA
     };
     writeln!(out, "build-operator durations (quanta):")?;
-    let mut h = Histogram::new(0.0, 0.25, 5);
+    // Five equal buckets over [0, 0.25); a duration past either end
+    // counts in the end bucket.
+    const BUCKETS: usize = 5;
+    let width = 0.25 / BUCKETS as f64;
+    let mut counts = [0usize; BUCKETS];
     for &op in ops {
-        h.record(op);
+        let i = (op / width).floor().max(0.0) as usize;
+        counts[i.min(BUCKETS - 1)] += 1;
     }
-    for (lo, hi, n) in h.iter() {
-        writeln!(out, "  [{lo:.2}, {hi:.2})  {}", "*".repeat(n as usize))?;
+    for (i, n) in counts.into_iter().enumerate() {
+        let (start, end) = (i as f64 * width, (i + 1) as f64 * width);
+        writeln!(out, "  [{start:.2}, {end:.2})  {}", "*".repeat(n))?;
     }
     writeln!(out, "idle segments (quanta): {SLOTS_QUANTA:?}\n")?;
 

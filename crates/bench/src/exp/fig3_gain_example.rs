@@ -15,7 +15,6 @@
 
 use flowtune_common::{Money, Quanta, SimDuration, TunerConfig};
 use flowtune_core::tablefmt::render_table;
-use flowtune_tuner::gain::GainContribution;
 use flowtune_tuner::GainModel;
 
 use super::*;
@@ -36,22 +35,19 @@ struct IndexTrack {
 
 impl IndexTrack {
     fn gain_at(&self, model: &GainModel, t: f64) -> f64 {
-        let contributions: Vec<GainContribution> = self
-            .dataflows
-            .iter()
-            .filter(|(issue, _, _)| *issue <= t)
-            .map(|(issue, gtd, gmd)| GainContribution {
-                quanta_ago: Quanta::new(t - issue),
-                gtd: *gtd,
-                gmd: *gmd,
-            })
-            .collect();
+        // Σ dc·gtd and Σ dc·gmd over the dataflows issued by `t`.
+        let (mut gt, mut gm) = (0.0, 0.0);
+        for &(issue, gtd, gmd) in self.dataflows.iter().filter(|(issue, ..)| *issue <= t) {
+            let fade = model.fading(Quanta::new(t - issue));
+            gt += fade * gtd;
+            gm += fade * gmd;
+        }
         let build = if self.built {
             Quanta::ZERO
         } else {
             self.build_quanta
         };
-        model.evaluate(&contributions, build, self.bytes).g
+        model.finish(gt, gm, build, self.bytes).g
     }
 
     fn step(&mut self, g: f64, t: f64) {

@@ -7,8 +7,7 @@
 
 use flowtune_core::tablefmt::render_table;
 use flowtune_index::IndexCostModel;
-use flowtune_storage::lineitem::SF2_ROWS;
-use flowtune_storage::LineitemGenerator;
+use flowtune_storage::lineitem::{self, SF2_ROWS};
 
 use super::*;
 
@@ -21,7 +20,7 @@ const PAPER: [(&str, f64, f64); 4] = [
 ];
 
 pub fn run(smoke: bool, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    let schema = LineitemGenerator::schema();
+    let schema = lineitem::schema();
     let table_rec = schema.avg_row_bytes();
     let table_bytes = SF2_ROWS as f64 * table_rec;
     writeln!(

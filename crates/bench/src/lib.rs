@@ -14,3 +14,8 @@
 
 pub mod compare;
 pub mod exp;
+
+#[cfg(test)]
+mod lookup;
+#[cfg(test)]
+mod sort;

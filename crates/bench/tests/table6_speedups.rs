@@ -1,5 +1,5 @@
 //! Table 6's measured speedups, timed by the bench harness's calibrated
-//! loop (`flowtune_bench::compare::measure`).
+//! loop with interleaved samples (`flowtune_bench::compare::measure_paired`).
 
 use flowtune_bench::exp::table6_speedups::measure_speedups;
 

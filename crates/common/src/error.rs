@@ -14,8 +14,6 @@ pub enum FlowtuneError {
     InvalidDag(String),
     /// A schedule violates a constraint (overlap, dependency order, ...).
     InvalidSchedule(String),
-    /// An entity lookup failed.
-    NotFound(String),
     /// A storage-layer failure (partition missing, cache misuse, ...).
     Storage(String),
     /// On-disk state failed verification (checksum mismatch, stale
@@ -39,11 +37,6 @@ impl FlowtuneError {
         FlowtuneError::InvalidSchedule(msg.into())
     }
 
-    /// Build a [`FlowtuneError::NotFound`].
-    pub fn not_found(msg: impl Into<String>) -> Self {
-        FlowtuneError::NotFound(msg.into())
-    }
-
     /// Build a [`FlowtuneError::Storage`].
     pub fn storage(msg: impl Into<String>) -> Self {
         FlowtuneError::Storage(msg.into())
@@ -61,7 +54,6 @@ impl fmt::Display for FlowtuneError {
             FlowtuneError::Config(m) => write!(f, "configuration error: {m}"),
             FlowtuneError::InvalidDag(m) => write!(f, "invalid dataflow DAG: {m}"),
             FlowtuneError::InvalidSchedule(m) => write!(f, "invalid schedule: {m}"),
-            FlowtuneError::NotFound(m) => write!(f, "not found: {m}"),
             FlowtuneError::Storage(m) => write!(f, "storage error: {m}"),
             FlowtuneError::Corrupt(m) => write!(f, "corrupt state: {m}"),
         }
@@ -85,6 +77,6 @@ mod tests {
     #[test]
     fn is_std_error() {
         fn takes_err(_: &dyn std::error::Error) {}
-        takes_err(&FlowtuneError::not_found("idx9"));
+        takes_err(&FlowtuneError::storage("partition 9 missing"));
     }
 }

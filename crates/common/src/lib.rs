@@ -13,7 +13,6 @@
 
 pub mod config;
 pub mod error;
-pub mod histogram;
 pub mod ids;
 pub mod money;
 pub mod pricing;
@@ -23,7 +22,6 @@ pub mod time;
 
 pub use config::{CloudConfig, ExperimentParams, TunerConfig};
 pub use error::{FlowtuneError, Result};
-pub use histogram::Histogram;
 pub use ids::{BuildOpId, ContainerId, DataflowId, FileId, IndexId, OpId, PageId, PartitionId};
 pub use money::Money;
 pub use rng::{LogNormal, SimRng};

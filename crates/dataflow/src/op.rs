@@ -1,9 +1,11 @@
 //! Dataflow operators.
 //!
-//! An operator is `op(cpu, memory, disk, time)` (§3): resource demands
-//! plus an estimated runtime. Operators that read base-table partitions
-//! list them in `reads`; these are the operators an index can
-//! accelerate.
+//! The paper's operator is `op(cpu, memory, disk, time)` (§3), but the
+//! scheduler, the interleaver and the simulator read only its `time`: an
+//! operator holds one whole container for its runtime. So an [`OpSpec`]
+//! keeps the estimated runtime and no resource demands.
+//! Operators that read base-table partitions list them in `reads`; these
+//! are the operators an index can accelerate.
 
 use std::borrow::Cow;
 
@@ -17,12 +19,6 @@ pub struct OpSpec {
     /// Stage name (e.g. `mProject`, `Inspiral`). The generators pass
     /// static stage names, which borrow instead of allocating per op.
     pub name: Cow<'static, str>,
-    /// CPU demand as a fraction of one container CPU, in `(0, 1]`.
-    pub cpu: f64,
-    /// Memory demand as a fraction of container memory, in `(0, 1]`.
-    pub memory: f64,
-    /// Scratch disk demand in bytes.
-    pub disk_bytes: u64,
     /// Estimated runtime on one container.
     pub runtime: SimDuration,
     /// Base-table partitions this operator reads (empty for operators
@@ -31,14 +27,11 @@ pub struct OpSpec {
 }
 
 impl OpSpec {
-    /// Convenience constructor with unit CPU, modest memory, no reads.
+    /// An operator that reads no base-table partition.
     pub fn new(id: OpId, name: impl Into<Cow<'static, str>>, runtime: SimDuration) -> Self {
         OpSpec {
             id,
             name: name.into(),
-            cpu: 1.0,
-            memory: 0.25,
-            disk_bytes: 0,
             runtime,
             reads: Vec::new(),
         }
@@ -53,7 +46,7 @@ mod tests {
     fn construction_defaults() {
         let op = OpSpec::new(OpId(3), "mProject", SimDuration::from_secs(11));
         assert_eq!(op.id, OpId(3));
-        assert_eq!(op.cpu, 1.0);
+        assert_eq!(op.runtime, SimDuration::from_secs(11));
         assert!(op.reads.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! # flowtune-index
 //!
 //! Index substrate: a from-scratch, bulk-built B+Tree over `i64` keys
-//! (used by `flowtune-query` to *measure* the speedups of Table 6), the
+//! (the Table 6 experiment uses it to *measure* index speedups), the
 //! paper's analytic index size/build-time model (§3, "Data Model"), the
 //! index catalog that tracks which single-column index partitions exist
 //! and when they were built, and the ledger of committed partition

@@ -22,9 +22,9 @@ use crate::model::MeasuredIo;
 use flowtune_common::SimRng;
 use flowtune_storage::PAGE_SIZE;
 
-/// Node order of the calibration tree. Matches the order the query
-/// layer uses for measured speedups, so the per-row page traffic is
-/// representative.
+/// Node order of the calibration tree. (Table 6 packs its tree at
+/// order 256; the page traffic measured at this order is pinned by
+/// `tests/golden/calibrate_io_smoke.txt`.)
 pub const CALIBRATION_ORDER: usize = 64;
 
 /// Build a `rows`-key calibration tree and measure its real page

@@ -2,18 +2,13 @@
 //!
 //! The paper's index size model (§3, "Data Model") needs only one
 //! statistic per column: the **average size of the fields of each column**
-//! in bytes. [`ColumnType::avg_value_bytes`] provides it, with an override
-//! available per column for measured statistics.
-
-use std::fmt;
+//! in bytes. [`ColumnType::avg_value_bytes`] provides it.
 
 /// Logical column type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnType {
     /// 32-bit integer (4 bytes on disk).
     Int32,
-    /// 64-bit integer (8 bytes on disk).
-    Int64,
     /// 64-bit float (8 bytes on disk).
     Float64,
     /// Calendar date stored in its textual `YYYY-MM-DD` form (10 bytes),
@@ -40,24 +35,10 @@ impl ColumnType {
     pub fn avg_value_bytes(&self) -> f64 {
         match self {
             ColumnType::Int32 => 4.0,
-            ColumnType::Int64 => 8.0,
             ColumnType::Float64 => 8.0,
             ColumnType::Date => 10.0,
             ColumnType::Char { avg, .. } => *avg,
             ColumnType::Text { avg } => *avg,
-        }
-    }
-}
-
-impl fmt::Display for ColumnType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ColumnType::Int32 => write!(f, "int32"),
-            ColumnType::Int64 => write!(f, "int64"),
-            ColumnType::Float64 => write!(f, "float64"),
-            ColumnType::Date => write!(f, "date"),
-            ColumnType::Char { width, .. } => write!(f, "char({width})"),
-            ColumnType::Text { .. } => write!(f, "text"),
         }
     }
 }
@@ -98,21 +79,6 @@ impl Schema {
         Schema { columns }
     }
 
-    /// Number of columns.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// True if the schema has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Position of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|c| c.name == name)
@@ -140,11 +106,12 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         let s = sample();
-        assert_eq!(s.index_of("comment"), Some(1));
-        assert_eq!(s.index_of("nope"), None);
+        assert_eq!(
+            s.column("comment").unwrap().ty,
+            ColumnType::Text { avg: 27.0 }
+        );
         assert_eq!(s.column("commitdate").unwrap().ty, ColumnType::Date);
-        assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
+        assert!(s.column("nope").is_none());
     }
 
     #[test]
@@ -160,7 +127,6 @@ mod tests {
             avg: 12.0,
         };
         assert!((ty.avg_value_bytes() - 12.0).abs() < 1e-12);
-        assert_eq!(ty.to_string(), "char(25)");
     }
 
     #[test]
@@ -168,7 +134,7 @@ mod tests {
     fn duplicate_names_rejected() {
         let _ = Schema::new(vec![
             Column::new("a", ColumnType::Int32),
-            Column::new("a", ColumnType::Int64),
+            Column::new("a", ColumnType::Date),
         ]);
     }
 }

@@ -7,7 +7,10 @@
 
 use flowtune_common::{pricing, Money, Quanta, SimDuration, TunerConfig};
 
-/// One dataflow's contribution to an index's gain.
+/// One dataflow's contribution to an index's gain: the input of the
+/// test-only per-index oracle [`GainModel::evaluate_with_d`], which
+/// checks the one-pass sums of `OnlineTuner::decide`.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GainContribution {
     /// Quanta elapsed since the dataflow executed (`ΔT`, 0 for the
@@ -96,7 +99,7 @@ impl GainModel {
         pricing::storage_cost(bytes, self.tuner.storage_window_w, self.storage_price)
     }
 
-    /// Evaluate Eq. 3–5 for one index.
+    /// Evaluate Eq. 3–5 for one index (test-only oracle).
     ///
     /// * `contributions` — the related dataflows inside the window plus
     ///   the currently queued one.
@@ -104,6 +107,7 @@ impl GainModel {
     ///   finish building the index (0 when fully built).
     /// * `stored_bytes` — bytes the index occupies when fully built
     ///   (drives `st(idx, W)`).
+    #[cfg(test)]
     pub fn evaluate(
         &self,
         contributions: &[GainContribution],
@@ -118,7 +122,9 @@ impl GainModel {
         )
     }
 
-    /// Evaluate Eq. 3–5 with an explicit per-index fading controller.
+    /// Evaluate Eq. 3–5 with an explicit per-index fading controller
+    /// (test-only oracle).
+    #[cfg(test)]
     pub fn evaluate_with_d(
         &self,
         contributions: &[GainContribution],

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use flowtune_common::{DataflowId, IndexId, Quanta, SimDuration, SimTime};
 
+#[cfg(test)]
 use crate::gain::GainContribution;
 
 /// One executed dataflow with its per-index gains.
@@ -55,7 +56,9 @@ impl History {
     }
 
     /// Contributions of `idx` from dataflows inside the window
-    /// `[t − W, t]` (δ of Eq. 4/5), as gain-model inputs, newest first.
+    /// `[t − W, t]` (δ of Eq. 4/5), as gain-model inputs, newest first:
+    /// the per-index oracle of [`History::windowed`].
+    #[cfg(test)]
     pub fn contributions(
         &self,
         idx: IndexId,
@@ -76,8 +79,8 @@ impl History {
 
     /// The dataflows inside the window `[t − W, t]`, newest first, each
     /// as its age `ΔT` in quanta and its per-index gains: one walk
-    /// serves every index, and an index's gains appear in the order
-    /// [`History::contributions`] yields them.
+    /// serves every index, and an index's gains appear in the order the
+    /// test-only per-index `contributions` yields them.
     pub fn windowed(
         &self,
         now: SimTime,

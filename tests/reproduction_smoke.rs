@@ -8,13 +8,12 @@ use flowtune_dataflow::App;
 use flowtune_index::IndexCostModel;
 use flowtune_interleave::{graham_greedy, merged_upper_bound, solve_knapsack};
 use flowtune_sched::{OnlineLoadBalanceScheduler, SkylineScheduler};
-use flowtune_storage::lineitem::SF2_ROWS;
-use flowtune_storage::LineitemGenerator;
+use flowtune_storage::lineitem::{self, SF2_ROWS};
 
 /// Table 5's ordering: index size percentage by column.
 #[test]
 fn table5_index_size_ordering_reproduces() {
-    let schema = LineitemGenerator::schema();
+    let schema = lineitem::schema();
     let table_rec = schema.avg_row_bytes();
     let pct = |column: &str| {
         let key = schema.column(column).unwrap().ty.avg_value_bytes();
